@@ -179,6 +179,7 @@ struct Contingency {
     total: f64,
     /// Number of entities with in-context rows.
     n_entities_ctx: usize,
+    card_o: u32,
     card_t: u32,
 }
 
@@ -658,6 +659,7 @@ impl Contingency {
                 x_marginal,
                 total,
                 n_entities_ctx,
+                card_o: card_o as u32,
                 card_t: card_t as u32,
             }
         }
@@ -689,6 +691,7 @@ impl Contingency {
             x_marginal,
             total,
             n_entities_ctx,
+            card_o: card_o as u32,
             card_t: card_t as u32,
         }
     }
@@ -1073,6 +1076,7 @@ impl Engine {
                 let mut map_buf = map.to_vec();
                 let mut w_buf = vec![1.0f64; map.len()];
                 let mut samples = Vec::with_capacity(16);
+                kernel::counters().record_permutations(16, vals.len() as u64);
                 for _ in 0..16 {
                     vals.shuffle(&mut rng);
                     for (&x, &(v, w)) in present.iter().zip(&vals) {
@@ -1125,6 +1129,7 @@ impl Engine {
                 };
                 let mut permuted = codes.clone();
                 let mut samples = Vec::with_capacity(6);
+                kernel::counters().record_permutations(6, vals.len() as u64);
                 for _ in 0..6 {
                     vals.shuffle(&mut rng);
                     if group_level {
@@ -1310,14 +1315,16 @@ impl Engine {
             .map(|&i| set.row_codes(&set.candidates[i]))
             .collect();
         let mut samples = Vec::with_capacity(N_PERMS);
+        let mut shuffled = 0u64;
         for _ in 0..N_PERMS {
             let mut permuted: Vec<Codes> = Vec::with_capacity(indices.len());
             for (&idx, rows) in indices.iter().zip(&originals) {
-                permuted.push(self.permute_codes(set, idx, rows, &mut rng));
+                permuted.push(self.permute_codes(set, idx, rows, &mut rng, &mut shuffled));
             }
             let refs: Vec<&Codes> = permuted.iter().collect();
             samples.push(InfoContext::masked(&set.mask).cmi_mm(&set.o, &set.t, &refs));
         }
+        kernel::counters().record_permutations(N_PERMS as u64, shuffled / N_PERMS as u64);
         let n = samples.len() as f64;
         let mean = samples.iter().sum::<f64>() / n;
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (n - 1.0);
@@ -1327,13 +1334,15 @@ impl Engine {
 
     /// One shape-preserving permutation of a candidate's row codes: entity
     /// level when the candidate is entity-backed, exposure-group level when
-    /// it is a function of `T`, per-row otherwise.
+    /// it is a function of `T`, per-row otherwise. Adds the number of
+    /// values shuffled to `shuffled`.
     fn permute_codes(
         &self,
         set: &CandidateSet,
         idx: usize,
         rows: &Codes,
         rng: &mut rand::rngs::StdRng,
+        shuffled: &mut u64,
     ) -> Codes {
         use rand::seq::SliceRandom;
         match &set.candidates[idx].repr {
@@ -1345,6 +1354,7 @@ impl Engine {
                     .collect();
                 let mut vals: Vec<u32> = present.iter().map(|&e| map[e]).collect();
                 vals.shuffle(rng);
+                *shuffled += vals.len() as u64;
                 let mut new_map = map.clone();
                 for (&e, &v) in present.iter().zip(&vals) {
                     new_map[e] = v;
@@ -1377,6 +1387,7 @@ impl Engine {
                     .collect();
                 let mut vals: Vec<u32> = usable.iter().map(|&i| rows.codes[i]).collect();
                 vals.shuffle(rng);
+                *shuffled += vals.len() as u64;
                 let mut permuted = rows.clone();
                 for (&i, &v) in usable.iter().zip(&vals) {
                     permuted.codes[i] = v;
@@ -1450,17 +1461,28 @@ impl Engine {
 
 /// Builds [`CandStats`] for an entity-level candidate from the column's
 /// contingency cells, applying per-entity IPW weights when present.
+///
+/// The seven marginals are accumulated cell by cell, in the cells'
+/// ascending `(x, t, o)` order, and drained in ascending marginal-key
+/// order: each marginal cell receives the same f64 adds in the same
+/// order as an ordered-map accumulator would give it, so every entropy
+/// fold sees the same sums in the same sequence, bit for bit.
 fn stats_from_cells(cont: &Contingency, map: &[u32], weights: Option<&[f64]>) -> CandStats {
-    let card_t = cont.card_t as u64;
-    // Ordered maps: the marginal counts feed f64 entropy sums whose low
-    // bits depend on summation order, and NEXUS reproduces bit-for-bit.
-    let mut m_o: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut m_t: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut m_e: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut m_ot: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut m_oe: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut m_te: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut m_ote: BTreeMap<u64, f64> = BTreeMap::new();
+    let card_o = cont.card_o.max(1) as u128;
+    let card_t = cont.card_t.max(1) as u128;
+    let card_e = map
+        .iter()
+        .filter(|&&e| e != MISSING_CODE)
+        .max()
+        .map_or(1, |&e| e as u128 + 1);
+    let cells = cont.cells.len();
+    let mut m_o = Marginal::new(card_o, cells);
+    let mut m_t = Marginal::new(card_t, cells);
+    let mut m_e = Marginal::new(card_e, cells);
+    let mut m_ot = Marginal::new(card_o * card_t, cells);
+    let mut m_oe = Marginal::new(card_o * card_e, cells);
+    let mut m_te = Marginal::new(card_t * card_e, cells);
+    let mut m_ote = Marginal::new(card_o * card_t * card_e, cells);
     let mut total = 0.0;
     for &(o, t, x, c) in &cont.cells {
         let e = map[x as usize];
@@ -1472,41 +1494,89 @@ fn stats_from_cells(cont: &Contingency, map: &[u32], weights: Option<&[f64]>) ->
             continue;
         }
         total += w;
-        *m_o.entry(o).or_insert(0.0) += w;
-        *m_t.entry(t).or_insert(0.0) += w;
-        *m_e.entry(e).or_insert(0.0) += w;
-        *m_ot.entry(o as u64 * card_t + t as u64).or_insert(0.0) += w;
-        *m_oe.entry(((o as u64) << 32) | e as u64).or_insert(0.0) += w;
-        *m_te.entry(((t as u64) << 32) | e as u64).or_insert(0.0) += w;
-        *m_ote
-            .entry(((o as u64 * card_t + t as u64) << 32) | e as u64)
-            .or_insert(0.0) += w;
+        let (o, t, e) = (o as u128, t as u128, e as u128);
+        m_o.add(o, w);
+        m_t.add(t, w);
+        m_e.add(e, w);
+        m_ot.add(o * card_t + t, w);
+        m_oe.add(o * card_e + e, w);
+        m_te.add(t * card_e + e, w);
+        m_ote.add((o * card_t + t) * card_e + e, w);
     }
     let present_entities = (0..map.len())
         .filter(|&x| map[x] != MISSING_CODE && cont.x_marginal.get(x).is_some_and(|&w| w > 0.0))
         .count();
     CandStats {
-        h_o: (entropy_from_counts(m_o.values().copied(), total), m_o.len()),
-        h_t: (entropy_from_counts(m_t.values().copied(), total), m_t.len()),
-        h_e: (entropy_from_counts(m_e.values().copied(), total), m_e.len()),
-        h_ot: (
-            entropy_from_counts(m_ot.values().copied(), total),
-            m_ot.len(),
-        ),
-        h_oe: (
-            entropy_from_counts(m_oe.values().copied(), total),
-            m_oe.len(),
-        ),
-        h_te: (
-            entropy_from_counts(m_te.values().copied(), total),
-            m_te.len(),
-        ),
-        h_ote: (
-            entropy_from_counts(m_ote.values().copied(), total),
-            m_ote.len(),
-        ),
+        h_o: m_o.entropy_and_cells(total),
+        h_t: m_t.entropy_and_cells(total),
+        h_e: m_e.entropy_and_cells(total),
+        h_ot: m_ot.entropy_and_cells(total),
+        h_oe: m_oe.entropy_and_cells(total),
+        h_te: m_te.entropy_and_cells(total),
+        h_ote: m_ote.entropy_and_cells(total),
         support: total,
         present_entities,
+    }
+}
+
+/// Marginal key spaces up to this many times the contingency's cell
+/// count (or [`MARGINAL_DENSE_MIN`]) accumulate densely; sparser ones
+/// collect `(key, weight)` adds and sort them.
+const MARGINAL_DENSE_FACTOR: u128 = 8;
+
+/// Key spaces this small are always dense.
+const MARGINAL_DENSE_MIN: u128 = 1024;
+
+/// One marginal's accumulator in [`stats_from_cells`]. Every add is a
+/// positive weight, so a key is occupied exactly when its sum is
+/// positive.
+enum Marginal {
+    /// Flat sums indexed by key; drained by walking the key space.
+    Dense(Vec<f64>),
+    /// The adds in arrival order; drained by a *stable* sort on the key,
+    /// which keeps each key's adds in arrival order.
+    Sorted(Vec<(u128, f64)>),
+}
+
+impl Marginal {
+    fn new(space: u128, cells: usize) -> Marginal {
+        if space <= (cells as u128 * MARGINAL_DENSE_FACTOR).max(MARGINAL_DENSE_MIN) {
+            Marginal::Dense(vec![0.0; space as usize])
+        } else {
+            Marginal::Sorted(Vec::with_capacity(cells))
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, key: u128, w: f64) {
+        match self {
+            Marginal::Dense(v) => v[key as usize] += w,
+            Marginal::Sorted(v) => v.push((key, w)),
+        }
+    }
+
+    /// `(H, occupied cells)` over `total`, cells in ascending key order.
+    fn entropy_and_cells(self, total: f64) -> (f64, usize) {
+        match self {
+            Marginal::Dense(v) => (
+                entropy_from_counts(v.iter().copied(), total),
+                v.iter().filter(|&&c| c > 0.0).count(),
+            ),
+            Marginal::Sorted(mut adds) => {
+                adds.sort_by_key(|&(k, _)| k);
+                let mut sums: Vec<f64> = Vec::new();
+                let mut last = None;
+                for (k, w) in adds {
+                    if last == Some(k) {
+                        *sums.last_mut().expect("key seen") += w;
+                    } else {
+                        sums.push(w);
+                        last = Some(k);
+                    }
+                }
+                (entropy_from_counts(sums.iter().copied(), total), sums.len())
+            }
+        }
     }
 }
 
@@ -1822,5 +1892,184 @@ mod tests {
         let weighted = engine.stats(&set, sparse);
         assert!(weighted.support > unweighted.support);
         assert_ne!(weighted.h_e, unweighted.h_e);
+    }
+
+    /// The ordered-map implementation `stats_from_cells` replaced, kept as
+    /// its oracle.
+    fn stats_from_cells_oracle(
+        cont: &Contingency,
+        map: &[u32],
+        weights: Option<&[f64]>,
+    ) -> CandStats {
+        let card_t = cont.card_t as u64;
+        let mut m_o: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut m_t: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut m_e: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut m_ot: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut m_oe: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut m_te: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut m_ote: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut total = 0.0;
+        for &(o, t, x, c) in &cont.cells {
+            let e = map[x as usize];
+            if e == MISSING_CODE {
+                continue;
+            }
+            let w = c * weights.map_or(1.0, |w| w[x as usize]);
+            if w <= 0.0 {
+                continue;
+            }
+            total += w;
+            *m_o.entry(o).or_insert(0.0) += w;
+            *m_t.entry(t).or_insert(0.0) += w;
+            *m_e.entry(e).or_insert(0.0) += w;
+            *m_ot.entry(o as u64 * card_t + t as u64).or_insert(0.0) += w;
+            *m_oe.entry(((o as u64) << 32) | e as u64).or_insert(0.0) += w;
+            *m_te.entry(((t as u64) << 32) | e as u64).or_insert(0.0) += w;
+            *m_ote
+                .entry(((o as u64 * card_t + t as u64) << 32) | e as u64)
+                .or_insert(0.0) += w;
+        }
+        let h = |m: Vec<f64>| (entropy_from_counts(m.iter().copied(), total), m.len());
+        let present_entities = (0..map.len())
+            .filter(|&x| map[x] != MISSING_CODE && cont.x_marginal.get(x).is_some_and(|&w| w > 0.0))
+            .count();
+        CandStats {
+            h_o: h(m_o.into_values().collect()),
+            h_t: h(m_t.into_values().collect()),
+            h_e: h(m_e.into_values().collect()),
+            h_ot: h(m_ot.into_values().collect()),
+            h_oe: h(m_oe.into_values().collect()),
+            h_te: h(m_te.into_values().collect()),
+            h_ote: h(m_ote.into_values().collect()),
+            support: total,
+            present_entities,
+        }
+    }
+
+    fn assert_stats_identical(a: &CandStats, b: &CandStats, what: &str) {
+        let bits = |s: &CandStats| {
+            [s.h_o, s.h_t, s.h_e, s.h_ot, s.h_oe, s.h_te, s.h_ote].map(|(h, k)| (h.to_bits(), k))
+        };
+        assert_eq!(bits(a), bits(b), "entropies: {what}");
+        assert_eq!(a.support.to_bits(), b.support.to_bits(), "support: {what}");
+        assert_eq!(a.present_entities, b.present_entities, "present: {what}");
+        assert_eq!(a.cmi().to_bits(), b.cmi().to_bits(), "cmi: {what}");
+    }
+
+    /// A random contingency over `|O| × |T| × |X|`, one cell in `one_in`
+    /// occupied, with cells in the kernel's ascending `(x, t, o)` order
+    /// and integer counts.
+    fn random_contingency(
+        rng: &mut rand::rngs::StdRng,
+        (card_o, card_t, card_x): (u32, u32, u32),
+        one_in: u32,
+    ) -> Contingency {
+        use rand::Rng;
+        let mut keyed = Vec::new();
+        for x in 0..card_x {
+            for t in 0..card_t {
+                for o in 0..card_o {
+                    if rng.gen_range(0..one_in) == 0 {
+                        let key = (x as u64 * card_t as u64 + t as u64) * card_o as u64 + o as u64;
+                        keyed.push((key, rng.gen_range(1..40) as f64));
+                    }
+                }
+            }
+        }
+        Contingency::from_sorted_cells(
+            keyed.into_iter(),
+            card_o as u64,
+            card_t as u64,
+            card_x as usize,
+        )
+    }
+
+    #[test]
+    fn stats_from_cells_matches_ordered_map_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x57a7);
+        // ((|O|, |T|, |X|), occupancy 1 in k, max candidate code, whether
+        // (O,T,E) accumulates densely): small codes keep every marginal
+        // dense; huge codes push the E-keyed marginals onto the sorted
+        // fallback; a wide, sparsely occupied (O,T) grid sends `ot` there.
+        let shapes = [
+            ((3u32, 4u32, 30u32), 3u32, 5u32, true),
+            ((5, 20, 60), 3, 12, true),
+            ((4, 6, 40), 3, 3_000_000, false),
+            ((40, 300, 2), 40, 4, false),
+        ];
+        for (si, &(cards, one_in, max_e, dense)) in shapes.iter().enumerate() {
+            let (card_o, card_t, card_x) = cards;
+            let cont = random_contingency(&mut rng, cards, one_in);
+            let cells = cont.cells.len();
+            let ote = card_o as u128 * card_t as u128 * (max_e as u128 + 1);
+            let dense_ote = matches!(Marginal::new(ote, cells), Marginal::Dense(_));
+            assert_eq!(
+                dense_ote, dense,
+                "shape {si} takes its intended (O,T,E) path"
+            );
+            if si == 3 {
+                let ot = card_o as u128 * card_t as u128;
+                assert!(matches!(Marginal::new(ot, cells), Marginal::Sorted(_)));
+            }
+            for trial in 0..6 {
+                // Some entities lack the attribute; the largest code is
+                // always present so the candidate's key space is fixed.
+                let mut map: Vec<u32> = (0..card_x)
+                    .map(|_| match rng.gen_range(0..5) {
+                        0 => MISSING_CODE,
+                        _ => rng.gen_range(0..=max_e),
+                    })
+                    .collect();
+                map[0] = max_e;
+                // IPW weights, including zeros the scorer must skip.
+                let weights: Vec<f64> = (0..card_x)
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => 0.0,
+                        _ => rng.gen_range(0.2..6.0),
+                    })
+                    .collect();
+                for w in [None, Some(weights.as_slice())] {
+                    let what = format!("shape {si} trial {trial} weighted={}", w.is_some());
+                    assert_stats_identical(
+                        &stats_from_cells(&cont, &map, w),
+                        &stats_from_cells_oracle(&cont, &map, w),
+                        &what,
+                    );
+                }
+            }
+            // Every entity missing: empty support.
+            let none = vec![MISSING_CODE; card_x as usize];
+            assert_stats_identical(
+                &stats_from_cells(&cont, &none, None),
+                &stats_from_cells_oracle(&cont, &none, None),
+                "all missing",
+            );
+        }
+    }
+
+    #[test]
+    fn engine_stats_match_ordered_map_oracle() {
+        let (mut set, engine) = setup();
+        for weighted in [false, true] {
+            for idx in 0..set.candidates.len() {
+                if weighted {
+                    let card = set.column_codes["Country"].cardinality as usize;
+                    set.candidates[idx].entity_weights =
+                        Some((0..card).map(|i| 0.5 + i as f64 * 1.7).collect());
+                }
+                let cand = &set.candidates[idx];
+                let CandidateRepr::EntityLevel { column, map, .. } = &cand.repr else {
+                    continue;
+                };
+                let want = stats_from_cells_oracle(
+                    &engine.base[column],
+                    map,
+                    cand.entity_weights.as_deref(),
+                );
+                assert_stats_identical(&engine.stats(&set, idx), &want, &cand.name);
+            }
+        }
     }
 }

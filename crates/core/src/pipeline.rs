@@ -68,7 +68,8 @@ pub struct PipelineStats {
 
     // ---- counting kernels -----------------------------------------------
     /// Counting-kernel counter movement attributable to this run
-    /// (rows scanned, hash vs dense accumulator ops, build dispatch).
+    /// (rows scanned, hash vs dense accumulator ops, build dispatch, and
+    /// the permutation nulls' samples and shuffled values).
     ///
     /// The underlying counters are process-global, so concurrent runs in
     /// one process (e.g. a parallel test binary) can bleed into each

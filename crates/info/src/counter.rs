@@ -514,9 +514,15 @@ impl JointCounts {
     }
 
     /// Plug-in entropy together with the number of occupied cells
-    /// (for Miller–Madow bias correction).
+    /// (for Miller–Madow bias correction), from one walk over the cells.
     pub fn entropy_and_cells(&self) -> (f64, usize) {
-        (self.entropy(), self.counts.n_cells())
+        let mut fold = EntropyFold::default();
+        let mut cells = 0usize;
+        for (_, c) in self.counts.iter() {
+            fold.push(c);
+            cells += 1;
+        }
+        (fold.entropy(self.total), cells)
     }
 
     /// Entropy (bits) of the marginal over the variable subset `keep`
@@ -576,16 +582,36 @@ pub fn entropy_mm(h_plugin: f64, cells: usize, total: f64) -> f64 {
 
 /// Entropy in bits from raw weighted counts and their total.
 pub fn entropy_from_counts(counts: impl Iterator<Item = f64>, total: f64) -> f64 {
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let mut acc = 0.0;
-    for c in counts {
+    let mut fold = EntropyFold::default();
+    counts.for_each(|c| fold.push(c));
+    fold.entropy(total)
+}
+
+/// The running `Σ c·log2(c)` behind [`entropy_from_counts`], for callers
+/// that produce counts in a loop rather than as an iterator. Pushing the
+/// same counts in the same order gives the same bits as
+/// `entropy_from_counts`.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct EntropyFold {
+    acc: f64,
+}
+
+impl EntropyFold {
+    /// Adds one cell count; non-positive counts are skipped.
+    #[inline]
+    pub(crate) fn push(&mut self, c: f64) {
         if c > 0.0 {
-            acc += c * c.log2();
+            self.acc += c * c.log2();
         }
     }
-    (total.log2() - acc / total).max(0.0)
+
+    /// Entropy in bits of the pushed counts over `total`.
+    pub(crate) fn entropy(self, total: f64) -> f64 {
+        if total <= 0.0 {
+            return 0.0;
+        }
+        (total.log2() - self.acc / total).max(0.0)
+    }
 }
 
 #[cfg(test)]
@@ -703,6 +729,22 @@ mod tests {
         assert_eq!(cells(&auto), cells(&sparse));
         assert_eq!(auto.entropy().to_bits(), legacy.entropy().to_bits());
         assert_eq!(auto.entropy().to_bits(), sparse.entropy().to_bits());
+    }
+
+    #[test]
+    fn entropy_and_cells_matches_separate_walks() {
+        let x = codes(&[0, 3, 1, 2, 3, 0, 1, 1, 2, 0], 4);
+        let y = codes(&[1, 0, 1, 0, 1, 1, 0, 0, 1, 1], 2);
+        let weights = [0.5, 1.25, 2.0, 0.0, 1.0, 3.5, 0.75, 1.0, 0.25, 0.1];
+        for w in [None, Some(&weights[..])] {
+            let dense = JointCounts::count(&[&x, &y], None, w);
+            let sparse = JointCounts::count_forced_sparse(&[&x, &y], None, w);
+            for j in [&dense, &sparse] {
+                let (h, k) = j.entropy_and_cells();
+                assert_eq!(h.to_bits(), j.entropy().to_bits());
+                assert_eq!(k, j.counts.n_cells());
+            }
+        }
     }
 
     #[test]

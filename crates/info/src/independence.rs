@@ -7,13 +7,17 @@
 //! conditional dependence) and compare the observed CMI against the
 //! permutation distribution.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nexus_table::{Bitmap, Codes};
 
+use crate::counter::EntropyFold;
 use crate::estimator::InfoContext;
+use crate::kernel;
 
 /// Configuration for the permutation test.
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +106,7 @@ pub fn ci_test(
     }
     // Large-sample shortcut for the conditional case: at 10k+ complete
     // cases a CMI this far above zero cannot be a permutation artifact,
-    // and each permutation costs a full row scan.
+    // and each permutation re-counts every complete case.
     if options.cmi_shortcut > 0.0 && observed > options.cmi_shortcut * 50.0 && usable.len() > 10_000
     {
         return CiTestResult {
@@ -112,48 +116,302 @@ pub fn ci_test(
         };
     }
 
-    // Group usable rows by the stratum key of Z.
-    let strata: Vec<Vec<usize>> = if z.is_empty() {
-        vec![usable.to_vec()]
-    } else {
-        let radices: Vec<u128> = z.iter().map(|v| (v.cardinality as u128).max(1)).collect();
-        // Keyed order matters: the strata consume the permutation RNG in
-        // sequence, so stratum order must be reproducible across runs.
-        let mut map: std::collections::BTreeMap<u128, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for &i in &usable {
-            let mut key = 0u128;
-            for (v, r) in z.iter().zip(&radices).rev() {
-                key = key * r + v.codes[i] as u128;
-            }
-            map.entry(key).or_default().push(i);
-        }
-        map.into_values().collect()
-    };
-
+    let null = StratifiedNull::new(ctx, x, y, z, &usable);
+    drop(usable);
+    let mut scratch = NullScratch::default();
     let mut rng = StdRng::seed_from_u64(options.seed);
     let mut exceed = 0usize;
-    let mut permuted_x = x.clone();
-    // Mark every row valid in the permuted copy only where usable; simpler:
-    // keep the original validity, we only rewrite codes of usable rows.
     for _ in 0..options.n_permutations {
-        for stratum in &strata {
-            // Permute the X codes among the rows of the stratum.
-            let mut vals: Vec<u32> = stratum.iter().map(|&i| x.codes[i]).collect();
-            vals.shuffle(&mut rng);
-            for (&i, v) in stratum.iter().zip(vals) {
-                permuted_x.codes[i] = v;
-            }
-        }
-        if ctx.cmi(&permuted_x, y, z) >= observed {
+        if null.permuted_cmi(&mut rng, &mut scratch) >= observed {
             exceed += 1;
         }
     }
+    kernel::counters().record_permutations(options.n_permutations as u64, null.rows() as u64);
     let p_value = (exceed + 1) as f64 / (options.n_permutations + 1) as f64;
     CiTestResult {
         observed_cmi: observed,
         p_value,
         independent: p_value >= options.alpha,
+    }
+}
+
+/// Strata whose `(y, x)` table is at most this many times the stratum's
+/// row count are counted into a dense table; sparser strata sort their
+/// keys instead, so a permutation never costs more than its rows times a
+/// log factor.
+const DENSE_TABLE_ROWS_FACTOR: usize = 4;
+
+/// Tables this small are always dense.
+const DENSE_TABLE_MIN: usize = 64;
+
+/// Cap on the dense `(y, x)` table (2^20 f64 cells = 8 MiB).
+const DENSE_TABLE_CAP: usize = 1 << 20;
+
+/// The complete-case rows of a CI test, copied once in stratum-major
+/// order: strata in ascending `Z`-key order, rows ascending within each
+/// stratum. Each permutation shuffles `X` within every stratum and
+/// re-counts only these rows, never the full-length columns.
+///
+/// # Why the result is bit-identical to re-counting the permuted rows
+///
+/// A joint count over `(X, Y, Z…)` keys `x + |X|·(y + |Y|·z)` (the first
+/// variable is the fastest digit), so its ascending key order is exactly
+/// stratum-major `(z, y, x)` order, and every plug-in entropy folds its
+/// cells in that order. Walking each stratum's `(y, x)` table in order
+/// therefore visits the cells of `H(X,Y,Z)` in the same sequence; row sums
+/// of the table are the `(z, y)` cells of `H(Y,Z)`, column sums (added in
+/// ascending `y`) the `(z, x)` cells of `H(X,Z)`, and the running sum of
+/// the stratum's cells its `H(Z)` cell — each accumulated in the order the
+/// marginal walk would add them. Unweighted counts are exact integers;
+/// weighted cells receive their rows' weights in ascending row order, as
+/// the row scan adds them.
+struct StratifiedNull {
+    /// `bounds[s]..bounds[s + 1]` indexes stratum `s` in the row arrays.
+    bounds: Vec<usize>,
+    /// Original `X` code per row (stratum-major).
+    xs: Vec<u32>,
+    /// `Y` code per row (stratum-major).
+    ys: Vec<u32>,
+    /// Weight per row when the context is weighted.
+    ws: Option<Vec<f64>>,
+    card_x: usize,
+    /// `|X|·|Y|`, or `None` when it overflows `usize`.
+    table_cells: Option<usize>,
+    /// Total weight over counted rows, summed in ascending row order.
+    total: f64,
+    /// Whether `Z` is empty (then `H(Z)` drops out, as in plain MI).
+    unconditional: bool,
+}
+
+/// Buffers reused across permutations.
+#[derive(Default)]
+struct NullScratch {
+    /// One stratum's shuffled `X` values.
+    perm: Vec<u32>,
+    /// The dense `(y, x)` table, row-major in `y`.
+    table: Vec<f64>,
+    /// Per-`x` column sums of the dense table.
+    cols: Vec<f64>,
+    /// Sparse strata: `(y·|X| + x, row position)` keys.
+    keys: Vec<(u64, usize)>,
+    /// Sparse strata: occupied cells `(x, y, count)`.
+    cells: Vec<(u32, u32, f64)>,
+}
+
+/// The four `Σ c·log2 c` folds of a CMI.
+#[derive(Default)]
+struct CmiFolds {
+    xyz: EntropyFold,
+    xz: EntropyFold,
+    yz: EntropyFold,
+    z: EntropyFold,
+}
+
+impl StratifiedNull {
+    fn new(
+        ctx: &InfoContext<'_>,
+        x: &Codes,
+        y: &Codes,
+        z: &[&Codes],
+        usable: &[usize],
+    ) -> StratifiedNull {
+        let u = usable.len();
+        let mut xs = vec![0u32; u];
+        let mut ys = vec![0u32; u];
+        let mut ws = ctx.weights.map(|_| vec![0.0f64; u]);
+        let mut place = |slot: usize, i: usize| {
+            xs[slot] = x.codes[i];
+            ys[slot] = y.codes[i];
+            if let (Some(ws), Some(w)) = (ws.as_mut(), ctx.weights) {
+                ws[slot] = w[i];
+            }
+        };
+        let mut bounds = vec![0, u];
+        if z.is_empty() {
+            for (slot, &i) in usable.iter().enumerate() {
+                place(slot, i);
+            }
+        } else {
+            let radices: Vec<u128> = z.iter().map(|v| (v.cardinality as u128).max(1)).collect();
+            let z_key = |i: usize| {
+                let mut key = 0u128;
+                for (v, r) in z.iter().zip(&radices).rev() {
+                    key = key * r + v.codes[i] as u128;
+                }
+                key
+            };
+            // Counting sort by Z key: stratum sizes, then running offsets
+            // in ascending key order, then a placement pass in ascending
+            // row order. Keyed order matters: the strata consume the
+            // permutation RNG in sequence.
+            let mut next: BTreeMap<u128, usize> = BTreeMap::new();
+            for &i in usable {
+                *next.entry(z_key(i)).or_insert(0) += 1;
+            }
+            bounds.clear();
+            let mut offset = 0;
+            for slot in next.values_mut() {
+                bounds.push(offset);
+                offset += std::mem::replace(slot, offset);
+            }
+            bounds.push(offset);
+            for &i in usable {
+                let slot = next.get_mut(&z_key(i)).expect("key counted above");
+                place(*slot, i);
+                *slot += 1;
+            }
+        }
+        let total = match ctx.weights {
+            // The row scan's running total: ascending row order, positive
+            // weights only.
+            Some(w) => usable
+                .iter()
+                .map(|&i| w[i])
+                .filter(|&wt| wt > 0.0)
+                .fold(0.0, |a, wt| a + wt),
+            None => usable.len() as f64,
+        };
+        let card_x = x.cardinality.max(1) as usize;
+        StratifiedNull {
+            bounds,
+            xs,
+            ys,
+            ws,
+            card_x,
+            table_cells: card_x.checked_mul(y.cardinality.max(1) as usize),
+            total,
+            unconditional: z.is_empty(),
+        }
+    }
+
+    /// Number of complete-case rows.
+    fn rows(&self) -> usize {
+        self.xs.len()
+    }
+
+    /// One permutation: shuffles `X` within each stratum (ascending
+    /// stratum order, one `shuffle` call per stratum, so the RNG stream
+    /// is the one the row-rewrite loop consumed) and returns the CMI of
+    /// the permuted rows.
+    fn permuted_cmi(&self, rng: &mut StdRng, s: &mut NullScratch) -> f64 {
+        let mut folds = CmiFolds::default();
+        for w in self.bounds.windows(2) {
+            let (lo, hi) = (w[0], w[1]);
+            s.perm.clear();
+            s.perm.extend_from_slice(&self.xs[lo..hi]);
+            s.perm.shuffle(rng);
+            let m = hi - lo;
+            match self.table_cells {
+                Some(cells)
+                    if cells <= DENSE_TABLE_CAP
+                        && cells
+                            <= m.saturating_mul(DENSE_TABLE_ROWS_FACTOR)
+                                .max(DENSE_TABLE_MIN) =>
+                {
+                    self.fold_dense(lo, cells, s, &mut folds)
+                }
+                _ => self.fold_sorted(lo, s, &mut folds),
+            }
+        }
+        let h_xyz = folds.xyz.entropy(self.total);
+        let h_xz = folds.xz.entropy(self.total);
+        let h_yz = folds.yz.entropy(self.total);
+        if self.unconditional {
+            (h_xz + h_yz - h_xyz).max(0.0)
+        } else {
+            (h_xz + h_yz - h_xyz - folds.z.entropy(self.total)).max(0.0)
+        }
+    }
+
+    /// Weight of stratum row `lo + j` (1 unweighted).
+    #[inline]
+    fn weight(&self, lo: usize, j: usize) -> f64 {
+        self.ws.as_ref().map_or(1.0, |w| w[lo + j])
+    }
+
+    /// Counts one stratum into the dense `(y, x)` table and folds it.
+    fn fold_dense(&self, lo: usize, cells: usize, s: &mut NullScratch, f: &mut CmiFolds) {
+        let nx = self.card_x;
+        s.table.resize(cells, 0.0);
+        for (j, &xv) in s.perm.iter().enumerate() {
+            let wt = self.weight(lo, j);
+            if wt > 0.0 {
+                s.table[self.ys[lo + j] as usize * nx + xv as usize] += wt;
+            }
+        }
+        s.cols.clear();
+        s.cols.resize(nx, 0.0);
+        let mut z_cell = 0.0;
+        for row in s.table.chunks_exact_mut(nx) {
+            let mut yz_cell = 0.0;
+            for (cell, col) in row.iter_mut().zip(s.cols.iter_mut()) {
+                let c = std::mem::replace(cell, 0.0);
+                if c > 0.0 {
+                    f.xyz.push(c);
+                    yz_cell += c;
+                    z_cell += c;
+                    *col += c;
+                }
+            }
+            f.yz.push(yz_cell);
+        }
+        for &c in &s.cols {
+            f.xz.push(c);
+        }
+        f.z.push(z_cell);
+    }
+
+    /// Sorts one sparse stratum's `(y, x)` keys and folds its cells.
+    fn fold_sorted(&self, lo: usize, s: &mut NullScratch, f: &mut CmiFolds) {
+        let nx = self.card_x as u64;
+        s.keys.clear();
+        for (j, &xv) in s.perm.iter().enumerate() {
+            if self.weight(lo, j) > 0.0 {
+                s.keys.push((self.ys[lo + j] as u64 * nx + xv as u64, j));
+            }
+        }
+        // (key, position) order: equal keys keep ascending row order, so
+        // each cell adds its weights as the row scan would.
+        s.keys.sort_unstable();
+        s.cells.clear();
+        let mut z_cell = 0.0;
+        let mut yz_cell = 0.0;
+        let mut k = 0;
+        while k < s.keys.len() {
+            let key = s.keys[k].0;
+            let mut c = 0.0;
+            while k < s.keys.len() && s.keys[k].0 == key {
+                c += self.weight(lo, s.keys[k].1);
+                k += 1;
+            }
+            let (yv, xv) = ((key / nx) as u32, (key % nx) as u32);
+            if let Some(&(_, prev_y, _)) = s.cells.last() {
+                if prev_y != yv {
+                    f.yz.push(yz_cell);
+                    yz_cell = 0.0;
+                }
+            }
+            f.xyz.push(c);
+            yz_cell += c;
+            z_cell += c;
+            s.cells.push((xv, yv, c));
+        }
+        if !s.cells.is_empty() {
+            f.yz.push(yz_cell);
+        }
+        // (z, x) cells: ascending x, each summed over ascending y.
+        s.cells.sort_unstable_by_key(|&(xv, yv, _)| (xv, yv));
+        let mut i = 0;
+        while i < s.cells.len() {
+            let xv = s.cells[i].0;
+            let mut c = 0.0;
+            while i < s.cells.len() && s.cells[i].0 == xv {
+                c += s.cells[i].2;
+                i += 1;
+            }
+            f.xz.push(c);
+        }
+        f.z.push(z_cell);
     }
 }
 
@@ -281,6 +539,66 @@ mod tests {
         let a = ci_test(&ctx, &x, &y, &[], &opts);
         let b = ci_test(&ctx, &x, &y, &[], &opts);
         assert_eq!(a.p_value, b.p_value);
+    }
+
+    /// Each permuted CMI, dense and sorted table paths, weighted or not,
+    /// equals the bits of re-counting the rewritten full-length column.
+    #[test]
+    fn every_permuted_cmi_matches_the_row_rewrite() {
+        let mut next = lcg(29);
+        let n = 240;
+        // (|X|, |Y|, |Z| per variable): dense tables, sparse (sorted)
+        // tables, singleton strata.
+        let shapes: [(u32, u32, &[u32]); 5] = [
+            (3, 4, &[]),
+            (4, 3, &[3]),
+            (300, 200, &[2]),
+            (5, 5, &[6, 7, 8]),
+            (40, 30, &[]),
+        ];
+        for (card_x, card_y, card_z) in shapes {
+            let x = codes(&(0..n).map(|_| next() % card_x).collect::<Vec<_>>(), card_x);
+            let y = codes(&(0..n).map(|_| next() % card_y).collect::<Vec<_>>(), card_y);
+            let z: Vec<Codes> = card_z
+                .iter()
+                .map(|&c| codes(&(0..n).map(|_| next() % c).collect::<Vec<_>>(), c))
+                .collect();
+            let zr: Vec<&Codes> = z.iter().collect();
+            let weights: Vec<f64> = (0..n).map(|_| (next() % 7) as f64 * 0.37).collect();
+            for ctx in [InfoContext::default(), InfoContext::weighted(&weights)] {
+                let usable: Vec<usize> = (0..n as usize).collect();
+                let null = StratifiedNull::new(&ctx, &x, &y, &zr, &usable);
+                let mut strata: BTreeMap<u128, Vec<usize>> = BTreeMap::new();
+                for &i in &usable {
+                    let mut key = 0u128;
+                    for v in zr.iter().rev() {
+                        key = key * v.cardinality as u128 + v.codes[i] as u128;
+                    }
+                    strata.entry(key).or_default().push(i);
+                }
+                let mut rng = StdRng::seed_from_u64(3);
+                let mut oracle_rng = rng.clone();
+                let mut scratch = NullScratch::default();
+                let mut permuted = x.clone();
+                for p in 0..12 {
+                    let got = null.permuted_cmi(&mut rng, &mut scratch);
+                    for stratum in strata.values() {
+                        let mut vals: Vec<u32> = stratum.iter().map(|&i| x.codes[i]).collect();
+                        vals.shuffle(&mut oracle_rng);
+                        for (&i, v) in stratum.iter().zip(vals) {
+                            permuted.codes[i] = v;
+                        }
+                    }
+                    let want = ctx.cmi(&permuted, &y, &zr);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "shape ({card_x},{card_y},{card_z:?}) weighted={} permutation {p}",
+                        ctx.weights.is_some()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

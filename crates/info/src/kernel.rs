@@ -36,6 +36,15 @@
 //! * `builds_w8 … builds_w128` — per-width build counts, recorded once
 //!   per build via [`KernelCounters::record_scan_width`].
 //!
+//! # Permutation counters
+//!
+//! Permutation nulls — the CI test's stratified shuffles and the engine's
+//! calibration samples — re-count permuted values outside the counting
+//! kernels above, so they get counters of their own: [`permutations`]
+//! (null samples drawn) and [`perm_rows`] (values each sample shuffled
+//! and re-counted, summed: rows for row-level nulls, entities for
+//! entity-level calibration).
+//!
 //! # Memo counters
 //!
 //! The sub-query memo store (`nexus-core::memo`) records its traffic here
@@ -51,6 +60,8 @@
 //! [`packed_words_skipped`]: KernelSnapshot::packed_words_skipped
 //! [`radix_merge_cells`]: KernelSnapshot::radix_merge_cells
 //! [`full_merge_cells`]: KernelSnapshot::full_merge_cells
+//! [`permutations`]: KernelSnapshot::permutations
+//! [`perm_rows`]: KernelSnapshot::perm_rows
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
@@ -193,6 +204,8 @@ pub struct KernelCounters {
     builds_w32: AtomicU64,
     builds_w64: AtomicU64,
     builds_w128: AtomicU64,
+    permutations: AtomicU64,
+    perm_rows: AtomicU64,
     memo_hits: [AtomicU64; MEMO_KINDS],
     memo_misses: [AtomicU64; MEMO_KINDS],
     memo_inserts: [AtomicU64; MEMO_KINDS],
@@ -226,6 +239,8 @@ static COUNTERS: KernelCounters = KernelCounters {
     builds_w32: AtomicU64::new(0),
     builds_w64: AtomicU64::new(0),
     builds_w128: AtomicU64::new(0),
+    permutations: AtomicU64::new(0),
+    perm_rows: AtomicU64::new(0),
     memo_hits: MEMO_ZEROS,
     memo_misses: MEMO_ZEROS,
     memo_inserts: MEMO_ZEROS,
@@ -289,6 +304,14 @@ impl KernelCounters {
             .fetch_add(full_cells, Ordering::Relaxed);
     }
 
+    /// Records `samples` permutation-null samples that each shuffled and
+    /// re-counted `values` values (batched once per null).
+    pub fn record_permutations(&self, samples: u64, values: u64) {
+        self.permutations.fetch_add(samples, Ordering::Relaxed);
+        self.perm_rows
+            .fetch_add(samples.saturating_mul(values), Ordering::Relaxed);
+    }
+
     /// Records one memo-store lookup that found a published entry.
     pub fn record_memo_hit(&self, kind: MemoKind) {
         self.memo_hits[kind as usize].fetch_add(1, Ordering::Relaxed);
@@ -335,6 +358,8 @@ impl KernelCounters {
             builds_w32: self.builds_w32.load(Ordering::Relaxed),
             builds_w64: self.builds_w64.load(Ordering::Relaxed),
             builds_w128: self.builds_w128.load(Ordering::Relaxed),
+            permutations: self.permutations.load(Ordering::Relaxed),
+            perm_rows: self.perm_rows.load(Ordering::Relaxed),
             memo_hits: load4(&self.memo_hits),
             memo_misses: load4(&self.memo_misses),
             memo_inserts: load4(&self.memo_inserts),
@@ -398,6 +423,12 @@ pub struct KernelSnapshot {
     pub builds_w64: u64,
     /// Builds that needed the 128-bit row-scan fallback.
     pub builds_w128: u64,
+    /// Permutation-null samples drawn (CI-test permutations and
+    /// calibration samples).
+    pub permutations: u64,
+    /// Values those samples shuffled and re-counted, summed over samples
+    /// (rows for row-level nulls, entities for entity-level calibration).
+    pub perm_rows: u64,
     /// Memo-store hits, indexed by [`MemoKind`].
     pub memo_hits: [u64; MEMO_KINDS],
     /// Memo-store misses, indexed by [`MemoKind`].
@@ -457,6 +488,8 @@ impl KernelSnapshot {
             builds_w32: self.builds_w32.saturating_sub(earlier.builds_w32),
             builds_w64: self.builds_w64.saturating_sub(earlier.builds_w64),
             builds_w128: self.builds_w128.saturating_sub(earlier.builds_w128),
+            permutations: self.permutations.saturating_sub(earlier.permutations),
+            perm_rows: self.perm_rows.saturating_sub(earlier.perm_rows),
             memo_hits: sub4(self.memo_hits, earlier.memo_hits),
             memo_misses: sub4(self.memo_misses, earlier.memo_misses),
             memo_inserts: sub4(self.memo_inserts, earlier.memo_inserts),
@@ -497,7 +530,11 @@ mod tests {
         c.record_scan_width(ScanWidth::W128);
         c.record_packed_words_skipped(7);
         c.record_merge(128, 4096);
+        c.record_permutations(100, 2_000);
+        c.record_permutations(16, 3);
         let d = c.snapshot().delta(&before);
+        assert_eq!(d.permutations, 116);
+        assert_eq!(d.perm_rows, 200_048);
         assert_eq!(d.narrow_scans, 2);
         assert_eq!(
             (

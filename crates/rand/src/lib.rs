@@ -154,21 +154,28 @@ impl<T: SampleUniform + Copy> SampleRange<T> for core::ops::RangeInclusive<T> {
     }
 }
 
-/// Unbiased uniform draw from `0..span` (`span > 0`) via Lemire-style
-/// rejection on the widening multiply.
+/// Unbiased uniform draw from `0..span` (`span > 0`) via Lemire's
+/// nearly-divisionless rejection on the widening multiply.
+///
+/// A draw is rejected iff the low product word falls below
+/// `threshold = 2^64 mod span`. Since `threshold < span`, a low word of at
+/// least `span` is always accepted, so the division that computes the
+/// threshold runs only when the low word is below `span` — rarely, for
+/// small spans. Accepted and rejected draws are exactly those of the
+/// always-divide form, so the output stream is unchanged.
 fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
     if span.is_power_of_two() {
         return rng.next_u64() & (span - 1);
     }
-    let threshold = span.wrapping_neg() % span;
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128) * (span as u128);
-        if (m as u64) >= threshold {
-            return (m >> 64) as u64;
+    let mut m = (rng.next_u64() as u128) * (span as u128);
+    if (m as u64) < span {
+        let threshold = span.wrapping_neg() % span;
+        while (m as u64) < threshold {
+            m = (rng.next_u64() as u128) * (span as u128);
         }
     }
+    (m >> 64) as u64
 }
 
 /// Convenience methods over any [`RngCore`].
@@ -339,6 +346,72 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
         assert_ne!(v, sorted, "50 elements should not shuffle to identity");
+    }
+
+    /// The always-divide rejection loop `uniform_u64` replaced, kept as
+    /// the oracle its draws must match.
+    fn uniform_u64_oracle<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
+        if span.is_power_of_two() {
+            return rng.next_u64() & (span - 1);
+        }
+        let threshold = span.wrapping_neg() % span;
+        loop {
+            let x = rng.next_u64();
+            let m = (x as u128) * (span as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// Small spans, a span just past 32 bits, a third of the word, and
+    /// `2^63 + 1`, whose threshold (`2^63 − 1`) rejects about half of all
+    /// draws so the retry loop runs constantly.
+    const GOLDEN_SPANS: [u64; 7] = [2, 3, 6, 1000, (1 << 32) + 1, u64::MAX / 3, (1 << 63) + 1];
+
+    #[test]
+    fn gen_range_draws_match_rejection_oracle() {
+        for (s, &span) in GOLDEN_SPANS.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0x5eed + s as u64);
+            let mut oracle = rng.clone();
+            for _ in 0..20_000 {
+                let got = rng.gen_range(0..span);
+                let want = uniform_u64_oracle(&mut oracle, span);
+                assert_eq!(got, want, "span {span}");
+            }
+            // Same number of words consumed, rejections included.
+            assert_eq!(rng.next_u64(), oracle.next_u64(), "span {span}");
+        }
+    }
+
+    #[test]
+    fn golden_spans_reach_the_threshold_branch_and_the_retry_loop() {
+        let low_words = |span: u64| {
+            let mut rng = StdRng::seed_from_u64(9);
+            (0..20_000).map(move |_| (rng.next_u64() as u128 * span as u128) as u64)
+        };
+        let third = u64::MAX / 3;
+        assert!(low_words(third).any(|low| low < third));
+        let half = (1u64 << 63) + 1;
+        let threshold = half.wrapping_neg() % half;
+        assert!(low_words(half).filter(|&low| low < threshold).count() > 1000);
+    }
+
+    #[test]
+    fn shuffle_matches_rejection_oracle() {
+        for len in [2usize, 3, 6, 1000] {
+            let mut rng = StdRng::seed_from_u64(len as u64);
+            let mut oracle = rng.clone();
+            let mut got: Vec<u32> = (0..len as u32).collect();
+            got.shuffle(&mut rng);
+            let mut want: Vec<u32> = (0..len as u32).collect();
+            for i in (1..len).rev() {
+                let j = uniform_u64_oracle(&mut oracle, i as u64 + 1) as usize;
+                want.swap(i, j);
+            }
+            assert_eq!(got, want, "len {len}");
+            assert_eq!(rng.next_u64(), oracle.next_u64());
+        }
     }
 
     #[test]

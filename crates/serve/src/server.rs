@@ -528,6 +528,8 @@ impl Server {
         r.gauge("kernel.builds.w32").set(kernel.builds_w32);
         r.gauge("kernel.builds.w64").set(kernel.builds_w64);
         r.gauge("kernel.builds.w128").set(kernel.builds_w128);
+        r.gauge("kernel.permutations").set(kernel.permutations);
+        r.gauge("kernel.perm_rows").set(kernel.perm_rows);
         r.gauge("memo.hits").set(kernel.memo_hits_total());
         r.gauge("memo.misses").set(kernel.memo_misses_total());
         r.gauge("memo.inserts").set(kernel.memo_inserts_total());

@@ -112,6 +112,30 @@ fn every_stats_counter_is_reachable_by_name() {
     assert!(get("kernel.rows_scanned") > 0);
 }
 
+/// Permutation work is reported by name through the metrics snapshot
+/// (and hence `MetricsReply`) only: the fixed `StatsReply` keeps its 42
+/// fields.
+#[test]
+fn permutation_counters_are_metrics_only() {
+    let _guard = KERNEL_LOCK.lock().unwrap();
+    let server = dataset_server(2, 64);
+    let sql = queries_for(DatasetKind::Covid)[0].sql;
+    let _ = server.handle(explain_frame(sql));
+
+    let snap = server.metrics_snapshot();
+    let get = |name: &str| snap.iter().find(|m| m.name == name).map(|m| m.value);
+    let permutations = get("kernel.permutations").expect("kernel.permutations exported");
+    let perm_rows = get("kernel.perm_rows").expect("kernel.perm_rows exported");
+    assert!(permutations > 0, "an explain calibrates its candidates");
+    assert!(perm_rows >= permutations);
+
+    let stats = server.stats().metrics();
+    assert_eq!(stats.len(), 42);
+    assert!(stats
+        .iter()
+        .all(|(name, _)| *name != "kernel.permutations" && *name != "kernel.perm_rows"));
+}
+
 /// The v2 session loop answers `MetricsRequest` and `TraceRequest`
 /// inline, echoing the correlation id.
 #[test]

@@ -13,8 +13,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STEPS="fmt clippy build test bench server_smoke store_smoke abuse_smoke \
-pipeline_smoke cancel_smoke memo_smoke telemetry_smoke"
+ALL_STEPS="fmt clippy build test bench bench_smoke server_smoke store_smoke \
+abuse_smoke pipeline_smoke cancel_smoke memo_smoke telemetry_smoke"
 TIMINGS="target/ci-step-timings.md"
 
 BIN=target/release/nexus-cli
@@ -187,6 +187,19 @@ step_bench() {
         fi
         echo "    ${id}: counters within bounds, outputs identical ($BENCH_OUT)"
     done
+}
+
+step_bench_smoke() {
+    echo "==> nexus-bench smoke (unit tests + --quick run of every workload)"
+    # The repository's benchmark is a package of its own; build it into a
+    # directory under target/ so CI caches it with the rest. --quick runs
+    # every workload untraced and traced at toy size and exits nonzero
+    # when any reply is wrong or fails, or a declared metric is missing.
+    local manifest=examples/nexus-bench/Cargo.toml
+    CARGO_TARGET_DIR=target/nexus-bench cargo test --offline -q --manifest-path "$manifest"
+    CARGO_TARGET_DIR=target/nexus-bench cargo run --release --offline --quiet \
+        --manifest-path "$manifest" -- --quick > "$SMOKE_DIR/bench_quick.txt"
+    echo "    nexus-bench: unit tests pass; quick run answered every request"
 }
 
 step_server_smoke() {

@@ -652,6 +652,10 @@ fn run_explain(args: &ExplainArgs) -> Result<(), String> {
         s.kernel.builds_w64,
         s.kernel.builds_w128
     );
+    eprintln!(
+        "permutations: {} null sample(s), {} value(s) shuffled",
+        s.kernel.permutations, s.kernel.perm_rows
+    );
 
     if args.subgroups {
         let exclude: Vec<&str> = query

@@ -212,12 +212,15 @@ fn shutdown_drains_in_flight_requests_at_either_pool_width() {
         };
 
         // Shutdown from a second connection as soon as the server has
-        // accepted both — admission is observable via conns_accepted, so
-        // this is counter-gated, not sleep-gated.
+        // accepted both and started the explain — admission and arrival
+        // are observable via conns_accepted and requests_served, so this
+        // is counter-gated, not sleep-gated. (Admission alone is not
+        // enough: on a loaded machine the worker's Explain frame can
+        // arrive after the shutdown and be refused.)
         let mut controller = Client::connect_tcp(&addr).expect("connect");
         loop {
             let stats = controller.stats().expect("stats");
-            if stats.conns_accepted >= 2 {
+            if stats.conns_accepted >= 2 && stats.requests_served >= 1 {
                 break;
             }
             std::thread::yield_now();
