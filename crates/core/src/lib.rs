@@ -86,7 +86,7 @@ pub use mcimr::{mcimr, mcimr_controlled, IterationTrace, McimrResult};
 pub use memo::{
     codes_fingerprint, set_fingerprint, weights_fingerprint, MemoHandle, MemoKey, MemoStore,
 };
-pub use nexus_info::{KernelMode, KernelSnapshot, MemoKind};
+pub use nexus_info::{KernelSnapshot, MemoKind};
 pub use nexus_runtime::{Parallelism, PoolMetrics, ThreadPool};
 pub use options::{NexusOptions, NexusOptionsBuilder};
 pub use pipeline::{

@@ -75,7 +75,7 @@ pub const SYN_Q_MASKED: &str =
 /// One benchmark workload over the synthetic generator.
 #[derive(Debug, Clone, Copy)]
 pub struct SynthWorkload {
-    /// Workload id (`SYN-…`), used by `bench-explain --query`.
+    /// Workload id (`SYN-…`).
     pub id: &'static str,
     /// The explain query.
     pub sql: &'static str,
@@ -87,7 +87,7 @@ pub struct SynthWorkload {
 
 /// The shipped synthetic workloads. Deliberately **not** part of
 /// [`crate::BENCH_QUERIES`] (that list mirrors the paper's Table 5 and is
-/// pinned by tests); the bench harness dispatches on the `SYN-` prefix.
+/// pinned by tests); the kernel gate tests look them up by id.
 pub const SYNTH_WORKLOADS: &[SynthWorkload] = &[
     SynthWorkload {
         id: "SYN-B1",

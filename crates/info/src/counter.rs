@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use nexus_table::{complete_case_mask, Bitmap, Codes};
 
-use crate::kernel::{self, KernelMode, ScanWidth};
+use crate::kernel::{self, ScanWidth};
 
 /// Key space above which we switch from dense vectors to hash maps.
 const DENSE_LIMIT: u128 = 1 << 21;
@@ -287,6 +287,49 @@ fn scan_range_weighted<K, F>(
     }
 }
 
+/// The per-row masked scan: visits rows in ascending order, tests the mask
+/// and every validity bitmap per row, and adds each surviving row's weight
+/// (zero/negative weights skipped) under its mixed-radix key. Returns
+/// `(total, rows)`. This is the route for tables whose row indices exceed
+/// `u32` (the packed selection scan cannot address them), and the
+/// reference the vectorized scan is tested against.
+fn scan_rows(
+    vars: &[&Codes],
+    mask: Option<&Bitmap>,
+    weights: Option<&[f64]>,
+    radices: &[u128],
+    counts: &mut Accumulator,
+) -> (f64, usize) {
+    let validities: Vec<&Bitmap> = vars.iter().filter_map(|v| v.validity.as_ref()).collect();
+    let mut total = 0.0;
+    let mut rows = 0usize;
+    'rows: for i in 0..vars[0].len() {
+        if let Some(m) = mask {
+            if !m.get(i) {
+                continue;
+            }
+        }
+        for b in &validities {
+            if !b.get(i) {
+                continue 'rows;
+            }
+        }
+        let mut key = 0u128;
+        // Mixed radix, last variable as the most significant digit.
+        for (v, r) in vars.iter().zip(radices).rev() {
+            key = key * r + v.codes[i] as u128;
+        }
+        let w = weights.map_or(1.0, |w| w[i]);
+        if w <= 0.0 {
+            continue;
+        }
+        counts.add(key, w);
+        total += w;
+        rows += 1;
+    }
+    (total, rows)
+}
+
 /// Weighted joint counts over a set of variables.
 #[derive(Debug)]
 pub struct JointCounts {
@@ -310,22 +353,11 @@ impl JointCounts {
     ///
     /// All variables must share the same length; `vars` must be non-empty.
     ///
-    /// Dispatches on the process-global [`KernelMode`]; the result is
-    /// bit-identical across modes (rows are visited in ascending order
-    /// either way, so every f64 accumulation order is preserved).
+    /// Tables with more rows than `u32` indices address take the per-row
+    /// scan; the result is bit-identical either way (rows are visited in
+    /// ascending order, so every f64 accumulation order is preserved).
     pub fn count(vars: &[&Codes], mask: Option<&Bitmap>, weights: Option<&[f64]>) -> JointCounts {
-        Self::count_with_mode(vars, mask, weights, kernel::mode())
-    }
-
-    /// [`JointCounts::count`] with an explicit [`KernelMode`], for tests
-    /// and benches that must not rely on (or race over) the global mode.
-    pub fn count_with_mode(
-        vars: &[&Codes],
-        mask: Option<&Bitmap>,
-        weights: Option<&[f64]>,
-        mode: KernelMode,
-    ) -> JointCounts {
-        Self::count_impl(vars, mask, weights, mode, false)
+        Self::count_impl(vars, mask, weights, false)
     }
 
     /// [`JointCounts::count`] with the accumulator forced sparse — a test
@@ -336,14 +368,13 @@ impl JointCounts {
         mask: Option<&Bitmap>,
         weights: Option<&[f64]>,
     ) -> JointCounts {
-        Self::count_impl(vars, mask, weights, KernelMode::Auto, true)
+        Self::count_impl(vars, mask, weights, true)
     }
 
     fn count_impl(
         vars: &[&Codes],
         mask: Option<&Bitmap>,
         weights: Option<&[f64]>,
-        mode: KernelMode,
         force_sparse: bool,
     ) -> JointCounts {
         assert!(
@@ -369,7 +400,7 @@ impl JointCounts {
             .iter()
             .try_fold(1u128, |acc, &r| acc.checked_mul(r))
             .expect("joint key space exceeds u128");
-        let vectorized = mode == KernelMode::Auto && n <= u32::MAX as usize;
+        let vectorized = n <= u32::MAX as usize;
         // Fold the mask and every validity bitmap into one packed
         // word-level AND. `None` means no constraint exists and `0..n` is
         // the selection. Computed before the accumulator so the dense
@@ -440,52 +471,17 @@ impl JointCounts {
                 );
             }
         } else {
-            // Legacy path: per-row masked scan with a branchy validity
-            // chain. Kept (a) as the route for tables too large for u32
-            // selection vectors and (b) so the bench harness can compare
-            // kernels against the original behavior on identical inputs.
-            let validities: Vec<Option<&Bitmap>> =
-                vars.iter().map(|v| v.validity.as_ref()).collect();
             rows_scanned = n as u64;
-            'rows: for i in 0..n {
-                if let Some(m) = mask {
-                    if !m.get(i) {
-                        continue;
-                    }
-                }
-                for b in validities.iter().flatten() {
-                    if !b.get(i) {
-                        continue 'rows;
-                    }
-                }
-                let mut key = 0u128;
-                // Mixed radix, last variable as the most significant digit.
-                for (v, r) in vars.iter().zip(&radices).rev() {
-                    key = key * r + v.codes[i] as u128;
-                }
-                let w = weights.map_or(1.0, |w| w[i]);
-                if w <= 0.0 {
-                    continue;
-                }
-                counts.add(key, w);
-                total += w;
-                rows += 1;
-            }
-            // Legacy accounting: one accumulator op per counted row.
+            (total, rows) = scan_rows(vars, mask, weights, &radices, &mut counts);
+            // One accumulator op per counted row.
             tally.adds = rows as u64;
         }
 
         // One batched counter update per build. `tally.adds` counts
-        // accumulator writes — equal to counted rows on the legacy and
+        // accumulator writes — equal to counted rows on the row-scan and
         // weighted paths, and the (smaller) number of coalesced runs on
         // unweighted vectorized scans.
         let dense = counts.is_dense();
-        if !dense && std::env::var_os("NEXUS_KERNEL_DEBUG").is_some() {
-            eprintln!(
-                "sparse build: space={space} rows_scanned={rows_scanned} rows={rows} nvars={}",
-                vars.len()
-            );
-        }
         let counters = kernel::counters();
         counters.record_build(
             rows_scanned,
@@ -616,6 +612,8 @@ impl EntropyFold {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn codes(values: &[u32], card: u32) -> Codes {
@@ -701,34 +699,110 @@ mod tests {
         j.counts.iter().map(|(k, c)| (k, c.to_bits())).collect()
     }
 
-    #[test]
-    fn kernel_and_legacy_paths_agree_bitwise() {
-        let mut x = codes(&[0, 3, 1, 2, 3, 0, 1, 1, 2], 4);
-        let mut validity = Bitmap::with_value(9, true);
-        validity.set(4, false);
-        x.validity = Some(validity);
-        let y = codes(&[1, 0, 1, 0, 1, 1, 0, 0, 1], 2);
-        let mask: Bitmap = (0..9).map(|i| i != 2).collect();
-        let weights = [0.5, 1.25, 2.0, 0.0, 1.0, 3.5, 0.75, 1.0, 0.25];
+    /// The per-row reference: [`scan_rows`], the route `count` takes for
+    /// tables beyond `u32` rows, run on a table of any size.
+    fn count_rows(vars: &[&Codes], mask: Option<&Bitmap>, weights: Option<&[f64]>) -> JointCounts {
+        let radices: Vec<u128> = vars
+            .iter()
+            .map(|v| (v.cardinality as u128).max(1))
+            .collect();
+        let mut counts = Accumulator::with_capacity(radices.iter().product());
+        let (total, rows) = scan_rows(vars, mask, weights, &radices, &mut counts);
+        JointCounts {
+            counts,
+            radices,
+            total,
+            rows,
+        }
+    }
 
-        let auto =
-            JointCounts::count_with_mode(&[&x, &y], Some(&mask), Some(&weights), KernelMode::Auto);
-        let legacy = JointCounts::count_with_mode(
-            &[&x, &y],
-            Some(&mask),
-            Some(&weights),
-            KernelMode::Legacy,
-        );
-        let sparse = JointCounts::count_forced_sparse(&[&x, &y], Some(&mask), Some(&weights));
+    /// Deterministic xorshift for the random tables below.
+    struct Rng(u64);
 
-        assert_eq!(auto.rows, legacy.rows);
-        assert_eq!(auto.total.to_bits(), legacy.total.to_bits());
-        assert_eq!(cells(&auto), cells(&legacy));
-        assert!(auto.counts.is_dense());
-        assert!(!sparse.counts.is_dense());
-        assert_eq!(cells(&auto), cells(&sparse));
-        assert_eq!(auto.entropy().to_bits(), legacy.entropy().to_bits());
-        assert_eq!(auto.entropy().to_bits(), sparse.entropy().to_bits());
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// A random bitmap that leaves whole 64-row words empty now and then,
+    /// so the packed scan's zero-word skip is exercised.
+    fn random_bitmap(rng: &mut Rng, n: usize) -> Bitmap {
+        let empty_words: Vec<bool> = (0..n.div_ceil(64)).map(|_| rng.below(4) == 0).collect();
+        (0..n)
+            .map(|i| !empty_words[i / 64] && rng.below(5) != 0)
+            .collect()
+    }
+
+    /// Cardinality classes: narrow dense spaces; spaces past the dense
+    /// budget; and (three or more variables) spaces past u64 keys.
+    const CARDS: [&[u32]; 3] = [
+        &[1, 2, 3, 7, 256, 257],
+        &[2, 7, 257, 5_000, 3_000_000],
+        &[3_000_000, u32::MAX],
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The vectorized scan (dense and forced sparse) reproduces the
+        /// per-row reference bit for bit: random codes with runs, every
+        /// cardinality class, masks, validity bitmaps, and weights with
+        /// zeros.
+        #[test]
+        fn vectorized_scan_matches_row_scan_bitwise(
+            seed in any::<u64>(),
+            n in 1usize..700,
+            n_vars in 1usize..4,
+            class in 0usize..3,
+        ) {
+            let mut rng = Rng(seed | 1);
+            let (cards, n_vars) = (CARDS[class], if class == 2 { 3 } else { n_vars });
+            let vars: Vec<Codes> = (0..n_vars)
+                .map(|_| {
+                    let card = cards[rng.below(cards.len() as u64) as usize];
+                    let mut values = Vec::with_capacity(n);
+                    for i in 0..n {
+                        let value = if i > 0 && rng.below(2) == 0 {
+                            values[i - 1]
+                        } else {
+                            rng.below(card as u64) as u32
+                        };
+                        values.push(value);
+                    }
+                    let mut c = codes(&values, card);
+                    if rng.below(2) == 0 {
+                        c.validity = Some(random_bitmap(&mut rng, n));
+                    }
+                    c
+                })
+                .collect();
+            let refs: Vec<&Codes> = vars.iter().collect();
+            let mask = (rng.below(2) == 0).then(|| random_bitmap(&mut rng, n));
+            let weights: Option<Vec<f64>> = (rng.below(2) == 0).then(|| {
+                (0..n)
+                    .map(|_| match rng.below(4) {
+                        0 => 0.0,
+                        k => k as f64 * 0.375 + rng.below(1000) as f64 / 997.0,
+                    })
+                    .collect()
+            });
+            let (mask, weights) = (mask.as_ref(), weights.as_deref());
+
+            let reference = count_rows(&refs, mask, weights);
+            let vectorized = JointCounts::count(&refs, mask, weights);
+            let sparse = JointCounts::count_forced_sparse(&refs, mask, weights);
+            prop_assert!(!sparse.counts.is_dense());
+            for j in [&vectorized, &sparse] {
+                prop_assert_eq!(j.rows, reference.rows);
+                prop_assert_eq!(j.total.to_bits(), reference.total.to_bits());
+                prop_assert_eq!(cells(j), cells(&reference));
+                prop_assert_eq!(j.entropy().to_bits(), reference.entropy().to_bits());
+            }
+        }
     }
 
     #[test]
@@ -751,7 +825,7 @@ mod tests {
     fn builds_move_kernel_counters() {
         let x = codes(&[0, 1, 0, 1], 2);
         let before = crate::kernel::counters().snapshot();
-        let j = JointCounts::count_with_mode(&[&x], None, None, KernelMode::Auto);
+        let j = JointCounts::count(&[&x], None, None);
         assert!(j.counts.is_dense());
         let d = crate::kernel::counters().snapshot().delta(&before);
         assert!(d.rows_scanned >= 4);

@@ -1,4 +1,4 @@
-//! Counting-kernel instrumentation and dispatch mode.
+//! Counting-kernel instrumentation.
 //!
 //! Every score NEXUS produces reduces to building weighted contingency /
 //! joint-count tables, so the per-row *accumulator operations* of those
@@ -10,9 +10,7 @@
 //!   this crate and by the engine's contingency builds in `nexus-core`;
 //! * [`KernelSnapshot`] — a copyable snapshot with [`delta`] arithmetic so
 //!   callers can attribute counter movement to one pipeline run;
-//! * [`KernelMode`] — the process-global kernel dispatch override used by
-//!   the bench harness to compare the dense/fused kernels against the
-//!   legacy hashed row-scan on identical inputs.
+//! * [`ScanWidth`] — the key width a build's inner loop ran at.
 //!
 //! Counters are monotone and `Relaxed`: they are diagnostics, never inputs
 //! to any estimate, so they cannot perturb NEXUS's bit-identical-output
@@ -63,7 +61,7 @@
 //! [`permutations`]: KernelSnapshot::permutations
 //! [`perm_rows`]: KernelSnapshot::perm_rows
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of distinct [`MemoKind`] values (array dimension of the per-kind
 /// memo counters).
@@ -102,40 +100,6 @@ impl MemoKind {
             MemoKind::CmiTerm => "cmi_term",
             MemoKind::Extraction => "extraction",
         }
-    }
-}
-
-/// How counting kernels dispatch between the dense/fused fast paths and
-/// the legacy hashed row-scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Dense flat-array kernels over packed selection masks where the key
-    /// space fits the budget; sparse (hashed) fallback otherwise.
-    #[default]
-    Auto,
-    /// The pre-kernel behavior: per-row masked scans with a hash-map entry
-    /// operation per surviving row. Exists so the bench harness and the
-    /// equivalence suite can compare both paths on identical inputs.
-    Legacy,
-}
-
-/// Process-global dispatch mode (see [`set_mode`]).
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-global [`KernelMode`].
-///
-/// Intended for single-controller processes (the bench harness); library
-/// code and tests that need a specific mode should pass it explicitly
-/// (e.g. `Engine::with_kernel`) instead of toggling global state.
-pub fn set_mode(mode: KernelMode) {
-    MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The current process-global [`KernelMode`].
-pub fn mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => KernelMode::Legacy,
-        _ => KernelMode::Auto,
     }
 }
 
@@ -607,16 +571,5 @@ mod tests {
             ..KernelSnapshot::default()
         };
         assert_eq!(a.delta(&b).rows_scanned, 0);
-    }
-
-    #[test]
-    fn mode_roundtrip() {
-        // Default is Auto; Legacy round-trips. Restore Auto so parallel
-        // tests in this binary observe the default.
-        assert_eq!(mode(), KernelMode::Auto);
-        set_mode(KernelMode::Legacy);
-        assert_eq!(mode(), KernelMode::Legacy);
-        set_mode(KernelMode::Auto);
-        assert_eq!(mode(), KernelMode::Auto);
     }
 }

@@ -37,4 +37,4 @@ pub use counter::{entropy_from_counts, entropy_mm, Accumulator, JointCounts};
 pub use estimator::{cmi, entropy, mutual_information, InfoContext};
 pub use fd::{approx_fd, logically_dependent, DEFAULT_FD_EPSILON};
 pub use independence::{ci_test, ci_test_default, CiTestOptions, CiTestResult};
-pub use kernel::{KernelCounters, KernelMode, KernelSnapshot, MemoKind, ScanWidth, MEMO_KINDS};
+pub use kernel::{KernelCounters, KernelSnapshot, MemoKind, ScanWidth, MEMO_KINDS};

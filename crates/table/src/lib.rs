@@ -53,6 +53,6 @@ pub use fingerprint::Fnv64;
 pub use groupby::{aggregate, group_by, AggFunc, Groups};
 pub use join::{join, JoinType};
 pub use schema::{Field, Schema};
-pub use selection::{complete_case_mask, complete_case_rows};
+pub use selection::complete_case_mask;
 pub use table::Table;
 pub use value::{DataType, Value};

@@ -7,13 +7,13 @@
 # With no arguments every step runs in order — the full gate. Naming steps
 # runs just those (the workflow runs one step per job step so failures are
 # attributed precisely); smoke steps assume a prior `build` left
-# target/release/nexus-cli and bench-explain in place. Each step's
-# wall-clock is appended to target/ci-step-timings.md (markdown, ready for
-# $GITHUB_STEP_SUMMARY); a full run resets the table, named runs append.
+# target/release/nexus-cli in place. Each step's wall-clock is appended to
+# target/ci-step-timings.md (markdown, ready for $GITHUB_STEP_SUMMARY); a
+# full run resets the table, named runs append.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STEPS="fmt clippy build test bench bench_smoke server_smoke store_smoke \
+ALL_STEPS="fmt clippy build test bench_smoke server_smoke store_smoke \
 abuse_smoke pipeline_smoke cancel_smoke memo_smoke telemetry_smoke"
 TIMINGS="target/ci-step-timings.md"
 
@@ -150,43 +150,6 @@ step_build() {
 step_test() {
     echo "==> cargo test --offline"
     cargo test --offline --workspace -q
-}
-
-step_bench() {
-    echo "==> bench smoke (quick kernel/memo-counter regression gate)"
-    # Runs the counting-kernel harness on small fixed-seed workloads: the
-    # FL-Q1 paper query plus the synthetic planted-confounder workloads
-    # (plain and masked). --check fails on counter regressions only
-    # (hash-op ratio, rows scanned, coalesced dense writes, radix-vs-full
-    # merge cells, narrow scans, pool engagement, memo engagement,
-    # bit-identical outputs) — never on wall-clock. Reports are kept under
-    # target/ so CI can upload them.
-    for id in FL-Q1 SYN-B1 SYN-M1; do
-        BENCH_OUT="target/BENCH_${id}.json"
-        target/release/bench-explain --quick --threads 2 --check \
-            --query "$id" --out "$BENCH_OUT" 2> /dev/null
-        for key in schema_version workload legacy kernel ratios checks \
-            rows_scanned hash_ops dense_ops dense_builds sparse_builds \
-            narrow_scans packed_words_skipped radix_merge_cells \
-            full_merge_cells builds_by_width pool_tasks dense_scan_improved \
-            merge_improved narrow_engaged memo_cold memo_warm memo_hits \
-            memo_coalesced_waits memo_hit_rate memo_pool_tasks \
-            memo_engaged; do
-            if ! grep -q "\"$key\"" "$BENCH_OUT"; then
-                echo "$BENCH_OUT missing key: $key" >&2
-                exit 1
-            fi
-        done
-        if ! grep -q '"outputs_identical": true' "$BENCH_OUT"; then
-            echo "$BENCH_OUT: kernel and legacy outputs diverged" >&2
-            exit 1
-        fi
-        if ! grep -q '"memo_outputs_identical": true' "$BENCH_OUT"; then
-            echo "$BENCH_OUT: memoized and cold outputs diverged" >&2
-            exit 1
-        fi
-        echo "    ${id}: counters within bounds, outputs identical ($BENCH_OUT)"
-    done
 }
 
 step_bench_smoke() {

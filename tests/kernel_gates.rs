@@ -1,0 +1,162 @@
+//! Counting-kernel and memo gates on three fixed-seed workloads.
+//!
+//! Each workload runs the whole explain pipeline three times at 2
+//! threads: a plain pass, then a memo-cold and a memo-warm pass that share
+//! one `MemoStore`. The assertions read the per-pass kernel counter deltas
+//! (`Explanation::stats.kernel`), never wall-clock, so they hold on any
+//! machine. The counters are process-global; this binary has one test, so
+//! no concurrent run can pollute a pass's delta.
+//!
+//! Bit-identity of the kernels against the per-row scans is tested per
+//! call, next to the code (`nexus-info`'s counter tests and `nexus-core`'s
+//! engine `kernel_equivalence` module).
+
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+use nexus::core::{ExplainRequest, Explanation, MemoHandle, MemoStore, RunControl};
+use nexus::datagen::flights::{self, FlightsConfig};
+use nexus::datagen::synth::{self, SynthConfig, SYNTH_WORKLOADS};
+use nexus::datagen::{Dataset, BENCH_QUERIES};
+use nexus::{parse, Nexus, NexusOptions, Parallelism};
+
+/// Every user-visible output of an explanation, f64s as raw bits, so
+/// "equal" means bit-identical.
+fn signature(e: &Explanation) -> String {
+    let mut s = format!(
+        "initial={:016x};explained={:016x};stopped={};candidates={}/{}/{};biased={};",
+        e.initial_cmi.to_bits(),
+        e.explained_cmi.to_bits(),
+        e.stopped_by_responsibility,
+        e.stats.n_candidates_initial,
+        e.stats.n_after_offline,
+        e.stats.n_after_online,
+        e.stats.n_biased,
+    );
+    for a in &e.attributes {
+        let _ = write!(
+            s,
+            "name={};source={:?};resp={:016x};weighted={};",
+            a.name,
+            a.source,
+            a.responsibility.to_bits(),
+            a.weighted
+        );
+    }
+    s
+}
+
+fn explain(dataset: &Dataset, sql: &str, memo: Option<&MemoHandle>) -> Explanation {
+    let query = parse(sql).expect("workload SQL parses");
+    let options = NexusOptions::builder()
+        .parallelism(Parallelism::Fixed(2))
+        .build()
+        .expect("valid options");
+    let request = ExplainRequest::new()
+        .table(&dataset.table)
+        .knowledge_graph(&dataset.kg)
+        .extraction_columns(dataset.extraction_columns.clone())
+        .query(&query);
+    let ctl = match memo {
+        Some(handle) => RunControl::none().with_memo(handle),
+        None => RunControl::none(),
+    };
+    Nexus::new(options)
+        .run_controlled(&request, ctl)
+        .expect("pipeline runs")
+        .0
+}
+
+/// Runs the three passes of one workload and asserts every gate.
+fn assert_gates(id: &str, dataset: &Dataset, sql: &str) {
+    let plain = explain(dataset, sql, None);
+    let k = &plain.stats.kernel;
+    let rows = dataset.table.n_rows() as u64;
+
+    // Every build is dense: no per-row hashing anywhere.
+    assert_eq!(k.hash_ops, 0, "{id}: hash ops on the kernel path: {k:?}");
+    // No build scans more than the table once.
+    assert!(
+        k.rows_scanned <= (k.dense_builds + k.sparse_builds) * rows,
+        "{id}: rows scanned exceed one table pass per build: {k:?}"
+    );
+    assert!(plain.stats.pool_tasks > 0, "{id}: pool not engaged");
+    // Run coalescing: dense accumulator writes strictly undercut rows.
+    assert!(
+        k.dense_ops < k.rows_scanned,
+        "{id}: dense writes not coalesced: {k:?}"
+    );
+    // Whenever parallel dense merges happened, the radix bill strictly
+    // undercuts the v1 full-keyspace-per-chunk bill.
+    assert!(
+        k.full_merge_cells == 0 || k.radix_merge_cells < k.full_merge_cells,
+        "{id}: radix merges not below the full-keyspace bill: {k:?}"
+    );
+    assert!(k.narrow_scans > 0, "{id}: no narrow scans: {k:?}");
+
+    // Repeated workload over one memo store: cold populates, warm replays.
+    let store = Arc::new(MemoStore::new(0));
+    let handle = MemoHandle::new(store, dataset.table.fingerprint());
+    let cold = explain(dataset, sql, Some(&handle));
+    let warm = explain(dataset, sql, Some(&handle));
+    let (kc, kw) = (&cold.stats.kernel, &warm.stats.kernel);
+    assert!(
+        kw.memo_hits_total() > 0 && kw.memo_misses_total() == 0 && kc.memo_inserts_total() > 0,
+        "{id}: memo not engaged: cold {kc:?}, warm {kw:?}"
+    );
+    let expected = signature(&plain);
+    assert_eq!(signature(&cold), expected, "{id}: memo-cold output differs");
+    assert_eq!(signature(&warm), expected, "{id}: memo-warm output differs");
+    // Memo hits shed counted work: no more pool tasks, and strictly fewer
+    // pool tasks (large, row-partitioned builds) or rows scanned (small,
+    // inline builds).
+    let (tc, tw) = (cold.stats.pool_tasks, warm.stats.pool_tasks);
+    assert!(
+        tw <= tc && (tw < tc || kw.rows_scanned < kc.rows_scanned),
+        "{id}: warm pass did not shed work: pool tasks {tc} -> {tw}, rows {} -> {}",
+        kc.rows_scanned,
+        kw.rows_scanned
+    );
+
+    if id == "SYN-B1" {
+        // Above the kernel's parallel threshold, so the merge gate above
+        // is not vacuous here.
+        assert!(
+            k.radix_merge_cells > 0,
+            "{id}: no radix merges recorded: {k:?}"
+        );
+    }
+}
+
+fn synth_workload(id: &str, n_rows: usize) -> (Dataset, &'static str) {
+    let w = SYNTH_WORKLOADS
+        .iter()
+        .find(|w| w.id == id)
+        .expect("known synthetic workload");
+    let cfg = SynthConfig {
+        n_rows,
+        bias: w.bias,
+        ..SynthConfig::default()
+    };
+    (synth::generate(&cfg), w.sql)
+}
+
+#[test]
+fn kernel_and_memo_gates_hold_on_fixed_workloads() {
+    let fl_q1 = BENCH_QUERIES
+        .iter()
+        .find(|q| q.id == "FL-Q1")
+        .expect("FL-Q1 is a paper query");
+    let flights = flights::generate(&FlightsConfig {
+        n_rows: 5_000,
+        n_cities: 40,
+        ..FlightsConfig::default()
+    });
+    assert_gates("FL-Q1", &flights, fl_q1.sql);
+
+    // 70k rows: above the kernel's 2^16-row parallel threshold.
+    for id in ["SYN-B1", "SYN-M1"] {
+        let (dataset, sql) = synth_workload(id, 70_000);
+        assert_gates(id, &dataset, sql);
+    }
+}
