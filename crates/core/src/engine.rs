@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 use nexus_info::kernel::{self, ScanWidth};
 use nexus_info::{entropy_from_counts, entropy_mm, InfoContext, JointCounts, MemoKind};
-use nexus_runtime::{Parallelism, ThreadPool};
+use nexus_runtime::{Parallelism, ThreadPool, ROW_CHUNK};
 use nexus_table::{Bitmap, Codes};
 
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, MISSING_CODE};
@@ -80,13 +80,6 @@ const KERNEL_DENSE_TOTAL_CAP: u128 = 1 << 27;
 /// Selection length below which a build stays serial: span bookkeeping
 /// and accumulator merging outweigh the scan itself on small contexts.
 const KERNEL_PAR_ROWS: usize = 1 << 16;
-
-/// Rows per parallel chunk in the v1 kernel. v2 scans one word span per
-/// pool thread instead; this grid survives as the reference for the
-/// `full_merge_cells` counter — the cell writes the v1 full-keyspace
-/// merge discipline (one whole-array merge per 2^16-row chunk) would
-/// have performed on the same build.
-const KERNEL_V1_CHUNK_ROWS: usize = 1 << 16;
 
 /// log2 of cells per radix partition block (4096 cells = 32 KiB of f64:
 /// small enough that a sparsely-touched build allocates little, large
@@ -482,10 +475,10 @@ impl Contingency {
         let selected = sel.count_ones();
         let parallel = pool.is_some_and(|p| p.threads() > 1) && selected >= KERNEL_PAR_ROWS;
         // One word span per pool thread, but never more spans than the v1
-        // discipline had 2^16-row chunks: each extra span is one extra
+        // kernel had `ROW_CHUNK`-row chunks: each extra span is one extra
         // merge, so capping at the v1 chunk count guarantees the radix
         // merge bill stays strictly below the old full-keyspace one.
-        let v1_chunks = selected.div_ceil(KERNEL_V1_CHUNK_ROWS);
+        let v1_chunks = selected.div_ceil(ROW_CHUNK);
         let n_spans = if parallel {
             pool.expect("parallel requires a pool")
                 .threads()
@@ -571,7 +564,7 @@ impl Contingency {
         }
         if parallel && dense {
             // What the v1 discipline would have cost on this build: one
-            // full-keyspace merge per 2^16-row chunk of the selection.
+            // full-keyspace merge per `ROW_CHUNK`-row chunk of the selection.
             counters.record_merge(radix_cells, (space as u64).saturating_mul(v1_chunks as u64));
         }
 
@@ -753,6 +746,17 @@ impl Engine {
         parallelism: Parallelism,
         memo: Option<&MemoHandle>,
     ) -> Engine {
+        Engine::with_pool_memo(set, ThreadPool::new(parallelism), memo)
+    }
+
+    /// [`Engine::with_parallelism_memo`] on a given pool: a pipeline run
+    /// passes the pool its candidate build ran on, so one set of pool
+    /// counters covers the whole run.
+    pub(crate) fn with_pool_memo(
+        set: &CandidateSet,
+        pool: ThreadPool,
+        memo: Option<&MemoHandle>,
+    ) -> Engine {
         // Every per-set memo entry shares one fingerprint over the context
         // mask words and the O/T codes (computed once per engine build).
         let scope = memo.map(|h| (h, set_fingerprint(&set.mask, &set.o, &set.t)));
@@ -769,7 +773,7 @@ impl Engine {
                 })
             }
         };
-        Engine::assemble(set, parallelism, scope, fused.as_ref().as_ref())
+        Engine::assemble(set, pool, scope, fused.as_ref().as_ref())
     }
 
     /// Builds the engine over a given fused selection. `None` — what
@@ -777,11 +781,10 @@ impl Engine {
     /// index — routes every contingency through the row scan.
     fn assemble(
         set: &CandidateSet,
-        parallelism: Parallelism,
+        pool: ThreadPool,
         scope: Option<(&MemoHandle, u64)>,
         fused: Option<&FusedSelection>,
     ) -> Engine {
-        let pool = ThreadPool::new(parallelism);
         let mut columns: Vec<&String> = set.column_codes.keys().collect();
         columns.sort();
         // Parallelism policy: the pool's scoped workers must not nest (a

@@ -12,8 +12,9 @@
 //! [`FusedSelection::build`]: super::FusedSelection::build
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use nexus_runtime::Parallelism;
+use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{Bitmap, Codes};
 use proptest::prelude::*;
 
@@ -138,7 +139,7 @@ fn synthetic_set_with_cards(
     ];
 
     let mut column_codes = HashMap::new();
-    column_codes.insert("City".to_string(), city);
+    column_codes.insert("City".to_string(), Arc::new(city));
 
     CandidateSet {
         candidates,
@@ -156,7 +157,7 @@ fn bits(x: f64) -> u64 {
 
 /// The engine whose contingencies all come from the per-row scan.
 fn rowscan_engine(set: &CandidateSet, parallelism: Parallelism) -> Engine {
-    Engine::assemble(set, parallelism, None, None)
+    Engine::assemble(set, ThreadPool::new(parallelism), None, None)
 }
 
 /// Everything an engine computes for a set, rendered to raw bits.
@@ -251,7 +252,7 @@ fn full_mask_and_no_nulls_edge_case() {
     set.o.validity = None;
     set.t.validity = None;
     if let Some(c) = set.column_codes.get_mut("City") {
-        c.validity = None;
+        Arc::make_mut(c).validity = None;
     }
     assert_all_paths_agree(&set, "dense edge case");
 }
@@ -296,7 +297,7 @@ fn narrow_parallel_span_merges_bit_identical() {
     set.o.validity = None;
     set.t.validity = None;
     if let Some(c) = set.column_codes.get_mut("City") {
-        c.validity = None;
+        Arc::make_mut(c).validity = None;
     }
     assert_all_paths_agree(&set, "narrow parallel spans");
 }

@@ -9,8 +9,10 @@ use nexus_missing::{FeatureMatrix, LogisticOptions, LogisticRegression};
 use nexus_query::AggregateQuery;
 use nexus_table::{Codes, Table};
 
+use nexus_runtime::ThreadPool;
+
 use crate::candidate::{
-    assemble_candidates, build_candidates, BiasSummary, CandidateRepr, CandidateSet,
+    assemble_candidates_on, build_candidates_on, BiasSummary, CandidateRepr, CandidateSet,
     CandidateSource, ColumnExtraction, MISSING_CODE,
 };
 use crate::control::RunControl;
@@ -284,7 +286,7 @@ impl Nexus {
         request: &ExplainRequest<'_>,
     ) -> Result<(Explanation, RunArtifacts)> {
         let (table, kg, columns, query) = request.resolve()?;
-        self.execute(table, kg, columns, query)
+        self.execute(table, kg, columns, query, RunControl::none())
     }
 
     /// Like [`Nexus::run_with_artifacts`] with a [`RunControl`] attached:
@@ -296,10 +298,7 @@ impl Nexus {
         ctl: RunControl<'_>,
     ) -> Result<(Explanation, RunArtifacts)> {
         let (table, kg, columns, query) = request.resolve()?;
-        let t0 = Instant::now();
-        ctl.check()?;
-        let set = build_candidates(table, kg, columns, query, &self.options)?;
-        self.execute_set_controlled(set, t0.elapsed(), ctl)
+        self.execute(table, kg, columns, query, ctl)
     }
 
     /// Explains the correlation exposed by `query` over `table`, mining
@@ -329,7 +328,7 @@ impl Nexus {
         extraction_columns: &[String],
         query: &AggregateQuery,
     ) -> Result<(Explanation, RunArtifacts)> {
-        self.execute(table, kg, extraction_columns, query)
+        self.execute(table, kg, extraction_columns, query, RunControl::none())
     }
 
     /// Runs the query-dependent pipeline stages over precomputed column
@@ -367,39 +366,38 @@ impl Nexus {
         let t0 = Instant::now();
         ctl.check()?;
         ctl.stage("assemble");
-        let set = assemble_candidates(table, extractions, query, &self.options)?;
-        self.execute_set_controlled(set, t0.elapsed(), ctl)
+        let pool = ThreadPool::new(self.options.parallelism);
+        let set = assemble_candidates_on(table, extractions, query, &self.options, &pool)?;
+        self.execute_set_controlled(set, pool, t0.elapsed(), ctl)
     }
 
+    /// Builds the candidate set on a fresh pool for the run, then runs the
+    /// pipeline over it on the same pool.
     fn execute(
         &self,
         table: &Table,
         kg: &KnowledgeGraph,
         extraction_columns: &[String],
         query: &AggregateQuery,
+        ctl: RunControl<'_>,
     ) -> Result<(Explanation, RunArtifacts)> {
         let t0 = Instant::now();
-        let set = build_candidates(table, kg, extraction_columns, query, &self.options)?;
-        self.execute_set(set, t0.elapsed())
+        ctl.check()?;
+        let pool = ThreadPool::new(self.options.parallelism);
+        let set = build_candidates_on(table, kg, extraction_columns, query, &self.options, &pool)?;
+        self.execute_set_controlled(set, pool, t0.elapsed(), ctl)
     }
 
     /// Pruning → bias weighting → MCIMR → responsibility over an assembled
-    /// candidate set. `t_build` is the (possibly amortized) build time
-    /// reported in the stats.
-    fn execute_set(
-        &self,
-        set: CandidateSet,
-        t_build: Duration,
-    ) -> Result<(Explanation, RunArtifacts)> {
-        self.execute_set_controlled(set, t_build, RunControl::none())
-    }
-
-    /// [`Nexus::execute_set`] with abort checks at every stage boundary
-    /// and [`ProgressEvent::Stage`](crate::control::ProgressEvent::Stage)
-    /// emissions as each stage begins.
+    /// candidate set, with abort checks at every stage boundary and
+    /// [`ProgressEvent::Stage`](crate::control::ProgressEvent::Stage)
+    /// emissions as each stage begins. `pool` is the run's pool (the one
+    /// the set was built on); `t_build` is the (possibly amortized) build
+    /// time reported in the stats.
     fn execute_set_controlled(
         &self,
         mut set: CandidateSet,
+        pool: ThreadPool,
         t_build: Duration,
         ctl: RunControl<'_>,
     ) -> Result<(Explanation, RunArtifacts)> {
@@ -419,7 +417,7 @@ impl Nexus {
 
         ctl.check()?;
         ctl.stage("prune-online");
-        let engine = Engine::with_parallelism_memo(&set, options.parallelism, ctl.memo);
+        let engine = Engine::with_pool_memo(&set, pool, ctl.memo);
         let online_report = if options.online_pruning {
             prune_online(&mut set, &engine, options)
         } else {

@@ -70,7 +70,7 @@ pub fn prune_offline(set: &mut CandidateSet, options: &NexusOptions) -> PruneRep
 
 fn offline_reason(
     cand: &Candidate,
-    column_codes: &std::collections::HashMap<String, nexus_table::Codes>,
+    column_codes: &std::collections::HashMap<String, std::sync::Arc<nexus_table::Codes>>,
     options: &NexusOptions,
 ) -> Option<PruneReason> {
     match &cand.repr {

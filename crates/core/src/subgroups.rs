@@ -350,6 +350,37 @@ mod tests {
     }
 
     #[test]
+    fn all_nan_numeric_column_is_skipped() {
+        // Binning an all-NaN column gives an all-null text column with an
+        // empty dictionary, which is too coarse to describe a subgroup.
+        let (mut table, kg) = setup();
+        let n = table.n_rows();
+        table
+            .add_column("Score", Column::from_f64(vec![f64::NAN; n]))
+            .unwrap();
+        let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
+        let options = NexusOptions::default();
+        let set = build_candidates(&table, &kg, &["Country".to_string()], &q, &options).unwrap();
+        let hdi = set.index_of("Country::hdi").unwrap();
+        let subgroups = unexplained_subgroups(
+            &table,
+            &set,
+            &[hdi],
+            &["Country", "Salary"],
+            &options,
+            &SubgroupOptions {
+                tau: 0.2,
+                ..SubgroupOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(!subgroups.is_empty());
+        assert!(subgroups
+            .iter()
+            .all(|s| s.conditions.iter().all(|(name, _)| name != "Score")));
+    }
+
+    #[test]
     fn good_explanation_leaves_nothing_unexplained() {
         let (table, kg) = setup();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();

@@ -5,6 +5,7 @@
 //! pollute its delta window.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use nexus_core::{Candidate, CandidateRepr, CandidateSet, CandidateSource, Engine, Parallelism};
 use nexus_table::{Bitmap, Codes};
@@ -47,7 +48,7 @@ fn narrow_parallel_set() -> CandidateSet {
     };
     CandidateSet {
         candidates: vec![candidate],
-        column_codes: HashMap::from([("City".to_string(), city)]),
+        column_codes: HashMap::from([("City".to_string(), Arc::new(city))]),
         o,
         t,
         mask: Bitmap::with_value(n, true),

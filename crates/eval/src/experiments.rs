@@ -70,8 +70,15 @@ pub fn table1(cache: &mut DatasetCache, scale: Scale) -> String {
         let mut total = 0usize;
         for col in &d.extraction_columns {
             let linker = nexus_kg::EntityLinker::new(&d.kg);
-            let (links, _) = linker.link_column(d.table.column(col).expect("column"));
-            let ea = nexus_kg::extract(&d.kg, &links, &nexus_kg::ExtractOptions::default());
+            let links = linker.link_dictionary(
+                d.table.column(col).expect("column"),
+                &nexus_runtime::ThreadPool::default(),
+            );
+            let ea = nexus_kg::extract(
+                &d.kg,
+                &links.entities(),
+                &nexus_kg::ExtractOptions::default(),
+            );
             total += ea.table.n_cols();
         }
         t.row(vec![

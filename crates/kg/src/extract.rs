@@ -1,7 +1,7 @@
 //! Property extraction: building the universal relation of entity
 //! attributes (Section 3.1 of the paper).
 //!
-//! Given per-row entity links, extraction walks each distinct entity's
+//! Given the distinct entities a column links to, extraction walks each entity's
 //! properties up to a configurable number of hops, flattens everything into
 //! attribute names (`leader.age`, `ethnicGroup.avg(population)`), and
 //! materializes one row per entity with nulls for missing values — the
@@ -79,7 +79,9 @@ impl Default for ExtractOptions {
 /// linked entity, one column per extracted attribute, nulls where missing.
 #[derive(Debug)]
 pub struct EntityAttributes {
-    /// Distinct entities, in first-appearance order of the link vector.
+    /// The extracted entities, one per row of
+    /// [`EntityAttributes::table`], in the order [`extract`] was given them
+    /// (for a linked column: first-appearance order of its rows).
     pub entity_ids: Vec<EntityId>,
     /// Entity id → row in [`EntityAttributes::table`].
     pub index_of: HashMap<EntityId, usize>,
@@ -122,20 +124,25 @@ impl EntityAttributes {
     }
 }
 
-/// Extracts attributes for the distinct entities of `links` from `kg`.
+/// Extracts attributes for `entities` from `kg`, one universal-relation
+/// row per entity in the given order (a repeated entity keeps its first
+/// position).
+///
+/// Pass the distinct linked entities of a column in first-appearance
+/// order, as [`DictionaryLinks::entities`](crate::DictionaryLinks::entities)
+/// returns them.
 pub fn extract(
     kg: &KnowledgeGraph,
-    links: &[Option<EntityId>],
+    entities: &[EntityId],
     options: &ExtractOptions,
 ) -> EntityAttributes {
-    // Distinct entities in first-appearance order.
-    let mut entity_ids = Vec::new();
-    let mut index_of: HashMap<EntityId, usize> = HashMap::new();
-    for l in links.iter().flatten() {
-        if !index_of.contains_key(l) {
-            index_of.insert(*l, entity_ids.len());
-            entity_ids.push(*l);
-        }
+    let mut entity_ids = Vec::with_capacity(entities.len());
+    let mut index_of: HashMap<EntityId, usize> = HashMap::with_capacity(entities.len());
+    for &id in entities {
+        index_of.entry(id).or_insert_with(|| {
+            entity_ids.push(id);
+            entity_ids.len() - 1
+        });
     }
 
     // Flatten each entity's reachable properties.
@@ -315,6 +322,26 @@ fn build_column(values: &[Value]) -> Column {
 mod tests {
     use super::*;
 
+    /// Distinct entities of per-row links in first-appearance order.
+    fn distinct(links: &[Option<EntityId>]) -> Vec<EntityId> {
+        let mut out = Vec::new();
+        for &id in links.iter().flatten() {
+            if !out.contains(&id) {
+                out.push(id);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn repeated_entities_keep_their_first_position() {
+        let (kg, us, ru) = toy();
+        let ea = extract(&kg, &[ru, us, ru], &ExtractOptions::default());
+        assert_eq!(ea.entity_ids, vec![ru, us]);
+        assert_eq!(ea.index_of[&us], 1);
+        assert_eq!(ea.table.n_rows(), 2);
+    }
+
     /// us: hdi, gdp, leader(biden{age}), ethnicGroup->[g1{population},g2{population}]
     /// ru: hdi only
     fn toy() -> (KnowledgeGraph, EntityId, EntityId) {
@@ -339,7 +366,7 @@ mod tests {
     fn one_hop_extraction() {
         let (kg, us, ru) = toy();
         let links = vec![Some(us), Some(ru), Some(us), None];
-        let ea = extract(&kg, &links, &ExtractOptions::default());
+        let ea = extract(&kg, &distinct(&links), &ExtractOptions::default());
         assert_eq!(ea.entity_ids, vec![us, ru]);
         assert_eq!(ea.table.n_rows(), 2);
         let names = ea.attribute_names();
@@ -364,7 +391,7 @@ mod tests {
         let links = vec![Some(us), Some(ru)];
         let ea = extract(
             &kg,
-            &links,
+            &distinct(&links),
             &ExtractOptions {
                 hops: 2,
                 one_to_many: OneToManyAgg::Mean,
@@ -394,7 +421,7 @@ mod tests {
     fn expand_to_rows_roundtrip() {
         let (kg, us, ru) = toy();
         let links = vec![Some(us), Some(ru), None, Some(us)];
-        let ea = extract(&kg, &links, &ExtractOptions::default());
+        let ea = extract(&kg, &distinct(&links), &ExtractOptions::default());
         let col = ea.expand_to_rows(&links, "hdi").unwrap();
         assert_eq!(col.len(), 4);
         assert_eq!(col.f64_at(0), Some(0.921));
@@ -410,7 +437,7 @@ mod tests {
     #[test]
     fn empty_links_extract_empty() {
         let (kg, _, _) = toy();
-        let ea = extract(&kg, &[None, None], &ExtractOptions::default());
+        let ea = extract(&kg, &[], &ExtractOptions::default());
         assert_eq!(ea.table.n_rows(), 0);
         assert_eq!(ea.entity_ids.len(), 0);
     }
@@ -443,7 +470,7 @@ mod tests {
         kg.set_literal(b, "x", 2.0);
         let ea = extract(
             &kg,
-            &[Some(a)],
+            &[a],
             &ExtractOptions {
                 hops: 3,
                 one_to_many: OneToManyAgg::Mean,
@@ -466,7 +493,7 @@ mod tests {
         let links = vec![Some(us), Some(ru)];
         let two = extract(
             &kg,
-            &links,
+            &distinct(&links),
             &ExtractOptions {
                 hops: 2,
                 one_to_many: OneToManyAgg::Mean,
@@ -474,7 +501,7 @@ mod tests {
         );
         let three = extract(
             &kg,
-            &links,
+            &distinct(&links),
             &ExtractOptions {
                 hops: 3,
                 one_to_many: OneToManyAgg::Mean,

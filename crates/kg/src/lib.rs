@@ -10,6 +10,7 @@
 //!
 //! ```
 //! use nexus_kg::{KnowledgeGraph, EntityLinker, extract, ExtractOptions};
+//! use nexus_runtime::ThreadPool;
 //! use nexus_table::Column;
 //!
 //! let mut kg = KnowledgeGraph::new();
@@ -18,10 +19,12 @@
 //!
 //! let linker = EntityLinker::new(&kg);
 //! let col = Column::from_strs(&["France", "France", "Narnia"]);
-//! let (links, stats) = linker.link_column(&col);
-//! assert_eq!(stats.linked, 2);
+//! // Each dictionary entry is resolved once; row counts give the stats.
+//! let links = linker.link_dictionary(&col, &ThreadPool::default());
+//! assert_eq!(links.stats.linked, 2);
 //!
-//! let attrs = extract(&kg, &links, &ExtractOptions::default());
+//! let attrs = extract(&kg, &links.entities(), &ExtractOptions::default());
+//! assert_eq!(attrs.entity_ids, vec![fr]);
 //! assert_eq!(attrs.attribute_names(), vec!["hdi"]);
 //! ```
 
@@ -35,4 +38,4 @@ pub mod ned;
 pub use extract::{extract, EntityAttributes, ExtractOptions, OneToManyAgg};
 pub use graph::{Entity, EntityId, KnowledgeGraph, PropId, PropertyValue};
 pub use io::{read_kg, read_kg_path, write_kg, write_kg_path, KgIoError};
-pub use ned::{normalize, EntityLinker, LinkOutcome, LinkStats};
+pub use ned::{normalize, DictionaryLinks, EntityLinker, LinkOutcome, LinkStats};

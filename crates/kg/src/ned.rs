@@ -12,8 +12,9 @@
 //! This module reproduces both: normalized exact-match over canonical names
 //! and aliases, with ambiguous surface forms left unlinked.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use nexus_runtime::ThreadPool;
 use nexus_table::{Column, ColumnData};
 
 use crate::graph::{EntityId, KnowledgeGraph};
@@ -185,47 +186,105 @@ impl EntityLinker {
         }
     }
 
-    /// Links every row of a string column, memoizing by dictionary code.
+    /// Links a column once per dictionary entry.
+    ///
+    /// One pass over the rows (on `pool`, in chunks merged in chunk
+    /// order) counts the valid rows of each entry and records the entries'
+    /// first-seen order; each entry is then resolved once and
+    /// [`LinkStats`] comes from the counts. Non-Utf8 columns are not
+    /// linkable (the paper only links non-numerical values): every row
+    /// counts as null.
+    pub fn link_dictionary(&self, col: &Column, pool: &ThreadPool) -> DictionaryLinks {
+        let ColumnData::Utf8(arr) = col.data() else {
+            return DictionaryLinks {
+                entries: Vec::new(),
+                first_seen: Vec::new(),
+                stats: LinkStats {
+                    null: col.len(),
+                    ..LinkStats::default()
+                },
+            };
+        };
+        let tally = col.dict_tally(pool).expect("Utf8 columns have a tally");
+        let mut stats = LinkStats {
+            null: col.null_count(),
+            ..LinkStats::default()
+        };
+        let entries = arr
+            .dict()
+            .iter()
+            .zip(&tally.counts)
+            .map(|(surface, &rows)| {
+                let rows = rows as usize;
+                match self.link(surface) {
+                    LinkOutcome::Linked(id) => {
+                        stats.linked += rows;
+                        return Some(id);
+                    }
+                    LinkOutcome::NotFound => stats.not_found += rows,
+                    LinkOutcome::Ambiguous => stats.ambiguous += rows,
+                }
+                None
+            })
+            .collect();
+        DictionaryLinks {
+            entries,
+            first_seen: tally.first_seen,
+            stats,
+        }
+    }
+
+    /// Links every row of a string column: the per-row expansion of
+    /// [`EntityLinker::link_dictionary`].
     ///
     /// Returns per-row links (`None` for null / not-found / ambiguous rows)
     /// and aggregate statistics.
     pub fn link_column(&self, col: &Column) -> (Vec<Option<EntityId>>, LinkStats) {
-        let mut stats = LinkStats::default();
-        match col.data() {
-            ColumnData::Utf8(arr) => {
-                // Resolve each dictionary entry once.
-                let resolved: Vec<LinkOutcome> = arr.dict().iter().map(|s| self.link(s)).collect();
-                let mut out = Vec::with_capacity(col.len());
-                for i in 0..col.len() {
+        let links = self.link_dictionary(col, &ThreadPool::default());
+        let rows = match col.data() {
+            ColumnData::Utf8(arr) => (0..col.len())
+                .map(|i| {
                     if col.is_null(i) {
-                        stats.null += 1;
-                        out.push(None);
-                        continue;
+                        None
+                    } else {
+                        links.entries[arr.codes()[i] as usize]
                     }
-                    match resolved[arr.codes()[i] as usize] {
-                        LinkOutcome::Linked(id) => {
-                            stats.linked += 1;
-                            out.push(Some(id));
-                        }
-                        LinkOutcome::NotFound => {
-                            stats.not_found += 1;
-                            out.push(None);
-                        }
-                        LinkOutcome::Ambiguous => {
-                            stats.ambiguous += 1;
-                            out.push(None);
-                        }
-                    }
-                }
-                (out, stats)
-            }
-            _ => {
-                // Non-string columns are not linkable (the paper only links
-                // non-numerical values).
-                stats.null = col.len();
-                (vec![None; col.len()], stats)
-            }
-        }
+                })
+                .collect(),
+            _ => vec![None; col.len()],
+        };
+        (rows, links.stats)
+    }
+}
+
+/// A column linked per dictionary entry (see
+/// [`EntityLinker::link_dictionary`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DictionaryLinks {
+    /// `entries[c]` is the entity dictionary entry `c` resolves to, `None`
+    /// when it is not found or ambiguous. Empty for non-Utf8 columns.
+    pub entries: Vec<Option<EntityId>>,
+    /// The dictionary entries held by valid rows, in order of their first
+    /// valid row.
+    pub first_seen: Vec<u32>,
+    /// Row-level linking statistics.
+    pub stats: LinkStats,
+}
+
+impl DictionaryLinks {
+    /// The distinct linked entities in order of their first row.
+    ///
+    /// An entity first appears at the first row of the earliest entry that
+    /// links to it, so mapping the entries' first-seen order through the
+    /// links and keeping each entity's first occurrence gives per-row
+    /// first-appearance order, aliases included.
+    pub fn entities(&self) -> Vec<EntityId> {
+        let mut seen = HashSet::new();
+        self.first_seen
+            .iter()
+            .filter_map(|&c| self.entries[c as usize])
+            .filter(|&id| seen.insert(id))
+            .collect()
     }
 }
 
@@ -307,6 +366,35 @@ mod tests {
     }
 
     #[test]
+    fn dictionary_links_order_entities_by_first_row() {
+        let kg = toy();
+        let linker = EntityLinker::new(&kg);
+        // "United States" first appears at row 2, Russia at row 1 through
+        // its alias (its canonical entry only at row 3).
+        let col = Column::from_opt_strs(&[
+            None,
+            Some("Russian Federation"),
+            Some("United States"),
+            Some("Russia"),
+            Some("Ronaldo"),
+        ]);
+        let links = linker.link_dictionary(&col, &ThreadPool::default());
+        assert_eq!(links.first_seen, vec![0, 1, 2, 3]);
+        assert_eq!(links.entries, vec![Some(0), Some(1), Some(0), None]);
+        assert_eq!(links.entities(), vec![0, 1]);
+        assert_eq!(
+            links.stats,
+            LinkStats {
+                linked: 3,
+                not_found: 0,
+                ambiguous: 1,
+                null: 1
+            }
+        );
+        assert_eq!(linker.link_column(&col).1, links.stats);
+    }
+
+    #[test]
     fn fuzzy_linking_repairs_typos() {
         let kg = toy();
         let linker = EntityLinker::new(&kg);
@@ -338,5 +426,30 @@ mod tests {
         let (links, stats) = linker.link_column(&col);
         assert!(links.iter().all(|l| l.is_none()));
         assert_eq!(stats.link_rate(), 0.0);
+        let dict = linker.link_dictionary(&col, &ThreadPool::default());
+        assert!(dict.entities().is_empty());
+        assert_eq!(dict.stats.null, 2);
+    }
+
+    #[test]
+    fn all_null_text_column_links_nothing() {
+        // An all-null text column has an empty dictionary.
+        let kg = toy();
+        let linker = EntityLinker::new(&kg);
+        let col = Column::from_opt_strs(&[None::<&str>; 3]);
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(nexus_runtime::Parallelism::Fixed(threads));
+            let dict = linker.link_dictionary(&col, &pool);
+            assert!(dict.entries.is_empty() && dict.first_seen.is_empty());
+            assert!(dict.entities().is_empty());
+            assert_eq!(dict.stats.null, 3);
+            assert_eq!(
+                dict.stats.linked + dict.stats.not_found + dict.stats.ambiguous,
+                0
+            );
+        }
+        let (links, stats) = linker.link_column(&col);
+        assert_eq!(links, vec![None; 3]);
+        assert_eq!(stats.null, 3);
     }
 }

@@ -31,6 +31,6 @@ pub mod parser;
 
 pub use ast::{AggregateQuery, CmpOp, JoinClause, Predicate, SelectItem};
 pub use error::{QueryError, Result};
-pub use exec::{context_mask, eval_predicate, execute, Catalog};
+pub use exec::{context_mask, context_mask_on, eval_predicate, execute, Catalog};
 pub use lexer::{tokenize, Token};
 pub use parser::parse;

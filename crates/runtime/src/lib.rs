@@ -30,6 +30,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Rows per chunk of a row-partitioned pass. Passes over a table split
+/// its rows into chunks of this size, whatever the thread count, and merge
+/// the chunk results in chunk order; a multiple of 64, so chunk bitmaps
+/// concatenate word by word.
+pub const ROW_CHUNK: usize = 1 << 16;
+
 /// How many worker threads a [`ThreadPool`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
@@ -288,6 +294,80 @@ impl ThreadPool {
             done += in_wave;
         }
         acc
+    }
+
+    /// Maps each `chunk_size`-row chunk of `0..n` with `map` in one
+    /// parallel region and returns the chunk results in chunk order.
+    ///
+    /// The grid depends only on `n` and `chunk_size`, as in
+    /// [`fold_chunks`](ThreadPool::fold_chunks), but every chunk result
+    /// is live at once: use it when those results are small (a chunk's
+    /// first-seen list, its mask words), and `fold_chunks` when each is a
+    /// large accumulator.
+    pub fn map_chunks<R, F>(&self, n: usize, chunk_size: usize, map: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(std::ops::Range<usize>) -> R + Sync,
+    {
+        let chunk_size = chunk_size.max(1);
+        self.map(n.div_ceil(chunk_size), |j| {
+            let lo = j * chunk_size;
+            map(lo..(lo + chunk_size).min(n))
+        })
+    }
+
+    /// Splits `data` into `chunk_size`-element chunks and applies
+    /// `f(chunk_index, chunk)` to each on the pool, writing in place.
+    /// Returns the per-chunk results in chunk order.
+    ///
+    /// Like [`fold_chunks`](ThreadPool::fold_chunks), the chunk grid
+    /// depends only on `data.len()` and `chunk_size`, so a pure `f` gives
+    /// the same data and results at any thread count.
+    pub fn map_chunks_mut<T, R, F>(&self, data: &mut [T], chunk_size: usize, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &mut [T]) -> R + Sync,
+    {
+        self.map_pieces(data.chunks_mut(chunk_size.max(1)).collect(), f)
+    }
+
+    /// Splits `data` into consecutive pieces of the given lengths (which
+    /// must sum to `data.len()`) and applies `f(piece_index, piece)` to
+    /// each on the pool, writing in place; results come back in piece
+    /// order. This fills an output whose per-chunk sizes a counting pass
+    /// found, without any per-chunk buffers.
+    pub fn map_pieces_mut<T, R, F>(&self, data: &mut [T], lens: &[usize], f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &mut [T]) -> R + Sync,
+    {
+        assert_eq!(
+            lens.iter().sum::<usize>(),
+            data.len(),
+            "piece lengths must cover the data"
+        );
+        let mut pieces = Vec::with_capacity(lens.len());
+        let mut rest = data;
+        for &len in lens {
+            let (piece, tail) = rest.split_at_mut(len);
+            pieces.push(piece);
+            rest = tail;
+        }
+        self.map_pieces(pieces, f)
+    }
+
+    fn map_pieces<T, R, F>(&self, pieces: Vec<&mut [T]>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &mut [T]) -> R + Sync,
+    {
+        let pieces: Vec<Mutex<&mut [T]>> = pieces.into_iter().map(Mutex::new).collect();
+        self.map(pieces.len(), |j| {
+            f(j, &mut pieces[j].lock().expect("piece poisoned"))
+        })
     }
 
     /// Maps `f` over a slice, index-ordered; convenience over [`map`].
@@ -602,6 +682,35 @@ mod tests {
             }
             assert_eq!(next, 103);
         }
+    }
+
+    #[test]
+    fn map_chunks_mut_writes_every_chunk_in_place() {
+        for threads in [1, 3] {
+            let pool = ThreadPool::new(Parallelism::Fixed(threads));
+            let mut data = vec![0usize; 103];
+            let lens = pool.map_chunks_mut(&mut data, 10, |j, chunk| {
+                for (k, x) in chunk.iter_mut().enumerate() {
+                    *x = j * 10 + k;
+                }
+                chunk.len()
+            });
+            assert_eq!(data, (0..103).collect::<Vec<_>>());
+            assert_eq!(lens.len(), 11);
+            assert_eq!(lens[10], 3);
+        }
+    }
+
+    #[test]
+    fn map_pieces_mut_fills_uneven_pieces_in_order() {
+        let pool = ThreadPool::new(Parallelism::Fixed(3));
+        let mut data = vec![0usize; 10];
+        let firsts = pool.map_pieces_mut(&mut data, &[3, 0, 5, 2], |j, piece| {
+            piece.fill(j);
+            piece.len()
+        });
+        assert_eq!(data, vec![0, 0, 0, 2, 2, 2, 2, 2, 3, 3]);
+        assert_eq!(firsts, vec![3, 0, 5, 2]);
     }
 
     #[test]

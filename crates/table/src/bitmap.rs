@@ -179,6 +179,39 @@ impl Bitmap {
         })
     }
 
+    /// Iterator over the set bits in `rows`, in increasing order, read a
+    /// word at a time.
+    ///
+    /// # Panics
+    /// Panics if `rows.end > len()`.
+    pub fn iter_ones_in(&self, rows: std::ops::Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        assert!(
+            rows.end <= self.len,
+            "rows {rows:?} out of bounds for bitmap of {}",
+            self.len
+        );
+        let words = if rows.start >= rows.end {
+            0..0
+        } else {
+            rows.start / 64..rows.end.div_ceil(64)
+        };
+        self.words[words.clone()]
+            .iter()
+            .zip(words)
+            .flat_map(move |(&w, wi)| {
+                let base = wi * 64;
+                // Clear the bits outside `rows` in the two edge words.
+                let lo = rows.start.saturating_sub(base).min(64);
+                let hi = (rows.end - base).min(64);
+                let keep_lo = if lo == 64 { 0 } else { u64::MAX << lo };
+                let keep_hi = if hi == 64 { u64::MAX } else { (1u64 << hi) - 1 };
+                BitIter {
+                    word: w & keep_lo & keep_hi,
+                    base,
+                }
+            })
+    }
+
     /// Iterator over all bits as booleans.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -338,6 +371,24 @@ mod tests {
         }
         assert_eq!(Bitmap::and_all(&[&a]).unwrap(), a);
         assert!(Bitmap::and_all(&[]).is_none());
+    }
+
+    #[test]
+    fn iter_ones_in_matches_filtered_iter_ones() {
+        let bm: Bitmap = (0..300).map(|i| i % 5 != 1 && i % 7 != 0).collect();
+        for (lo, hi) in [
+            (0, 300),
+            (0, 64),
+            (64, 128),
+            (3, 70),
+            (130, 131),
+            (7, 7),
+            (299, 300),
+        ] {
+            let got: Vec<usize> = bm.iter_ones_in(lo..hi).collect();
+            let want: Vec<usize> = bm.iter_ones().filter(|&i| i >= lo && i < hi).collect();
+            assert_eq!(got, want, "rows {lo}..{hi}");
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use nexus_runtime::{ThreadPool, ROW_CHUNK};
+
 use crate::bitmap::Bitmap;
 use crate::error::{Result, TableError};
 use crate::value::{DataType, Value};
@@ -131,6 +133,16 @@ impl Codes {
             Some(v) => v.count_ones(),
         }
     }
+}
+
+/// A dictionary column's valid rows, tallied per dictionary entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DictTally {
+    /// `counts[c]` is the number of valid rows holding dictionary entry `c`.
+    pub counts: Vec<u64>,
+    /// The entries held by at least one valid row, in order of their first
+    /// valid row.
+    pub first_seen: Vec<u32>,
 }
 
 /// A single typed column with optional nulls.
@@ -514,6 +526,72 @@ impl Column {
     // Categorical codes
     // ------------------------------------------------------------------
 
+    /// Tallies a Utf8 column's valid rows per dictionary entry, on `pool`
+    /// in [`ROW_CHUNK`]-row chunks merged in chunk order (counts add;
+    /// first-seen lists concatenate, keeping each entry's first position).
+    /// `None` for other column types.
+    ///
+    /// A chunk counts into a dictionary-sized array, so a dictionary with
+    /// more entries than a chunk has rows is tallied in one pass instead.
+    /// The grid depends only on the column, never on the thread count.
+    pub fn dict_tally(&self, pool: &ThreadPool) -> Option<DictTally> {
+        let ColumnData::Utf8(a) = &self.data else {
+            return None;
+        };
+        let d = a.dict.len();
+        let n = a.codes.len();
+        let chunk = if d <= ROW_CHUNK { ROW_CHUNK } else { n };
+        // Each chunk returns its first-seen entries and their counts, so
+        // chunk results stay as small as the chunk's distinct entries.
+        let tally_rows = |rows: std::ops::Range<usize>| {
+            let mut counts = vec![0u64; d];
+            let mut first_seen = Vec::new();
+            // Count runs of equal codes in a register and add each run when
+            // it ends: a code's earlier runs are all added by the time it
+            // recurs, so a zero count still means "first seen".
+            let (mut prev, mut run) = (0u32, 0u64);
+            let mut hit = |c: u32| {
+                if run > 0 {
+                    if c == prev {
+                        run += 1;
+                        return;
+                    }
+                    counts[prev as usize] += run;
+                }
+                if counts[c as usize] == 0 {
+                    first_seen.push(c);
+                }
+                (prev, run) = (c, 1);
+            };
+            match &self.validity {
+                None => a.codes[rows].iter().for_each(|&c| hit(c)),
+                Some(v) => v.iter_ones_in(rows).for_each(|i| hit(a.codes[i])),
+            }
+            // An empty dictionary (an all-null column) hits no row.
+            if run > 0 {
+                counts[prev as usize] += run;
+            }
+            first_seen
+                .into_iter()
+                .map(|c| (c, counts[c as usize]))
+                .collect::<Vec<_>>()
+        };
+        let mut tally = DictTally {
+            counts: vec![0; d],
+            first_seen: Vec::new(),
+        };
+        for part in pool.map_chunks(n, chunk, tally_rows) {
+            for (c, k) in part {
+                let total = &mut tally.counts[c as usize];
+                if *total == 0 {
+                    tally.first_seen.push(c);
+                }
+                *total += k;
+            }
+        }
+        Some(tally)
+    }
+
     /// Dense categorical codes for this column.
     ///
     /// * `Utf8`: dictionary codes, re-compacted to the values in use.
@@ -523,27 +601,43 @@ impl Column {
     /// * `Float64`: an error — continuous columns must be binned first (see
     ///   [`crate::binning`]).
     pub fn category_codes(&self) -> Result<Codes> {
+        self.category_codes_on(&ThreadPool::default())
+    }
+
+    /// [`Column::category_codes`] with the row passes of a Utf8 column run
+    /// on `pool` in [`ROW_CHUNK`]-row chunks. The result does not depend on
+    /// the pool's thread count.
+    pub fn category_codes_on(&self, pool: &ThreadPool) -> Result<Codes> {
         match &self.data {
             ColumnData::Utf8(a) => {
-                // Re-compact dictionary codes across valid rows only.
-                let mut remap: Vec<u32> = vec![u32::MAX; a.dict.len()];
-                let mut next = 0u32;
-                let mut codes = Vec::with_capacity(a.codes.len());
-                for (i, &c) in a.codes.iter().enumerate() {
-                    if self.is_null(i) {
-                        codes.push(0);
-                        continue;
-                    }
-                    let slot = &mut remap[c as usize];
-                    if *slot == u32::MAX {
-                        *slot = next;
-                        next += 1;
-                    }
-                    codes.push(*slot);
+                // Re-compact dictionary codes across valid rows only, in
+                // first-seen order: entry `first_seen[k]` becomes code `k`.
+                let tally = self.dict_tally(pool).expect("a Utf8 column");
+                let mut remap = vec![0u32; a.dict.len()];
+                for (k, &c) in tally.first_seen.iter().enumerate() {
+                    remap[c as usize] = k as u32;
                 }
+                // Null rows keep code 0.
+                let mut codes = vec![0u32; a.codes.len()];
+                pool.map_chunks_mut(&mut codes, ROW_CHUNK, |j, out| {
+                    let lo = j * ROW_CHUNK;
+                    let src = &a.codes[lo..lo + out.len()];
+                    match &self.validity {
+                        None => {
+                            for (o, &c) in out.iter_mut().zip(src) {
+                                *o = remap[c as usize];
+                            }
+                        }
+                        Some(v) => {
+                            for i in v.iter_ones_in(lo..lo + out.len()) {
+                                out[i - lo] = remap[src[i - lo] as usize];
+                            }
+                        }
+                    }
+                });
                 Ok(Codes {
                     codes,
-                    cardinality: next,
+                    cardinality: tally.first_seen.len() as u32,
                     validity: self.validity.clone(),
                 })
             }
@@ -714,6 +808,22 @@ mod tests {
     }
 
     #[test]
+    fn all_null_strings_have_empty_tally_and_codes() {
+        // An all-null text column has an empty dictionary; its null rows
+        // hold code 0, which indexes no entry.
+        let c = Column::from_opt_strs(&[None::<&str>; 3]);
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(nexus_runtime::Parallelism::Fixed(threads));
+            let tally = c.dict_tally(&pool).unwrap();
+            assert!(tally.counts.is_empty() && tally.first_seen.is_empty());
+            let codes = c.category_codes_on(&pool).unwrap();
+            assert_eq!(codes.codes, vec![0, 0, 0]);
+            assert_eq!(codes.cardinality, 0);
+            assert_eq!(codes.valid_count(), 0);
+        }
+    }
+
+    #[test]
     fn gather_and_filter() {
         let c = Column::from_opt_i64(vec![Some(1), None, Some(3), Some(4)]);
         let g = c.gather(&[3, 0, 1, 1]);
@@ -768,5 +878,88 @@ mod tests {
         assert_eq!(c.value(0), Value::Bool(true));
         assert!(c.is_null(1));
         assert_eq!(c.distinct_count(), 1);
+    }
+
+    /// The per-row remap `category_codes` replaced: a test-only oracle.
+    fn category_codes_per_row(col: &Column) -> Vec<u32> {
+        let ColumnData::Utf8(a) = col.data() else {
+            unreachable!("Utf8 only")
+        };
+        let mut remap: Vec<u32> = vec![u32::MAX; a.dict.len()];
+        let mut next = 0u32;
+        let mut codes = Vec::with_capacity(a.codes.len());
+        for (i, &c) in a.codes.iter().enumerate() {
+            if col.is_null(i) {
+                codes.push(0);
+                continue;
+            }
+            let slot = &mut remap[c as usize];
+            if *slot == u32::MAX {
+                *slot = next;
+                next += 1;
+            }
+            codes.push(*slot);
+        }
+        codes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Chunked dictionary tallies and category codes equal the per-row
+        /// ones on both sides of the chunk size, with runs, nulls, unused
+        /// entries and dictionaries larger than a chunk, at any thread
+        /// count.
+        #[test]
+        fn chunked_category_codes_match_the_per_row_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            size in 0usize..3,
+        ) {
+            let mut rng = nexus_runtime::SplitMix64::new(seed);
+            let n = [
+                rng.next_below(300) as usize,
+                ROW_CHUNK - 10 + rng.next_below(20) as usize,
+                2 * ROW_CHUNK + rng.next_below(5000) as usize,
+            ][size];
+            let d = [1 + rng.next_below(30) as usize, ROW_CHUNK + 7][rng.next_below(2) as usize];
+            let null_rate = rng.next_below(4);
+            let mut codes = Vec::with_capacity(n);
+            let mut valid = Vec::with_capacity(n);
+            let mut c = 0u32;
+            for _ in 0..n {
+                if rng.next_below(8) == 0 {
+                    c = rng.next_below(d as u64) as u32;
+                }
+                codes.push(c);
+                valid.push(null_rate == 0 || rng.next_below(8) >= null_rate);
+            }
+            let dict = (0..d).map(|k| format!("v{k}")).collect();
+            let validity: Bitmap = valid.iter().copied().collect();
+            let col = Column::from_parts(
+                ColumnData::Utf8(DictArray::from_parts(codes.clone(), dict).unwrap()),
+                (null_rate > 0).then_some(validity),
+            )
+            .unwrap();
+            let want = category_codes_per_row(&col);
+            let mut counts = vec![0u64; d];
+            let mut first_seen = Vec::new();
+            for (i, &c) in codes.iter().enumerate() {
+                if !col.is_null(i) {
+                    if counts[c as usize] == 0 {
+                        first_seen.push(c);
+                    }
+                    counts[c as usize] += 1;
+                }
+            }
+            for threads in [1, 2, 8] {
+                let pool = ThreadPool::new(nexus_runtime::Parallelism::Fixed(threads));
+                let got = col.category_codes_on(&pool).unwrap();
+                proptest::prop_assert_eq!(&got.codes, &want);
+                proptest::prop_assert_eq!(got.cardinality as usize, counts.iter().filter(|&&k| k > 0).count());
+                let tally = col.dict_tally(&pool).unwrap();
+                proptest::prop_assert_eq!(&tally.counts, &counts);
+                proptest::prop_assert_eq!(&tally.first_seen, &first_seen);
+            }
+        }
     }
 }

@@ -222,6 +222,19 @@ pub fn aggregate(table: &Table, keys: &[&str], aggs: &[(AggFunc, &str)]) -> Resu
 mod tests {
     use super::*;
 
+    #[test]
+    fn all_null_key_forms_one_null_group() {
+        let t = Table::new(vec![
+            ("k", Column::from_opt_strs(&[None::<&str>; 3])),
+            ("v", Column::from_f64(vec![1.0, 2.0, 3.0])),
+        ])
+        .unwrap();
+        let r = aggregate(&t, &["k"], &[(AggFunc::Sum, "v")]).unwrap();
+        assert_eq!(r.n_rows(), 1);
+        assert!(r.column("k").unwrap().is_null(0));
+        assert_eq!(r.value(0, "sum(v)").unwrap(), Value::Float(6.0));
+    }
+
     fn sample() -> Table {
         Table::new(vec![
             (

@@ -44,9 +44,11 @@ pub mod selection;
 pub mod table;
 pub mod value;
 
-pub use binning::{assign_bin, bin_codes, bin_to_column, compute_edges, BinStrategy};
+pub use binning::{
+    assign_bin, bin_codes, bin_to_column, compute_edges, compute_edges_owned, BinStrategy, Binner,
+};
 pub use bitmap::Bitmap;
-pub use column::{Codes, Column, ColumnData, DictArray};
+pub use column::{Codes, Column, ColumnData, DictArray, DictTally};
 pub use csv::{read_csv, read_csv_path, write_csv, write_csv_path, CsvOptions};
 pub use error::{Result, TableError};
 pub use fingerprint::Fnv64;

@@ -42,7 +42,7 @@
 
 use std::process::exit;
 
-use nexus::core::{unexplained_subgroups, SubgroupOptions};
+use nexus::core::{unexplained_subgroups, PipelineStats, SubgroupOptions};
 use nexus::kg::KnowledgeGraph;
 use nexus::lake::{DataLake, LakeOptions};
 use nexus::serve::wire::{
@@ -607,6 +607,23 @@ fn print_explanation(query_text: &str, e: &ExplanationWire) {
     );
 }
 
+/// The `timing:` stderr line: the total, the four stage times, and the
+/// run's pool, whose counters cover the candidate build and every later
+/// stage.
+fn timing_line(s: &PipelineStats) -> String {
+    format!(
+        "timing: {:.2?} total (build {:.2?}, prune {:.2?}, bias {:.2?}, select {:.2?}); pool: {} thread(s), {} task(s), {:.2}x speedup",
+        s.total(),
+        s.t_build,
+        s.t_prune,
+        s.t_bias,
+        s.t_mcimr,
+        s.threads,
+        s.pool_tasks,
+        s.parallel_speedup()
+    )
+}
+
 fn run_explain(args: &ExplainArgs) -> Result<(), String> {
     let (table, kg, extract) = load_inputs(&args.data)?;
     let query = parse(&args.sql).map_err(|e| format!("failed to parse SQL: {e}"))?;
@@ -625,13 +642,7 @@ fn run_explain(args: &ExplainArgs) -> Result<(), String> {
     print_explanation(&query.to_string(), &explanation_to_wire(&explanation));
 
     let s = &explanation.stats;
-    eprintln!(
-        "timing: {:.2?} total; pool: {} thread(s), {} task(s), {:.2}x scoring speedup",
-        s.total(),
-        s.threads,
-        s.pool_tasks,
-        s.parallel_speedup()
-    );
+    eprintln!("{}", timing_line(s));
     eprintln!(
         "kernel: {} row(s) scanned, {} hash op(s), {} dense op(s), {} dense / {} sparse build(s)",
         s.kernel.rows_scanned,
@@ -1311,5 +1322,32 @@ fn run_abuse(args: &AbuseArgs) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!("unknown abuse mode {other:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use super::*;
+
+    #[test]
+    fn timing_line_names_every_stage_and_the_pool() {
+        let stats = PipelineStats {
+            t_build: Duration::from_millis(120),
+            t_prune: Duration::from_millis(30),
+            t_bias: Duration::from_millis(5),
+            t_mcimr: Duration::from_millis(45),
+            threads: 2,
+            pool_tasks: 77,
+            t_pool_wall: Duration::from_millis(100),
+            t_pool_busy: Duration::from_millis(150),
+            ..PipelineStats::default()
+        };
+        assert_eq!(
+            timing_line(&stats),
+            "timing: 200.00ms total (build 120.00ms, prune 30.00ms, bias 5.00ms, select 45.00ms); \
+             pool: 2 thread(s), 77 task(s), 1.50x speedup"
+        );
     }
 }
