@@ -5,7 +5,7 @@
 //! possible nor wanted. Instead, long-running stages poll an
 //! [`AtomicBool`] abort flag at deterministic points — stage boundaries
 //! and once per greedy MCIMR iteration — and bail out with
-//! [`CoreError::Aborted`](crate::error::CoreError::Aborted) when it is
+//! [`CoreError::Aborted`] when it is
 //! set. The same hook points emit [`ProgressEvent`]s, which callers
 //! (e.g. the RPC server's `Partial` streaming) can forward without the
 //! core crate knowing anything about transports.

@@ -18,7 +18,7 @@
 //!
 //! * the complete-case predicate (`mask ∧ valid(O) ∧ valid(T)`) and the
 //!   fused `t·|O|+o` code column are precomputed **once per candidate
-//!   set** ([`FusedSelection`]); the fused column is materialized at the
+//!   set** (`FusedSelection`); the fused column is materialized at the
 //!   narrowest integer width that holds `|O|·|T| − 1` (`u8`/`u16`/`u32`,
 //!   chosen once from checked cardinality), so large scans stream narrow
 //!   cache-friendly code lanes instead of full-width words;
@@ -30,12 +30,13 @@
 //!   entity level), so a run of length `r` adds the exact integer `r` —
 //!   bit-identical to `r` separate adds;
 //! * when the `X × T × O` key space fits the dense budget (unconditional
-//!   up to [`KERNEL_DENSE_LIMIT`], row-aware beyond it), counts land in a
-//!   [`RadixHistogram`]: the keyspace splits into 4096-cell partition
+//!   up to `KERNEL_DENSE_LIMIT`, row-aware beyond it), counts land in a
+//!   `RadixHistogram`: the keyspace splits into 4096-cell partition
 //!   blocks allocated lazily on first touch, so zeroing *and* merging
 //!   scale with touched cells, not keyspace. Larger key spaces fall back
-//!   to a hashed accumulator, and key spaces beyond `u64` fall back to
-//!   the per-row scan (which itself guards packing with `u128`);
+//!   to a hashed accumulator. A set whose `|O|·|T|` exceeds `u32` has no
+//!   fused selection and counts through [`JointCounts`], whose keys widen
+//!   to `u128`;
 //! * large selections split into one contiguous word span per pool
 //!   thread. Spans scan into private sub-histograms and merge in
 //!   ascending span order, touched blocks only. Cell sums are exact
@@ -437,11 +438,8 @@ impl Contingency {
         let x = &set.column_codes[column];
         let card_x = x.cardinality.max(1) as u64;
         let card_to = fused.card_to;
+        // Below 2^64: a fused selection has |O|·|T| ≤ u32::MAX.
         let space = card_x as u128 * card_to as u128;
-        if space > u64::MAX as u128 {
-            // Keys would not fit the u64 kernel; the row scan packs u128.
-            return Self::build_rowscan(set, column);
-        }
 
         // Per-column packed selection: base ∧ valid(X), scanned word at a
         // time — the selection never materializes as row indices.
@@ -585,95 +583,39 @@ impl Contingency {
         }
     }
 
-    /// The per-row masked scan: the route for shapes the kernel cannot
-    /// index (no fused selection, or an `X × T × O` key space beyond
-    /// `u64`). Key packing is u64 with a checked u128 fallback — three u32
-    /// cardinalities can overflow 64 bits.
+    /// The route for shapes the kernel cannot index (no fused selection):
+    /// one masked [`JointCounts`] build over `(O, T, X)`. Its mixed-radix
+    /// key, first variable fastest, is the kernel's `(x·|T| + t)·|O| + o`,
+    /// and its cells drain in key order.
     fn build_rowscan(set: &CandidateSet, column: &str) -> Contingency {
         let x = &set.column_codes[column];
-        let o = &set.o;
-        let t = &set.t;
-        let n = x.len();
-        let card_o = o.cardinality.max(1) as u64;
-        let card_t = t.cardinality.max(1) as u64;
-        let card_x = x.cardinality.max(1) as u64;
-        let space = card_x as u128 * card_t as u128 * card_o as u128;
-
-        if space <= u64::MAX as u128 {
-            let mut map: HashMap<u64, f64> = HashMap::new();
-            for i in 0..n {
-                if !set.mask.get(i) || !o.is_valid(i) || !t.is_valid(i) || !x.is_valid(i) {
-                    continue;
-                }
-                let key =
-                    (x.codes[i] as u64 * card_t + t.codes[i] as u64) * card_o + o.codes[i] as u64;
-                *map.entry(key).or_insert(0.0) += 1.0;
-            }
-            // Drain the map in key order: every downstream score folds
-            // these cells into f64 sums, and NEXUS promises bit-identical
-            // results across runs and thread counts — HashMap order is
-            // neither.
-            let mut keyed: Vec<(u64, f64)> = map.into_iter().collect();
-            keyed.sort_unstable_by_key(|&(k, _)| k);
-            let ops = keyed.iter().map(|&(_, w)| w).sum::<f64>() as u64;
-            kernel::counters().record_build(n as u64, ops, 0, false);
-            Self::from_sorted_cells(keyed.into_iter(), card_o, card_t, x.cardinality as usize)
-        } else {
-            // u128 keys: same semantics, for cardinality products beyond
-            // u64.
-            let mut map: HashMap<u128, f64> = HashMap::new();
-            for i in 0..n {
-                if !set.mask.get(i) || !o.is_valid(i) || !t.is_valid(i) || !x.is_valid(i) {
-                    continue;
-                }
-                let key = (x.codes[i] as u128 * card_t as u128 + t.codes[i] as u128)
-                    * card_o as u128
-                    + o.codes[i] as u128;
-                *map.entry(key).or_insert(0.0) += 1.0;
-            }
-            let mut keyed: Vec<(u128, f64)> = map.into_iter().collect();
-            keyed.sort_unstable_by_key(|&(k, _)| k);
-            let ops = keyed.iter().map(|&(_, w)| w).sum::<f64>() as u64;
-            kernel::counters().record_build(n as u64, ops, 0, false);
-            let mut cells = Vec::with_capacity(keyed.len());
-            let mut x_marginal = vec![0.0; x.cardinality as usize];
-            let mut total = 0.0;
-            for (key, w) in keyed {
-                let o_code = (key % card_o as u128) as u32;
-                let t_code = ((key / card_o as u128) % card_t as u128) as u32;
-                let x_code = (key / (card_o as u128 * card_t as u128)) as u32;
-                x_marginal[x_code as usize] += w;
-                total += w;
-                cells.push((o_code, t_code, x_code, w));
-            }
-            let n_entities_ctx = x_marginal.iter().filter(|&&w| w > 0.0).count();
-            Contingency {
-                cells,
-                x_marginal,
-                total,
-                n_entities_ctx,
-                card_o: card_o as u32,
-                card_t: card_t as u32,
-            }
-        }
+        let joint = JointCounts::count(&[&set.o, &set.t, x], Some(&set.mask), None);
+        Self::from_sorted_cells(
+            joint.counts.iter(),
+            set.o.cardinality.max(1) as u64,
+            set.t.cardinality.max(1) as u64,
+            x.cardinality as usize,
+        )
     }
 
     /// Decodes ascending `(key, weight)` cells (key = `(x·|T|+t)·|O|+o`)
     /// into the cell vector, x-marginal, and totals. Shared by the kernel
-    /// and the u64 row scan so all paths produce cells identically.
-    fn from_sorted_cells(
-        keyed: impl Iterator<Item = (u64, f64)>,
+    /// and the row scan so all paths produce cells identically.
+    fn from_sorted_cells<K: Into<u128>>(
+        keyed: impl Iterator<Item = (K, f64)>,
         card_o: u64,
         card_t: u64,
         card_x: usize,
     ) -> Contingency {
+        let (o_radix, t_radix) = (card_o as u128, card_t as u128);
         let mut cells = Vec::new();
         let mut x_marginal = vec![0.0; card_x];
         let mut total = 0.0;
         for (key, w) in keyed {
-            let o_code = (key % card_o) as u32;
-            let t_code = ((key / card_o) % card_t) as u32;
-            let x_code = (key / (card_o * card_t)) as u32;
+            let key: u128 = key.into();
+            let o_code = (key % o_radix) as u32;
+            let t_code = ((key / o_radix) % t_radix) as u32;
+            let x_code = (key / (o_radix * t_radix)) as u32;
             x_marginal[x_code as usize] += w;
             total += w;
             cells.push((o_code, t_code, x_code, w));

@@ -11,14 +11,14 @@
 //! [`CandStats`]: super::CandStats
 //! [`FusedSelection::build`]: super::FusedSelection::build
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{Bitmap, Codes};
 use proptest::prelude::*;
 
-use super::Engine;
+use super::{Contingency, Engine, FusedSelection};
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, CandidateSource, MISSING_CODE};
 
 /// Deterministic xorshift so the fixtures need no external RNG.
@@ -300,6 +300,62 @@ fn narrow_parallel_span_merges_bit_identical() {
         Arc::make_mut(c).validity = None;
     }
     assert_all_paths_agree(&set, "narrow parallel spans");
+}
+
+/// A set the kernel cannot index: `|O|·|T|` = 2^44 rules the fused
+/// selection out, and `|X|·|T|·|O|` = 2^65 is past `u64`. The row-scan
+/// contingency must still equal a naive ordered count of its rows.
+#[test]
+fn key_space_past_u64_matches_a_naive_count() {
+    let n = 3_000;
+    let (card_o, card_t, card_x) = (1u32 << 22, 1u32 << 22, 1u32 << 21);
+    let mut rng = Rng(0x0DD5);
+    // Four codes spread over each declared range, so cells repeat and
+    // the high key digits are exercised.
+    let mut codes = |card: u32| -> Codes {
+        let mut validity = Bitmap::with_value(n, true);
+        let codes = (0..n)
+            .map(|i| {
+                if rng.below(19) == 0 {
+                    validity.set(i, false);
+                }
+                card - 1 - rng.below(4) as u32 * (card / 4)
+            })
+            .collect();
+        Codes {
+            codes,
+            cardinality: card,
+            validity: Some(validity),
+        }
+    };
+    let (o, t, x) = (codes(card_o), codes(card_t), codes(card_x));
+    let mut mask = Bitmap::with_value(n, true);
+    for i in (0..n).step_by(5) {
+        mask.set(i, false);
+    }
+    let mut naive: BTreeMap<(u32, u32, u32), f64> = BTreeMap::new();
+    for i in 0..n {
+        if mask.get(i) && o.is_valid(i) && t.is_valid(i) && x.is_valid(i) {
+            *naive
+                .entry((x.codes[i], t.codes[i], o.codes[i]))
+                .or_insert(0.0) += 1.0;
+        }
+    }
+    let set = CandidateSet {
+        candidates: Vec::new(),
+        column_codes: HashMap::from([("X".to_string(), Arc::new(x))]),
+        o,
+        t,
+        mask,
+        link_stats: HashMap::new(),
+    };
+    assert!(FusedSelection::build(&set).is_none());
+
+    let c = Contingency::build(&set, "X", None, None);
+    let cells: Vec<((u32, u32, u32), f64)> =
+        c.cells.iter().map(|&(o, t, x, w)| ((x, t, o), w)).collect();
+    assert_eq!(cells, naive.into_iter().collect::<Vec<_>>());
+    assert_eq!(c.total, cells.iter().map(|&(_, w)| w).sum::<f64>());
 }
 
 proptest! {

@@ -68,7 +68,7 @@ const MAX_REJECTIONS: usize = 8;
 /// relevant attribute can out-rank a genuine joint confounder (whose
 /// redundancy term inflates its score) — so a rejected winner is set
 /// aside and the search retries with the next-best candidate, up to
-/// [`MAX_REJECTIONS`] times, rather than ending selection outright.
+/// `MAX_REJECTIONS` times, rather than ending selection outright.
 pub fn mcimr(set: &CandidateSet, engine: &Engine, options: &NexusOptions) -> McimrResult {
     mcimr_controlled(set, engine, options, RunControl::none()).expect("null control cannot abort")
 }

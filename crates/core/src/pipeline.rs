@@ -353,7 +353,7 @@ impl Nexus {
     ///
     /// The abort flag is polled at every stage boundary and once per
     /// MCIMR iteration; an aborted run returns
-    /// [`CoreError::Aborted`](crate::error::CoreError::Aborted) and
+    /// [`CoreError::Aborted`] and
     /// produces no explanation. A run with `RunControl::none()` is
     /// bit-identical to the uncontrolled entry point.
     pub fn run_with_extractions_controlled(

@@ -4,7 +4,7 @@
 //! pool, and its memoization used to sit behind four global
 //! `Mutex<HashMap>`s — so parallel scoring serialized on cache lookups,
 //! and every *hit* still paid a `String` clone to build the lookup key.
-//! These caches fix both: keys are hashed to one of [`N_SHARDS`]
+//! These caches fix both: keys are hashed to one of `N_SHARDS`
 //! independently locked shards (uncontended in the common case), and
 //! lookups borrow `&str` — an allocation happens only on insert.
 //!

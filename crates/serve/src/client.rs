@@ -18,9 +18,9 @@
 //! transient failures: `Busy` rejections from a server at its connection
 //! limit, timeout replies, and torn connections. [`RetryPolicy`]
 //! configures how often and how patiently; retries reconnect from the
-//! remembered endpoint and use a deterministic, seeded
-//! [`Backoff`](nexus_runtime::Backoff) whose jitter decorrelates
-//! stampeding clients without sacrificing reproducibility.
+//! remembered endpoint and use a deterministic, seeded [`Backoff`] whose
+//! jitter decorrelates stampeding clients without sacrificing
+//! reproducibility.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};

@@ -23,7 +23,13 @@
 //!   *(canonical query signature, dataset fingerprint, options
 //!   fingerprint)*. Cache hits echo stored bytes verbatim: **byte-identical**
 //!   to a cold run, with `scored_tasks == 0` because the pipeline never
-//!   executes.
+//!   executes. Sockets are served by one connection loop for both
+//!   protocol versions ([`Server::serve_connection`]); the first good
+//!   envelope fixes the version, and every frame without session state is
+//!   answered by the same dispatcher as the in-process [`Server::handle`].
+//! * [`net`] — deadline-governed reads (idle timeout, per-frame budget)
+//!   over any [`DeadlineStream`]; [`faults`] — seeded fault injection
+//!   over in-memory pipes, for the governance tests.
 //! * [`Client`] / [`Session`] — blocking clients over Unix or TCP
 //!   loopback streams: `Client` speaks one-at-a-time v1 with typed
 //!   [`ExplainCall`] requests, `Session` negotiates v2 and pipelines

@@ -183,7 +183,7 @@ pub fn read_frame_deadline<S: DeadlineStream>(
 /// deadlines as [`read_frame_deadline`] (which is this function fixed to
 /// v1).
 ///
-/// The v2 demultiplexing loop calls this with a *short* idle timeout —
+/// The server's connection loop calls this with a *short* idle timeout —
 /// one tick — so an [`ReadError::IdleTimeout`] doubles as "no inbound
 /// envelope right now", letting the loop interleave reads with flushing
 /// worker replies; no bytes are consumed on that path.

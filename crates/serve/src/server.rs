@@ -22,22 +22,26 @@
 //!
 //! [`Server::handle`] is a pure frame→frame function, so the full request
 //! path is testable in-process; [`Server::serve_unix`] and
-//! [`Server::serve_tcp`] wrap it in thread-per-connection socket loops.
+//! [`Server::serve_tcp`] run one handler thread per connection, each in
+//! the single connection loop [`Server::serve_connection`]. That loop
+//! speaks both protocol versions — the first good envelope fixes which —
+//! and answers every frame that needs no session state through the same
+//! dispatcher as [`Server::handle`].
 //!
 //! ## Connection governance
 //!
-//! The socket loops are bounded in every dimension a misbehaving peer
+//! The connection loop is bounded in every dimension a misbehaving peer
 //! could otherwise exhaust:
 //!
 //! * **connections** — at most [`ServerOptions::max_connections`] handler
 //!   threads run at once; an over-limit accept gets a one-shot
 //!   [`error_code::BUSY`] reply (clients retry with jittered backoff) and
 //!   is closed, never queued;
-//! * **time** — reads run under [`read_frame_deadline`]: an idle
-//!   connection is dropped after [`ServerOptions::io_timeout`] with an
-//!   [`error_code::TIMEOUT`] reply, and a frame that starts but does not
-//!   complete within the same budget (slow loris) is dropped too; writes
-//!   carry the same timeout;
+//! * **time** — reads run under [`read_envelope_deadline`]: an idle
+//!   connection (no explain in flight) is dropped after
+//!   [`ServerOptions::io_timeout`] with an [`error_code::TIMEOUT`] reply,
+//!   and a frame that starts but does not complete within the same budget
+//!   (slow loris) is dropped too; writes carry the same timeout;
 //! * **memory** — a header declaring more than
 //!   [`crate::wire::MAX_PAYLOAD`] is refused before any payload is read,
 //!   with an [`error_code::FRAME_TOO_LARGE`] reply;
@@ -92,8 +96,8 @@ use crate::cache::LruCache;
 use crate::net::{deadline_tick, read_envelope_deadline, DeadlineStream, ReadError};
 use crate::registry::{DatasetRegistry, DatasetSource, DatasetSpec, RegistryError};
 use crate::wire::{
-    encode_parts_into, error_code, v2, write_frame, DatasetAckWire, DatasetListWire, Envelope,
-    ErrorWire, EvictDatasetWire, ExplainRequestWire, ExplanationReplyWire, ExplanationWire, Frame,
+    encode_parts_into, error_code, v2, write_frame, DatasetAckWire, DatasetListWire, ErrorWire,
+    EvictDatasetWire, ExplainRequestWire, ExplanationReplyWire, ExplanationWire, Frame,
     HelloAckWire, LinkStatsWire, LoadDatasetWire, MetricWire, MetricsReplyWire, PartialWire,
     ProgressWire, ServeStatsWire, ServerStatsWire, SpanWire, TraceReplyWire, TraceWire,
     UnsupportedWire, WireError, MAX_VERSION, VERSION,
@@ -634,8 +638,16 @@ impl Server {
     }
 
     /// Answers one request frame — the full in-process request path, used
-    /// by the socket loops and directly by tests.
+    /// directly by tests and, through the same dispatcher, by the socket
+    /// loop.
     pub fn handle(&self, frame: Frame) -> Frame {
+        self.answer(frame, VERSION)
+    }
+
+    /// The one request dispatcher: every frame that needs no session
+    /// state, in either protocol version. `version` only labels the
+    /// `Unsupported` reply to a frame that is not a request.
+    fn answer(&self, frame: Frame, version: u16) -> Frame {
         match frame {
             Frame::Ping => Frame::Pong,
             Frame::Stats => Frame::StatsReply(self.stats()),
@@ -647,12 +659,10 @@ impl Server {
             Frame::LoadDataset(w) => self.load_dataset_frame(&w),
             Frame::EvictDataset(w) => self.evict_dataset_frame(&w),
             Frame::ListDatasets => self.list_datasets_frame(),
-            // Reply-only and unknown frames are not requests.
-            other => Frame::Unsupported(UnsupportedWire {
-                version: VERSION,
-                frame_type: other.frame_type(),
-                max_supported: VERSION,
-            }),
+            Frame::MetricsRequest => self.metrics_reply(),
+            Frame::TraceRequest(w) => self.trace_reply(w.last),
+            // Reply-only and session-control frames are not requests here.
+            other => unsupported(version, other.frame_type()),
         }
     }
 
@@ -1037,13 +1047,25 @@ impl Server {
         result
     }
 
-    /// Frame loop over one established connection, governed by the
-    /// server's I/O timeouts.
+    /// The connection loop, for both protocol versions: one thread owns
+    /// the stream, governed by the server's I/O timeouts.
     ///
-    /// The **first** well-formed envelope negotiates the protocol: a v1
-    /// frame enters the classic one-request-at-a-time loop below, while a
-    /// v2 envelope (which must be [`Frame::Hello`]) hands the stream to
-    /// the multiplexing loop of [`Server::serve_v2`].
+    /// The **first** well-formed envelope fixes the session version. A v1
+    /// frame locks the connection to v1 (later v2 envelopes draw
+    /// [`Frame::Unsupported`]); a v2 envelope must be [`Frame::Hello`],
+    /// answered with [`Frame::HelloAck`], and anything else draws
+    /// [`error_code::BAD_CORRELATION`] and a hangup.
+    ///
+    /// Inbound envelopes are polled one deadline tick at a time. A v2
+    /// `Explain` runs on its own worker thread, whose replies the loop
+    /// drains onto the wire between polls; `Cancel` and a second `Hello`
+    /// are session business; every other frame — a v1 `Explain` included,
+    /// which runs inline — goes through the dispatcher behind
+    /// [`Server::handle`]. Every write takes one path through one
+    /// [`Workspace`](crate::wire::Workspace). Request lifecycle counters
+    /// (`inflight_peak`, `ooo_replies`, `cancels_honored`,
+    /// `partials_streamed`) are kept at registration and reply-write time,
+    /// so tests assert multiplexing on counters rather than timing.
     ///
     /// Malformed envelopes that cannot be skipped safely (bad magic, bad
     /// CRC, truncation) drop the connection; well-formed frames of an
@@ -1051,162 +1073,22 @@ impl Server {
     /// stream survives. Idle and slow-loris connections are dropped after
     /// an [`error_code::TIMEOUT`] reply; oversized declarations after an
     /// [`error_code::FRAME_TOO_LARGE`] reply — each tallied in the server
-    /// stats. During shutdown the in-flight request (if any) finishes and
-    /// its reply is written before the connection closes.
+    /// stats. A session with explains in flight is never idle. During
+    /// shutdown, requests already started finish and their replies are
+    /// written before the connection closes; a departing peer aborts them.
     pub fn serve_connection<S: DeadlineStream>(&self, mut stream: S) {
         let io_timeout = self.inner.io_timeout;
         let tick = deadline_tick(io_timeout);
         let _ = stream.set_write_timeout(Some(io_timeout));
         let mut lane = ReplyLane::new();
-        // Until the first good envelope fixes the connection's version,
-        // read at the build ceiling so a v2 `Hello` can negotiate up; a
-        // v1 opener locks the loop to v1 (later v2 envelopes then draw
-        // `Unsupported`, exactly as before v2 existed).
-        let mut negotiating = true;
-        loop {
-            let ceiling = if negotiating { MAX_VERSION } else { VERSION };
-            let reply = match read_envelope_deadline(
-                &mut stream,
-                io_timeout,
-                io_timeout,
-                tick,
-                &|| self.is_shutting_down(),
-                ceiling,
-            ) {
-                Ok(env) => {
-                    if negotiating && env.version >= v2::VERSION {
-                        self.serve_v2(stream, lane, env);
-                        return;
-                    }
-                    negotiating = false;
-                    let is_shutdown = matches!(env.frame, Frame::Shutdown);
-                    let reply = self.handle(env.frame);
-                    // The in-flight reply is always written — draining a
-                    // shutdown means finishing started work, then closing.
-                    if self
-                        .write_via(&mut stream, &mut lane, VERSION, 0, &reply)
-                        .is_err()
-                        || is_shutdown
-                        || self.is_shutting_down()
-                    {
-                        return;
-                    }
-                    continue;
-                }
-                Err(ReadError::IdleTimeout | ReadError::FrameTimeout) => {
-                    self.inner.m.io_timeouts.add(1);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let _ = self.write_via(
-                        &mut stream,
-                        &mut lane,
-                        VERSION,
-                        0,
-                        &error(error_code::TIMEOUT, "i/o deadline exceeded"),
-                    );
-                    return;
-                }
-                Err(ReadError::Closed | ReadError::Aborted) => return,
-                Err(ReadError::Wire(WireError::PayloadTooLarge(n))) => {
-                    self.inner.m.oversize_frames.add(1);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let _ = self.write_via(
-                        &mut stream,
-                        &mut lane,
-                        VERSION,
-                        0,
-                        &error(
-                            error_code::FRAME_TOO_LARGE,
-                            format!(
-                                "declared payload of {n} bytes exceeds the \
-                                 {} byte cap",
-                                crate::wire::MAX_PAYLOAD
-                            ),
-                        ),
-                    );
-                    return;
-                }
-                Err(ReadError::Wire(WireError::UnsupportedVersion(version))) => {
-                    Frame::Unsupported(UnsupportedWire {
-                        version,
-                        frame_type: 0,
-                        max_supported: MAX_VERSION,
-                    })
-                }
-                Err(ReadError::Wire(WireError::UnknownFrameType(frame_type))) => {
-                    Frame::Unsupported(UnsupportedWire {
-                        version: VERSION,
-                        frame_type,
-                        max_supported: MAX_VERSION,
-                    })
-                }
-                Err(ReadError::Wire(_)) => return,
-            };
-            if self
-                .write_via(&mut stream, &mut lane, VERSION, 0, &reply)
-                .is_err()
-            {
-                return;
-            }
-        }
-    }
-
-    /// The v2 session loop: one thread owns the stream and demultiplexes.
-    ///
-    /// Inbound envelopes are polled one tick at a time and dispatched —
-    /// `Ping`/`Stats`/`Shutdown`/`Cancel` inline, each `Explain` onto its
-    /// own worker thread; between polls the loop drains the workers'
-    /// reply queue onto the wire. Single-threaded I/O keeps every write
-    /// on one path (no stream cloning, one [`Workspace`]) at the cost of
-    /// at most one tick of streaming latency.
-    ///
-    /// Request lifecycle counters (`inflight_peak`, `ooo_replies`,
-    /// `cancels_honored`, `partials_streamed`) are maintained here, at
-    /// registration and reply-write time, so tests assert multiplexing
-    /// behaviour on counters rather than timing.
-    fn serve_v2<S: DeadlineStream>(&self, mut stream: S, mut lane: ReplyLane, first: Envelope) {
-        let io_timeout = self.inner.io_timeout;
-        let tick = deadline_tick(io_timeout);
-        let max_inflight = self.inner.max_inflight;
-
-        // A v2 session opens with Hello; anything else is a protocol
-        // violation worth naming before hanging up.
-        let hello_corr = first.corr_id;
-        if !matches!(first.frame, Frame::Hello(_)) {
-            let _ = self.write_via(
-                &mut stream,
-                &mut lane,
-                v2::VERSION,
-                hello_corr,
-                &error(
-                    error_code::BAD_CORRELATION,
-                    "a v2 session must open with Hello",
-                ),
-            );
-            return;
-        }
-        if self
-            .write_via(
-                &mut stream,
-                &mut lane,
-                v2::VERSION,
-                hello_corr,
-                &Frame::HelloAck(HelloAckWire {
-                    version: v2::VERSION,
-                    max_inflight: max_inflight as u32,
-                }),
-            )
-            .is_err()
-        {
-            return;
-        }
-
+        // `None` until the first good envelope fixes the session version.
+        let mut session: Option<u16> = None;
         let mut inflight: HashMap<u64, InflightRequest> = HashMap::new();
         let (tx, rx) = mpsc::channel::<(u64, Frame)>();
         let mut next_seq: u64 = 0;
         let mut last_activity = Instant::now();
-        let mut draining = false;
 
-        loop {
+        'session: loop {
             // Flush worker output before (and between) reads.
             while let Ok((corr, frame)) = rx.try_recv() {
                 if matches!(frame, Frame::Explanation(_) | Frame::Error(_)) {
@@ -1228,75 +1110,79 @@ impl Server {
                     .write_via(&mut stream, &mut lane, v2::VERSION, corr, &frame)
                     .is_err()
                 {
-                    abort_and_join(&mut inflight);
-                    return;
+                    break 'session;
                 }
                 last_activity = Instant::now();
             }
 
-            if self.is_shutting_down() {
-                draining = true;
-            }
-            if draining && inflight.is_empty() {
-                return;
+            // Draining a shutdown: finish what started, then close.
+            if self.is_shutting_down() && inflight.is_empty() {
+                break;
             }
 
             // Poll for one inbound envelope. The short idle deadline (one
             // tick) makes IdleTimeout mean "nothing right now": the real
-            // idle clock is `last_activity`, and a session with work in
-            // flight is never idle.
-            match read_envelope_deadline(
-                &mut stream,
-                tick,
-                io_timeout,
-                tick,
-                &|| false,
-                MAX_VERSION,
-            ) {
+            // idle clock is `last_activity`. A v1 session reads at v1, so
+            // a later v2 envelope draws `Unsupported`.
+            let ceiling = if session == Some(VERSION) {
+                VERSION
+            } else {
+                MAX_VERSION
+            };
+            let read =
+                read_envelope_deadline(&mut stream, tick, io_timeout, tick, &|| false, ceiling);
+            // An inline reply overtakes every unfinished explain.
+            let overtakes = !inflight.is_empty();
+            let version = session.unwrap_or(VERSION);
+            let (version, corr, reply) = match read {
                 Ok(env) => {
                     last_activity = Instant::now();
                     let corr = env.corr_id;
-                    // An inline reply overtakes every unfinished explain.
-                    let overtakes = !inflight.is_empty();
-                    let inline = match env.frame {
-                        Frame::Ping => Some(Frame::Pong),
-                        Frame::Stats => Some(Frame::StatsReply(self.stats())),
-                        Frame::Shutdown => {
-                            self.inner.shutdown.store(true, Ordering::SeqCst);
-                            draining = true;
-                            Some(Frame::ShutdownAck)
+                    let negotiating = session.is_none();
+                    let version = *session.get_or_insert(env.version);
+                    let reply = match env.frame {
+                        Frame::Hello(_) if negotiating => Frame::HelloAck(HelloAckWire {
+                            version: v2::VERSION,
+                            max_inflight: self.inner.max_inflight as u32,
+                        }),
+                        _ if negotiating && version >= v2::VERSION => {
+                            self.hang_up(
+                                &mut stream,
+                                &mut lane,
+                                version,
+                                corr,
+                                error(
+                                    error_code::BAD_CORRELATION,
+                                    "a v2 session must open with Hello",
+                                ),
+                            );
+                            break;
                         }
-                        Frame::Hello(_) => Some(error(
-                            error_code::BAD_CORRELATION,
-                            "session already negotiated",
-                        )),
-                        Frame::LoadDataset(w) => Some(self.load_dataset_frame(&w)),
-                        Frame::EvictDataset(w) => Some(self.evict_dataset_frame(&w)),
-                        Frame::ListDatasets => Some(self.list_datasets_frame()),
-                        Frame::MetricsRequest => Some(self.metrics_reply()),
-                        Frame::TraceRequest(w) => Some(self.trace_reply(w.last)),
+                        Frame::Hello(_) => {
+                            error(error_code::BAD_CORRELATION, "session already negotiated")
+                        }
                         Frame::Cancel => {
                             // Unknown ids are a benign race against the
                             // final reply, not an error.
                             if let Some(req) = inflight.get(&corr) {
                                 req.abort.store(true, Ordering::Release);
                             }
-                            None
+                            continue;
                         }
-                        Frame::Explain(req) => {
-                            if draining {
-                                Some(error(error_code::SHUTTING_DOWN, "server is shutting down"))
+                        Frame::Explain(req) if version >= v2::VERSION => {
+                            if self.is_shutting_down() {
+                                error(error_code::SHUTTING_DOWN, "server is shutting down")
                             } else if inflight.contains_key(&corr) {
-                                Some(error(
+                                error(
                                     error_code::BAD_CORRELATION,
                                     "correlation id already in flight",
-                                ))
-                            } else if inflight.len() >= max_inflight {
-                                Some(error(
+                                )
+                            } else if inflight.len() >= self.inner.max_inflight {
+                                error(
                                     error_code::BUSY,
                                     "per-connection in-flight limit reached; \
                                      wait for a reply or cancel",
-                                ))
+                                )
                             } else {
                                 let abort = Arc::new(AtomicBool::new(false));
                                 let seq = next_seq;
@@ -1311,122 +1197,72 @@ impl Server {
                                     let _ = worker_tx.send((corr, reply));
                                 });
                                 inflight.insert(corr, InflightRequest { abort, seq, handle });
-                                None
+                                continue;
                             }
                         }
-                        other => Some(Frame::Unsupported(UnsupportedWire {
-                            version: v2::VERSION,
-                            frame_type: other.frame_type(),
-                            max_supported: MAX_VERSION,
-                        })),
+                        frame => self.answer(frame, version),
                     };
-                    if let Some(reply) = inline {
-                        let is_final = matches!(
-                            reply,
-                            Frame::Pong
-                                | Frame::StatsReply(_)
-                                | Frame::ShutdownAck
-                                | Frame::Error(_)
-                                | Frame::DatasetList(_)
-                                | Frame::DatasetAck(_)
-                                | Frame::MetricsReply(_)
-                                | Frame::TraceReply(_)
-                        );
-                        if is_final && overtakes {
-                            self.inner.m.ooo_replies.add(1);
-                        }
-                        if self
-                            .write_via(&mut stream, &mut lane, v2::VERSION, corr, &reply)
-                            .is_err()
-                        {
-                            abort_and_join(&mut inflight);
-                            return;
-                        }
-                    }
+                    (version, corr, reply)
                 }
-                Err(ReadError::IdleTimeout) => {
-                    if inflight.is_empty() && !draining && last_activity.elapsed() >= io_timeout {
-                        self.inner.m.io_timeouts.add(1);
-                        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                        let _ = self.write_via(
-                            &mut stream,
-                            &mut lane,
-                            v2::VERSION,
-                            0,
-                            &error(error_code::TIMEOUT, "i/o deadline exceeded"),
-                        );
-                        return;
-                    }
+                Err(ReadError::IdleTimeout)
+                    if !inflight.is_empty() || last_activity.elapsed() < io_timeout =>
+                {
+                    continue
                 }
-                Err(ReadError::FrameTimeout) => {
+                Err(ReadError::IdleTimeout | ReadError::FrameTimeout) => {
                     self.inner.m.io_timeouts.add(1);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let _ = self.write_via(
-                        &mut stream,
-                        &mut lane,
-                        v2::VERSION,
-                        0,
-                        &error(error_code::TIMEOUT, "i/o deadline exceeded"),
-                    );
-                    abort_and_join(&mut inflight);
-                    return;
+                    let reply = error(error_code::TIMEOUT, "i/o deadline exceeded");
+                    self.hang_up(&mut stream, &mut lane, version, 0, reply);
+                    break;
                 }
                 Err(ReadError::Wire(WireError::PayloadTooLarge(n))) => {
                     self.inner.m.oversize_frames.add(1);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let _ = self.write_via(
-                        &mut stream,
-                        &mut lane,
-                        v2::VERSION,
-                        0,
-                        &error(
-                            error_code::FRAME_TOO_LARGE,
-                            format!(
-                                "declared payload of {n} bytes exceeds the \
-                                 {} byte cap",
-                                crate::wire::MAX_PAYLOAD
-                            ),
+                    let reply = error(
+                        error_code::FRAME_TOO_LARGE,
+                        format!(
+                            "declared payload of {n} bytes exceeds the {} byte cap",
+                            crate::wire::MAX_PAYLOAD
                         ),
                     );
-                    abort_and_join(&mut inflight);
-                    return;
+                    self.hang_up(&mut stream, &mut lane, version, 0, reply);
+                    break;
                 }
-                Err(ReadError::Wire(WireError::UnsupportedVersion(version))) => {
-                    let reply = Frame::Unsupported(UnsupportedWire {
-                        version,
-                        frame_type: 0,
-                        max_supported: MAX_VERSION,
-                    });
-                    if self
-                        .write_via(&mut stream, &mut lane, v2::VERSION, 0, &reply)
-                        .is_err()
-                    {
-                        abort_and_join(&mut inflight);
-                        return;
-                    }
+                Err(ReadError::Wire(WireError::UnsupportedVersion(v))) => {
+                    (version, 0, unsupported(v, 0))
                 }
-                Err(ReadError::Wire(WireError::UnknownFrameType(frame_type))) => {
-                    let reply = Frame::Unsupported(UnsupportedWire {
-                        version: v2::VERSION,
-                        frame_type,
-                        max_supported: MAX_VERSION,
-                    });
-                    if self
-                        .write_via(&mut stream, &mut lane, v2::VERSION, 0, &reply)
-                        .is_err()
-                    {
-                        abort_and_join(&mut inflight);
-                        return;
-                    }
+                Err(ReadError::Wire(WireError::UnknownFrameType(t))) => {
+                    (version, 0, unsupported(version, t))
                 }
-                // The peer is gone (or the stream is unframeable): abort
-                // what it was waiting on and bail.
-                Err(ReadError::Closed | ReadError::Aborted | ReadError::Wire(_)) => {
-                    abort_and_join(&mut inflight);
-                    return;
-                }
+                // The peer is gone (or the stream is unframeable).
+                Err(ReadError::Closed | ReadError::Aborted | ReadError::Wire(_)) => break,
+            };
+            if overtakes {
+                self.inner.m.ooo_replies.add(1);
             }
+            if self
+                .write_via(&mut stream, &mut lane, version, corr, &reply)
+                .is_err()
+            {
+                break;
+            }
+            last_activity = Instant::now();
         }
+        // Abort whatever a departing peer was waiting on.
+        abort_and_join(&mut inflight);
+    }
+
+    /// Writes a parting reply under a short write timeout; the caller
+    /// then hangs up.
+    fn hang_up<S: DeadlineStream>(
+        &self,
+        stream: &mut S,
+        lane: &mut ReplyLane,
+        version: u16,
+        corr_id: u64,
+        reply: Frame,
+    ) {
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+        let _ = self.write_via(stream, lane, version, corr_id, &reply);
     }
 
     /// The worker side of a v2 `Explain`: runs [`Server::explain_ctl`]
@@ -1510,6 +1346,16 @@ fn error(code: u16, message: impl Into<String>) -> Frame {
     Frame::Error(ErrorWire {
         code,
         message: message.into(),
+    })
+}
+
+/// The reply to a well-formed frame this server does not answer, labelled
+/// with the envelope `version` it names.
+fn unsupported(version: u16, frame_type: u8) -> Frame {
+    Frame::Unsupported(UnsupportedWire {
+        version,
+        frame_type,
+        max_supported: MAX_VERSION,
     })
 }
 

@@ -7,15 +7,19 @@
 //! Every assertion is on the server's own governance counters or on the
 //! reply frames it writes — never on wall-clock — and every handler
 //! thread is joined, so a regression that hangs a handler fails the test
-//! instead of leaking a thread. The whole suite runs at pipeline
-//! parallelism 1 and 8: governance must not depend on the pool width.
+//! instead of leaking a thread. The whole suite runs over both protocol
+//! versions — a v2 connection negotiates first, then faults a v2
+//! envelope — at pipeline parallelism 1 and 8: governance must not
+//! depend on the protocol version or the pool width.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::time::Duration;
 
 use nexus_core::{NexusOptions, Parallelism};
-use nexus_serve::wire::{encode_frame, error_code, read_frame, Frame, MAX_PAYLOAD};
-use nexus_serve::{pipe, Fault, FaultPlan, FaultyStream, Server, ServerOptions};
+use nexus_serve::wire::{
+    error_code, read_envelope, v1, v2, Envelope, Frame, HelloWire, MAX_PAYLOAD,
+};
+use nexus_serve::{pipe, Fault, FaultPlan, FaultyStream, PipeStream, Server, ServerOptions};
 
 /// A dataset-less governed server with a short I/O budget; Ping/Stats and
 /// wire-level abuse need no resident data.
@@ -42,15 +46,60 @@ fn serve_in_thread(
 /// be identical at each.
 const WIDTHS: [Parallelism; 2] = [Parallelism::Fixed(1), Parallelism::Fixed(8)];
 
+/// Both protocol versions; every scenario runs over each.
+const VERSIONS: [u16; 2] = [v1::VERSION, v2::VERSION];
+
+/// `frame` as one `version` envelope (v2 requests carry corr id 1).
+fn envelope(version: u16, frame: Frame) -> Vec<u8> {
+    if version == v2::VERSION {
+        Envelope::v2(1, frame).encode()
+    } else {
+        Envelope::v1(frame).encode()
+    }
+}
+
+/// A fresh connection at `version`: a v2 client completes `Hello`/
+/// `HelloAck` before the scenario starts; a v1 client needs no handshake.
+fn connect(server: &Server, version: u16) -> (PipeStream, std::thread::JoinHandle<()>) {
+    let (mut client_end, server_end) = pipe();
+    let handler = serve_in_thread(server, server_end);
+    if version == v2::VERSION {
+        let hello = Frame::Hello(HelloWire {
+            max_version: v2::VERSION,
+        });
+        client_end
+            .write_all(&envelope(version, hello))
+            .expect("hello");
+        assert!(matches!(
+            reply(&mut client_end, version),
+            Frame::HelloAck(_)
+        ));
+    }
+    (client_end, handler)
+}
+
+/// Reads one reply, which must arrive in a `version` envelope.
+fn reply(stream: &mut impl Read, version: u16) -> Frame {
+    let env = read_envelope(stream).expect("reply envelope");
+    assert_eq!(env.version, version, "reply envelope version");
+    env.frame
+}
+
+/// Every (protocol version, pool width) pair a scenario runs at.
+fn scenarios() -> impl Iterator<Item = (u16, Parallelism)> {
+    VERSIONS
+        .into_iter()
+        .flat_map(|version| WIDTHS.map(|parallelism| (version, parallelism)))
+}
+
 #[test]
 fn stalled_mid_frame_client_gets_timeout_reply_and_is_counted() {
-    for parallelism in WIDTHS {
+    for (version, parallelism) in scenarios() {
         for seed in [7u64, 21, 63] {
             let server = governed_server(parallelism);
-            let (client_end, server_end) = pipe();
-            let handler = serve_in_thread(&server, server_end);
+            let (client_end, handler) = connect(&server, version);
 
-            let frame = encode_frame(&Frame::Stats);
+            let frame = envelope(version, Frame::Stats);
             let offset = FaultPlan::seeded_offset(seed, frame.len());
             let mut faulty =
                 FaultyStream::new(client_end, FaultPlan::with(Fault::StallAfter { offset }));
@@ -59,8 +108,8 @@ fn stalled_mid_frame_client_gets_timeout_reply_and_is_counted() {
 
             // The handler must notice the stall, reply, and exit — joining
             // proves no hang; the counter proves why it exited.
-            match read_frame(&mut faulty) {
-                Ok(Frame::Error(e)) => assert_eq!(e.code, error_code::TIMEOUT),
+            match reply(&mut faulty, version) {
+                Frame::Error(e) => assert_eq!(e.code, error_code::TIMEOUT),
                 other => panic!("seed {seed}: expected timeout error, got {other:?}"),
             }
             handler.join().expect("handler thread exits");
@@ -74,13 +123,12 @@ fn stalled_mid_frame_client_gets_timeout_reply_and_is_counted() {
 
 #[test]
 fn truncated_client_is_dropped_without_counting_a_timeout() {
-    for parallelism in WIDTHS {
+    for (version, parallelism) in scenarios() {
         for seed in [5u64, 40, 99] {
             let server = governed_server(parallelism);
-            let (client_end, server_end) = pipe();
-            let handler = serve_in_thread(&server, server_end);
+            let (client_end, handler) = connect(&server, version);
 
-            let frame = encode_frame(&Frame::Ping);
+            let frame = envelope(version, Frame::Ping);
             let offset = FaultPlan::seeded_offset(seed, frame.len());
             let mut faulty =
                 FaultyStream::new(client_end, FaultPlan::with(Fault::TruncateAfter { offset }));
@@ -98,13 +146,12 @@ fn truncated_client_is_dropped_without_counting_a_timeout() {
 
 #[test]
 fn abrupt_disconnect_is_dropped_cleanly() {
-    for parallelism in WIDTHS {
+    for (version, parallelism) in scenarios() {
         for seed in [3u64, 17] {
             let server = governed_server(parallelism);
-            let (client_end, server_end) = pipe();
-            let handler = serve_in_thread(&server, server_end);
+            let (client_end, handler) = connect(&server, version);
 
-            let frame = encode_frame(&Frame::Stats);
+            let frame = envelope(version, Frame::Stats);
             let offset = FaultPlan::seeded_offset(seed, frame.len());
             let mut faulty =
                 FaultyStream::new(client_end, FaultPlan::with(Fault::ResetAfter { offset }));
@@ -121,19 +168,18 @@ fn abrupt_disconnect_is_dropped_cleanly() {
 
 #[test]
 fn chopped_writes_within_deadline_are_served_normally() {
-    for parallelism in WIDTHS {
+    for (version, parallelism) in scenarios() {
         let server = governed_server(parallelism);
-        let (client_end, server_end) = pipe();
-        let handler = serve_in_thread(&server, server_end);
+        let (client_end, handler) = connect(&server, version);
 
         // Dribble the frame 3 bytes per write — well-formed, just slow
         // chunking; the per-frame budget is generous enough at this size.
         let mut faulty = FaultyStream::new(client_end, FaultPlan::chopped(3));
         faulty
-            .write_all(&encode_frame(&Frame::Ping))
+            .write_all(&envelope(version, Frame::Ping))
             .expect("write");
-        match read_frame(&mut faulty) {
-            Ok(Frame::Pong) => {}
+        match reply(&mut faulty, version) {
+            Frame::Pong => {}
             other => panic!("expected Pong, got {other:?}"),
         }
         drop(faulty);
@@ -147,19 +193,18 @@ fn chopped_writes_within_deadline_are_served_normally() {
 
 #[test]
 fn oversize_declaration_is_refused_with_a_reply_and_counted() {
-    for parallelism in WIDTHS {
+    for (version, parallelism) in scenarios() {
         let server = governed_server(parallelism);
-        let (mut client_end, server_end) = pipe();
-        let handler = serve_in_thread(&server, server_end);
+        let (mut client_end, handler) = connect(&server, version);
 
         // A header declaring one byte over the cap; no payload follows —
         // the server must refuse from the header alone.
-        let mut envelope = encode_frame(&Frame::Ping);
-        envelope[11..15].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-        client_end.write_all(&envelope[..15]).expect("header");
+        let mut header = envelope(version, Frame::Ping);
+        header[11..15].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        client_end.write_all(&header[..15]).expect("header");
 
-        match read_frame(&mut client_end) {
-            Ok(Frame::Error(e)) => {
+        match reply(&mut client_end, version) {
+            Frame::Error(e) => {
                 assert_eq!(e.code, error_code::FRAME_TOO_LARGE);
                 assert!(e.message.contains("cap"), "message: {}", e.message);
             }
@@ -174,26 +219,24 @@ fn oversize_declaration_is_refused_with_a_reply_and_counted() {
 
 #[test]
 fn faults_on_one_connection_leave_another_serving() {
-    for parallelism in WIDTHS {
+    for (version, parallelism) in scenarios() {
         let server = governed_server(parallelism);
 
         // Victim connection: stalls mid-frame.
-        let (victim_client, victim_server) = pipe();
-        let victim = serve_in_thread(&server, victim_server);
-        let frame = encode_frame(&Frame::Stats);
+        let (victim_client, victim) = connect(&server, version);
+        let frame = envelope(version, Frame::Stats);
         let offset = FaultPlan::seeded_offset(11, frame.len());
         let mut stalled =
             FaultyStream::new(victim_client, FaultPlan::with(Fault::StallAfter { offset }));
         stalled.write_all(&frame).expect("swallowed");
 
         // Healthy connection: ping-pongs while the victim is stalled.
-        let (mut healthy_client, healthy_server) = pipe();
-        let healthy = serve_in_thread(&server, healthy_server);
+        let (mut healthy_client, healthy) = connect(&server, version);
         healthy_client
-            .write_all(&encode_frame(&Frame::Ping))
+            .write_all(&envelope(version, Frame::Ping))
             .expect("write");
-        match read_frame(&mut healthy_client) {
-            Ok(Frame::Pong) => {}
+        match reply(&mut healthy_client, version) {
+            Frame::Pong => {}
             other => panic!("expected Pong, got {other:?}"),
         }
 
@@ -203,5 +246,28 @@ fn faults_on_one_connection_leave_another_serving() {
         healthy.join().expect("healthy handler exits");
         victim.join().expect("stalled handler exits");
         assert_eq!(server.stats().io_timeouts, 1);
+    }
+}
+
+#[test]
+fn idle_negotiated_connection_gets_timeout_reply_and_is_counted() {
+    for (version, parallelism) in scenarios() {
+        let server = governed_server(parallelism);
+        let (mut client_end, handler) = connect(&server, version);
+
+        // One round trip, then silence: the idle clock runs from the last
+        // reply, and the server must hang up with a TIMEOUT reply.
+        client_end
+            .write_all(&envelope(version, Frame::Ping))
+            .expect("ping");
+        assert_eq!(reply(&mut client_end, version), Frame::Pong);
+        match reply(&mut client_end, version) {
+            Frame::Error(e) => assert_eq!(e.code, error_code::TIMEOUT),
+            other => panic!("expected timeout error, got {other:?}"),
+        }
+        handler.join().expect("idle handler exits");
+        let stats = server.stats();
+        assert_eq!(stats.io_timeouts, 1, "v{version}: counted once");
+        assert_eq!(stats.oversize_frames, 0);
     }
 }

@@ -192,6 +192,31 @@ fn v2_session_serves_metrics_and_traces() {
     handle.join().expect("session thread exits");
 }
 
+/// In process, [`Server::handle`] answers the telemetry requests a v2
+/// session answers, and a reply-only frame draws `Unsupported` naming the
+/// highest version the server speaks.
+#[test]
+fn handle_answers_telemetry_requests_in_process() {
+    let server = Server::new(ServerOptions::default());
+    match server.handle(Frame::MetricsRequest) {
+        Frame::MetricsReply(m) => {
+            assert!(m.metrics.iter().any(|w| w.name == "serve.requests.served"));
+        }
+        other => panic!("expected MetricsReply, got {other:?}"),
+    }
+    match server.handle(Frame::TraceRequest(TraceRequestWire { last: 4 })) {
+        Frame::TraceReply(t) => assert!(t.traces.is_empty(), "no explain, no trace"),
+        other => panic!("expected TraceReply, got {other:?}"),
+    }
+    match server.handle(Frame::Pong) {
+        Frame::Unsupported(u) => {
+            assert_eq!(u.frame_type, Frame::Pong.frame_type());
+            assert_eq!(u.max_supported, MAX_VERSION);
+        }
+        other => panic!("expected Unsupported, got {other:?}"),
+    }
+}
+
 fn client_write(stream: &mut PipeStream, env: &Envelope) {
     use std::io::Write;
     stream.write_all(&env.encode()).expect("client write");

@@ -809,10 +809,15 @@ fn decode_column(
                 ENC_PLAIN => r.u32_vec(n_rows, "utf8 codes")?,
                 _ => decode_rle_u32(&mut r, n_rows, &name)?,
             };
-            (
-                "Utf8",
-                ColumnData::Utf8(DictArray::from_parts(codes, dict)?),
-            )
+            // An all-null text column (what `read_csv` makes of an empty
+            // CSV column) has an empty dictionary and code 0 in every row.
+            let all_null = validity.as_ref().is_some_and(|v| v.count_ones() == 0);
+            let array = if dict.is_empty() && all_null && codes.iter().all(|&c| c == 0) {
+                DictArray::from_options(&vec![None::<&str>; n_rows]).0
+            } else {
+                DictArray::from_parts(codes, dict)?
+            };
+            ("Utf8", ColumnData::Utf8(array))
         }
         TAG_BOOL => {
             if encoding != ENC_PLAIN {
@@ -1142,6 +1147,35 @@ mod tests {
         let back = decode_table(&bytes).unwrap();
         assert_eq!(back.n_cols(), 0);
         assert_eq!(back.fingerprint(), t.fingerprint());
+    }
+
+    #[test]
+    fn all_null_text_column_round_trips() {
+        let t = Table::new(vec![
+            ("Empty", Column::from_opt_strs(&[None::<&str>; 3])),
+            ("x", Column::from_i64(vec![1, 2, 3])),
+        ])
+        .unwrap();
+        let bytes = encode_table(&t);
+        let back = decode_table(&bytes).unwrap();
+        assert_eq!(back.fingerprint(), t.fingerprint());
+        assert_eq!(back.n_cols(), t.n_cols());
+        for i in 0..t.n_cols() {
+            assert_eq!(back.column_at(i), t.column_at(i), "column {i}");
+        }
+        assert_eq!(encode_table(&back), bytes, "re-encode must be bit-exact");
+    }
+
+    #[test]
+    fn empty_dictionary_with_a_valid_row_is_refused() {
+        // Zero codes under an empty dictionary, but the rows are valid.
+        let (array, _) = DictArray::from_options(&[None::<&str>; 3]);
+        let column = Column::from_parts(ColumnData::Utf8(array), None).unwrap();
+        let bytes = encode_table(&Table::new(vec![("bad", column)]).unwrap());
+        assert!(matches!(
+            decode_table(&bytes),
+            Err(StoreError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STEPS="fmt clippy build test bench_smoke server_smoke store_smoke \
+ALL_STEPS="fmt clippy doc build test bench_smoke server_smoke store_smoke \
 abuse_smoke pipeline_smoke cancel_smoke memo_smoke telemetry_smoke"
 TIMINGS="target/ci-step-timings.md"
 
@@ -140,6 +140,11 @@ step_fmt() {
 step_clippy() {
     echo "==> cargo clippy (deny warnings)"
     cargo clippy --workspace --all-targets --offline -- -D warnings
+}
+
+step_doc() {
+    echo "==> cargo doc (deny warnings)"
+    RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
 }
 
 step_build() {
