@@ -165,6 +165,14 @@ enum Stream {
 }
 
 impl Stream {
+    /// A second handle to the same connection (sharing its timeouts).
+    fn try_clone(&self) -> std::io::Result<Stream> {
+        Ok(match self {
+            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
+            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
+        })
+    }
+
     fn set_io_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         match self {
             Stream::Unix(s) => {
@@ -430,25 +438,25 @@ struct PendingEntry {
     outcome: Option<Frame>,
 }
 
-/// The connection half of a session, guarded by one mutex so every
-/// write (and every read) is serialized.
-struct SessionIo {
-    stream: Stream,
-    ws: Workspace,
-}
-
-/// Session state shared between the [`Session`] and its [`Ticket`]s.
+/// Session state shared between the [`Session`] and its [`Ticket`]s. The
+/// connection is split into two handles under separate locks, so a thread
+/// blocked reading (in [`Ticket::wait`]) never holds up another thread's
+/// submit, cancel, or control request.
 struct SessionShared {
-    io: Mutex<SessionIo>,
+    /// The write handle and its encode workspace; every write is
+    /// serialized here.
+    writer: Mutex<(Stream, Workspace)>,
+    /// The read handle; whichever waiter holds it reads for everyone.
+    reader: Mutex<Stream>,
     pending: Mutex<HashMap<u64, PendingEntry>>,
     next_corr: AtomicU64,
 }
 
 impl SessionShared {
-    /// Writes one v2 envelope under the I/O lock.
+    /// Writes one v2 envelope under the write lock.
     fn write(&self, corr: u64, frame: Frame) -> Result<(), ClientError> {
-        let mut io = self.io.lock().expect("session i/o poisoned");
-        let SessionIo { stream, ws } = &mut *io;
+        let mut writer = self.writer.lock().expect("session writer poisoned");
+        let (stream, ws) = &mut *writer;
         write_envelope(stream, &Envelope::v2(corr, frame), ws)?;
         Ok(())
     }
@@ -474,14 +482,15 @@ fn wait_final(shared: &SessionShared, corr: u64) -> Result<Frame, ClientError> {
         if let Some(frame) = settled(shared) {
             return Ok(frame);
         }
-        let mut io = shared.io.lock().expect("session i/o poisoned");
+        let mut reader = shared.reader.lock().expect("session reader poisoned");
         // Another ticket holder may have read our reply while we waited
         // for the stream.
         if let Some(frame) = settled(shared) {
             return Ok(frame);
         }
-        let env = read_envelope(&mut io.stream)?;
-        drop(io);
+        let env = read_envelope(&mut *reader)?;
+        // File the frame before releasing the stream: a waiter that takes
+        // the stream next must find its reply here, not read past it.
         let mut pending = shared.pending.lock().expect("session pending poisoned");
         if let Some(entry) = pending.get_mut(&env.corr_id) {
             match env.frame {
@@ -557,7 +566,8 @@ impl Session {
         };
         Ok(Session {
             shared: Arc::new(SessionShared {
-                io: Mutex::new(SessionIo { stream, ws }),
+                reader: Mutex::new(stream.try_clone()?),
+                writer: Mutex::new((stream, ws)),
                 pending: Mutex::new(HashMap::new()),
                 next_corr: AtomicU64::new(1),
             }),
@@ -798,5 +808,74 @@ mod tests {
         ))));
         assert!(!retryable(&ClientError::Wire(WireError::BadMagic)));
         assert!(!retryable(&ClientError::Unexpected("x")));
+    }
+
+    /// A ticket blocked in `wait` must not hold up another thread's
+    /// submit: the fake server below answers nothing until it has both
+    /// explains, so the first waiter resolves only if the second submit
+    /// got through while it was waiting. The server gives up after 10 s,
+    /// which fails the test instead of hanging it.
+    #[test]
+    fn a_waiting_ticket_does_not_block_another_threads_submit() {
+        use crate::wire::{ExplanationReplyWire, HelloAckWire};
+        use std::os::unix::net::UnixListener;
+
+        let path =
+            std::env::temp_dir().join(format!("nexus-session-split-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind");
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            let mut ws = Workspace::new();
+            let mut reply = |conn: &mut std::os::unix::net::UnixStream, corr, frame| {
+                write_envelope(conn, &Envelope::v2(corr, frame), &mut ws).expect("reply");
+            };
+            let hello = read_envelope(&mut conn).expect("hello");
+            let ack = Frame::HelloAck(HelloAckWire {
+                version: v2::VERSION,
+                max_inflight: 8,
+            });
+            reply(&mut conn, hello.corr_id, ack);
+            let mut explains = Vec::new();
+            while explains.len() < 2 {
+                match read_envelope(&mut conn) {
+                    Ok(env) if matches!(env.frame, Frame::Explain(_)) => explains.push(env.corr_id),
+                    Ok(_) => {}
+                    Err(_) => return explains.len(), // gave up; the drop closes the connection
+                }
+            }
+            for &corr in explains.iter().rev() {
+                let done = Frame::Explanation(ExplanationReplyWire {
+                    explanation: ExplanationWire::default().encode(),
+                    stats: ServeStatsWire::default(),
+                });
+                reply(&mut conn, corr, done);
+            }
+            explains.len()
+        });
+
+        let session = Session::connect_unix(&path).expect("connect");
+        let call = ExplainCall::new("d", "SELECT A, avg(X) FROM t GROUP BY A");
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| session.submit(&call).and_then(|t| t.wait()));
+            // Once the first thread holds the read lock it is blocked
+            // reading, since the server answers nothing yet.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while session.shared.reader.try_lock().is_ok() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "first thread never waited"
+                );
+                std::thread::yield_now();
+            }
+            let second = session.submit(&call).and_then(|t| t.wait());
+            assert!(second.is_ok(), "second ticket: {:?}", second.err());
+            let first = first.join().expect("first thread");
+            assert!(first.is_ok(), "first ticket: {:?}", first.err());
+        });
+        assert_eq!(server.join().expect("fake server"), 2);
+        let _ = std::fs::remove_file(&path);
     }
 }

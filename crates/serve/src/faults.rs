@@ -55,31 +55,41 @@ impl Direction {
 /// One end of an in-memory duplex stream (see [`pipe`]). Reads honour the
 /// configured read timeout by failing with [`ErrorKind::WouldBlock`],
 /// exactly like a socket with `SO_RCVTIMEO`; writes are unbounded and
-/// never block.
+/// never block. [`DeadlineStream::try_clone`] gives a second handle to the
+/// same end (sharing its read timeout, as sockets share `SO_RCVTIMEO`);
+/// the end closes when its last handle drops.
 pub struct PipeStream {
+    end: Arc<PipeEnd>,
+}
+
+/// The state behind every handle to one pipe end.
+struct PipeEnd {
     incoming: Arc<Direction>,
     outgoing: Arc<Direction>,
     read_timeout: Mutex<Option<Duration>>,
 }
 
+impl Drop for PipeEnd {
+    fn drop(&mut self) {
+        self.outgoing.close();
+        self.incoming.close();
+    }
+}
+
 /// An in-memory duplex pair: bytes written to one end are read from the
-/// other. Dropping an end closes both directions (peer reads see EOF
-/// after draining, peer writes fail with `BrokenPipe`).
+/// other. Dropping an end (its last handle) closes both directions (peer
+/// reads see EOF after draining, peer writes fail with `BrokenPipe`).
 pub fn pipe() -> (PipeStream, PipeStream) {
     let ab = Arc::new(Direction::default());
     let ba = Arc::new(Direction::default());
-    (
-        PipeStream {
-            incoming: Arc::clone(&ba),
-            outgoing: Arc::clone(&ab),
+    let end = |incoming, outgoing| PipeStream {
+        end: Arc::new(PipeEnd {
+            incoming,
+            outgoing,
             read_timeout: Mutex::new(None),
-        },
-        PipeStream {
-            incoming: ab,
-            outgoing: ba,
-            read_timeout: Mutex::new(None),
-        },
-    )
+        }),
+    };
+    (end(Arc::clone(&ba), Arc::clone(&ab)), end(ab, ba))
 }
 
 impl Read for PipeStream {
@@ -87,16 +97,17 @@ impl Read for PipeStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        let timeout = *self.read_timeout.lock().expect("pipe poisoned");
-        let mut state = self.incoming.state.lock().expect("pipe poisoned");
+        let end = &*self.end;
+        let timeout = *end.read_timeout.lock().expect("pipe poisoned");
+        let mut state = end.incoming.state.lock().expect("pipe poisoned");
         while state.buf.is_empty() {
             if state.closed {
                 return Ok(0);
             }
             state = match timeout {
-                None => self.incoming.readable.wait(state).expect("pipe poisoned"),
+                None => end.incoming.readable.wait(state).expect("pipe poisoned"),
                 Some(t) => {
-                    let (s, result) = self
+                    let (s, result) = end
                         .incoming
                         .readable
                         .wait_timeout(state, t)
@@ -123,12 +134,13 @@ impl Read for PipeStream {
 
 impl Write for PipeStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let mut state = self.outgoing.state.lock().expect("pipe poisoned");
+        let outgoing = &self.end.outgoing;
+        let mut state = outgoing.state.lock().expect("pipe poisoned");
         if state.closed {
             return Err(ErrorKind::BrokenPipe.into());
         }
         state.buf.extend(buf);
-        self.outgoing.readable.notify_all();
+        outgoing.readable.notify_all();
         Ok(buf.len())
     }
 
@@ -139,7 +151,7 @@ impl Write for PipeStream {
 
 impl DeadlineStream for PipeStream {
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        *self.read_timeout.lock().expect("pipe poisoned") = timeout;
+        *self.end.read_timeout.lock().expect("pipe poisoned") = timeout;
         Ok(())
     }
 
@@ -148,15 +160,14 @@ impl DeadlineStream for PipeStream {
     }
 
     fn shutdown_write(&self) -> std::io::Result<()> {
-        self.outgoing.close();
+        self.end.outgoing.close();
         Ok(())
     }
-}
 
-impl Drop for PipeStream {
-    fn drop(&mut self) {
-        self.outgoing.close();
-        self.incoming.close();
+    fn try_clone(&self) -> std::io::Result<Self> {
+        Ok(PipeStream {
+            end: Arc::clone(&self.end),
+        })
     }
 }
 
@@ -365,6 +376,15 @@ impl<S: DeadlineStream> DeadlineStream for FaultyStream<S> {
     fn shutdown_write(&self) -> std::io::Result<()> {
         self.inner.shutdown_write()
     }
+
+    /// Unsupported: a fault schedule belongs to one handle, and a faulty
+    /// stream is only ever a client end, which the server never splits.
+    fn try_clone(&self) -> std::io::Result<Self> {
+        Err(std::io::Error::new(
+            ErrorKind::Unsupported,
+            "a FaultyStream cannot be split",
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -396,6 +416,30 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(b.read(&mut buf).unwrap(), 2);
         assert_eq!(b.read(&mut buf).unwrap(), 0, "EOF after drain");
+        let err = b.write(b"z").expect_err("peer is gone");
+        assert_eq!(err.kind(), ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn pipe_stays_open_until_its_last_handle_drops() {
+        let (a, mut b) = pipe();
+        let mut a2 = a.try_clone().unwrap();
+        drop(a);
+        a2.write_all(b"still open").unwrap();
+        let mut buf = [0u8; 10];
+        b.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"still open");
+        b.write_all(b"ok").unwrap();
+        let mut back = [0u8; 2];
+        a2.read_exact(&mut back).unwrap();
+        assert_eq!(&back, b"ok");
+
+        drop(a2);
+        assert_eq!(
+            b.read(&mut buf).unwrap(),
+            0,
+            "EOF once every handle is gone"
+        );
         let err = b.write(b"z").expect_err("peer is gone");
         assert_eq!(err.kind(), ErrorKind::BrokenPipe);
     }

@@ -7,9 +7,12 @@
 //! time-bounded reading the server actually uses:
 //!
 //! * [`DeadlineStream`] abstracts the socket operations governance needs
-//!   (`set_read_timeout`/`set_write_timeout`/`shutdown`) over both real
-//!   sockets (TCP and Unix) and the in-memory test pipes of
-//!   [`faults`](crate::faults);
+//!   (`set_read_timeout`/`set_write_timeout`/`shutdown`/`try_clone`) over
+//!   both real sockets (TCP and Unix) and the in-memory test pipes of
+//!   [`faults`](crate::faults). `try_clone` splits a connection into a
+//!   read handle and a write handle, so the server's connection loop can
+//!   hand the reads to a reader thread and write replies the moment they
+//!   exist;
 //! * [`read_frame_deadline`] reads one frame under two deadlines — an
 //!   **idle timeout** (time allowed before the first byte of the next
 //!   frame) and a **per-frame budget** (time allowed from first byte to
@@ -23,7 +26,8 @@ use std::time::{Duration, Instant};
 use crate::wire::{Envelope, Frame, FrameHeader, WireError, HEADER_LEN, VERSION};
 
 /// A bidirectional stream whose blocking reads and writes can be given
-/// deadlines, and whose write half can be closed independently.
+/// deadlines, whose write half can be closed independently, and which can
+/// be split into handles for a reading thread and a writing thread.
 ///
 /// Implemented by [`std::net::TcpStream`],
 /// [`std::os::unix::net::UnixStream`], and the in-memory
@@ -40,6 +44,15 @@ pub trait DeadlineStream: Read + Write {
 
     /// Closes the write half, delivering EOF to the peer's reads.
     fn shutdown_write(&self) -> std::io::Result<()>;
+
+    /// A second handle to the same connection. Timeouts are per
+    /// connection, not per handle, so a split stream keeps to one rule:
+    /// the reading handle sets only the read timeout and the writing
+    /// handle only the write timeout. The connection closes when its last
+    /// handle drops.
+    fn try_clone(&self) -> std::io::Result<Self>
+    where
+        Self: Sized;
 }
 
 impl DeadlineStream for std::net::TcpStream {
@@ -54,6 +67,10 @@ impl DeadlineStream for std::net::TcpStream {
     fn shutdown_write(&self) -> std::io::Result<()> {
         std::net::TcpStream::shutdown(self, std::net::Shutdown::Write)
     }
+
+    fn try_clone(&self) -> std::io::Result<Self> {
+        std::net::TcpStream::try_clone(self)
+    }
 }
 
 impl DeadlineStream for std::os::unix::net::UnixStream {
@@ -67,6 +84,10 @@ impl DeadlineStream for std::os::unix::net::UnixStream {
 
     fn shutdown_write(&self) -> std::io::Result<()> {
         std::os::unix::net::UnixStream::shutdown(self, std::net::Shutdown::Write)
+    }
+
+    fn try_clone(&self) -> std::io::Result<Self> {
+        std::os::unix::net::UnixStream::try_clone(self)
     }
 }
 
@@ -183,10 +204,13 @@ pub fn read_frame_deadline<S: DeadlineStream>(
 /// deadlines as [`read_frame_deadline`] (which is this function fixed to
 /// v1).
 ///
-/// The server's connection loop calls this with a *short* idle timeout —
-/// one tick — so an [`ReadError::IdleTimeout`] doubles as "no inbound
-/// envelope right now", letting the loop interleave reads with flushing
-/// worker replies; no bytes are consumed on that path.
+/// The server's per-connection reader thread calls this in a loop with
+/// the full I/O timeout as both deadlines and the connection's stop flag
+/// as `abort`. It forwards every envelope to the connection loop and
+/// reads on after an [`ReadError::IdleTimeout`] (which consumes no
+/// bytes): whether a quiet connection is idle depends on the requests in
+/// flight and on the replies written, which only the connection loop
+/// sees, so that loop keeps the idle clock.
 pub fn read_envelope_deadline<S: DeadlineStream>(
     stream: &mut S,
     idle_timeout: Duration,

@@ -26,7 +26,10 @@
 //! the single connection loop [`Server::serve_connection`]. That loop
 //! speaks both protocol versions — the first good envelope fixes which —
 //! and answers every frame that needs no session state through the same
-//! dispatcher as [`Server::handle`].
+//! dispatcher as [`Server::handle`]. Each connection has one event
+//! channel: a reader thread sends the inbound envelopes into it, the
+//! workers running v2 explains send their replies into it, and the loop
+//! thread blocks on it and writes every reply the moment it arrives.
 //!
 //! ## Connection governance
 //!
@@ -37,18 +40,20 @@
 //!   threads run at once; an over-limit accept gets a one-shot
 //!   [`error_code::BUSY`] reply (clients retry with jittered backoff) and
 //!   is closed, never queued;
-//! * **time** — reads run under [`read_envelope_deadline`]: an idle
-//!   connection (no explain in flight) is dropped after
-//!   [`ServerOptions::io_timeout`] with an [`error_code::TIMEOUT`] reply,
-//!   and a frame that starts but does not complete within the same budget
-//!   (slow loris) is dropped too; writes carry the same timeout;
+//! * **time** — the reader thread reads under [`read_envelope_deadline`]:
+//!   an idle connection (no explain in flight, nothing read or written) is
+//!   dropped after [`ServerOptions::io_timeout`] with an
+//!   [`error_code::TIMEOUT`] reply, and a frame that starts but does not
+//!   complete within the same budget (slow loris) is dropped too; writes
+//!   carry the same timeout;
 //! * **memory** — a header declaring more than
 //!   [`crate::wire::MAX_PAYLOAD`] is refused before any payload is read,
 //!   with an [`error_code::FRAME_TOO_LARGE`] reply;
 //! * **shutdown** — `Shutdown` stops accepting, lets in-flight requests
 //!   finish writing their replies, and joins every handler thread (up to
-//!   [`ServerOptions::drain_timeout`]); idle handlers notice the abort
-//!   flag within one deadline tick.
+//!   [`ServerOptions::drain_timeout`]); idle handlers notice the shutdown
+//!   within one deadline tick, and every handler joins its reader thread
+//!   (again within one tick) before it exits.
 //!
 //! Every enforcement action increments a counter reported in
 //! [`Frame::StatsReply`], so tests assert governance outcomes on counters
@@ -96,8 +101,8 @@ use crate::cache::LruCache;
 use crate::net::{deadline_tick, read_envelope_deadline, DeadlineStream, ReadError};
 use crate::registry::{DatasetRegistry, DatasetSource, DatasetSpec, RegistryError};
 use crate::wire::{
-    encode_parts_into, error_code, v2, write_frame, DatasetAckWire, DatasetListWire, ErrorWire,
-    EvictDatasetWire, ExplainRequestWire, ExplanationReplyWire, ExplanationWire, Frame,
+    encode_parts_into, error_code, v2, write_frame, DatasetAckWire, DatasetListWire, Envelope,
+    ErrorWire, EvictDatasetWire, ExplainRequestWire, ExplanationReplyWire, ExplanationWire, Frame,
     HelloAckWire, LinkStatsWire, LoadDatasetWire, MetricWire, MetricsReplyWire, PartialWire,
     ProgressWire, ServeStatsWire, ServerStatsWire, SpanWire, TraceReplyWire, TraceWire,
     UnsupportedWire, WireError, MAX_VERSION, VERSION,
@@ -322,6 +327,9 @@ struct ServeMetrics {
     pool_tasks: Counter,
     queue_nanos: Histogram,
     service_nanos: Histogram,
+    /// A worker handing its final reply to the connection loop → the reply
+    /// bytes written.
+    flush_nanos: Histogram,
 }
 
 impl ServeMetrics {
@@ -342,6 +350,7 @@ impl ServeMetrics {
             pool_tasks: registry.counter("serve.pool.tasks_scored"),
             queue_nanos: registry.histogram("serve.request.queue_nanos"),
             service_nanos: registry.histogram("serve.request.service_nanos"),
+            flush_nanos: registry.histogram("serve.request.flush_nanos"),
         }
     }
 }
@@ -1047,8 +1056,8 @@ impl Server {
         result
     }
 
-    /// The connection loop, for both protocol versions: one thread owns
-    /// the stream, governed by the server's I/O timeouts.
+    /// The connection loop, for both protocol versions, governed by the
+    /// server's I/O timeouts.
     ///
     /// The **first** well-formed envelope fixes the session version. A v1
     /// frame locks the connection to v1 (later v2 envelopes draw
@@ -1056,12 +1065,15 @@ impl Server {
     /// answered with [`Frame::HelloAck`], and anything else draws
     /// [`error_code::BAD_CORRELATION`] and a hangup.
     ///
-    /// Inbound envelopes are polled one deadline tick at a time. A v2
-    /// `Explain` runs on its own worker thread, whose replies the loop
-    /// drains onto the wire between polls; `Cancel` and a second `Hello`
-    /// are session business; every other frame — a v1 `Explain` included,
-    /// which runs inline — goes through the dispatcher behind
-    /// [`Server::handle`]. Every write takes one path through one
+    /// The stream is split ([`DeadlineStream::try_clone`]). A reader
+    /// thread does the deadline reads and sends every inbound envelope
+    /// into one event channel; the workers that run v2 `Explain`s send
+    /// their `Progress`/`Partial`/final frames into the same channel. This
+    /// thread blocks on the channel and writes each reply the moment it
+    /// arrives, so no reply waits for a read. `Cancel` and a second
+    /// `Hello` are session business; every other frame — a v1 `Explain`
+    /// included, which runs inline — goes through the dispatcher behind
+    /// [`Server::handle`]. Every write happens on this thread, through one
     /// [`Workspace`](crate::wire::Workspace). Request lifecycle counters
     /// (`inflight_peak`, `ooo_replies`, `cancels_honored`,
     /// `partials_streamed`) are kept at registration and reply-write time,
@@ -1076,67 +1088,84 @@ impl Server {
     /// stats. A session with explains in flight is never idle. During
     /// shutdown, requests already started finish and their replies are
     /// written before the connection closes; a departing peer aborts them.
-    pub fn serve_connection<S: DeadlineStream>(&self, mut stream: S) {
+    /// The deadline tick bounds only how soon an idle connection
+    /// notices shutdown or idleness, never how soon a reply is written.
+    pub fn serve_connection<S: DeadlineStream + Send + 'static>(&self, mut stream: S) {
         let io_timeout = self.inner.io_timeout;
         let tick = deadline_tick(io_timeout);
+        let (tx, rx) = mpsc::sync_channel::<Event>(EVENT_DEPTH);
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = match stream.try_clone() {
+            Ok(read_half) => {
+                let (tx, stop) = (tx.clone(), Arc::clone(&stop));
+                std::thread::spawn(move || read_inbound(read_half, io_timeout, tick, &stop, &tx))
+            }
+            // Out of descriptors (or an unsplittable stream): hang up.
+            Err(_) => return,
+        };
         let _ = stream.set_write_timeout(Some(io_timeout));
         let mut lane = ReplyLane::new();
         // `None` until the first good envelope fixes the session version.
         let mut session: Option<u16> = None;
         let mut inflight: HashMap<u64, InflightRequest> = HashMap::new();
-        let (tx, rx) = mpsc::channel::<(u64, Frame)>();
         let mut next_seq: u64 = 0;
         let mut last_activity = Instant::now();
 
-        'session: loop {
-            // Flush worker output before (and between) reads.
-            while let Ok((corr, frame)) = rx.try_recv() {
-                if matches!(frame, Frame::Explanation(_) | Frame::Error(_)) {
-                    if let Some(done) = inflight.remove(&corr) {
-                        // The worker sent its final reply, so the join is
-                        // imminent, never a stall.
-                        let _ = done.handle.join();
-                        if inflight.values().any(|other| other.seq < done.seq) {
-                            self.inner.m.ooo_replies.add(1);
-                        }
-                        if matches!(&frame, Frame::Error(e) if e.code == error_code::CANCELLED) {
-                            self.inner.m.cancels_honored.add(1);
-                        }
-                    }
-                } else if matches!(frame, Frame::Partial(_)) {
-                    self.inner.m.partials_streamed.add(1);
-                }
-                if self
-                    .write_via(&mut stream, &mut lane, v2::VERSION, corr, &frame)
-                    .is_err()
-                {
-                    break 'session;
-                }
-                last_activity = Instant::now();
-            }
-
+        loop {
             // Draining a shutdown: finish what started, then close.
             if self.is_shutting_down() && inflight.is_empty() {
                 break;
             }
-
-            // Poll for one inbound envelope. The short idle deadline (one
-            // tick) makes IdleTimeout mean "nothing right now": the real
-            // idle clock is `last_activity`. A v1 session reads at v1, so
-            // a later v2 envelope draws `Unsupported`.
-            let ceiling = if session == Some(VERSION) {
-                VERSION
-            } else {
-                MAX_VERSION
+            let read = match rx.recv_timeout(tick) {
+                Ok(Event::Reply(corr, frame, sent)) => {
+                    let is_final = matches!(frame, Frame::Explanation(_) | Frame::Error(_));
+                    if is_final {
+                        if let Some(done) = inflight.remove(&corr) {
+                            // The worker sent its final reply, so the join
+                            // is imminent, never a stall.
+                            let _ = done.handle.join();
+                            if inflight.values().any(|other| other.seq < done.seq) {
+                                self.inner.m.ooo_replies.add(1);
+                            }
+                            if matches!(&frame, Frame::Error(e) if e.code == error_code::CANCELLED)
+                            {
+                                self.inner.m.cancels_honored.add(1);
+                            }
+                        }
+                    } else if matches!(frame, Frame::Partial(_)) {
+                        self.inner.m.partials_streamed.add(1);
+                    }
+                    if self
+                        .write_via(&mut stream, &mut lane, v2::VERSION, corr, &frame)
+                        .is_err()
+                    {
+                        break;
+                    }
+                    if is_final {
+                        self.inner
+                            .m
+                            .flush_nanos
+                            .record(sent.elapsed().as_nanos() as u64);
+                    }
+                    last_activity = Instant::now();
+                    continue;
+                }
+                Ok(Event::Inbound(read)) => {
+                    last_activity = Instant::now();
+                    read
+                }
+                // A quiet tick. The session is idle once nothing is in
+                // flight and nothing was read or written for `io_timeout`.
+                Err(_) if inflight.is_empty() && last_activity.elapsed() >= io_timeout => {
+                    Err(ReadError::IdleTimeout)
+                }
+                Err(_) => continue,
             };
-            let read =
-                read_envelope_deadline(&mut stream, tick, io_timeout, tick, &|| false, ceiling);
             // An inline reply overtakes every unfinished explain.
             let overtakes = !inflight.is_empty();
             let version = session.unwrap_or(VERSION);
             let (version, corr, reply) = match read {
                 Ok(env) => {
-                    last_activity = Instant::now();
                     let corr = env.corr_id;
                     let negotiating = session.is_none();
                     let version = *session.get_or_insert(env.version);
@@ -1194,20 +1223,18 @@ impl Server {
                                 let handle = std::thread::spawn(move || {
                                     let reply =
                                         server.explain_streaming(&req, corr, &flag, &worker_tx);
-                                    let _ = worker_tx.send((corr, reply));
+                                    let _ =
+                                        worker_tx.send(Event::Reply(corr, reply, Instant::now()));
                                 });
                                 inflight.insert(corr, InflightRequest { abort, seq, handle });
                                 continue;
                             }
                         }
+                        // A v1 `Explain` runs inline: v1 has no correlation
+                        // id, so its replies must keep request order.
                         frame => self.answer(frame, version),
                     };
                     (version, corr, reply)
-                }
-                Err(ReadError::IdleTimeout)
-                    if !inflight.is_empty() || last_activity.elapsed() < io_timeout =>
-                {
-                    continue
                 }
                 Err(ReadError::IdleTimeout | ReadError::FrameTimeout) => {
                     self.inner.m.io_timeouts.add(1);
@@ -1247,8 +1274,13 @@ impl Server {
             }
             last_activity = Instant::now();
         }
-        // Abort whatever a departing peer was waiting on.
+        // Dropping the receiver fails any send still blocked on a full
+        // channel; then abort whatever a departing peer was waiting on, and
+        // stop the reader, which notices within one tick.
+        drop(rx);
+        stop.store(true, Ordering::Release);
         abort_and_join(&mut inflight);
+        let _ = reader.join();
     }
 
     /// Writes a parting reply under a short write timeout; the caller
@@ -1274,11 +1306,8 @@ impl Server {
         req: &ExplainRequestWire,
         corr: u64,
         abort: &AtomicBool,
-        tx: &mpsc::Sender<(u64, Frame)>,
+        tx: &mpsc::SyncSender<Event>,
     ) -> Frame {
-        // `Sender` is not `Sync`; the sink must be (progress events can
-        // fire from pool threads), so gate it behind a mutex.
-        let tx = Mutex::new(tx.clone());
         let sink = |event: ProgressEvent| {
             let frame = match event {
                 ProgressEvent::Stage { stage } => Frame::Progress(ProgressWire {
@@ -1294,10 +1323,7 @@ impl Server {
                     initial_cmi,
                 }),
             };
-            let _ = tx
-                .lock()
-                .expect("reply channel poisoned")
-                .send((corr, frame));
+            let _ = tx.send(Event::Reply(corr, frame, Instant::now()));
         };
         let ctl = RunControl {
             abort: Some(abort),
@@ -1305,6 +1331,61 @@ impl Server {
             ..RunControl::default()
         };
         self.explain_traced(req, corr, ctl)
+    }
+}
+
+/// Most events a connection's channel holds. A full channel blocks the
+/// reader thread (so a peer cannot queue envelopes faster than the loop
+/// answers them) and the workers (so replies cannot pile up unwritten).
+const EVENT_DEPTH: usize = 16;
+
+/// What a connection loop waits on: the reader thread's reads and the
+/// workers' replies, in one channel, in arrival order.
+enum Event {
+    /// One result of the reader thread's deadline reads.
+    Inbound(Result<Envelope, ReadError>),
+    /// A worker's frame for a correlation id, stamped when it was sent.
+    Reply(u64, Frame, Instant),
+}
+
+/// The reader thread of one connection: deadline reads under the full I/O
+/// timeout, each result sent to the connection loop. An idle timeout reads
+/// on (the loop keeps the idle clock); an envelope, or a well-formed one
+/// this server cannot decode, is sent and reading goes on; any other
+/// outcome is sent and ends the thread, as does `stop` or a loop that has
+/// gone. A v1 session reads at v1, so a later v2 envelope draws
+/// `Unsupported`.
+fn read_inbound<S: DeadlineStream>(
+    mut stream: S,
+    io_timeout: Duration,
+    tick: Duration,
+    stop: &AtomicBool,
+    tx: &mpsc::SyncSender<Event>,
+) {
+    let abort = || stop.load(Ordering::Acquire);
+    let mut session: Option<u16> = None;
+    loop {
+        let ceiling = if session == Some(VERSION) {
+            VERSION
+        } else {
+            MAX_VERSION
+        };
+        let read =
+            read_envelope_deadline(&mut stream, io_timeout, io_timeout, tick, &abort, ceiling);
+        let more = match &read {
+            Err(ReadError::IdleTimeout) => continue,
+            Ok(env) => {
+                session.get_or_insert(env.version);
+                true
+            }
+            Err(ReadError::Wire(
+                WireError::UnsupportedVersion(_) | WireError::UnknownFrameType(_),
+            )) => true,
+            Err(_) => false,
+        };
+        if tx.send(Event::Inbound(read)).is_err() || !more {
+            return;
+        }
     }
 }
 

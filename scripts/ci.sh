@@ -450,6 +450,7 @@ step_telemetry_smoke() {
     "$BIN" metrics --socket "$sock" > "$SMOKE_DIR/metrics.txt"
     grep -q '^# TYPE serve_requests_served counter$' "$SMOKE_DIR/metrics.txt"
     grep -Eq '^serve_requests_served [1-9][0-9]*$' "$SMOKE_DIR/metrics.txt"
+    grep -Eq '^serve_request_flush_nanos_count [1-9][0-9]*$' "$SMOKE_DIR/metrics.txt"
     grep -Eq '^serve_cache_hits [1-9][0-9]*$' "$SMOKE_DIR/metrics.txt"
     grep -Eq '^kernel_rows_scanned [1-9][0-9]*$' "$SMOKE_DIR/metrics.txt"
     grep -q '^registry_datasets_registered 1$' "$SMOKE_DIR/metrics.txt"
