@@ -11,84 +11,33 @@
 //! selected attributes fall back to direct row scans, which happen O(k)
 //! times, not O(|𝒜|) times.
 //!
-//! ## The counting kernel (v2)
+//! ## Counting
 //!
-//! Contingency builds are the scoring hot path, so they run on a layered
-//! kernel rather than the naive per-row hashed scan:
+//! Every contingency is one masked [`JointCounts`] build over `(O, T, X)`,
+//! the same kernel every other count in NEXUS runs on: it folds the
+//! context mask and the three validity bitmaps into one packed selection,
+//! scans it word at a time with run-coalesced integer adds, and picks a
+//! dense or hashed accumulator from the checked key space. Its mixed-radix
+//! key, first variable fastest, is `(x·|T| + t)·|O| + o`, and its cells
+//! drain in ascending key order, so every downstream f64 fold sees the
+//! same cell sequence.
 //!
-//! * the complete-case predicate (`mask ∧ valid(O) ∧ valid(T)`) and the
-//!   fused `t·|O|+o` code column are precomputed **once per candidate
-//!   set** (`FusedSelection`); the fused column is materialized at the
-//!   narrowest integer width that holds `|O|·|T| − 1` (`u8`/`u16`/`u32`,
-//!   chosen once from checked cardinality), so large scans stream narrow
-//!   cache-friendly code lanes instead of full-width words;
-//! * each per-column build ANDs `valid(X)` into the packed selection and
-//!   scans it **word at a time**: all-zero 64-bit mask words are skipped
-//!   without touching a row (`packed_words_skipped`), set bits decode via
-//!   `trailing_zeros`, and runs of consecutive equal keys coalesce into
-//!   one add. Every increment is exactly `1.0` (weights apply later, at
-//!   entity level), so a run of length `r` adds the exact integer `r` —
-//!   bit-identical to `r` separate adds;
-//! * when the `X × T × O` key space fits the dense budget (unconditional
-//!   up to `KERNEL_DENSE_LIMIT`, row-aware beyond it), counts land in a
-//!   `RadixHistogram`: the keyspace splits into 4096-cell partition
-//!   blocks allocated lazily on first touch, so zeroing *and* merging
-//!   scale with touched cells, not keyspace. Larger key spaces fall back
-//!   to a hashed accumulator. A set whose `|O|·|T|` exceeds `u32` has no
-//!   fused selection and counts through [`JointCounts`], whose keys widen
-//!   to `u128`;
-//! * large selections split into one contiguous word span per pool
-//!   thread. Spans scan into private sub-histograms and merge in
-//!   ascending span order, touched blocks only. Cell sums are exact
-//!   integers (< 2^53), so the merge arithmetic is associative
-//!   bit-for-bit and results are identical at every thread count.
-//!
-//! All paths emit the same key `(x·|T| + t)·|O| + o` and drain cells in
-//! ascending key order, so every downstream f64 fold sees the same cell
-//! sequence and NEXUS's bit-identical-output promise holds across kernel
-//! paths and thread counts.
+//! The engine builds one contingency per extraction column, the columns in
+//! parallel on its pool. Each build is serial and every cell is an exact
+//! integer count, so NEXUS's bit-identical-output promise holds at every
+//! thread count.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use nexus_info::kernel::{self, ScanWidth};
+use nexus_info::kernel;
 use nexus_info::{entropy_from_counts, entropy_mm, InfoContext, JointCounts, MemoKind};
-use nexus_runtime::{Parallelism, ThreadPool, ROW_CHUNK};
-use nexus_table::{Bitmap, Codes};
+use nexus_runtime::{Parallelism, ThreadPool};
+use nexus_table::{Codes, Fnv64};
 
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, MISSING_CODE};
 use crate::memo::{set_fingerprint, Claim, MemoHandle, MemoKey, WaitOutcome};
 use crate::shard::{NameCache, PairCache};
-
-/// Key space up to which the counting kernel is unconditionally dense
-/// (matches `nexus-info`'s dense budget).
-const KERNEL_DENSE_LIMIT: u128 = 1 << 21;
-
-/// Row-aware dense upgrade factor: key spaces beyond the unconditional
-/// budget still go dense when within this multiple of the rows about to
-/// be scanned — lazily-allocated radix blocks mean the untouched tail of
-/// the keyspace costs nothing.
-const KERNEL_DENSE_ROWS_FACTOR: u128 = 32;
-
-/// Hard cap on one dense accumulator's key space (2^25 cells = 256 MiB if
-/// fully touched; actual allocation is per touched 4096-cell block).
-const KERNEL_DENSE_HARD_CAP: u128 = 1 << 25;
-
-/// Cap on `keyspace × span accumulators` for parallel dense builds,
-/// bounding the worst-case transient allocation across all spans.
-const KERNEL_DENSE_TOTAL_CAP: u128 = 1 << 27;
-
-/// Selection length below which a build stays serial: span bookkeeping
-/// and accumulator merging outweigh the scan itself on small contexts.
-const KERNEL_PAR_ROWS: usize = 1 << 16;
-
-/// log2 of cells per radix partition block (4096 cells = 32 KiB of f64:
-/// small enough that a sparsely-touched build allocates little, large
-/// enough that block bookkeeping vanishes next to the scan).
-const RADIX_BLOCK_BITS: u32 = 12;
-
-/// Cells per radix partition block.
-const RADIX_BLOCK_CELLS: usize = 1 << RADIX_BLOCK_BITS;
 
 /// Entropy-level statistics of one candidate `E` against the outcome `O`
 /// and exposure `T`, over the complete-case support of `(O, T, E)` within
@@ -177,230 +126,6 @@ struct Contingency {
     card_t: u32,
 }
 
-/// Element of a narrow-materialized code column. The scan loop is
-/// monomorphized per width, so narrow columns stream `u8`/`u16` lanes —
-/// branch-free and auto-vectorizable — instead of full-width words.
-trait NarrowCode: Copy + Send + Sync + 'static {
-    /// The [`ScanWidth`] this element type represents.
-    const WIDTH: ScanWidth;
-    fn from_u64(v: u64) -> Self;
-    fn as_u64(self) -> u64;
-}
-
-macro_rules! narrow_code {
-    ($($t:ty => $w:expr),*) => {$(
-        impl NarrowCode for $t {
-            const WIDTH: ScanWidth = $w;
-            #[inline]
-            fn from_u64(v: u64) -> Self {
-                v as $t
-            }
-            #[inline]
-            fn as_u64(self) -> u64 {
-                self as u64
-            }
-        }
-    )*};
-}
-narrow_code!(u8 => ScanWidth::W8, u16 => ScanWidth::W16, u32 => ScanWidth::W32);
-
-/// The fused `t·|O| + o` code column at the narrowest width that holds
-/// `|O|·|T| − 1`, chosen once per candidate set from checked cardinality.
-enum ToCodes {
-    W8(Vec<u8>),
-    W16(Vec<u16>),
-    W32(Vec<u32>),
-}
-
-/// Per-candidate-set precomputation shared by every per-column kernel
-/// build: the complete-case bitmap over `(mask, O, T)` and the fused
-/// `t·|O| + o` code column.
-///
-/// Fusing as `t·|O| + o` (not `o·|T| + t`) makes the kernel key
-/// `x·|TO| + to` *numerically equal* to the row scan's packed key
-/// `(x·|T| + t)·|O| + o`, so both paths sort cells identically and feed
-/// downstream f64 folds in the same order.
-struct FusedSelection {
-    /// `mask ∧ valid(O) ∧ valid(T)`; per-column builds AND in `valid(X)`.
-    base: Bitmap,
-    /// `t·|O| + o` per row; only meaningful where `base` is set.
-    to: ToCodes,
-    /// `|O| · |T|`.
-    card_to: u64,
-}
-
-impl FusedSelection {
-    /// Approximate resident size, for memo byte accounting.
-    fn approx_bytes(&self) -> u64 {
-        let to_bytes = match &self.to {
-            ToCodes::W8(v) => v.len(),
-            ToCodes::W16(v) => v.len() * 2,
-            ToCodes::W32(v) => v.len() * 4,
-        };
-        (self.base.words().len() * 8 + to_bytes + 32) as u64
-    }
-
-    /// Builds the fused selection, or `None` when the table shape rules
-    /// the vectorized kernel out (`|O|·|T|` beyond `u32`, or more rows
-    /// than `u32` row indices can address).
-    fn build(set: &CandidateSet) -> Option<FusedSelection> {
-        let o = &set.o;
-        let t = &set.t;
-        let n = o.len();
-        let card_o = o.cardinality.max(1) as u64;
-        let card_t = t.cardinality.max(1) as u64;
-        let card_to = card_o.checked_mul(card_t)?;
-        if card_to > u32::MAX as u64 || n > u32::MAX as usize {
-            return None;
-        }
-        let mut maps: Vec<&Bitmap> = vec![&set.mask];
-        maps.extend(o.validity.as_ref());
-        maps.extend(t.validity.as_ref());
-        let base = Bitmap::and_all(&maps).expect("mask always present");
-        // Width selection: fused codes run 0..card_to, so the narrowest
-        // integer that holds card_to − 1 carries them losslessly.
-        let to = match ScanWidth::for_space(card_to as u128) {
-            ScanWidth::W8 => ToCodes::W8(fuse_codes(n, &base, t, o, card_o)),
-            ScanWidth::W16 => ToCodes::W16(fuse_codes(n, &base, t, o, card_o)),
-            _ => ToCodes::W32(fuse_codes(n, &base, t, o, card_o)),
-        };
-        Some(FusedSelection { base, to, card_to })
-    }
-}
-
-/// Materializes `t·|O| + o` at width `T`. Fuses only at selected rows:
-/// codes at invalid rows are unspecified and could overflow the product.
-fn fuse_codes<T: NarrowCode>(n: usize, base: &Bitmap, t: &Codes, o: &Codes, card_o: u64) -> Vec<T> {
-    let mut out = vec![T::from_u64(0); n];
-    for i in base.iter_ones() {
-        out[i] = T::from_u64(t.codes[i] as u64 * card_o + o.codes[i] as u64);
-    }
-    out
-}
-
-/// A radix-partitioned sub-histogram over a dense `u64` key space.
-///
-/// The keyspace splits into [`RADIX_BLOCK_CELLS`]-cell partition blocks
-/// (the partition index is the key's high bits), allocated lazily on
-/// first touch. A scan over a clustered or small selection touches few
-/// blocks, so zeroing and merging scale with *touched* cells; the
-/// untouched tail of the keyspace costs nothing. Draining walks blocks in
-/// ascending order, so cells come out in ascending key order exactly like
-/// a flat array.
-struct RadixHistogram {
-    blocks: Vec<Option<Box<[f64]>>>,
-    /// The logical keyspace; the tail block may extend past it.
-    space: usize,
-}
-
-impl RadixHistogram {
-    fn new(space: usize) -> RadixHistogram {
-        RadixHistogram {
-            blocks: vec![None; space.div_ceil(RADIX_BLOCK_CELLS)],
-            space,
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, key: u64, w: f64) {
-        let block = self.blocks[(key >> RADIX_BLOCK_BITS) as usize]
-            .get_or_insert_with(|| vec![0.0; RADIX_BLOCK_CELLS].into_boxed_slice());
-        block[(key & (RADIX_BLOCK_CELLS as u64 - 1)) as usize] += w;
-    }
-
-    /// Merges `src`'s touched blocks into `self`, ascending block order.
-    /// Cell sums are exact integer counts, so the addition is associative
-    /// bit-for-bit regardless of how spans were grouped. Returns the
-    /// number of in-keyspace cells merged (untouched source blocks cost
-    /// nothing; blocks moved into an empty slot are counted
-    /// conservatively as written).
-    fn merge_from(&mut self, src: RadixHistogram) -> u64 {
-        let mut cells = 0u64;
-        for (bi, (slot, sb)) in self.blocks.iter_mut().zip(src.blocks).enumerate() {
-            let Some(sb) = sb else { continue };
-            cells += (self.space - bi * RADIX_BLOCK_CELLS).min(RADIX_BLOCK_CELLS) as u64;
-            match slot {
-                Some(db) => {
-                    for (d, s) in db.iter_mut().zip(sb.iter()) {
-                        *d += s;
-                    }
-                }
-                None => *slot = Some(sb),
-            }
-        }
-        cells
-    }
-
-    /// Nonzero cells in ascending key order.
-    fn into_sorted_cells(self) -> Vec<(u64, f64)> {
-        let mut out = Vec::new();
-        for (bi, block) in self.blocks.into_iter().enumerate() {
-            let Some(block) = block else { continue };
-            let base = (bi * RADIX_BLOCK_CELLS) as u64;
-            for (ci, &w) in block.iter().enumerate() {
-                if w > 0.0 {
-                    out.push((base + ci as u64, w));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// A per-span partial histogram for one kernel build.
-enum KernelAcc {
-    Dense(RadixHistogram),
-    Sparse(HashMap<u64, f64>),
-}
-
-/// Scans the selection words in `wr`: all-zero words are skipped, set
-/// bits decode with `trailing_zeros`, and consecutive equal keys coalesce
-/// into one `sink(key, run_length)` flush (run lengths are exact
-/// integers, so coalesced adds are bit-identical to per-row adds in the
-/// same ascending order). Returns `(adds, words_skipped)`.
-fn scan_words<T: NarrowCode>(
-    words: &[u64],
-    wr: std::ops::Range<usize>,
-    codes: &[u32],
-    to: &[T],
-    card_to: u64,
-    mut sink: impl FnMut(u64, f64),
-) -> (u64, u64) {
-    let mut adds = 0u64;
-    let mut skipped = 0u64;
-    let mut last = 0u64;
-    let mut run = 0.0f64;
-    for wi in wr {
-        let w = words[wi];
-        if w == 0 {
-            skipped += 1;
-            continue;
-        }
-        let base = wi * 64;
-        let mut bits = w;
-        while bits != 0 {
-            let i = base + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let key = codes[i] as u64 * card_to + to[i].as_u64();
-            if run > 0.0 && key == last {
-                run += 1.0;
-            } else {
-                if run > 0.0 {
-                    sink(last, run);
-                    adds += 1;
-                }
-                last = key;
-                run = 1.0;
-            }
-        }
-    }
-    if run > 0.0 {
-        sink(last, run);
-        adds += 1;
-    }
-    (adds, skipped)
-}
-
 impl Contingency {
     /// Approximate resident size, for memo byte accounting.
     fn approx_bytes(&self) -> u64 {
@@ -409,185 +134,11 @@ impl Contingency {
             + 64) as u64
     }
 
-    /// Builds the `(O, T, X)` contingency for one extraction column: the
-    /// vectorized kernel when the set has a fused selection, the row scan
-    /// when its shape rules fusing out.
-    fn build(
-        set: &CandidateSet,
-        column: &str,
-        fused: Option<&FusedSelection>,
-        pool: Option<&ThreadPool>,
-    ) -> Contingency {
-        match fused {
-            Some(fused) => Self::build_kernel(set, column, fused, pool),
-            None => Self::build_rowscan(set, column),
-        }
-    }
-
-    /// The fused packed-mask kernel: ANDs `valid(X)` into the shared
-    /// complete-case bitmap and scans the selection words directly (no
-    /// index vector), accumulating `counts[x·|TO| + to] += run` into a
-    /// radix-partitioned sub-histogram (hashed fallback beyond the dense
-    /// budget), one word span per pool thread for large selections.
-    fn build_kernel(
-        set: &CandidateSet,
-        column: &str,
-        fused: &FusedSelection,
-        pool: Option<&ThreadPool>,
-    ) -> Contingency {
-        let x = &set.column_codes[column];
-        let card_x = x.cardinality.max(1) as u64;
-        let card_to = fused.card_to;
-        // Below 2^64: a fused selection has |O|·|T| ≤ u32::MAX.
-        let space = card_x as u128 * card_to as u128;
-
-        // Per-column packed selection: base ∧ valid(X), scanned word at a
-        // time — the selection never materializes as row indices.
-        let sel_owned;
-        let sel = match &x.validity {
-            Some(v) => {
-                sel_owned = fused.base.and(v);
-                &sel_owned
-            }
-            None => &fused.base,
-        };
-
-        match &fused.to {
-            ToCodes::W8(to) => Self::scan_build(set, x, to, sel, card_to, space, pool),
-            ToCodes::W16(to) => Self::scan_build(set, x, to, sel, card_to, space, pool),
-            ToCodes::W32(to) => Self::scan_build(set, x, to, sel, card_to, space, pool),
-        }
-    }
-
-    /// One monomorphized kernel build over a `T`-width fused code column.
-    fn scan_build<T: NarrowCode>(
-        set: &CandidateSet,
-        x: &Codes,
-        to: &[T],
-        sel: &Bitmap,
-        card_to: u64,
-        space: u128,
-        pool: Option<&ThreadPool>,
-    ) -> Contingency {
-        let words = sel.words();
-        let selected = sel.count_ones();
-        let parallel = pool.is_some_and(|p| p.threads() > 1) && selected >= KERNEL_PAR_ROWS;
-        // One word span per pool thread, but never more spans than the v1
-        // kernel had `ROW_CHUNK`-row chunks: each extra span is one extra
-        // merge, so capping at the v1 chunk count guarantees the radix
-        // merge bill stays strictly below the old full-keyspace one.
-        let v1_chunks = selected.div_ceil(ROW_CHUNK);
-        let n_spans = if parallel {
-            pool.expect("parallel requires a pool")
-                .threads()
-                .min(v1_chunks)
-                .min(words.len().max(1))
-        } else {
-            1
-        };
-        // Dense policy: unconditional under the small budget; row-aware
-        // upgrade beyond it, bounded per accumulator and across spans.
-        let dense = space <= KERNEL_DENSE_LIMIT
-            || (space <= KERNEL_DENSE_HARD_CAP
-                && space <= (selected as u128).saturating_mul(KERNEL_DENSE_ROWS_FACTOR)
-                && space.saturating_mul(n_spans as u128) <= KERNEL_DENSE_TOTAL_CAP);
-
-        let codes = &x.codes;
-        let scan = |wr: std::ops::Range<usize>| -> (KernelAcc, u64, u64) {
-            if dense {
-                let mut h = RadixHistogram::new(space as usize);
-                let (adds, skipped) = scan_words(words, wr, codes, to, card_to, |k, w| h.add(k, w));
-                (KernelAcc::Dense(h), adds, skipped)
-            } else {
-                let mut m: HashMap<u64, f64> = HashMap::new();
-                let (adds, skipped) = scan_words(words, wr, codes, to, card_to, |k, w| {
-                    *m.entry(k).or_insert(0.0) += w
-                });
-                (KernelAcc::Sparse(m), adds, skipped)
-            }
-        };
-
-        let mut adds = 0u64;
-        let mut skipped = 0u64;
-        let mut radix_cells = 0u64;
-        let acc = if parallel {
-            let pool = pool.expect("parallel requires a pool");
-            let span_words = words.len().div_ceil(n_spans);
-            let results = pool.map(n_spans, |s| {
-                let w0 = (s * span_words).min(words.len());
-                let w1 = ((s + 1) * span_words).min(words.len());
-                scan(w0..w1)
-            });
-            // Merge spans in ascending span order: the first span's
-            // histogram is taken whole; later spans contribute touched
-            // blocks only.
-            let mut iter = results.into_iter();
-            let (mut acc, a0, s0) = iter.next().expect("at least one span");
-            adds += a0;
-            skipped += s0;
-            for (src, a, s) in iter {
-                adds += a;
-                skipped += s;
-                radix_cells += match (&mut acc, src) {
-                    (KernelAcc::Dense(dst), KernelAcc::Dense(sh)) => dst.merge_from(sh),
-                    (KernelAcc::Sparse(dst), KernelAcc::Sparse(sm)) => {
-                        for (k, w) in sm {
-                            *dst.entry(k).or_insert(0.0) += w;
-                        }
-                        0
-                    }
-                    _ => unreachable!("kernel spans share one accumulator layout"),
-                };
-            }
-            acc
-        } else {
-            let (acc, a, s) = scan(0..words.len());
-            adds += a;
-            skipped += s;
-            acc
-        };
-
-        // Batched counter updates, once per build. `adds` counts
-        // accumulator writes (coalesced runs), not rows.
-        let counters = kernel::counters();
-        counters.record_build(
-            selected as u64,
-            if dense { 0 } else { adds },
-            if dense { adds } else { 0 },
-            dense,
-        );
-        counters.record_scan_width(T::WIDTH);
-        if skipped > 0 {
-            counters.record_packed_words_skipped(skipped);
-        }
-        if parallel && dense {
-            // What the v1 discipline would have cost on this build: one
-            // full-keyspace merge per `ROW_CHUNK`-row chunk of the selection.
-            counters.record_merge(radix_cells, (space as u64).saturating_mul(v1_chunks as u64));
-        }
-
-        let card_o = set.o.cardinality.max(1) as u64;
-        let card_t = set.t.cardinality.max(1) as u64;
-        match acc {
-            KernelAcc::Dense(h) => Self::from_sorted_cells(
-                h.into_sorted_cells().into_iter(),
-                card_o,
-                card_t,
-                x.cardinality as usize,
-            ),
-            KernelAcc::Sparse(m) => {
-                let mut keyed: Vec<(u64, f64)> = m.into_iter().collect();
-                keyed.sort_unstable_by_key(|&(k, _)| k);
-                Self::from_sorted_cells(keyed.into_iter(), card_o, card_t, x.cardinality as usize)
-            }
-        }
-    }
-
-    /// The route for shapes the kernel cannot index (no fused selection):
-    /// one masked [`JointCounts`] build over `(O, T, X)`. Its mixed-radix
-    /// key, first variable fastest, is the kernel's `(x·|T| + t)·|O| + o`,
-    /// and its cells drain in key order.
-    fn build_rowscan(set: &CandidateSet, column: &str) -> Contingency {
+    /// Builds the `(O, T, X)` contingency for one extraction column: one
+    /// masked [`JointCounts`] build, whose mixed-radix key, first variable
+    /// fastest, is `(x·|T| + t)·|O| + o`, and whose cells drain in key
+    /// order.
+    fn build(set: &CandidateSet, column: &str) -> Contingency {
         let x = &set.column_codes[column];
         let joint = JointCounts::count(&[&set.o, &set.t, x], Some(&set.mask), None);
         Self::from_sorted_cells(
@@ -599,10 +150,9 @@ impl Contingency {
     }
 
     /// Decodes ascending `(key, weight)` cells (key = `(x·|T|+t)·|O|+o`)
-    /// into the cell vector, x-marginal, and totals. Shared by the kernel
-    /// and the row scan so all paths produce cells identically.
-    fn from_sorted_cells<K: Into<u128>>(
-        keyed: impl Iterator<Item = (K, f64)>,
+    /// into the cell vector, x-marginal, and totals.
+    fn from_sorted_cells(
+        keyed: impl Iterator<Item = (u128, f64)>,
         card_o: u64,
         card_t: u64,
         card_x: usize,
@@ -612,7 +162,6 @@ impl Contingency {
         let mut x_marginal = vec![0.0; card_x];
         let mut total = 0.0;
         for (key, w) in keyed {
-            let key: u128 = key.into();
             let o_code = (key % o_radix) as u32;
             let t_code = ((key / o_radix) % t_radix) as u32;
             let x_code = (key / (o_radix * t_radix)) as u32;
@@ -678,9 +227,8 @@ impl Engine {
         Engine::with_parallelism_memo(set, parallelism, None)
     }
 
-    /// [`Engine::with_parallelism`] with a sub-query memo handle: per-set
-    /// selection vectors, per-column contingencies, and the baseline CMI
-    /// term are fetched from (and published to) the store instead of
+    /// [`Engine::with_parallelism`] with a sub-query memo handle: the
+    /// per-column contingencies and the baseline CMI term are fetched from (and published to) the store instead of
     /// rebuilt. Results are byte-identical to the memo-less path; warm
     /// builds simply skip the per-column counting pool tasks.
     pub fn with_parallelism_memo(
@@ -702,52 +250,14 @@ impl Engine {
         // Every per-set memo entry shares one fingerprint over the context
         // mask words and the O/T codes (computed once per engine build).
         let scope = memo.map(|h| (h, set_fingerprint(&set.mask, &set.o, &set.t)));
-        // The fused complete-case selection is a pure function of the set,
-        // so it memoizes under the Selection kind.
-        let fused: Arc<Option<FusedSelection>> = match &scope {
-            None => Arc::new(FusedSelection::build(set)),
-            Some((h, set_fp)) => {
-                let key = MemoKey::new(MemoKind::Selection, h.dataset_fp, *set_fp, 0, "fused");
-                h.store.get_or_build(&key, || {
-                    let f = FusedSelection::build(set);
-                    let bytes = f.as_ref().map_or(16, FusedSelection::approx_bytes);
-                    (Arc::new(f), bytes)
-                })
-            }
-        };
-        Engine::assemble(set, pool, scope, fused.as_ref().as_ref())
-    }
-
-    /// Builds the engine over a given fused selection. `None` — what
-    /// [`FusedSelection::build`] returns for shapes the kernel cannot
-    /// index — routes every contingency through the row scan.
-    fn assemble(
-        set: &CandidateSet,
-        pool: ThreadPool,
-        scope: Option<(&MemoHandle, u64)>,
-        fused: Option<&FusedSelection>,
-    ) -> Engine {
         let mut columns: Vec<&String> = set.column_codes.keys().collect();
         columns.sort();
-        // Parallelism policy: the pool's scoped workers must not nest (a
-        // row-parallel build inside a column-parallel map would spawn
-        // threads² workers), so large tables go row-parallel with columns
-        // built serially, and everything else keeps the column-parallel
-        // map with serial builds.
-        let row_parallel = fused.is_some() && pool.threads() > 1 && set.o.len() >= KERNEL_PAR_ROWS;
 
         let base: HashMap<String, Arc<Contingency>> = match &scope {
             None => {
-                let contingencies: Vec<Arc<Contingency>> = if row_parallel {
-                    columns
-                        .iter()
-                        .map(|column| Arc::new(Contingency::build(set, column, fused, Some(&pool))))
-                        .collect()
-                } else {
-                    pool.map_slice(&columns, |_, column| {
-                        Arc::new(Contingency::build(set, column, fused, None))
-                    })
-                };
+                let contingencies = pool.map_slice(&columns, |_, column| {
+                    Arc::new(Contingency::build(set, column))
+                });
                 columns.into_iter().cloned().zip(contingencies).collect()
             }
             Some((h, set_fp)) => {
@@ -780,14 +290,9 @@ impl Engine {
                 let build_cols: Vec<&String> = builds.iter().map(|(c, _)| *c).collect();
                 let built: Vec<Arc<Contingency>> = if build_cols.is_empty() {
                     Vec::new()
-                } else if row_parallel {
-                    build_cols
-                        .iter()
-                        .map(|column| Arc::new(Contingency::build(set, column, fused, Some(&pool))))
-                        .collect()
                 } else {
                     pool.map_slice(&build_cols, |_, column| {
-                        Arc::new(Contingency::build(set, column, fused, None))
+                        Arc::new(Contingency::build(set, column))
                     })
                 };
                 for ((column, ticket), cont) in builds.into_iter().zip(built) {
@@ -802,7 +307,7 @@ impl Engine {
                             .expect("memo value type mismatch"),
                         WaitOutcome::Build(ticket) => {
                             // The original builder abandoned; build here.
-                            let c = Arc::new(Contingency::build(set, column, fused, Some(&pool)));
+                            let c = Arc::new(Contingency::build(set, column));
                             ticket.publish(c.clone(), c.approx_bytes());
                             c
                         }
@@ -960,10 +465,9 @@ impl Engine {
         let cand = &set.candidates[idx];
         let observed = self.stats(set, idx).cmi();
         // Deterministic per-candidate seed.
-        let seed = cand.name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut seed = Fnv64::new();
+        seed.write(cand.name.as_bytes());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.finish());
 
         let samples: Vec<f64> = match &cand.repr {
             CandidateRepr::EntityLevel { column, map, .. } => {
@@ -1207,13 +711,11 @@ impl Engine {
             return self.baseline_cmi;
         }
         let observed = self.cmi_given(set, indices);
-        let mut seed = 0xcbf2_9ce4_8422_2325u64;
+        let mut seed = Fnv64::new();
         for &i in indices {
-            for b in set.candidates[i].name.bytes() {
-                seed = (seed ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            seed.write(set.candidates[i].name.as_bytes());
         }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.finish());
 
         // Materialize row codes once; permute at entity level where
         // applicable, else per-row.
@@ -1779,14 +1281,13 @@ mod tests {
         // for. Counters are process-global, so these are lower bounds.
         let d_cold = mid.delta(&before);
         assert!(d_cold.memo_inserts[MemoKind::Contingency as usize] >= 1);
-        assert!(d_cold.memo_inserts[MemoKind::Selection as usize] >= 1);
         assert!(d_cold.memo_inserts[MemoKind::CmiTerm as usize] >= 1);
         let d_warm = after.delta(&mid);
         assert!(d_warm.memo_hits[MemoKind::Contingency as usize] >= 1);
-        assert!(d_warm.memo_hits[MemoKind::Selection as usize] >= 1);
         assert!(d_warm.memo_hits[MemoKind::CmiTerm as usize] >= 1);
-        // The warm engine shares the memoized tables by pointer.
-        assert!(store.resident_entries() >= 3);
+        // The warm engine shares the memoized tables by pointer: one
+        // contingency per extraction column plus the baseline term.
+        assert!(store.resident_entries() >= 2);
     }
 
     #[test]
@@ -1881,7 +1382,8 @@ mod tests {
             for t in 0..card_t {
                 for o in 0..card_o {
                     if rng.gen_range(0..one_in) == 0 {
-                        let key = (x as u64 * card_t as u64 + t as u64) * card_o as u64 + o as u64;
+                        let key =
+                            (x as u128 * card_t as u128 + t as u128) * card_o as u128 + o as u128;
                         keyed.push((key, rng.gen_range(1..40) as f64));
                     }
                 }

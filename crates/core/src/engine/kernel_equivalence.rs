@@ -1,25 +1,23 @@
-//! Kernel equivalence: the dense/fused counting kernels are a pure
-//! performance substitution for the per-row contingency scan, so every
-//! estimator quantity — per-candidate [`CandStats`], calibrated CMIs,
-//! pairwise MIs — must be **bit-identical** between the two, serial and
-//! span-parallel, at any thread count.
-//!
-//! The reference engine is [`Engine::assemble`] without a fused selection:
-//! the route every set takes when [`FusedSelection::build`] rules the
-//! kernel out, here forced on sets the kernel could index.
+//! Engine counting against a naive oracle: every `(O, T, X)` contingency
+//! the engine builds must equal, bit for bit, an ordered per-row count of
+//! the complete-case rows, and everything the engine derives from those
+//! tables — per-candidate [`CandStats`], calibrated CMIs, pairwise MIs —
+//! must be identical serially and at 2 and 8 threads. A differential test
+//! checks that the engine's per-set memo keys cover every input they
+//! stand for.
 //!
 //! [`CandStats`]: super::CandStats
-//! [`FusedSelection::build`]: super::FusedSelection::build
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use nexus_runtime::{Parallelism, ThreadPool};
+use nexus_runtime::Parallelism;
 use nexus_table::{Bitmap, Codes};
 use proptest::prelude::*;
 
-use super::{Contingency, Engine, FusedSelection};
+use super::{Contingency, Engine};
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, CandidateSource, MISSING_CODE};
+use crate::memo::{set_fingerprint, MemoHandle, MemoStore};
 
 /// Deterministic xorshift so the fixtures need no external RNG.
 struct Rng(u64);
@@ -39,7 +37,7 @@ impl Rng {
     }
 }
 
-/// A synthetic candidate set exercising every kernel ingredient: a WHERE
+/// A synthetic candidate set exercising every counting ingredient: a WHERE
 /// mask, null outcome/exposure/entity rows, an unweighted and a weighted
 /// (IPW) entity-level candidate, and a row-level candidate.
 fn synthetic_set(n: usize, seed: u64) -> CandidateSet {
@@ -47,8 +45,8 @@ fn synthetic_set(n: usize, seed: u64) -> CandidateSet {
 }
 
 /// [`synthetic_set`] with configurable outcome/exposure/entity
-/// cardinalities, so tests can park `|T|·|O|` exactly on the narrow-width
-/// boundaries of the fused code column.
+/// cardinalities, so tests can park the `(O, T, X)` key space on the
+/// kernel's scan-width boundaries.
 fn synthetic_set_with_cards(
     n: usize,
     seed: u64,
@@ -155,9 +153,39 @@ fn bits(x: f64) -> u64 {
     x.to_bits()
 }
 
-/// The engine whose contingencies all come from the per-row scan.
-fn rowscan_engine(set: &CandidateSet, parallelism: Parallelism) -> Engine {
-    Engine::assemble(set, ThreadPool::new(parallelism), None, None)
+/// The contingency of `column` by a naive ordered count: every row in the
+/// context with `O`, `T` and `X` all valid adds `1.0` to its `(x, t, o)`
+/// cell, and cells drain in ascending `(x, t, o)` order.
+fn naive_contingency(set: &CandidateSet, column: &str) -> Contingency {
+    let (o, t, x) = (&set.o, &set.t, &set.column_codes[column]);
+    let mut cells: BTreeMap<(u32, u32, u32), f64> = BTreeMap::new();
+    for i in 0..o.len() {
+        if set.mask.get(i) && o.is_valid(i) && t.is_valid(i) && x.is_valid(i) {
+            *cells
+                .entry((x.codes[i], t.codes[i], o.codes[i]))
+                .or_insert(0.0) += 1.0;
+        }
+    }
+    let (card_o, card_t) = (o.cardinality.max(1) as u128, t.cardinality.max(1) as u128);
+    Contingency::from_sorted_cells(
+        cells
+            .into_iter()
+            .map(|((x, t, o), w)| ((x as u128 * card_t + t as u128) * card_o + o as u128, w)),
+        card_o as u64,
+        card_t as u64,
+        x.cardinality as usize,
+    )
+}
+
+/// A contingency rendered to raw bits.
+fn contingency_bits(c: &Contingency) -> Vec<u64> {
+    let mut out = Vec::new();
+    for &(o, t, x, w) in &c.cells {
+        out.extend([o as u64, t as u64, x as u64, bits(w)]);
+    }
+    out.extend(c.x_marginal.iter().map(|&w| bits(w)));
+    out.extend([bits(c.total), c.n_entities_ctx as u64]);
+    out
 }
 
 /// Everything an engine computes for a set, rendered to raw bits.
@@ -185,68 +213,80 @@ fn digest(engine: &Engine, set: &CandidateSet) -> Vec<u64> {
     digest
 }
 
-/// The kernel and the row scan, each at serial, 2 and 8 threads, must
-/// reproduce the serial row-scan digest bit for bit.
-fn assert_all_paths_agree(set: &CandidateSet, what: &str) {
-    let reference = digest(&rowscan_engine(set, Parallelism::Serial), set);
+/// The engine at `parallelism` with its contingencies swapped for the
+/// naive counts: the oracle every real engine's digest must reproduce.
+fn oracle_engine(set: &CandidateSet, parallelism: Parallelism) -> Engine {
+    let mut engine = Engine::with_parallelism(set, parallelism);
+    for (column, cont) in engine.base.iter_mut() {
+        *cont = Arc::new(naive_contingency(set, column));
+    }
+    engine
+}
+
+/// At serial, 2 and 8 threads, every contingency equals the naive count
+/// and the engine digest equals the serial oracle's, bit for bit.
+fn assert_matches_naive(set: &CandidateSet, what: &str) {
+    let reference = digest(&oracle_engine(set, Parallelism::Serial), set);
     for (parallelism, p_name) in [
         (Parallelism::Serial, "serial"),
         (Parallelism::Fixed(2), "2 threads"),
         (Parallelism::Fixed(8), "8 threads"),
     ] {
-        let kernel = digest(&Engine::with_parallelism(set, parallelism), set);
+        let engine = Engine::with_parallelism(set, parallelism);
+        for (column, cont) in &engine.base {
+            assert_eq!(
+                contingency_bits(cont),
+                contingency_bits(&naive_contingency(set, column)),
+                "{what}: {column} contingency @ {p_name} differs from the naive count"
+            );
+        }
         assert_eq!(
-            reference, kernel,
-            "{what}: kernel @ {p_name} diverges from the serial row scan"
-        );
-        let rowscan = digest(&rowscan_engine(set, parallelism), set);
-        assert_eq!(
-            reference, rowscan,
-            "{what}: row scan @ {p_name} diverges from the serial row scan"
+            reference,
+            digest(&engine, set),
+            "{what}: engine @ {p_name} diverges from the naive oracle"
         );
     }
 }
 
 #[test]
-fn small_set_all_paths_bit_identical() {
-    // Small enough that the kernels stay in the serial per-column path.
-    assert_all_paths_agree(&synthetic_set(3_000, 0xA11CE), "3k rows");
+fn small_set_matches_naive_count() {
+    assert_matches_naive(&synthetic_set(3_000, 0xA11CE), "3k rows");
 }
 
 #[test]
-fn chunked_parallel_builds_bit_identical() {
-    // Above KERNEL_PAR_ROWS (1 << 16), so multi-thread engines go through
-    // the row-partitioned span builds with per-thread accumulators.
-    assert_all_paths_agree(&synthetic_set(70_000, 0xBEEF), "70k rows");
+fn large_set_matches_naive_count() {
+    // Above 2^16 rows, past the row-chunk size of the candidate build.
+    assert_matches_naive(&synthetic_set(70_000, 0xBEEF), "70k rows");
 }
 
 #[test]
-fn weighted_candidate_paths_agree() {
+fn weighted_candidate_matches_naive_count() {
     // The weighted digest must diverge from the unweighted one (the IPW
-    // weights matter) while staying path-invariant — guards against a
-    // kernel that "agrees" by dropping weights everywhere.
+    // weights matter) while matching the oracle at every thread count —
+    // guards against an engine that "agrees" by dropping weights.
     let set = synthetic_set(5_000, 0x5EED);
-    let rowscan = rowscan_engine(&set, Parallelism::Serial);
-    let kernel = Engine::with_parallelism(&set, Parallelism::Fixed(4));
-    let unweighted = rowscan.stats(&set, 0);
-    for e in [&rowscan, &kernel] {
-        let s = e.stats(&set, 1);
+    let oracle = oracle_engine(&set, Parallelism::Serial);
+    let unweighted = oracle.stats(&set, 0);
+    for parallelism in [
+        Parallelism::Serial,
+        Parallelism::Fixed(2),
+        Parallelism::Fixed(8),
+    ] {
+        let engine = Engine::with_parallelism(&set, parallelism);
+        let weighted = engine.stats(&set, 1);
         assert_ne!(
-            bits(s.support),
+            bits(weighted.support),
             bits(unweighted.support),
             "IPW weights should change the weighted support"
         );
+        assert_eq!(bits(weighted.support), bits(oracle.stats(&set, 1).support));
+        assert_eq!(bits(weighted.cmi()), bits(oracle.stats(&set, 1).cmi()));
     }
-    assert_eq!(
-        bits(rowscan.stats(&set, 1).support),
-        bits(kernel.stats(&set, 1).support)
-    );
 }
 
 #[test]
 fn full_mask_and_no_nulls_edge_case() {
-    // All-true mask + fully valid columns: the fused selection is the
-    // identity, the densest possible path.
+    // All-true mask + fully valid columns: the selection is every row.
     let mut set = synthetic_set(2_048, 0xFACE);
     set.mask = Bitmap::with_value(2_048, true);
     set.o.validity = None;
@@ -254,57 +294,39 @@ fn full_mask_and_no_nulls_edge_case() {
     if let Some(c) = set.column_codes.get_mut("City") {
         Arc::make_mut(c).validity = None;
     }
-    assert_all_paths_agree(&set, "dense edge case");
+    assert_matches_naive(&set, "dense edge case");
 }
 
 #[test]
 fn empty_context_edge_case() {
-    // An all-false mask selects nothing; every path must agree on the
-    // degenerate answer rather than panic.
+    // An all-false mask selects nothing; the engine must agree with the
+    // oracle on the degenerate answer rather than panic.
     let mut set = synthetic_set(512, 0xD00D);
     set.mask = Bitmap::with_value(512, false);
-    assert_all_paths_agree(&set, "empty context");
+    assert_matches_naive(&set, "empty context");
 }
 
 #[test]
-fn width_boundary_cardinalities_bit_identical() {
+fn width_boundary_cardinalities_match_naive_count() {
     // `|T|·|O|` sits exactly on — and one step past — the u8 and u16
-    // boundaries, so the fused code column materializes at every narrow
-    // width the kernel supports plus the u32 fallback, and each width
-    // must reproduce the row-scan digest bit for bit.
+    // boundaries, and the largest shapes push `|X|·|T|·|O|` past the
+    // dense budget onto the hashed accumulator.
     for (card_o, card_t, what) in [
-        (5u32, 51u32, "|TO| = 255 (u8)"),
-        (4, 64, "|TO| = 256 (u8 boundary)"),
-        (4, 65, "|TO| = 260 (u16)"),
-        (5, 13_107, "|TO| = 65535 (u16)"),
-        (16, 4_096, "|TO| = 65536 (u16 boundary)"),
-        (17, 4_096, "|TO| = 69632 (u32)"),
+        (5u32, 51u32, "|TO| = 255"),
+        (4, 64, "|TO| = 256"),
+        (4, 65, "|TO| = 260"),
+        (5, 13_107, "|TO| = 65535"),
+        (16, 4_096, "|TO| = 65536"),
+        (17, 4_096, "|TO| = 69632"),
     ] {
         let seed = 0xC0DE ^ ((card_o as u64) << 20) ^ card_t as u64;
         let set = synthetic_set_with_cards(2_500, seed, card_o, card_t, 40);
-        assert_all_paths_agree(&set, what);
+        assert_matches_naive(&set, what);
     }
 }
 
-#[test]
-fn narrow_parallel_span_merges_bit_identical() {
-    // A large full-selection set whose fused column stays at u8 width:
-    // selections exceed `KERNEL_PAR_ROWS`, so multi-thread engines scan
-    // one word span per thread and merge radix sub-histograms.
-    let n = 80_000;
-    let mut set = synthetic_set_with_cards(n, 0xFEED, 4, 64, 40);
-    set.mask = Bitmap::with_value(n, true);
-    set.o.validity = None;
-    set.t.validity = None;
-    if let Some(c) = set.column_codes.get_mut("City") {
-        Arc::make_mut(c).validity = None;
-    }
-    assert_all_paths_agree(&set, "narrow parallel spans");
-}
-
-/// A set the kernel cannot index: `|O|·|T|` = 2^44 rules the fused
-/// selection out, and `|X|·|T|·|O|` = 2^65 is past `u64`. The row-scan
-/// contingency must still equal a naive ordered count of its rows.
+/// A key space past `u64`: `|X|·|T|·|O|` = 2^65. The contingency must
+/// still equal a naive ordered count of its rows.
 #[test]
 fn key_space_past_u64_matches_a_naive_count() {
     let n = 3_000;
@@ -349,44 +371,91 @@ fn key_space_past_u64_matches_a_naive_count() {
         mask,
         link_stats: HashMap::new(),
     };
-    assert!(FusedSelection::build(&set).is_none());
 
-    let c = Contingency::build(&set, "X", None, None);
+    let c = Contingency::build(&set, "X");
     let cells: Vec<((u32, u32, u32), f64)> =
         c.cells.iter().map(|&(o, t, x, w)| ((x, t, o), w)).collect();
     assert_eq!(cells, naive.into_iter().collect::<Vec<_>>());
     assert_eq!(c.total, cells.iter().map(|&(_, w)| w).sum::<f64>());
 }
 
+/// Changes one input of a set's per-set memo key at `row`: `what` picks
+/// a mask bit, an O code, a T code, an O validity bit or a T validity bit.
+fn perturb(set: &mut CandidateSet, what: u8, row: usize) {
+    fn flip(bitmap: Option<&mut Bitmap>, row: usize) {
+        let bitmap = bitmap.expect("fixture columns carry validity");
+        let v = bitmap.get(row);
+        bitmap.set(row, !v);
+    }
+    let bump = |codes: &mut Codes| codes.codes[row] = (codes.codes[row] + 1) % codes.cardinality;
+    match what {
+        0 => {
+            let v = set.mask.get(row);
+            set.mask.set(row, !v);
+        }
+        1 => bump(&mut set.o),
+        2 => bump(&mut set.t),
+        3 => flip(set.o.validity.as_mut(), row),
+        _ => flip(set.t.validity.as_mut(), row),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random codes, maps, masks, and sizes: the kernel reproduces the
-    /// serial row-scan digest bit for bit.
+    /// Memo under-keying is a correctness bug: an engine built on a
+    /// one-bit perturbation of a set, over a store warmed on the original,
+    /// must either miss (its set fingerprint changed, so it publishes new
+    /// entries) or reproduce a memo-off engine's digest bit for bit.
     #[test]
-    fn random_sets_bit_identical(seed in any::<u64>(), n in 64usize..1_500) {
+    fn memo_keys_cover_every_set_input(
+        seed in any::<u64>(),
+        n in 64usize..600,
+        what in 0u8..5,
+        row in any::<usize>(),
+    ) {
         let set = synthetic_set(n, seed);
-        let reference = digest(&rowscan_engine(&set, Parallelism::Serial), &set);
-        let kernel_serial = digest(&Engine::with_parallelism(&set, Parallelism::Serial), &set);
-        let kernel_parallel = digest(&Engine::with_parallelism(&set, Parallelism::Fixed(3)), &set);
-        prop_assert_eq!(&reference, &kernel_serial);
-        prop_assert_eq!(&reference, &kernel_parallel);
+        let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 0xDA7A);
+        Engine::with_parallelism_memo(&set, Parallelism::Serial, Some(&handle));
+        let warmed = handle.store.resident_entries();
+
+        let mut perturbed = synthetic_set(n, seed);
+        perturb(&mut perturbed, what, row % n);
+        let memo = Engine::with_parallelism_memo(&perturbed, Parallelism::Serial, Some(&handle));
+        let missed = handle.store.resident_entries() > warmed;
+        let fp_changed = set_fingerprint(&set.mask, &set.o, &set.t)
+            != set_fingerprint(&perturbed.mask, &perturbed.o, &perturbed.t);
+        prop_assert_eq!(missed, fp_changed);
+        let plain = Engine::with_parallelism(&perturbed, Parallelism::Serial);
+        prop_assert_eq!(digest(&memo, &perturbed), digest(&plain, &perturbed));
     }
 
-    /// Random cardinalities straddling the u8/u16 fused-width boundary:
+    /// Random codes, maps, masks, and sizes: the engine reproduces the
+    /// naive oracle's digest bit for bit, serially and on a pool.
+    #[test]
+    fn random_sets_match_naive_count(seed in any::<u64>(), n in 64usize..1_500) {
+        let set = synthetic_set(n, seed);
+        let reference = digest(&oracle_engine(&set, Parallelism::Serial), &set);
+        let serial = digest(&Engine::with_parallelism(&set, Parallelism::Serial), &set);
+        let parallel = digest(&Engine::with_parallelism(&set, Parallelism::Fixed(3)), &set);
+        prop_assert_eq!(&reference, &serial);
+        prop_assert_eq!(&reference, &parallel);
+    }
+
+    /// Random cardinalities straddling the u8/u16 scan-width boundary:
     /// scan width is a build-time detail, never a result.
     #[test]
-    fn random_widths_bit_identical(
+    fn random_widths_match_naive_count(
         seed in any::<u64>(),
         n in 64usize..800,
         card_o in 2u32..10,
         card_t in 2u32..300,
     ) {
         let set = synthetic_set_with_cards(n, seed, card_o, card_t, 40);
-        let reference = digest(&rowscan_engine(&set, Parallelism::Serial), &set);
-        let kernel_serial = digest(&Engine::with_parallelism(&set, Parallelism::Serial), &set);
-        let kernel_parallel = digest(&Engine::with_parallelism(&set, Parallelism::Fixed(3)), &set);
-        prop_assert_eq!(&reference, &kernel_serial);
-        prop_assert_eq!(&reference, &kernel_parallel);
+        let reference = digest(&oracle_engine(&set, Parallelism::Serial), &set);
+        let serial = digest(&Engine::with_parallelism(&set, Parallelism::Serial), &set);
+        let parallel = digest(&Engine::with_parallelism(&set, Parallelism::Fixed(3)), &set);
+        prop_assert_eq!(&reference, &serial);
+        prop_assert_eq!(&reference, &parallel);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The server's result cache only hits on byte-identical full requests,
 //! but different requests over the same dataset keep rebuilding the same
-//! fine-grained units: per-column joint-count contingency tables, the
-//! per-set complete-case selection, marginal entropy/CMI terms, and KG
-//! extraction columns. [`MemoStore`] pushes the fingerprint-LRU
+//! fine-grained units: per-column joint-count contingency tables,
+//! marginal entropy/CMI terms, and KG extraction columns. [`MemoStore`] pushes the fingerprint-LRU
 //! discipline below the request level and caches those units directly.
 //!
 //! # Key schema
@@ -530,8 +529,8 @@ mod tests {
         assert_ne!(fp_low, fp_high);
 
         let store = MemoStore::new(0);
-        let k_low = MemoKey::new(MemoKind::Selection, 1, fp_low, 0, "sel");
-        let k_high = MemoKey::new(MemoKind::Selection, 1, fp_high, 0, "sel");
+        let k_low = MemoKey::new(MemoKind::Contingency, 1, fp_low, 0, "col");
+        let k_high = MemoKey::new(MemoKind::Contingency, 1, fp_high, 0, "col");
         store.get_or_build(&k_low, || (Arc::new(10u64), 8));
         store.get_or_build(&k_high, || (Arc::new(118u64), 8));
         assert_eq!(*store.peek::<u64>(&k_low).unwrap(), 10);

@@ -15,17 +15,17 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use nexus_table::Fnv64;
+
 /// Number of independently locked shards (power of two).
 const N_SHARDS: usize = 16;
 
 /// FNV-1a shard index for a string key.
 #[inline]
 fn shard_of(key: &str) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h as usize & (N_SHARDS - 1)
+    let mut h = Fnv64::new();
+    h.write(key.as_bytes());
+    h.finish() as usize & (N_SHARDS - 1)
 }
 
 /// A sharded cache keyed by `(name, weighted?)`.

@@ -1,7 +1,7 @@
 //! Kernel counters on a narrow parallel build. The bit-identity of the
-//! kernel against the per-row scan is tested inside `nexus-core` (the
-//! engine's `kernel_equivalence` module); this binary holds only the test
-//! that reads the process-global counters, so no concurrent test can
+//! engine's counts against a naive count is tested inside `nexus-core`
+//! (the engine's `kernel_equivalence` module); this binary holds only the
+//! test that reads the process-global counters, so no concurrent test can
 //! pollute its delta window.
 
 use std::collections::HashMap;
@@ -10,11 +10,9 @@ use std::sync::Arc;
 use nexus_core::{Candidate, CandidateRepr, CandidateSet, CandidateSource, Engine, Parallelism};
 use nexus_table::{Bitmap, Codes};
 
-/// A large full-selection set whose fused `(T,O)` column stays at u8 width
-/// (`|T|·|O|` = 256): selections exceed the kernel's parallel threshold,
-/// so multi-thread engines scan one word span per thread and merge radix
-/// sub-histograms.
-fn narrow_parallel_set() -> CandidateSet {
+/// A large full-selection set with narrow key spaces: `(O, T)` has 256
+/// keys (u8) and `(O, T, City)` 10 240 (u16).
+fn narrow_set() -> CandidateSet {
     let n = 80_000;
     let mut state = 0xFEEDu64;
     let mut column = |card: u32| {
@@ -57,20 +55,13 @@ fn narrow_parallel_set() -> CandidateSet {
 }
 
 #[test]
-fn narrow_and_merge_counters_move() {
-    // The v2 counters must actually engage on a narrow parallel build:
-    // u8 scans recorded, and the radix merge bill strictly below what the
-    // v1 full-keyspace-per-chunk discipline would have paid.
-    let set = narrow_parallel_set();
+fn narrow_scan_counters_move() {
+    // The scan-width counters must actually engage on a narrow build.
+    let set = narrow_set();
     let before = nexus_info::kernel::counters().snapshot();
     let engine = Engine::with_parallelism(&set, Parallelism::Fixed(8));
     let _ = engine.stats(&set, 0);
     let d = nexus_info::kernel::counters().snapshot().delta(&before);
     assert!(d.narrow_scans >= 1, "narrow scans not recorded: {d:?}");
-    assert!(d.builds_w8 >= 1, "u8 fused builds not recorded: {d:?}");
-    assert!(d.radix_merge_cells > 0, "no radix merges recorded: {d:?}");
-    assert!(
-        d.radix_merge_cells < d.full_merge_cells,
-        "radix merge bill should undercut the v1 full-keyspace bill: {d:?}"
-    );
+    assert!(d.builds_w8 >= 1, "u8 builds not recorded: {d:?}");
 }

@@ -1,22 +1,20 @@
-//! SYN: region-blocked synthetic workloads for the kernel v2 benchmarks.
+//! SYN: region-blocked synthetic workloads for the counting-kernel gates.
 //!
 //! Unlike the four paper datasets (which reproduce Table 1's shapes), this
 //! generator is a **kernel stress fixture**: a tall, narrow table whose
 //! layout mirrors how operational exports actually arrive — rows blocked
 //! by region and segment, measurements repeating across short bursts
-//! (per-day per-region aggregates). That layout is exactly what the v2
+//! (per-day per-region aggregates). That layout is exactly what the
 //! counting kernel exploits:
 //!
-//! * **narrow code columns** — few regions × six outcome bins keeps the
-//!   fused `(T, O)` key space within `u8`;
+//! * **narrow keys** — few regions × six outcome bins keeps the `(O, T)`
+//!   key space within `u8`;
 //! * **run coalescing** — region, segment, and burst-constant outcomes
 //!   give long equal-key runs, so dense accumulator writes collapse far
 //!   below rows scanned;
 //! * **packed-mask word skips** — a `WHERE Segment = …` context selects
 //!   contiguous chunks, so most selection words are all-zero and the scan
-//!   skips them whole;
-//! * **radix-partitioned merges** — at 10M+ rows the parallel spans merge
-//!   touched histogram blocks only.
+//!   skips them whole.
 //!
 //! The planted structure keeps the workload semantically honest: each
 //! region has a hidden `capacity index` that drives the outcome, so the
@@ -42,7 +40,7 @@ pub struct SynthConfig {
     /// Number of rows (benchmarks default to 10M; tests use far fewer).
     pub n_rows: usize,
     /// Number of regions (the extraction / group-by column). Keep small:
-    /// `n_regions × 6` outcome bins must stay ≤ 256 for u8 fused scans.
+    /// `n_regions × 6` outcome bins must stay ≤ 256 for u8 `(O, T)` scans.
     pub n_regions: usize,
     /// Number of segments (the WHERE column of the masked variant).
     pub n_segments: usize,

@@ -6,8 +6,8 @@
 //! system's portable cost model. This module holds:
 //!
 //! * [`KernelCounters`] — process-global atomic counters bumped (in batch,
-//!   once per build or chunk, never per row) by the counting kernels in
-//!   this crate and by the engine's contingency builds in `nexus-core`;
+//!   once per build, never per row) by [`JointCounts`](crate::JointCounts),
+//!   the one counting kernel every contingency build in NEXUS runs on;
 //! * [`KernelSnapshot`] — a copyable snapshot with [`delta`] arithmetic so
 //!   callers can attribute counter movement to one pipeline run;
 //! * [`ScanWidth`] — the key width a build's inner loop ran at.
@@ -16,21 +16,14 @@
 //! to any estimate, so they cannot perturb NEXUS's bit-identical-output
 //! guarantee.
 //!
-//! # Kernel v2 counters
+//! # Scan counters
 //!
-//! The v2 scan loop adds four cost dimensions next to the v1 row/op
-//! counts:
+//! Next to the row/op counts, the scan loop records:
 //!
-//! * [`narrow_scans`] — builds whose inner loop ran at a narrow (8- or
-//!   16-bit) code/key width, the precondition for cache-resident,
-//!   auto-vectorizable scans;
+//! * [`narrow_scans`] — builds whose key space fit a narrow (8- or
+//!   16-bit) width, the cache-resident class;
 //! * [`packed_words_skipped`] — all-zero 64-bit selection words the packed
 //!   mask scan skipped without touching any row (zone-style early-out);
-//! * [`radix_merge_cells`] / [`full_merge_cells`] — cells actually written
-//!   by radix-partitioned sub-histogram merges vs the cells the v1
-//!   full-keyspace merge discipline would have written for the same
-//!   builds (`keyspace × merge events`). Their ratio is the merge-cost
-//!   reduction, independent of wall-clock;
 //! * `builds_w8 … builds_w128` — per-width build counts, recorded once
 //!   per build via [`KernelCounters::record_scan_width`].
 //!
@@ -56,8 +49,6 @@
 //! [`delta`]: KernelSnapshot::delta
 //! [`narrow_scans`]: KernelSnapshot::narrow_scans
 //! [`packed_words_skipped`]: KernelSnapshot::packed_words_skipped
-//! [`radix_merge_cells`]: KernelSnapshot::radix_merge_cells
-//! [`full_merge_cells`]: KernelSnapshot::full_merge_cells
 //! [`permutations`]: KernelSnapshot::permutations
 //! [`perm_rows`]: KernelSnapshot::perm_rows
 
@@ -65,7 +56,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of distinct [`MemoKind`] values (array dimension of the per-kind
 /// memo counters).
-pub const MEMO_KINDS: usize = 4;
+pub const MEMO_KINDS: usize = 3;
 
 /// What kind of sub-query value a memo entry caches. Doubles as the index
 /// into the per-kind counter arrays of [`KernelCounters`] /
@@ -75,19 +66,16 @@ pub const MEMO_KINDS: usize = 4;
 pub enum MemoKind {
     /// A per-column joint-count contingency table.
     Contingency = 0,
-    /// A per-set complete-case selection (fused mask + codes).
-    Selection = 1,
     /// A marginal entropy / conditional-mutual-information term.
-    CmiTerm = 2,
+    CmiTerm = 1,
     /// A KG extraction column (row→entity codes + candidates).
-    Extraction = 3,
+    Extraction = 2,
 }
 
 impl MemoKind {
     /// All kinds, in counter-array index order.
     pub const ALL: [MemoKind; MEMO_KINDS] = [
         MemoKind::Contingency,
-        MemoKind::Selection,
         MemoKind::CmiTerm,
         MemoKind::Extraction,
     ];
@@ -96,16 +84,13 @@ impl MemoKind {
     pub fn label(self) -> &'static str {
         match self {
             MemoKind::Contingency => "contingency",
-            MemoKind::Selection => "selection",
             MemoKind::CmiTerm => "cmi_term",
             MemoKind::Extraction => "extraction",
         }
     }
 }
 
-/// The element width a counting build's inner loop ran at: the width of
-/// the fused (T,O)/candidate code column (engine builds) or of the packed
-/// mixed-radix key (joint-count builds).
+/// The width of a counting build's packed mixed-radix key.
 ///
 /// Chosen once per build from the *checked* key-space cardinality, never
 /// per row, so the scan loop itself is monomorphic and branch-free.
@@ -119,7 +104,7 @@ pub enum ScanWidth {
     W32,
     /// Key space fits in 64 bits.
     W64,
-    /// Anything wider (the u128 row-scan fallback).
+    /// Anything wider (keys scanned as `u128`).
     W128,
 }
 
@@ -161,8 +146,6 @@ pub struct KernelCounters {
     sparse_builds: AtomicU64,
     narrow_scans: AtomicU64,
     packed_words_skipped: AtomicU64,
-    radix_merge_cells: AtomicU64,
-    full_merge_cells: AtomicU64,
     builds_w8: AtomicU64,
     builds_w16: AtomicU64,
     builds_w32: AtomicU64,
@@ -177,15 +160,10 @@ pub struct KernelCounters {
     memo_coalesced_waits: AtomicU64,
 }
 
-/// A four-slot array of zeroed atomics (const-initializable; used only to
+/// A per-kind array of zeroed atomics (const-initializable; used only to
 /// build the static below, never shared between fields).
 #[allow(clippy::declare_interior_mutable_const)]
-const MEMO_ZEROS: [AtomicU64; MEMO_KINDS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+const MEMO_ZEROS: [AtomicU64; MEMO_KINDS] = [const { AtomicU64::new(0) }; MEMO_KINDS];
 
 /// The global counter instance.
 static COUNTERS: KernelCounters = KernelCounters {
@@ -196,8 +174,6 @@ static COUNTERS: KernelCounters = KernelCounters {
     sparse_builds: AtomicU64::new(0),
     narrow_scans: AtomicU64::new(0),
     packed_words_skipped: AtomicU64::new(0),
-    radix_merge_cells: AtomicU64::new(0),
-    full_merge_cells: AtomicU64::new(0),
     builds_w8: AtomicU64::new(0),
     builds_w16: AtomicU64::new(0),
     builds_w32: AtomicU64::new(0),
@@ -258,16 +234,6 @@ impl KernelCounters {
             .fetch_add(words, Ordering::Relaxed);
     }
 
-    /// Records one histogram merge event: `radix_cells` cells actually
-    /// written by the radix-partitioned merge vs `full_cells` the v1
-    /// full-keyspace merge would have written (keyspace size).
-    pub fn record_merge(&self, radix_cells: u64, full_cells: u64) {
-        self.radix_merge_cells
-            .fetch_add(radix_cells, Ordering::Relaxed);
-        self.full_merge_cells
-            .fetch_add(full_cells, Ordering::Relaxed);
-    }
-
     /// Records `samples` permutation-null samples that each shuffled and
     /// re-counted `values` values (batched once per null).
     pub fn record_permutations(&self, samples: u64, values: u64) {
@@ -315,8 +281,6 @@ impl KernelCounters {
             sparse_builds: self.sparse_builds.load(Ordering::Relaxed),
             narrow_scans: self.narrow_scans.load(Ordering::Relaxed),
             packed_words_skipped: self.packed_words_skipped.load(Ordering::Relaxed),
-            radix_merge_cells: self.radix_merge_cells.load(Ordering::Relaxed),
-            full_merge_cells: self.full_merge_cells.load(Ordering::Relaxed),
             builds_w8: self.builds_w8.load(Ordering::Relaxed),
             builds_w16: self.builds_w16.load(Ordering::Relaxed),
             builds_w32: self.builds_w32.load(Ordering::Relaxed),
@@ -324,33 +288,23 @@ impl KernelCounters {
             builds_w128: self.builds_w128.load(Ordering::Relaxed),
             permutations: self.permutations.load(Ordering::Relaxed),
             perm_rows: self.perm_rows.load(Ordering::Relaxed),
-            memo_hits: load4(&self.memo_hits),
-            memo_misses: load4(&self.memo_misses),
-            memo_inserts: load4(&self.memo_inserts),
-            memo_evictions: load4(&self.memo_evictions),
+            memo_hits: load_kinds(&self.memo_hits),
+            memo_misses: load_kinds(&self.memo_misses),
+            memo_inserts: load_kinds(&self.memo_inserts),
+            memo_evictions: load_kinds(&self.memo_evictions),
             memo_coalesced_waits: self.memo_coalesced_waits.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Relaxed load of a per-kind counter array.
-fn load4(a: &[AtomicU64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
-    [
-        a[0].load(Ordering::Relaxed),
-        a[1].load(Ordering::Relaxed),
-        a[2].load(Ordering::Relaxed),
-        a[3].load(Ordering::Relaxed),
-    ]
+fn load_kinds(a: &[AtomicU64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
+    std::array::from_fn(|k| a[k].load(Ordering::Relaxed))
 }
 
 /// Element-wise saturating subtraction of per-kind counter arrays.
-fn sub4(a: [u64; MEMO_KINDS], b: [u64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
-    [
-        a[0].saturating_sub(b[0]),
-        a[1].saturating_sub(b[1]),
-        a[2].saturating_sub(b[2]),
-        a[3].saturating_sub(b[3]),
-    ]
+fn sub_kinds(a: [u64; MEMO_KINDS], b: [u64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
+    std::array::from_fn(|k| a[k].saturating_sub(b[k]))
 }
 
 /// A point-in-time copy of [`KernelCounters`].
@@ -372,11 +326,6 @@ pub struct KernelSnapshot {
     pub narrow_scans: u64,
     /// All-zero 64-bit selection words skipped by packed mask scans.
     pub packed_words_skipped: u64,
-    /// Cells written by radix-partitioned sub-histogram merges.
-    pub radix_merge_cells: u64,
-    /// Cells the v1 full-keyspace merge discipline would have written for
-    /// the same merge events (keyspace × merges).
-    pub full_merge_cells: u64,
     /// Builds scanned at 8-bit width.
     pub builds_w8: u64,
     /// Builds scanned at 16-bit width.
@@ -441,12 +390,6 @@ impl KernelSnapshot {
             packed_words_skipped: self
                 .packed_words_skipped
                 .saturating_sub(earlier.packed_words_skipped),
-            radix_merge_cells: self
-                .radix_merge_cells
-                .saturating_sub(earlier.radix_merge_cells),
-            full_merge_cells: self
-                .full_merge_cells
-                .saturating_sub(earlier.full_merge_cells),
             builds_w8: self.builds_w8.saturating_sub(earlier.builds_w8),
             builds_w16: self.builds_w16.saturating_sub(earlier.builds_w16),
             builds_w32: self.builds_w32.saturating_sub(earlier.builds_w32),
@@ -454,10 +397,10 @@ impl KernelSnapshot {
             builds_w128: self.builds_w128.saturating_sub(earlier.builds_w128),
             permutations: self.permutations.saturating_sub(earlier.permutations),
             perm_rows: self.perm_rows.saturating_sub(earlier.perm_rows),
-            memo_hits: sub4(self.memo_hits, earlier.memo_hits),
-            memo_misses: sub4(self.memo_misses, earlier.memo_misses),
-            memo_inserts: sub4(self.memo_inserts, earlier.memo_inserts),
-            memo_evictions: sub4(self.memo_evictions, earlier.memo_evictions),
+            memo_hits: sub_kinds(self.memo_hits, earlier.memo_hits),
+            memo_misses: sub_kinds(self.memo_misses, earlier.memo_misses),
+            memo_inserts: sub_kinds(self.memo_inserts, earlier.memo_inserts),
+            memo_evictions: sub_kinds(self.memo_evictions, earlier.memo_evictions),
             memo_coalesced_waits: self
                 .memo_coalesced_waits
                 .saturating_sub(earlier.memo_coalesced_waits),
@@ -493,7 +436,6 @@ mod tests {
         c.record_scan_width(ScanWidth::W64);
         c.record_scan_width(ScanWidth::W128);
         c.record_packed_words_skipped(7);
-        c.record_merge(128, 4096);
         c.record_permutations(100, 2_000);
         c.record_permutations(16, 3);
         let d = c.snapshot().delta(&before);
@@ -511,8 +453,6 @@ mod tests {
             (1, 1, 1, 1, 1)
         );
         assert_eq!(d.packed_words_skipped, 7);
-        assert_eq!(d.radix_merge_cells, 128);
-        assert_eq!(d.full_merge_cells, 4096);
     }
 
     #[test]
@@ -537,8 +477,8 @@ mod tests {
         let before = c.snapshot();
         c.record_memo_hit(MemoKind::Contingency);
         c.record_memo_hit(MemoKind::Contingency);
-        c.record_memo_miss(MemoKind::Selection);
-        c.record_memo_insert(MemoKind::Selection);
+        c.record_memo_miss(MemoKind::CmiTerm);
+        c.record_memo_insert(MemoKind::CmiTerm);
         c.record_memo_evictions(MemoKind::CmiTerm, 3);
         c.record_memo_hit(MemoKind::Extraction);
         c.record_memo_coalesced_wait();
@@ -547,7 +487,7 @@ mod tests {
         assert_eq!(d.memo_hits[MemoKind::Extraction as usize], 1);
         assert_eq!(d.memo_hits_total(), 3);
         assert_eq!(d.memo_misses_total(), 1);
-        assert_eq!(d.memo_inserts[MemoKind::Selection as usize], 1);
+        assert_eq!(d.memo_inserts[MemoKind::CmiTerm as usize], 1);
         assert_eq!(d.memo_evictions[MemoKind::CmiTerm as usize], 3);
         assert_eq!(d.memo_evictions_total(), 3);
         assert_eq!(d.memo_coalesced_waits, 1);

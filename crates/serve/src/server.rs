@@ -181,8 +181,8 @@ pub struct ServerOptions {
     /// nothing). Past capacity the oldest trace is dropped and the
     /// `trace.evicted` counter increments — memory stays bounded.
     pub trace_capacity: usize,
-    /// Byte budget of the sub-query memo store (contingency tables,
-    /// selection vectors, CMI terms, extraction columns shared across
+    /// Byte budget of the sub-query memo store (contingency tables, CMI
+    /// terms, extraction columns shared across
     /// requests; see [`nexus_core::MemoStore`]). `0` = unbounded.
     pub max_memo_bytes: u64,
 }
@@ -532,10 +532,6 @@ impl Server {
         r.gauge("kernel.narrow_scans").set(kernel.narrow_scans);
         r.gauge("kernel.packed_words_skipped")
             .set(kernel.packed_words_skipped);
-        r.gauge("kernel.merge.radix_cells")
-            .set(kernel.radix_merge_cells);
-        r.gauge("kernel.merge.full_cells")
-            .set(kernel.full_merge_cells);
         r.gauge("kernel.builds.w8").set(kernel.builds_w8);
         r.gauge("kernel.builds.w16").set(kernel.builds_w16);
         r.gauge("kernel.builds.w32").set(kernel.builds_w32);

@@ -566,15 +566,16 @@ pub struct ServerStatsWire {
     pub kernel_dense_builds: u64,
     /// Counting builds that fell back to a hashed accumulator.
     pub kernel_sparse_builds: u64,
-    /// Vectorized scans whose fused code column fit a narrow (u8/u16)
+    /// Vectorized scans whose key space fit a narrow (u8/u16)
     /// width.
     pub kernel_narrow_scans: u64,
     /// All-zero selection words skipped whole by packed-mask scans.
     pub kernel_packed_words_skipped: u64,
-    /// Cells written by radix-partitioned sub-histogram merges.
+    /// Retired (always 0): cells written by the radix merges of a
+    /// parallel counting kernel that no longer exists. Kept so the frame
+    /// layout stays byte-compatible; it has no registry name.
     pub kernel_radix_merge_cells: u64,
-    /// Cells the v1 full-keyspace-per-chunk merge discipline would have
-    /// written for the same builds.
+    /// Retired (always 0), like `kernel_radix_merge_cells`.
     pub kernel_full_merge_cells: u64,
     /// Vectorized builds whose scan keys packed into u8.
     pub kernel_builds_w8: u64,
@@ -633,8 +634,8 @@ pub struct ServerStatsWire {
     /// Order-independent fingerprint over the resident `(name,
     /// fingerprint)` pairs — changes exactly when the resident set does.
     pub registry_fingerprint: u64,
-    /// Sub-query memo hits across all kinds (contingency tables, fused
-    /// selections, CMI terms, extraction columns) since server start.
+    /// Sub-query memo hits across all kinds (contingency tables, CMI
+    /// terms, extraction columns) since server start.
     pub memo_hits: u64,
     /// Sub-query memo misses across all kinds since server start.
     pub memo_misses: u64,
@@ -650,9 +651,10 @@ pub struct ServerStatsWire {
 }
 
 /// One field-to-name mapping entry shared by [`ServerStatsWire::metrics`]
-/// and [`ServerStatsWire::from_metrics`]; the macro lists every field once
-/// so the two directions can never drift (the struct literal in
-/// `from_metrics` is exhaustive).
+/// and [`ServerStatsWire::from_metrics`]; the macro lists every live field
+/// once so the two directions can never drift (the struct literal in
+/// `from_metrics` is exhaustive: it names the two retired merge fields
+/// explicitly).
 macro_rules! for_each_stats_metric {
     ($mac:ident) => {
         $mac! {
@@ -668,8 +670,6 @@ macro_rules! for_each_stats_metric {
             kernel_sparse_builds => "kernel.builds.sparse",
             kernel_narrow_scans => "kernel.narrow_scans",
             kernel_packed_words_skipped => "kernel.packed_words_skipped",
-            kernel_radix_merge_cells => "kernel.merge.radix_cells",
-            kernel_full_merge_cells => "kernel.merge.full_cells",
             kernel_builds_w8 => "kernel.builds.w8",
             kernel_builds_w16 => "kernel.builds.w16",
             kernel_builds_w32 => "kernel.builds.w32",
@@ -725,7 +725,11 @@ impl ServerStatsWire {
     pub fn from_metrics(mut get: impl FnMut(&str) -> u64) -> ServerStatsWire {
         macro_rules! build {
             ($($field:ident => $name:expr,)*) => {
-                ServerStatsWire { $($field: get($name)),* }
+                ServerStatsWire {
+                    $($field: get($name),)*
+                    kernel_radix_merge_cells: 0,
+                    kernel_full_merge_cells: 0,
+                }
             };
         }
         for_each_stats_metric!(build)
@@ -1634,7 +1638,7 @@ mod tests {
         let mut expected = ServerStatsWire::default();
         // Give every field a distinct value so a crossed mapping is caught.
         let pairs = expected.metrics();
-        assert_eq!(pairs.len(), 42, "every StatsReply field has a name");
+        assert_eq!(pairs.len(), 40, "every live StatsReply field has a name");
         let mut seen = std::collections::HashSet::new();
         for window in pairs.windows(2) {
             assert!(window[0].0 < window[1].0, "names sorted: {window:?}");
@@ -1643,7 +1647,7 @@ mod tests {
             assert!(seen.insert(*name), "duplicate name {name}");
         }
         // Distinct values per field via the inverse direction: number the
-        // names 1..=42, build the struct, and check metrics() echoes the
+        // names 1..=40, build the struct, and check metrics() echoes the
         // numbering back under the same names.
         let numbered: std::collections::HashMap<&str, u64> = pairs
             .iter()

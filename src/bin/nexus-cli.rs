@@ -46,7 +46,8 @@ use nexus::core::{unexplained_subgroups, PipelineStats, SubgroupOptions};
 use nexus::kg::KnowledgeGraph;
 use nexus::lake::{DataLake, LakeOptions};
 use nexus::serve::wire::{
-    encode_frame, error_code, read_frame, ExplanationWire, Frame, MetricWire, TraceWire,
+    encode_frame, error_code, read_frame, ExplanationWire, Frame, MetricWire, ServeStatsWire,
+    TraceWire,
 };
 use nexus::serve::{
     explanation_to_wire, Client, ClientError, ExplainCall, RetryPolicy, Server, ServerOptions,
@@ -652,11 +653,9 @@ fn run_explain(args: &ExplainArgs) -> Result<(), String> {
         s.kernel.sparse_builds
     );
     eprintln!(
-        "kernel v2: {} narrow scan(s), {} packed word(s) skipped, merge cells {} radix vs {} full, widths u8:{} u16:{} u32:{} u64:{} u128:{}",
+        "kernel v2: {} narrow scan(s), {} packed word(s) skipped, widths u8:{} u16:{} u32:{} u64:{} u128:{}",
         s.kernel.narrow_scans,
         s.kernel.packed_words_skipped,
-        s.kernel.radix_merge_cells,
-        s.kernel.full_merge_cells,
         s.kernel.builds_w8,
         s.kernel.builds_w16,
         s.kernel.builds_w32,
@@ -927,23 +926,38 @@ fn run_submit(args: &SubmitArgs) -> Result<(), Failure> {
             .call(&ExplainCall::new(&args.dataset, &args.sql))
             .map_err(client_failure)?;
         print_explanation(&query.to_string(), &response.explanation);
-        let s = &response.stats;
-        eprintln!(
-            "serve: {}; {} scored task(s); queued {:.3} ms; served in {:.3} ms",
-            if s.cache_hit {
-                "cache hit"
-            } else {
-                "cache miss"
-            },
-            s.scored_tasks,
-            s.queue_nanos as f64 / 1e6,
-            s.service_nanos as f64 / 1e6,
-        );
+        print_serve_stats(&response.stats);
     }
     if args.shutdown {
         client.shutdown().map_err(client_failure)?;
         eprintln!("server acknowledged shutdown");
     }
+    Ok(())
+}
+
+/// The `serve: cache hit|miss; …` stderr line of one served explain.
+fn print_serve_stats(s: &ServeStatsWire) {
+    eprintln!(
+        "serve: {}; {} scored task(s); queued {:.3} ms; served in {:.3} ms",
+        if s.cache_hit {
+            "cache hit"
+        } else {
+            "cache miss"
+        },
+        s.scored_tasks,
+        s.queue_nanos as f64 / 1e6,
+        s.service_nanos as f64 / 1e6,
+    );
+}
+
+/// Ends a v2 session, then asks the server to shut down over a fresh
+/// connection. The session's connection slot is freed first, so a
+/// `--max-conns 1` server does not bounce the controller connection.
+fn shutdown_after_session(session: Session, args: &SubmitArgs) -> Result<(), Failure> {
+    drop(session);
+    let mut client = connect(&args.socket, &args.tcp)?;
+    client.shutdown().map_err(client_failure)?;
+    eprintln!("server acknowledged shutdown");
     Ok(())
 }
 
@@ -981,18 +995,7 @@ fn run_traced_submit(args: &SubmitArgs) -> Result<(), Failure> {
     let corr = ticket.corr_id();
     let reply = ticket.wait().map_err(client_failure)?;
     print_explanation(&query.to_string(), &reply.explanation);
-    let s = &reply.stats;
-    eprintln!(
-        "serve: {}; {} scored task(s); queued {:.3} ms; served in {:.3} ms",
-        if s.cache_hit {
-            "cache hit"
-        } else {
-            "cache miss"
-        },
-        s.scored_tasks,
-        s.queue_nanos as f64 / 1e6,
-        s.service_nanos as f64 / 1e6,
-    );
+    print_serve_stats(&reply.stats);
     let traces = session.trace(16).map_err(client_failure)?;
     match traces.iter().find(|t| t.corr_id == corr) {
         Some(t) => {
@@ -1005,10 +1008,7 @@ fn run_traced_submit(args: &SubmitArgs) -> Result<(), Failure> {
         }
     }
     if args.shutdown {
-        drop(session);
-        let mut client = connect(&args.socket, &args.tcp)?;
-        client.shutdown().map_err(client_failure)?;
-        eprintln!("server acknowledged shutdown");
+        shutdown_after_session(session, args)?;
     }
     Ok(())
 }
@@ -1159,13 +1159,8 @@ fn run_pipeline(args: &SubmitArgs) -> Result<(), Failure> {
         }
     }
     if args.shutdown {
-        // Free the session's connection slot first (--max-conns 1 servers
-        // would otherwise bounce the controller connection).
         drop(tickets);
-        drop(session);
-        let mut client = connect(&args.socket, &args.tcp)?;
-        client.shutdown().map_err(client_failure)?;
-        eprintln!("server acknowledged shutdown");
+        shutdown_after_session(session, args)?;
     }
     Ok(())
 }

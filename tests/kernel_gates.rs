@@ -2,13 +2,16 @@
 //!
 //! Each workload runs the whole explain pipeline three times at 2
 //! threads: a plain pass, then a memo-cold and a memo-warm pass that share
-//! one `MemoStore`. The assertions read the per-pass kernel counter deltas
-//! (`Explanation::stats.kernel`), never wall-clock, so they hold on any
-//! machine. The counters are process-global; this binary has one test, so
-//! no concurrent run can pollute a pass's delta.
+//! one `MemoStore`. The plain pass's output signature must hash to a
+//! golden digest, so a change that moves every output bit the same way —
+//! which memo-off = memo-on cannot see — fails here. The other assertions
+//! read the per-pass kernel counter deltas (`Explanation::stats.kernel`),
+//! never wall-clock, so they hold on any machine. The counters are
+//! process-global; this binary has one test, so no concurrent run can
+//! pollute a pass's delta.
 //!
-//! Bit-identity of the kernels against the per-row scans is tested per
-//! call, next to the code (`nexus-info`'s counter tests and `nexus-core`'s
+//! Bit-identity of the kernel against naive counts is tested per call,
+//! next to the code (`nexus-info`'s counter tests and `nexus-core`'s
 //! engine `kernel_equivalence` module).
 
 use std::fmt::Write as _;
@@ -18,6 +21,7 @@ use nexus::core::{ExplainRequest, Explanation, MemoHandle, MemoStore, RunControl
 use nexus::datagen::flights::{self, FlightsConfig};
 use nexus::datagen::synth::{self, SynthConfig, SYNTH_WORKLOADS};
 use nexus::datagen::{Dataset, BENCH_QUERIES};
+use nexus::table::Fnv64;
 use nexus::{parse, Nexus, NexusOptions, Parallelism};
 
 /// Every user-visible output of an explanation, f64s as raw bits, so
@@ -67,9 +71,22 @@ fn explain(dataset: &Dataset, sql: &str, memo: Option<&MemoHandle>) -> Explanati
         .0
 }
 
+/// FNV-1a of a [`signature`].
+fn signature_digest(e: &Explanation) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(signature(e).as_bytes());
+    h.finish()
+}
+
 /// Runs the three passes of one workload and asserts every gate.
-fn assert_gates(id: &str, dataset: &Dataset, sql: &str) {
+fn assert_gates(id: &str, dataset: &Dataset, sql: &str, golden: u64) {
     let plain = explain(dataset, sql, None);
+    assert_eq!(
+        signature_digest(&plain),
+        golden,
+        "{id}: plain-pass output moved off its golden digest: {}",
+        signature(&plain)
+    );
     let k = &plain.stats.kernel;
     let rows = dataset.table.n_rows() as u64;
 
@@ -85,12 +102,6 @@ fn assert_gates(id: &str, dataset: &Dataset, sql: &str) {
     assert!(
         k.dense_ops < k.rows_scanned,
         "{id}: dense writes not coalesced: {k:?}"
-    );
-    // Whenever parallel dense merges happened, the radix bill strictly
-    // undercuts the v1 full-keyspace-per-chunk bill.
-    assert!(
-        k.full_merge_cells == 0 || k.radix_merge_cells < k.full_merge_cells,
-        "{id}: radix merges not below the full-keyspace bill: {k:?}"
     );
     assert!(k.narrow_scans > 0, "{id}: no narrow scans: {k:?}");
 
@@ -108,8 +119,7 @@ fn assert_gates(id: &str, dataset: &Dataset, sql: &str) {
     assert_eq!(signature(&cold), expected, "{id}: memo-cold output differs");
     assert_eq!(signature(&warm), expected, "{id}: memo-warm output differs");
     // Memo hits shed counted work: no more pool tasks, and strictly fewer
-    // pool tasks (large, row-partitioned builds) or rows scanned (small,
-    // inline builds).
+    // pool tasks (the contingency builds) or rows scanned.
     let (tc, tw) = (cold.stats.pool_tasks, warm.stats.pool_tasks);
     assert!(
         tw <= tc && (tw < tc || kw.rows_scanned < kc.rows_scanned),
@@ -117,15 +127,6 @@ fn assert_gates(id: &str, dataset: &Dataset, sql: &str) {
         kc.rows_scanned,
         kw.rows_scanned
     );
-
-    if id == "SYN-B1" {
-        // Above the kernel's parallel threshold, so the merge gate above
-        // is not vacuous here.
-        assert!(
-            k.radix_merge_cells > 0,
-            "{id}: no radix merges recorded: {k:?}"
-        );
-    }
 }
 
 fn synth_workload(id: &str, n_rows: usize) -> (Dataset, &'static str) {
@@ -152,11 +153,14 @@ fn kernel_and_memo_gates_hold_on_fixed_workloads() {
         n_cities: 40,
         ..FlightsConfig::default()
     });
-    assert_gates("FL-Q1", &flights, fl_q1.sql);
+    assert_gates("FL-Q1", &flights, fl_q1.sql, 0xf19a_f043_0239_7bf6);
 
-    // 70k rows: above the kernel's 2^16-row parallel threshold.
-    for id in ["SYN-B1", "SYN-M1"] {
+    // 70k rows: above the candidate build's 2^16-row chunk size.
+    for (id, golden) in [
+        ("SYN-B1", 0x95c0_d74a_c7ef_1900),
+        ("SYN-M1", 0x9b41_3423_cec0_e7f5),
+    ] {
         let (dataset, sql) = synth_workload(id, 70_000);
-        assert_gates(id, &dataset, sql);
+        assert_gates(id, &dataset, sql, golden);
     }
 }
