@@ -2,7 +2,7 @@
 //! Min-Conditional-mutual-Information + Min-Redundancy, with the
 //! responsibility test (Lemma 4.2) as the stopping criterion.
 
-use nexus_info::{ci_test, InfoContext};
+use nexus_info::{ci_screen, CiScreen, InfoContext};
 use nexus_table::Codes;
 
 use crate::candidate::CandidateSet;
@@ -76,12 +76,13 @@ pub fn mcimr(set: &CandidateSet, engine: &Engine, options: &NexusOptions) -> Mci
 /// [`mcimr`] with cooperative cancellation and progress streaming.
 ///
 /// The abort flag is polled once per greedy iteration — the natural
-/// granularity: each iteration is one pool-mapped scoring pass plus one
-/// CI test, so a cancel lands within a single `NextBestAtt` round. After
-/// every *committed* selection the control receives a
-/// [`ProgressEvent::Selected`] carrying the top-k-so-far set; rejected or
-/// undone candidates emit nothing, so the event stream mirrors exactly
-/// the trace of the final result.
+/// granularity: each iteration is one pool-mapped scoring pass, the
+/// responsibility test's screen, and at most one `I(O;T|C,E)` count and
+/// one permutation null, so a cancel lands within a single `NextBestAtt`
+/// round. After every *committed* selection the control receives a
+/// [`ProgressEvent::Selected`] carrying the top-k-so-far set; candidates
+/// rejected by the test or the backstop emit nothing, so the event stream
+/// mirrors exactly the trace of the final result.
 pub fn mcimr_controlled(
     set: &CandidateSet,
     engine: &Engine,
@@ -121,12 +122,38 @@ pub fn mcimr_controlled(
             stopped_by_responsibility = true;
             break;
         }
-        // Responsibility test (Lemma 4.2): O ⫫ E_best | E_selected ?
+        // Responsibility test (Lemma 4.2): O ⫫ E_best | E_selected ? Its
+        // cheap screen runs first. Unless the screen already rejects, the
+        // improvement backstop runs next: an attribute whose marginal
+        // improvement is negligible relative to the initial correlation is
+        // set aside like a failed responsibility test. Only a candidate the
+        // backstop keeps and the screen left undecided draws the
+        // permutation null. Both rejections act alike and the test reseeds
+        // on every call, so this order selects exactly what testing first
+        // would.
         let rows = set.row_codes(&set.candidates[best]);
-        let z: Vec<&Codes> = selected_rows.iter().collect();
         let ctx = InfoContext::masked(&set.mask);
-        let test = ci_test(&ctx, &set.o, &rows, &z, &options.ci);
-        if test.independent {
+        let z: Vec<&Codes> = selected_rows.iter().collect();
+        let kept = match ci_screen(&ctx, &set.o, &rows, &z, &options.ci) {
+            CiScreen::Decided(test) if test.independent => None,
+            screen => {
+                // `Engine::cmi_given` of `selected ∪ {best}`, on the row
+                // codes already held.
+                let mut given = z.clone();
+                given.push(&rows);
+                let cmi_after = ctx.cmi_mm(&set.o, &set.t, &given);
+                let negligible = initial_cmi > 0.0
+                    && !selected.is_empty()
+                    && (last_cmi - cmi_after) / initial_cmi < options.min_improvement;
+                let responsible = !negligible
+                    && match screen {
+                        CiScreen::Pending(test) => !test.permute().independent,
+                        CiScreen::Decided(_) => true,
+                    };
+                responsible.then_some(cmi_after)
+            }
+        };
+        let Some(cmi_after) = kept else {
             rejected[best] = true;
             rejections += 1;
             if rejections >= MAX_REJECTIONS {
@@ -134,10 +161,9 @@ pub fn mcimr_controlled(
                 break;
             }
             continue;
-        }
+        };
         selected.push(best);
         selected_rows.push(rows);
-        let cmi_after = engine.cmi_given(set, &selected);
         trace.push(IterationTrace {
             chosen: best,
             name: set.candidates[best].name.clone(),
@@ -145,25 +171,6 @@ pub fn mcimr_controlled(
             v2,
             cmi_after,
         });
-        // Backstop to the responsibility test: an attribute whose marginal
-        // improvement is negligible relative to the initial correlation is
-        // undone and set aside like a failed responsibility test.
-        if initial_cmi > 0.0
-            && (last_cmi - cmi_after) / initial_cmi < options.min_improvement
-            && selected.len() > 1
-        {
-            // Undo an attribute that bought (almost) nothing.
-            selected.pop();
-            selected_rows.pop();
-            trace.pop();
-            rejected[best] = true;
-            rejections += 1;
-            if rejections >= MAX_REJECTIONS {
-                stopped_by_responsibility = true;
-                break;
-            }
-            continue;
-        }
         last_cmi = cmi_after;
         ctl.emit(ProgressEvent::Selected {
             names: selected
@@ -175,7 +182,9 @@ pub fn mcimr_controlled(
         });
     }
 
-    let final_cmi = engine.cmi_given(set, &selected);
+    // `last_cmi` is `cmi_given(selected)` for the committed set (the
+    // baseline when nothing was selected).
+    let final_cmi = last_cmi;
     Ok(McimrResult {
         selected,
         initial_cmi,
@@ -391,6 +400,192 @@ mod tests {
         let err = mcimr_controlled(&set, &engine, &options, RunControl::with_abort(&flag))
             .expect_err("aborted");
         assert_eq!(err, CoreError::Aborted);
+    }
+
+    /// The selection loop as it ran before the improvement backstop moved
+    /// ahead of the permutation null: every candidate draws its full
+    /// responsibility test first; a kept candidate is committed, then
+    /// undone if the backstop fires; `final_cmi` is recounted at the end.
+    fn mcimr_permute_first(
+        set: &CandidateSet,
+        engine: &Engine,
+        options: &NexusOptions,
+        ctl: RunControl<'_>,
+    ) -> McimrResult {
+        use nexus_info::ci_test;
+        let k = options.max_explanation_size;
+        let initial_cmi = engine.baseline_cmi();
+        let mut selected: Vec<usize> = Vec::new();
+        let mut trace = Vec::new();
+        let mut stopped_by_responsibility = false;
+        let mut last_cmi = initial_cmi;
+        let mut selected_rows: Vec<Codes> = Vec::new();
+        let mut rejected = vec![false; set.candidates.len()];
+        let mut rejections = 0usize;
+        while selected.len() < k {
+            let Some((best, v1, v2)) = next_best(set, engine, &selected, &rejected, options) else {
+                stopped_by_responsibility = rejections > 0;
+                break;
+            };
+            if selected.is_empty() && v1 >= 0.98 * initial_cmi && initial_cmi > 0.0 {
+                stopped_by_responsibility = true;
+                break;
+            }
+            let rows = set.row_codes(&set.candidates[best]);
+            let z: Vec<&Codes> = selected_rows.iter().collect();
+            let ctx = InfoContext::masked(&set.mask);
+            let test = ci_test(&ctx, &set.o, &rows, &z, &options.ci);
+            if test.independent {
+                rejected[best] = true;
+                rejections += 1;
+                if rejections >= MAX_REJECTIONS {
+                    stopped_by_responsibility = true;
+                    break;
+                }
+                continue;
+            }
+            selected.push(best);
+            selected_rows.push(rows);
+            let cmi_after = engine.cmi_given(set, &selected);
+            trace.push(IterationTrace {
+                chosen: best,
+                name: set.candidates[best].name.clone(),
+                v1,
+                v2,
+                cmi_after,
+            });
+            if initial_cmi > 0.0
+                && (last_cmi - cmi_after) / initial_cmi < options.min_improvement
+                && selected.len() > 1
+            {
+                selected.pop();
+                selected_rows.pop();
+                trace.pop();
+                rejected[best] = true;
+                rejections += 1;
+                if rejections >= MAX_REJECTIONS {
+                    stopped_by_responsibility = true;
+                    break;
+                }
+                continue;
+            }
+            last_cmi = cmi_after;
+            ctl.emit(ProgressEvent::Selected {
+                names: selected
+                    .iter()
+                    .map(|&i| set.candidates[i].name.clone())
+                    .collect(),
+                cmi_so_far: cmi_after,
+                initial_cmi,
+            });
+        }
+        let final_cmi = engine.cmi_given(set, &selected);
+        McimrResult {
+            selected,
+            initial_cmi,
+            final_cmi,
+            trace,
+            stopped_by_responsibility,
+        }
+    }
+
+    /// Every field of a result, f64s as raw bits.
+    fn result_bits(r: &McimrResult) -> String {
+        let mut s = format!(
+            "selected={:?};initial={:016x};final={:016x};stopped={};",
+            r.selected,
+            r.initial_cmi.to_bits(),
+            r.final_cmi.to_bits(),
+            r.stopped_by_responsibility
+        );
+        for t in &r.trace {
+            s += &format!(
+                "{}:{}:{:016x}:{:016x}:{:016x};",
+                t.chosen,
+                t.name,
+                t.v1.to_bits(),
+                t.v2.to_bits(),
+                t.cmi_after.to_bits()
+            );
+        }
+        s
+    }
+
+    /// Runs `select` with a recording progress sink; returns the result
+    /// and the event stream, f64s as raw bits.
+    fn recorded(
+        select: impl FnOnce(RunControl<'_>) -> McimrResult,
+    ) -> (String, Vec<(Vec<String>, u64, u64)>) {
+        use std::sync::Mutex;
+        let events = Mutex::new(Vec::new());
+        let sink = |e: ProgressEvent| {
+            let ProgressEvent::Selected {
+                names,
+                cmi_so_far,
+                initial_cmi,
+            } = e
+            else {
+                panic!("unexpected event {e:?}");
+            };
+            events
+                .lock()
+                .unwrap()
+                .push((names, cmi_so_far.to_bits(), initial_cmi.to_bits()));
+        };
+        let r = select(RunControl {
+            progress: Some(&sink),
+            ..RunControl::default()
+        });
+        (result_bits(&r), events.into_inner().unwrap())
+    }
+
+    /// The backstop-first loop selects, traces and streams exactly what
+    /// the permute-first loop did, at each `min_improvement`.
+    fn assert_matches_permute_first(set: &CandidateSet, engine: &Engine, base: &NexusOptions) {
+        for min_improvement in [0.0, 0.02, 0.1] {
+            let options = NexusOptions {
+                min_improvement,
+                ..base.clone()
+            };
+            let got = recorded(|ctl| mcimr_controlled(set, engine, &options, ctl).unwrap());
+            let want = recorded(|ctl| mcimr_permute_first(set, engine, &options, ctl));
+            assert_eq!(got, want, "min_improvement {min_improvement}");
+        }
+    }
+
+    #[test]
+    fn backstop_first_matches_permute_first_on_toy() {
+        let options = NexusOptions::default();
+        let (table, kg, cols) = toy();
+        let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
+        let set = build_candidates(&table, &kg, &cols, &q, &options).unwrap();
+        let engine = Engine::new(&set);
+        assert_matches_permute_first(&set, &engine, &options);
+    }
+
+    #[test]
+    fn backstop_first_matches_permute_first_on_flights() {
+        use crate::pipeline::{ExplainRequest, Nexus};
+        use nexus_datagen::flights::{self, FlightsConfig};
+        use nexus_datagen::BENCH_QUERIES;
+        let fl_q5 = BENCH_QUERIES.iter().find(|q| q.id == "FL-Q5").unwrap();
+        let data = flights::generate(&FlightsConfig {
+            n_rows: 20_000,
+            n_cities: 20,
+            ..FlightsConfig::default()
+        });
+        let q = parse(fl_q5.sql).unwrap();
+        let options = NexusOptions::default();
+        let request = ExplainRequest::new()
+            .table(&data.table)
+            .knowledge_graph(&data.kg)
+            .extraction_columns(data.extraction_columns.clone())
+            .query(&q);
+        // The pruned, bias-weighted set MCIMR runs on inside the pipeline.
+        let (_, artifacts) = Nexus::new(options.clone())
+            .run_with_artifacts(&request)
+            .unwrap();
+        assert_matches_permute_first(&artifacts.set, &artifacts.engine, &options);
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub struct CiTestResult {
     pub independent: bool,
 }
 
-/// Tests `X ⫫ Y | Z` on the complete-case rows under `ctx`.
+/// Tests `X ⫫ Y | Z` on the complete-case rows under `ctx`: the cheap
+/// [`ci_screen`], then, when no shortcut decides it,
+/// [`PendingCiTest::permute`].
 pub fn ci_test(
     ctx: &InfoContext<'_>,
     x: &Codes,
@@ -66,73 +68,129 @@ pub fn ci_test(
     z: &[&Codes],
     options: &CiTestOptions,
 ) -> CiTestResult {
+    match ci_screen(ctx, x, y, z, options) {
+        CiScreen::Decided(result) => result,
+        CiScreen::Pending(pending) => pending.permute(),
+    }
+}
+
+/// The verdict of a CI test's cheap phase.
+#[derive(Debug)]
+pub enum CiScreen<'a> {
+    /// A shortcut decided the test; no permutation is needed.
+    Decided(CiTestResult),
+    /// Only the permutation null can decide the test.
+    Pending(PendingCiTest<'a>),
+}
+
+/// A CI test the screen left undecided, ready to draw its permutation
+/// null.
+#[derive(Debug)]
+pub struct PendingCiTest<'a> {
+    ctx: InfoContext<'a>,
+    x: &'a Codes,
+    y: &'a Codes,
+    z: &'a [&'a Codes],
+    options: CiTestOptions,
+    observed: f64,
+}
+
+/// The cheap phase of [`ci_test`]: the observed CMI plus every shortcut
+/// that needs no permutation (the `cmi_shortcut` thresholds, unconditional
+/// and large-sample, and too few complete cases). Complete-case rows are
+/// only counted here; [`PendingCiTest::permute`] collects them.
+pub fn ci_screen<'a>(
+    ctx: &InfoContext<'a>,
+    x: &'a Codes,
+    y: &'a Codes,
+    z: &'a [&'a Codes],
+    options: &CiTestOptions,
+) -> CiScreen<'a> {
     let observed = ctx.cmi(x, y, z);
+    let decided = |independent: bool| {
+        CiScreen::Decided(CiTestResult {
+            observed_cmi: observed,
+            p_value: if independent { 1.0 } else { 0.0 },
+            independent,
+        })
+    };
 
     if options.cmi_shortcut > 0.0 {
         if observed < options.cmi_shortcut {
-            return CiTestResult {
-                observed_cmi: observed,
-                p_value: 1.0,
-                independent: true,
-            };
+            return decided(true);
         }
         if observed > options.cmi_shortcut * 10.0 && z.is_empty() {
             // Unconditional MI this large is effectively never a permutation
             // artifact at realistic sample sizes.
-            return CiTestResult {
-                observed_cmi: observed,
-                p_value: 0.0,
-                independent: false,
-            };
+            return decided(false);
         }
     }
 
-    // Identify the complete-case rows once (mask + all validities).
-    let n = x.len();
-    let usable: Vec<usize> = (0..n)
-        .filter(|&i| {
-            ctx.mask.is_none_or(|m| m.get(i))
-                && x.is_valid(i)
-                && y.is_valid(i)
-                && z.iter().all(|v| v.is_valid(i))
-        })
-        .collect();
-    if usable.len() < 2 {
-        return CiTestResult {
-            observed_cmi: observed,
-            p_value: 1.0,
-            independent: true,
-        };
+    let usable = (0..x.len())
+        .filter(|&i| complete_case(ctx, x, y, z, i))
+        .count();
+    if usable < 2 {
+        return decided(true);
     }
     // Large-sample shortcut for the conditional case: at 10k+ complete
     // cases a CMI this far above zero cannot be a permutation artifact,
     // and each permutation re-counts every complete case.
-    if options.cmi_shortcut > 0.0 && observed > options.cmi_shortcut * 50.0 && usable.len() > 10_000
-    {
-        return CiTestResult {
-            observed_cmi: observed,
-            p_value: 0.0,
-            independent: false,
-        };
+    if options.cmi_shortcut > 0.0 && observed > options.cmi_shortcut * 50.0 && usable > 10_000 {
+        return decided(false);
     }
+    CiScreen::Pending(PendingCiTest {
+        ctx: *ctx,
+        x,
+        y,
+        z,
+        options: *options,
+        observed,
+    })
+}
 
-    let null = StratifiedNull::new(ctx, x, y, z, &usable);
-    drop(usable);
-    let mut scratch = NullScratch::default();
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut exceed = 0usize;
-    for _ in 0..options.n_permutations {
-        if null.permuted_cmi(&mut rng, &mut scratch) >= observed {
-            exceed += 1;
+impl PendingCiTest<'_> {
+    /// The expensive phase of [`ci_test`]: builds the stratified null from
+    /// the complete-case rows and draws `n_permutations` samples from an
+    /// RNG seeded with `options.seed`.
+    pub fn permute(self) -> CiTestResult {
+        let PendingCiTest {
+            ctx,
+            x,
+            y,
+            z,
+            options,
+            observed,
+        } = self;
+        let usable: Vec<usize> = (0..x.len())
+            .filter(|&i| complete_case(&ctx, x, y, z, i))
+            .collect();
+        let null = StratifiedNull::new(&ctx, x, y, z, &usable);
+        drop(usable);
+        let mut scratch = NullScratch::default();
+        let mut rng = StdRng::seed_from_u64(options.seed);
+        let mut exceed = 0usize;
+        for _ in 0..options.n_permutations {
+            if null.permuted_cmi(&mut rng, &mut scratch) >= observed {
+                exceed += 1;
+            }
+        }
+        kernel::counters().record_permutations(options.n_permutations as u64, null.rows() as u64);
+        let p_value = (exceed + 1) as f64 / (options.n_permutations + 1) as f64;
+        CiTestResult {
+            observed_cmi: observed,
+            p_value,
+            independent: p_value >= options.alpha,
         }
     }
-    kernel::counters().record_permutations(options.n_permutations as u64, null.rows() as u64);
-    let p_value = (exceed + 1) as f64 / (options.n_permutations + 1) as f64;
-    CiTestResult {
-        observed_cmi: observed,
-        p_value,
-        independent: p_value >= options.alpha,
-    }
+}
+
+/// Whether row `i` is inside the mask and valid in every variable.
+#[inline]
+fn complete_case(ctx: &InfoContext<'_>, x: &Codes, y: &Codes, z: &[&Codes], i: usize) -> bool {
+    ctx.mask.is_none_or(|m| m.get(i))
+        && x.is_valid(i)
+        && y.is_valid(i)
+        && z.iter().all(|v| v.is_valid(i))
 }
 
 /// Strata whose `(y, x)` table is at most this many times the stratum's
@@ -597,6 +655,104 @@ mod tests {
                         ctx.weights.is_some()
                     );
                 }
+            }
+        }
+    }
+
+    /// The screen's verdict, which must be `Decided`.
+    fn decided(screen: CiScreen<'_>) -> CiTestResult {
+        match screen {
+            CiScreen::Decided(r) => r,
+            CiScreen::Pending(_) => panic!("left undecided"),
+        }
+    }
+
+    /// `X`, `Y = X xor Z` and `Z` over `n` random binary rows: `X ⫫ Y`
+    /// marginally, fully dependent given `Z`.
+    fn xor_triple(seed: u64, n: usize) -> (Codes, Codes, Codes) {
+        let mut next = lcg(seed);
+        let zv: Vec<u32> = (0..n).map(|_| next() % 2).collect();
+        let xv: Vec<u32> = (0..n).map(|_| next() % 2).collect();
+        let yv: Vec<u32> = xv.iter().zip(&zv).map(|(&x, &z)| x ^ z).collect();
+        (codes(&xv, 2), codes(&yv, 2), codes(&zv, 2))
+    }
+
+    /// Each shortcut decides in the screen, with the result the one-phase
+    /// test returned: the observed CMI, `p = 1` independent or `p = 0`
+    /// dependent.
+    #[test]
+    fn shortcuts_decide_in_the_screen() {
+        let ctx = InfoContext::default();
+        let opts = CiTestOptions::default();
+        let expect = |r: CiTestResult, observed: f64, independent: bool| {
+            assert_eq!(r.observed_cmi.to_bits(), observed.to_bits());
+            assert_eq!(r.independent, independent);
+            assert_eq!(r.p_value, if independent { 1.0 } else { 0.0 });
+        };
+
+        // Observed CMI below the shortcut.
+        let x = codes(&[0, 1, 0, 1], 2);
+        let y = codes(&[0, 0, 1, 1], 2);
+        let r = decided(ci_screen(&ctx, &x, &y, &[], &opts));
+        expect(r, ctx.cmi(&x, &y, &[]), true);
+        assert_eq!(r, ci_test(&ctx, &x, &y, &[], &opts));
+
+        // Unconditional MI above 10x the shortcut.
+        let r = decided(ci_screen(&ctx, &x, &x, &[], &opts));
+        expect(r, ctx.cmi(&x, &x, &[]), false);
+        assert_eq!(r, ci_test(&ctx, &x, &x, &[], &opts));
+
+        // Fewer than two complete cases, even with the shortcut off.
+        let mut sparse = codes(&[0, 1, 1], 2);
+        sparse.validity = Some([true, false, false].into_iter().collect());
+        let (y, z) = (codes(&[0, 1, 1], 2), codes(&[0, 1, 0], 2));
+        let always_permute = CiTestOptions {
+            cmi_shortcut: 0.0,
+            ..opts
+        };
+        let r = decided(ci_screen(&ctx, &sparse, &y, &[&z], &always_permute));
+        expect(r, ctx.cmi(&sparse, &y, &[&z]), true);
+        assert_eq!(r, ci_test(&ctx, &sparse, &y, &[&z], &always_permute));
+
+        // Conditional CMI above 50x the shortcut over 10k+ complete cases.
+        let (x, y, z) = xor_triple(31, 10_001);
+        let r = decided(ci_screen(&ctx, &x, &y, &[&z], &opts));
+        expect(r, ctx.cmi(&x, &y, &[&z]), false);
+        assert_eq!(r, ci_test(&ctx, &x, &y, &[&z], &opts));
+    }
+
+    /// Without a shortcut the screen leaves the test pending, and
+    /// permuting it reproduces the one-call test bit for bit.
+    #[test]
+    fn pending_permute_matches_ci_test() {
+        let always_permute = CiTestOptions {
+            cmi_shortcut: 0.0,
+            ..CiTestOptions::default()
+        };
+        // At most 10k complete cases, or the shortcut switched off.
+        for (seed, n, opts) in [
+            (41, 600, CiTestOptions::default()),
+            (43, 10_001, always_permute),
+        ] {
+            let (x, y, z) = xor_triple(seed, n);
+            let zs = [&z];
+            let mut next = lcg(seed + 1);
+            let weights: Vec<f64> = (0..n).map(|_| (next() % 5) as f64 * 0.5).collect();
+            let mask: Bitmap = (0..n).map(|i| i % 7 != 3).collect();
+            for ctx in [
+                InfoContext::default(),
+                InfoContext::masked(&mask),
+                InfoContext::weighted(&weights),
+            ] {
+                let CiScreen::Pending(pending) = ci_screen(&ctx, &x, &y, &zs, &opts) else {
+                    panic!("decided by a shortcut (n = {n})");
+                };
+                let got = pending.permute();
+                assert_eq!(got.observed_cmi.to_bits(), ctx.cmi(&x, &y, &zs).to_bits());
+                let want = ci_test(&ctx, &x, &y, &zs, &opts);
+                assert_eq!(got.observed_cmi.to_bits(), want.observed_cmi.to_bits());
+                assert_eq!(got.p_value.to_bits(), want.p_value.to_bits());
+                assert_eq!(got.independent, want.independent);
             }
         }
     }

@@ -109,15 +109,16 @@ pub fn detect_selection_bias(
     // nearly 3x the nominal false-positive rate.
     let mut ci = options.ci;
     ci.alpha /= 3.0;
-    let dep_o = !ci_test(ctx, &r, o, &[], &ci).independent;
-    let dep_o_given_t = !ci_test(ctx, &r, o, &[t], &ci).independent;
-    let dep_t = !ci_test(ctx, &r, t, &[], &ci).independent;
+    // The first dependent verdict decides; later tests are not run.
+    let biased = !ci_test(ctx, &r, o, &[], &ci).independent
+        || !ci_test(ctx, &r, o, &[t], &ci).independent
+        || !ci_test(ctx, &r, t, &[], &ci).independent;
 
     BiasReport {
         mi_with_outcome: mi_o,
         mi_with_exposure: mi_t,
         missing_fraction,
-        biased: dep_o || dep_o_given_t || dep_t,
+        biased,
     }
 }
 
@@ -159,36 +160,26 @@ mod tests {
         assert_eq!(r.codes, vec![1, 0, 1]);
     }
 
-    #[test]
-    fn mcar_missingness_not_flagged() {
+    /// `(O, T, E)`: 30% of `E` missing completely at random.
+    fn mcar() -> (Codes, Codes, Column) {
         let mut next = lcg(5);
         let n = 1000;
         let o = codes(&(0..n).map(|_| next() % 4).collect::<Vec<_>>(), 4);
         let t = codes(&(0..n).map(|_| next() % 3).collect::<Vec<_>>(), 3);
-        // 30% missing completely at random.
         let values: Vec<Option<f64>> = (0..n)
             .map(|_| if next() % 10 < 3 { None } else { Some(1.0) })
             .collect();
-        let col = Column::from_opt_f64(values);
-        let report = detect_selection_bias(
-            &InfoContext::default(),
-            &col,
-            &o,
-            &t,
-            &BiasDetectOptions::default(),
-        );
-        assert!(!report.biased, "MCAR flagged: {report:?}");
-        assert!(report.missing_fraction > 0.2);
+        (o, t, Column::from_opt_f64(values))
     }
 
-    #[test]
-    fn outcome_dependent_missingness_flagged() {
+    /// `(O, T, E)`: `E` missing mostly when the outcome is high (codes
+    /// 2,3) — MNAR.
+    fn outcome_dependent() -> (Codes, Codes, Column) {
         let mut next = lcg(9);
         let n = 1000;
         let ov: Vec<u32> = (0..n).map(|_| next() % 4).collect();
         let o = codes(&ov, 4);
         let t = codes(&(0..n).map(|_| next() % 3).collect::<Vec<_>>(), 3);
-        // Missing mostly when the outcome is high (codes 2,3): MNAR.
         let values: Vec<Option<f64>> = ov
             .iter()
             .map(|&oc| {
@@ -199,52 +190,127 @@ mod tests {
                 }
             })
             .collect();
-        let col = Column::from_opt_f64(values);
-        let report = detect_selection_bias(
+        (o, t, Column::from_opt_f64(values))
+    }
+
+    /// `(O, T, E)`: `E` missing mostly in exposure group 0, independent
+    /// of the outcome — only the third test sees it.
+    fn exposure_dependent() -> (Codes, Codes, Column) {
+        let mut next = lcg(21);
+        let n = 1000;
+        let o = codes(&(0..n).map(|_| next() % 4).collect::<Vec<_>>(), 4);
+        let tv: Vec<u32> = (0..n).map(|_| next() % 3).collect();
+        let values: Vec<Option<f64>> = tv
+            .iter()
+            .map(|&tc| {
+                if tc == 0 && next() % 10 < 6 {
+                    None
+                } else {
+                    Some(1.0)
+                }
+            })
+            .collect();
+        (o, codes(&tv, 3), Column::from_opt_f64(values))
+    }
+
+    /// `(O, T, E)`: one missing value, perfectly aligned with high outcome.
+    fn tiny_missing() -> (Codes, Codes, Column) {
+        let n = 500;
+        let o = codes(&(0..n).map(|i| (i % 4) as u32).collect::<Vec<_>>(), 4);
+        let t = codes(&(0..n).map(|i| (i % 3) as u32).collect::<Vec<_>>(), 3);
+        let values: Vec<Option<f64>> = (0..n)
+            .map(|i| if i == 3 { None } else { Some(1.0) })
+            .collect();
+        (o, t, Column::from_opt_f64(values))
+    }
+
+    /// `(O, T, E)`: `E` entirely missing.
+    fn fully_missing() -> (Codes, Codes, Column) {
+        let n = 100;
+        let o = codes(&vec![0; n], 1);
+        let t = codes(&vec![0; n], 1);
+        (o, t, Column::from_opt_f64(vec![None; n]))
+    }
+
+    fn detect((o, t, col): &(Codes, Codes, Column)) -> BiasReport {
+        detect_selection_bias(
             &InfoContext::default(),
-            &col,
-            &o,
-            &t,
+            col,
+            o,
+            t,
             &BiasDetectOptions::default(),
-        );
+        )
+    }
+
+    #[test]
+    fn mcar_missingness_not_flagged() {
+        let report = detect(&mcar());
+        assert!(!report.biased, "MCAR flagged: {report:?}");
+        assert!(report.missing_fraction > 0.2);
+    }
+
+    #[test]
+    fn outcome_dependent_missingness_flagged() {
+        let report = detect(&outcome_dependent());
         assert!(report.biased, "MNAR not flagged: {report:?}");
         assert!(report.mi_with_outcome > 0.05);
     }
 
     #[test]
-    fn tiny_missing_fraction_never_flagged() {
-        let n = 500;
-        let o = codes(&(0..n).map(|i| (i % 4) as u32).collect::<Vec<_>>(), 4);
-        let t = codes(&(0..n).map(|i| (i % 3) as u32).collect::<Vec<_>>(), 3);
-        // One missing value, perfectly aligned with high outcome.
-        let values: Vec<Option<f64>> = (0..n)
-            .map(|i| if i == 3 { None } else { Some(1.0) })
-            .collect();
-        let col = Column::from_opt_f64(values);
-        let report = detect_selection_bias(
-            &InfoContext::default(),
-            &col,
-            &o,
-            &t,
-            &BiasDetectOptions::default(),
+    fn exposure_dependent_missingness_flagged() {
+        let report = detect(&exposure_dependent());
+        assert!(
+            report.biased,
+            "exposure-driven missingness not flagged: {report:?}"
         );
-        assert!(!report.biased);
+    }
+
+    #[test]
+    fn tiny_missing_fraction_never_flagged() {
+        assert!(!detect(&tiny_missing()).biased);
     }
 
     #[test]
     fn fully_missing_attribute_not_flagged() {
-        let n = 100;
-        let o = codes(&vec![0; n], 1);
-        let t = codes(&vec![0; n], 1);
-        let col = Column::from_opt_f64(vec![None; n]);
-        let report = detect_selection_bias(
-            &InfoContext::default(),
-            &col,
-            &o,
-            &t,
-            &BiasDetectOptions::default(),
-        );
+        let report = detect(&fully_missing());
         assert!(!report.biased);
         assert_eq!(report.missing_fraction, 1.0);
+    }
+
+    /// Stopping at the first dependent verdict reports what running all
+    /// three tests and OR-ing them did.
+    #[test]
+    fn short_circuit_matches_eager_tests() {
+        for fixture in [
+            mcar(),
+            outcome_dependent(),
+            exposure_dependent(),
+            tiny_missing(),
+            fully_missing(),
+        ] {
+            let got = detect(&fixture);
+            let (o, t, col) = &fixture;
+            let ctx = InfoContext::default();
+            let r = selection_indicator(col);
+            let mut ci = BiasDetectOptions::default().ci;
+            ci.alpha /= 3.0;
+            let missing_fraction = col.null_count() as f64 / col.len() as f64;
+            let tested = missing_fraction >= BiasDetectOptions::default().min_missing_fraction
+                && col.null_count() < col.len();
+            let eager = [
+                ci_test(&ctx, &r, o, &[], &ci),
+                ci_test(&ctx, &r, o, &[t], &ci),
+                ci_test(&ctx, &r, t, &[], &ci),
+            ]
+            .iter()
+            .any(|test| !test.independent);
+            let want = BiasReport {
+                mi_with_outcome: ctx.mutual_information(&r, o),
+                mi_with_exposure: ctx.mutual_information(&r, t),
+                missing_fraction,
+                biased: tested && eager,
+            };
+            assert_eq!(got, want);
+        }
     }
 }
