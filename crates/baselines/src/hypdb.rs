@@ -84,7 +84,8 @@ impl ExplainMethod for HypDbBaseline {
         }
 
         // Rank by responsibility, as HypDB reports its covariates.
-        let resp = responsibilities(set, engine, &selected);
+        // `last` is `cmi_given(selected)`, the explanation's full CMI.
+        let resp = responsibilities(set, engine, &selected, last);
         let mut order: Vec<(usize, f64)> = selected.into_iter().zip(resp).collect();
         order.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         order.into_iter().map(|(i, _)| i).collect()
@@ -124,7 +125,7 @@ mod tests {
         let (set, engine, options) = fixture();
         let picks = HypDbBaseline::default().select(&set, &engine, &options);
         if picks.len() >= 2 {
-            let resp = responsibilities(&set, &engine, &picks);
+            let resp = responsibilities(&set, &engine, &picks, engine.cmi_given(&set, &picks));
             // Output must be sorted by responsibility descending… but the
             // responsibilities call reorders relative to the pick order, so
             // just confirm the first pick is the strongest contributor.

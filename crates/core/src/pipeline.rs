@@ -440,7 +440,7 @@ impl Nexus {
         ctl.stage("select");
         let result = mcimr_controlled(&set, &engine, options, ctl)?;
         ctl.check()?;
-        let resp = responsibilities(&set, &engine, &result.selected);
+        let resp = responsibilities(&set, &engine, &result.selected, result.final_cmi);
         let t_mcimr = t0.elapsed();
 
         let attributes: Vec<SelectedAttribute> = result

@@ -10,11 +10,19 @@ use crate::engine::Engine;
 /// attribute that only harms the explanation gets a negative score. With a
 /// single attribute the responsibility is 1 (or 0 when the attribute does
 /// not move the CMI at all).
-pub fn responsibilities(set: &CandidateSet, engine: &Engine, selected: &[usize]) -> Vec<f64> {
+///
+/// `full` is `I(O;T|E,C)` for the whole of `selected`, exactly as
+/// [`Engine::cmi_given`] computes it. Selection already holds that value
+/// (MCIMR returns it as `final_cmi`), so it is passed in, not recounted.
+pub fn responsibilities(
+    set: &CandidateSet,
+    engine: &Engine,
+    selected: &[usize],
+    full: f64,
+) -> Vec<f64> {
     if selected.is_empty() {
         return Vec::new();
     }
-    let full = engine.cmi_given(set, selected);
     let contributions: Vec<f64> = (0..selected.len())
         .map(|i| {
             let without: Vec<usize> = selected
@@ -84,7 +92,12 @@ mod tests {
         let (set, engine) = setup();
         let hdi = set.index_of("Country::hdi").unwrap();
         let gini = set.index_of("Country::gini").unwrap();
-        let r = responsibilities(&set, &engine, &[hdi, gini]);
+        let r = responsibilities(
+            &set,
+            &engine,
+            &[hdi, gini],
+            engine.cmi_given(&set, &[hdi, gini]),
+        );
         assert_eq!(r.len(), 2);
         assert!((r.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(r[0] > 0.0 && r[1] > 0.0);
@@ -96,7 +109,7 @@ mod tests {
     fn single_attribute_gets_full_responsibility() {
         let (set, engine) = setup();
         let hdi = set.index_of("Country::hdi").unwrap();
-        let r = responsibilities(&set, &engine, &[hdi]);
+        let r = responsibilities(&set, &engine, &[hdi], engine.cmi_given(&set, &[hdi]));
         assert_eq!(r.len(), 1);
         assert!((r[0] - 1.0).abs() < 1e-9);
     }
@@ -107,7 +120,12 @@ mod tests {
         let hdi = set.index_of("Country::hdi").unwrap();
         let gini = set.index_of("Country::gini").unwrap();
         let dud = set.index_of("Country::dud").unwrap();
-        let r = responsibilities(&set, &engine, &[hdi, gini, dud]);
+        let r = responsibilities(
+            &set,
+            &engine,
+            &[hdi, gini, dud],
+            engine.cmi_given(&set, &[hdi, gini, dud]),
+        );
         // The dud contributes the least (possibly ≤ 0, Example 2.6).
         assert!(r[2] <= r[0] && r[2] <= r[1], "{r:?}");
     }
@@ -115,6 +133,6 @@ mod tests {
     #[test]
     fn empty_selection() {
         let (set, engine) = setup();
-        assert!(responsibilities(&set, &engine, &[]).is_empty());
+        assert!(responsibilities(&set, &engine, &[], engine.baseline_cmi()).is_empty());
     }
 }

@@ -195,7 +195,7 @@ fn scale_tag(scale: Scale) -> u8 {
 pub fn mcimr_run(set: &CandidateSet, engine: &Engine, options: &NexusOptions) -> MethodRun {
     let t0 = Instant::now();
     let result = mcimr(set, engine, options);
-    let _resp = responsibilities(set, engine, &result.selected);
+    let _resp = responsibilities(set, engine, &result.selected, result.final_cmi);
     MethodRun {
         names: result
             .selected

@@ -1,26 +1,18 @@
-//! Blocking NEXUSRPC clients over Unix or TCP streams.
+//! The blocking NEXUSRPC client over Unix or TCP streams.
 //!
-//! Two client shapes share the connection plumbing here:
+//! A [`Session`] negotiates v2 and pipelines many correlation-id'd
+//! requests over one connection. [`Session::submit`] returns a [`Ticket`]
+//! immediately; the reply (plus streamed `Progress`/`Partial` frames) is
+//! collected by whichever ticket holder blocks in [`Ticket::wait`], and
+//! [`Ticket::cancel`] aborts the server-side run mid-pipeline. Requests
+//! are described by the typed [`ExplainCall`] builder.
 //!
-//! * [`Client`] — the classic v1 one-request-at-a-time client, with
-//!   optional retry-with-jittered-backoff against a governed server.
-//!   Requests are described by the typed [`ExplainCall`] builder and
-//!   submitted with [`Client::call`].
-//! * [`Session`] — a negotiated v2 session that pipelines many
-//!   correlation-id'd requests over one connection. [`Session::submit`]
-//!   returns a [`Ticket`] immediately; the reply (plus streamed
-//!   `Progress`/`Partial` frames) is collected by whichever ticket holder
-//!   blocks in [`Ticket::wait`], and [`Ticket::cancel`] aborts the
-//!   server-side run mid-pipeline.
-//!
-//! Every NEXUSRPC request is idempotent (`Explain` replies are
-//! deterministic and cached server-side), so a client may safely retry
-//! transient failures: `Busy` rejections from a server at its connection
-//! limit, timeout replies, and torn connections. [`RetryPolicy`]
-//! configures how often and how patiently; retries reconnect from the
-//! remembered endpoint and use a deterministic, seeded [`Backoff`] whose
-//! jitter decorrelates stampeding clients without sacrificing
-//! reproducibility.
+//! A server at its connection limit answers the opening `Hello` with a
+//! `Busy` rejection and closes. [`Session::connect`] retries such
+//! transient failures (`Busy`, timeout replies, torn or refused
+//! connections) under a [`RetryPolicy`]: each retry reconnects after a
+//! deterministic, seeded [`Backoff`] whose jitter decorrelates stampeding
+//! clients without sacrificing reproducibility.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -32,10 +24,10 @@ use std::time::Duration;
 use nexus_runtime::Backoff;
 
 use crate::wire::{
-    error_code, read_envelope, read_frame, v2, write_envelope, write_frame, CallOverrides,
-    DatasetAckWire, DatasetEntryWire, Envelope, ErrorWire, EvictDatasetWire, ExplainRequestWire,
-    ExplanationWire, Frame, HelloWire, LoadDatasetWire, MetricWire, PartialWire, ServeStatsWire,
-    ServerStatsWire, TraceRequestWire, TraceWire, WireError, Workspace, MAX_VERSION,
+    error_code, read_envelope, write_envelope, CallOverrides, DatasetAckWire, DatasetEntryWire,
+    Envelope, ErrorWire, EvictDatasetWire, ExplainRequestWire, ExplanationWire, Frame, HelloWire,
+    LoadDatasetWire, MetricWire, PartialWire, ServeStatsWire, TraceRequestWire, TraceWire,
+    WireError, Workspace, MAX_VERSION,
 };
 
 /// Client-side failures.
@@ -47,9 +39,6 @@ pub enum ClientError {
     Server(ErrorWire),
     /// The server answered with a frame the client did not expect.
     Unexpected(&'static str),
-    /// The call uses v2-only features (per-call overrides); submit it
-    /// through a [`Session`] instead of a v1 [`Client`].
-    NeedsSession,
 }
 
 impl std::fmt::Display for ClientError {
@@ -58,12 +47,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Wire(e) => write!(f, "{e}"),
             ClientError::Server(e) => write!(f, "server error {}: {}", e.code, e.message),
             ClientError::Unexpected(what) => write!(f, "unexpected reply: {what}"),
-            ClientError::NeedsSession => {
-                write!(
-                    f,
-                    "call carries per-call overrides; submit it via a v2 Session"
-                )
-            }
         }
     }
 }
@@ -95,9 +78,10 @@ pub struct ExplainResponse {
     pub stats: ServeStatsWire,
 }
 
-/// When and how a [`Client`] retries transient failures (`Busy`
-/// rejections, timeout replies, torn connections). Retries reconnect and
-/// resend after a jittered exponential backoff.
+/// When and how [`Session::connect`] retries transient failures while
+/// opening a session (`Busy` rejections, timeout replies, torn or refused
+/// connections). Retries reconnect and resend `Hello` after a jittered
+/// exponential backoff.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = fail fast).
@@ -152,10 +136,12 @@ fn retryable(e: &ClientError) -> bool {
     }
 }
 
-/// The remembered server address, so retries can reconnect.
+/// A server address.
 #[derive(Debug, Clone)]
-enum Endpoint {
+pub enum Endpoint {
+    /// A Unix socket path.
     Unix(PathBuf),
+    /// A TCP address (`host:port`).
     Tcp(String),
 }
 
@@ -212,25 +198,19 @@ impl Write for Stream {
     }
 }
 
-fn open(endpoint: &Endpoint, io_timeout: Option<Duration>) -> std::io::Result<Stream> {
-    let stream = match endpoint {
+fn open(endpoint: &Endpoint) -> std::io::Result<Stream> {
+    Ok(match endpoint {
         Endpoint::Unix(path) => Stream::Unix(std::os::unix::net::UnixStream::connect(path)?),
         Endpoint::Tcp(addr) => {
             let stream = std::net::TcpStream::connect(addr)?;
             stream.set_nodelay(true).ok();
             Stream::Tcp(stream)
         }
-    };
-    stream.set_io_timeout(io_timeout)?;
-    Ok(stream)
+    })
 }
 
 /// A typed explanation request: dataset, SQL, and optional per-call
 /// overrides of the server's resident pipeline options.
-///
-/// Plain calls (no overrides) travel over both protocol versions; calls
-/// with overrides are a v2 feature and must go through a [`Session`]
-/// ([`Client::call`] refuses them with [`ClientError::NeedsSession`]).
 ///
 /// ```no_run
 /// # use nexus_serve::ExplainCall;
@@ -287,11 +267,6 @@ impl ExplainCall {
         self
     }
 
-    /// Whether any per-call override is set (v2-only calls).
-    pub fn has_overrides(&self) -> bool {
-        !self.overrides.is_none()
-    }
-
     fn to_wire(&self) -> ExplainRequestWire {
         ExplainRequestWire {
             dataset: self.dataset.clone(),
@@ -301,133 +276,7 @@ impl ExplainCall {
     }
 }
 
-/// A blocking NEXUSRPC client. One request is in flight at a time; open
-/// several clients for concurrency (or a [`Session`] for pipelining over
-/// one connection). Retries are off by default
-/// ([`RetryPolicy::none`]); opt in with [`Client::set_retry_policy`].
-pub struct Client {
-    stream: Stream,
-    endpoint: Endpoint,
-    io_timeout: Option<Duration>,
-    retry: RetryPolicy,
-}
-
-impl Client {
-    /// Connects to a server's Unix socket.
-    pub fn connect_unix(path: impl AsRef<Path>) -> std::io::Result<Client> {
-        let endpoint = Endpoint::Unix(path.as_ref().to_path_buf());
-        Ok(Client {
-            stream: open(&endpoint, None)?,
-            endpoint,
-            io_timeout: None,
-            retry: RetryPolicy::none(),
-        })
-    }
-
-    /// Connects to a server's TCP endpoint.
-    pub fn connect_tcp(addr: &str) -> std::io::Result<Client> {
-        let endpoint = Endpoint::Tcp(addr.to_string());
-        Ok(Client {
-            stream: open(&endpoint, None)?,
-            endpoint,
-            io_timeout: None,
-            retry: RetryPolicy::none(),
-        })
-    }
-
-    /// Bounds every socket read and write (`None` = block forever).
-    /// Expired deadlines surface as retryable I/O errors.
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_io_timeout(timeout)?;
-        self.io_timeout = timeout;
-        Ok(())
-    }
-
-    /// Enables retry-with-backoff for transient failures (`Busy`,
-    /// timeouts, torn connections). Retries reconnect and resend — safe
-    /// because every NEXUSRPC request is idempotent.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    fn send_and_receive(&mut self, request: &Frame) -> Result<Frame, ClientError> {
-        write_frame(&mut self.stream, request)?;
-        let reply = read_frame(&mut self.stream)?;
-        if let Frame::Error(e) = reply {
-            return Err(ClientError::Server(e));
-        }
-        Ok(reply)
-    }
-
-    fn roundtrip(&mut self, request: &Frame) -> Result<Frame, ClientError> {
-        let mut backoff = Backoff::new(
-            self.retry.base_backoff,
-            self.retry.max_backoff,
-            self.retry.seed,
-        );
-        let mut attempt = 0u32;
-        loop {
-            match self.send_and_receive(request) {
-                Ok(reply) => return Ok(reply),
-                Err(e) if attempt < self.retry.max_retries && retryable(&e) => {
-                    attempt += 1;
-                    std::thread::sleep(backoff.next_delay());
-                    // Reconnect; on failure keep the old stream — the next
-                    // attempt fails fast and consumes another retry.
-                    if let Ok(stream) = open(&self.endpoint, self.io_timeout) {
-                        self.stream = stream;
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Frame::Ping)? {
-            Frame::Pong => Ok(()),
-            _ => Err(ClientError::Unexpected("wanted Pong")),
-        }
-    }
-
-    /// Submits a typed [`ExplainCall`] and blocks for the reply.
-    ///
-    /// Calls carrying per-call overrides are a v2-only feature; this v1
-    /// client refuses them with [`ClientError::NeedsSession`] rather than
-    /// silently dropping the overrides.
-    pub fn call(&mut self, call: &ExplainCall) -> Result<ExplainResponse, ClientError> {
-        if call.has_overrides() {
-            return Err(ClientError::NeedsSession);
-        }
-        match self.roundtrip(&Frame::Explain(call.to_wire()))? {
-            Frame::Explanation(reply) => Ok(ExplainResponse {
-                explanation: ExplanationWire::decode(&reply.explanation)?,
-                explanation_bytes: reply.explanation,
-                stats: reply.stats,
-            }),
-            _ => Err(ClientError::Unexpected("wanted Explanation")),
-        }
-    }
-
-    /// Fetches cumulative server statistics.
-    pub fn stats(&mut self) -> Result<ServerStatsWire, ClientError> {
-        match self.roundtrip(&Frame::Stats)? {
-            Frame::StatsReply(s) => Ok(s),
-            _ => Err(ClientError::Unexpected("wanted StatsReply")),
-        }
-    }
-
-    /// Asks the server to shut down; returns once acknowledged.
-    pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Frame::Shutdown)? {
-            Frame::ShutdownAck => Ok(()),
-            _ => Err(ClientError::Unexpected("wanted ShutdownAck")),
-        }
-    }
-}
-
-/// One in-flight (or finished, not yet consumed) v2 request's state.
+/// One in-flight (or finished, not yet consumed) request's state.
 #[derive(Default)]
 struct PendingEntry {
     /// Pipeline stages announced by `Progress` frames, in order.
@@ -453,7 +302,7 @@ struct SessionShared {
 }
 
 impl SessionShared {
-    /// Writes one v2 envelope under the write lock.
+    /// Writes one envelope under the write lock.
     fn write(&self, corr: u64, frame: Frame) -> Result<(), ClientError> {
         let mut writer = self.writer.lock().expect("session writer poisoned");
         let (stream, ws) = &mut *writer;
@@ -526,15 +375,43 @@ pub struct Session {
     max_inflight: u32,
 }
 
+/// The name of the retired one-request-at-a-time client of protocol
+/// version 1. Kept as an alias so callers written against that name (the
+/// `nexus-bench` harness) still compile; new code names [`Session`].
+pub type Client = Session;
+
 impl Session {
-    /// Connects to a server's Unix socket and negotiates v2.
+    /// Connects to a server's Unix socket and negotiates v2 (no retries).
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Session, ClientError> {
-        Session::handshake(open(&Endpoint::Unix(path.as_ref().to_path_buf()), None)?)
+        Session::connect(
+            &Endpoint::Unix(path.as_ref().to_path_buf()),
+            &RetryPolicy::none(),
+        )
     }
 
-    /// Connects to a server's TCP endpoint and negotiates v2.
+    /// Connects to a server's TCP endpoint and negotiates v2 (no retries).
     pub fn connect_tcp(addr: &str) -> Result<Session, ClientError> {
-        Session::handshake(open(&Endpoint::Tcp(addr.to_string()), None)?)
+        Session::connect(&Endpoint::Tcp(addr.to_string()), &RetryPolicy::none())
+    }
+
+    /// Connects to `endpoint` and negotiates v2, retrying transient
+    /// failures — a `Busy` answer to `Hello` from a server at its
+    /// connection limit, a refused or torn connection — under `retry`.
+    pub fn connect(endpoint: &Endpoint, retry: &RetryPolicy) -> Result<Session, ClientError> {
+        let mut backoff = Backoff::new(retry.base_backoff, retry.max_backoff, retry.seed);
+        let mut attempt = 0u32;
+        loop {
+            match open(endpoint)
+                .map_err(ClientError::from)
+                .and_then(Session::handshake)
+            {
+                Err(e) if attempt < retry.max_retries && retryable(&e) => {
+                    attempt += 1;
+                    std::thread::sleep(backoff.next_delay());
+                }
+                result => return result,
+            }
+        }
     }
 
     /// Opens the session: `Hello` (correlation id 0) must be the first
@@ -554,7 +431,7 @@ impl Session {
         )?;
         let reply = read_envelope(&mut stream)?;
         let max_inflight = match reply.frame {
-            Frame::HelloAck(ack) if ack.version == v2::VERSION => ack.max_inflight,
+            Frame::HelloAck(ack) if ack.version == MAX_VERSION => ack.max_inflight,
             Frame::HelloAck(_) => {
                 return Err(ClientError::Unexpected("negotiated an unknown version"))
             }
@@ -603,7 +480,7 @@ impl Session {
         })
     }
 
-    /// One full control roundtrip (used by ping/stats): these replies
+    /// One full control roundtrip (ping, metrics, …): these replies
     /// arrive inline but still carry our correlation id, so they ride
     /// the same demultiplexer as explanations.
     fn control(&self, request: Frame) -> Result<Frame, ClientError> {
@@ -636,12 +513,21 @@ impl Session {
         }
     }
 
-    /// Fetches cumulative server statistics over this session.
-    pub fn stats(&self) -> Result<ServerStatsWire, ClientError> {
-        match self.control(Frame::Stats)? {
-            Frame::StatsReply(s) => Ok(s),
+    /// Bounds every socket read and write of this session (`None` =
+    /// block forever). An expired deadline surfaces as an I/O error.
+    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
+        // Both handles share one socket, and with it its timeouts.
+        let writer = self.shared.writer.lock().expect("session writer poisoned");
+        writer.0.set_io_timeout(timeout)?;
+        Ok(())
+    }
+
+    /// Asks the server to shut down; returns once acknowledged.
+    pub fn shutdown(&mut self) -> Result<(), ClientError> {
+        match self.control(Frame::Shutdown)? {
+            Frame::ShutdownAck => Ok(()),
             Frame::Error(e) => Err(ClientError::Server(e)),
-            _ => Err(ClientError::Unexpected("wanted StatsReply")),
+            _ => Err(ClientError::Unexpected("wanted ShutdownAck")),
         }
     }
 
@@ -692,9 +578,9 @@ impl Session {
         }
     }
 
-    /// Fetches the full self-describing metrics snapshot, sorted by
-    /// name. Every `StatsReply` field is reachable here under its dotted
-    /// registry name, alongside histograms the fixed frame cannot carry.
+    /// Fetches the full self-describing metrics snapshot (every server
+    /// counter, gauge and histogram component under its dotted registry
+    /// name), sorted by name.
     pub fn metrics(&self) -> Result<Vec<MetricWire>, ClientError> {
         match self.control(Frame::MetricsRequest)? {
             Frame::MetricsReply(m) => Ok(m.metrics),
@@ -834,7 +720,7 @@ mod tests {
             };
             let hello = read_envelope(&mut conn).expect("hello");
             let ack = Frame::HelloAck(HelloAckWire {
-                version: v2::VERSION,
+                version: MAX_VERSION,
                 max_inflight: 8,
             });
             reply(&mut conn, hello.corr_id, ack);

@@ -9,13 +9,12 @@
 //! columns against the knowledge graph, and mining candidate attributes.
 //! This crate keeps all of that resident in a long-lived process:
 //!
-//! * [`wire`] — **NEXUSRPC**, a versioned, length-prefixed, CRC-checked
-//!   binary protocol with fully deterministic little-endian encoding.
-//!   v1 is one-request-at-a-time; v2 multiplexes many correlation-id'd
-//!   requests over one connection with streamed progress, partial
-//!   results, and cancellation. Pure
-//!   [`wire::encode_frame`]/[`wire::decode_frame`] work on byte slices
-//!   without any socket.
+//! * [`wire`] — **NEXUSRPC** v2, a length-prefixed, CRC-checked binary
+//!   protocol with fully deterministic little-endian encoding that
+//!   multiplexes many correlation-id'd requests over one connection with
+//!   streamed progress, partial results, and cancellation. Pure
+//!   [`wire::Envelope::encode`]/[`wire::Envelope::decode`] work on byte
+//!   slices without any socket.
 //! * [`Server`] — loads datasets once, mines KG extraction artifacts once
 //!   ([`nexus_core::extract_column`]), schedules request pipelines (whose
 //!   candidate scoring runs on the `nexus-runtime` scoped pool) behind a
@@ -23,18 +22,18 @@
 //!   *(canonical query signature, dataset fingerprint, options
 //!   fingerprint)*. Cache hits echo stored bytes verbatim: **byte-identical**
 //!   to a cold run, with `scored_tasks == 0` because the pipeline never
-//!   executes. Sockets are served by one connection loop for both
-//!   protocol versions ([`Server::serve_connection`]); the first good
-//!   envelope fixes the version, and every frame without session state is
-//!   answered by the same dispatcher as the in-process [`Server::handle`].
+//!   executes. Every socket is a v2 session served by one connection loop
+//!   ([`Server::serve_connection`]); every frame without session state is
+//!   answered by the in-process dispatcher [`Server::handle`], and the
+//!   server's counters are named metrics ([`Server::metric`],
+//!   [`wire::Frame::MetricsRequest`]).
 //! * [`net`] — deadline-governed reads (idle timeout, per-frame budget)
 //!   over any [`DeadlineStream`]; [`faults`] — seeded fault injection
 //!   over in-memory pipes, for the governance tests.
-//! * [`Client`] / [`Session`] — blocking clients over Unix or TCP
-//!   loopback streams: `Client` speaks one-at-a-time v1 with typed
-//!   [`ExplainCall`] requests, `Session` negotiates v2 and pipelines
-//!   many tickets over one connection with streamed partials and
-//!   cancellation.
+//! * [`Session`] — the blocking client over Unix or TCP loopback streams:
+//!   it negotiates v2 (retrying `Busy` rejections under a
+//!   [`RetryPolicy`]) and pipelines typed [`ExplainCall`] tickets over one
+//!   connection with streamed partials and cancellation.
 //!
 //! ## In-process example
 //!
@@ -87,10 +86,10 @@ pub mod server;
 pub mod wire;
 
 pub use cache::LruCache;
-pub use client::{Client, ClientError, ExplainCall, ExplainResponse, RetryPolicy, Session, Ticket};
-pub use faults::{pipe, Fault, FaultPlan, FaultyStream, PipeStream};
-pub use net::{
-    deadline_tick, read_envelope_deadline, read_frame_deadline, DeadlineStream, ReadError,
+pub use client::{
+    Client, ClientError, Endpoint, ExplainCall, ExplainResponse, RetryPolicy, Session, Ticket,
 };
+pub use faults::{pipe, Fault, FaultPlan, FaultyStream, PipeStream};
+pub use net::{deadline_tick, read_envelope_deadline, DeadlineStream, ReadError};
 pub use server::{explanation_to_wire, ServeError, Server, ServerOptions};
 pub use wire::{Frame, WireError};

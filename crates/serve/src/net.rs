@@ -1,7 +1,7 @@
 //! Deadline-governed stream I/O for the serving layer.
 //!
-//! [`wire`](crate::wire) is deliberately pure: [`crate::wire::read_frame`]
-//! blocks until a frame arrives or the stream dies, which is exactly the
+//! [`wire`](crate::wire) is deliberately pure: [`crate::wire::read_envelope`]
+//! blocks until an envelope arrives or the stream dies, which is exactly the
 //! behaviour a production server cannot afford — a stalled or malicious
 //! peer would pin a handler thread forever. This module adds the
 //! time-bounded reading the server actually uses:
@@ -13,7 +13,7 @@
 //!   read handle and a write handle, so the server's connection loop can
 //!   hand the reads to a reader thread and write replies the moment they
 //!   exist;
-//! * [`read_frame_deadline`] reads one frame under two deadlines — an
+//! * [`read_envelope_deadline`] reads one envelope under two deadlines — an
 //!   **idle timeout** (time allowed before the first byte of the next
 //!   frame) and a **per-frame budget** (time allowed from first byte to
 //!   complete envelope, which aborts slow-loris payloads no matter how
@@ -23,7 +23,7 @@
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
-use crate::wire::{Envelope, Frame, FrameHeader, WireError, HEADER_LEN, VERSION};
+use crate::wire::{Envelope, FrameHeader, WireError, HEADER_LEN};
 
 /// A bidirectional stream whose blocking reads and writes can be given
 /// deadlines, whose write half can be closed independently, and which can
@@ -91,7 +91,7 @@ impl DeadlineStream for std::os::unix::net::UnixStream {
     }
 }
 
-/// Why [`read_frame_deadline`] returned without a frame.
+/// Why [`read_envelope_deadline`] returned without an envelope.
 #[derive(Debug)]
 pub enum ReadError {
     /// No frame started within the idle timeout.
@@ -180,29 +180,17 @@ impl<S: DeadlineStream> DeadlineReader<'_, S> {
     }
 }
 
-/// Reads one frame with an idle timeout, a per-frame budget, and an abort
-/// flag, ticking every `tick` so aborts and deadlines are noticed even
-/// while no bytes flow.
+/// Reads one envelope with an idle timeout, a per-frame budget, and an
+/// abort flag, ticking every `tick` so aborts and deadlines are noticed
+/// even while no bytes flow.
 ///
-/// Semantics match [`crate::wire::read_frame`] for well-formed input:
-/// foreign-but-well-formed envelopes are consumed in full and reported as
+/// Semantics match [`crate::wire::read_envelope`] for well-formed input:
+/// foreign-but-well-formed envelopes (an unknown version or frame type)
+/// are consumed in full and reported as
 /// [`WireError::UnsupportedVersion`]/[`WireError::UnknownFrameType`]
 /// (wrapped in [`ReadError::Wire`]) so the caller can answer
-/// [`Frame::Unsupported`] and keep the stream.
-pub fn read_frame_deadline<S: DeadlineStream>(
-    stream: &mut S,
-    idle_timeout: Duration,
-    frame_budget: Duration,
-    tick: Duration,
-    abort: &dyn Fn() -> bool,
-) -> Result<Frame, ReadError> {
-    read_envelope_deadline(stream, idle_timeout, frame_budget, tick, abort, VERSION)
-        .map(|env| env.frame)
-}
-
-/// Reads one envelope of any version up to `max_version` under the same
-/// deadlines as [`read_frame_deadline`] (which is this function fixed to
-/// v1).
+/// [`Frame::Unsupported`](crate::wire::Frame::Unsupported) and keep the
+/// stream.
 ///
 /// The server's per-connection reader thread calls this in a loop with
 /// the full I/O timeout as both deadlines and the connection's stop flag
@@ -217,7 +205,6 @@ pub fn read_envelope_deadline<S: DeadlineStream>(
     frame_budget: Duration,
     tick: Duration,
     abort: &dyn Fn() -> bool,
-    max_version: u16,
 ) -> Result<Envelope, ReadError> {
     stream
         .set_read_timeout(Some(tick.max(Duration::from_millis(1))))
@@ -240,7 +227,7 @@ pub fn read_envelope_deadline<S: DeadlineStream>(
 
     // The full envelope is in hand; the pure decoder validates CRC,
     // version, and payload structure exactly as the blocking path does.
-    match Envelope::decode_version_max(&envelope, max_version) {
+    match Envelope::decode(&envelope) {
         Ok((env, consumed)) => {
             debug_assert_eq!(consumed, envelope.len());
             Ok(env)
@@ -259,7 +246,11 @@ pub fn deadline_tick(io_timeout: Duration) -> Duration {
 mod tests {
     use super::*;
     use crate::faults::pipe;
-    use crate::wire::{encode_frame, write_frame};
+    use crate::wire::{Envelope, Frame};
+
+    fn ping() -> Vec<u8> {
+        Envelope::v2(1, Frame::Ping).encode()
+    }
 
     const IDLE: Duration = Duration::from_millis(120);
     const FRAME: Duration = Duration::from_millis(120);
@@ -269,15 +260,16 @@ mod tests {
     #[test]
     fn whole_frame_reads_normally() {
         let (mut a, mut b) = pipe();
-        write_frame(&mut a, &Frame::Ping).expect("write");
-        let frame = read_frame_deadline(&mut b, IDLE, FRAME, TICK, NEVER).expect("read");
-        assert_eq!(frame, Frame::Ping);
+        use std::io::Write as _;
+        a.write_all(&ping()).expect("write");
+        let env = read_envelope_deadline(&mut b, IDLE, FRAME, TICK, NEVER).expect("read");
+        assert_eq!(env, Envelope::v2(1, Frame::Ping));
     }
 
     #[test]
     fn idle_stream_times_out() {
         let (_a, mut b) = pipe();
-        match read_frame_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
+        match read_envelope_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
             Err(ReadError::IdleTimeout) => {}
             other => panic!("expected IdleTimeout, got {other:?}"),
         }
@@ -286,11 +278,11 @@ mod tests {
     #[test]
     fn slow_loris_hits_the_frame_deadline() {
         let (mut a, mut b) = pipe();
-        let bytes = encode_frame(&Frame::Stats);
+        let bytes = Envelope::v2(1, Frame::MetricsRequest).encode();
         // First half arrives; the rest never does.
         use std::io::Write as _;
         a.write_all(&bytes[..bytes.len() / 2]).expect("half frame");
-        match read_frame_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
+        match read_envelope_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
             Err(ReadError::FrameTimeout) => {}
             other => panic!("expected FrameTimeout, got {other:?}"),
         }
@@ -300,7 +292,7 @@ mod tests {
     fn clean_close_between_frames_is_closed_not_truncated() {
         let (a, mut b) = pipe();
         drop(a);
-        match read_frame_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
+        match read_envelope_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
             Err(ReadError::Closed) => {}
             other => panic!("expected Closed, got {other:?}"),
         }
@@ -309,11 +301,11 @@ mod tests {
     #[test]
     fn close_mid_frame_is_truncation() {
         let (mut a, mut b) = pipe();
-        let bytes = encode_frame(&Frame::Ping);
+        let bytes = ping();
         use std::io::Write as _;
         a.write_all(&bytes[..7]).expect("partial header");
         drop(a);
-        match read_frame_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
+        match read_envelope_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
             Err(ReadError::Wire(WireError::Truncated)) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
@@ -322,7 +314,7 @@ mod tests {
     #[test]
     fn abort_flag_interrupts_an_idle_wait() {
         let (_a, mut b) = pipe();
-        match read_frame_deadline(
+        match read_envelope_deadline(
             &mut b,
             Duration::from_secs(60),
             Duration::from_secs(60),
@@ -337,11 +329,11 @@ mod tests {
     #[test]
     fn oversize_declaration_is_rejected_before_payload() {
         let (mut a, mut b) = pipe();
-        let mut bytes = encode_frame(&Frame::Ping);
+        let mut bytes = ping();
         bytes[11..15].copy_from_slice(&u32::MAX.to_le_bytes());
         use std::io::Write as _;
         a.write_all(&bytes).expect("header");
-        match read_frame_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
+        match read_envelope_deadline(&mut b, IDLE, FRAME, TICK, NEVER) {
             Err(ReadError::Wire(WireError::PayloadTooLarge(n))) => assert_eq!(n, u32::MAX),
             other => panic!("expected PayloadTooLarge, got {other:?}"),
         }

@@ -23,13 +23,14 @@
 //! [`Server::handle`] is a pure frame→frame function, so the full request
 //! path is testable in-process; [`Server::serve_unix`] and
 //! [`Server::serve_tcp`] run one handler thread per connection, each in
-//! the single connection loop [`Server::serve_connection`]. That loop
-//! speaks both protocol versions — the first good envelope fixes which —
-//! and answers every frame that needs no session state through the same
-//! dispatcher as [`Server::handle`]. Each connection has one event
-//! channel: a reader thread sends the inbound envelopes into it, the
-//! workers running v2 explains send their replies into it, and the loop
-//! thread blocks on it and writes every reply the moment it arrives.
+//! the single connection loop [`Server::serve_connection`]. Every
+//! connection is a NEXUSRPC v2 session that opens with `Hello`; the loop
+//! answers every frame that needs no session state through the same
+//! dispatcher as [`Server::handle`], and runs every `Explain` on a worker
+//! thread. Each connection has one event channel: a reader thread sends
+//! the inbound envelopes into it, the workers send their replies into
+//! it, and the loop thread blocks on it and writes every reply the moment
+//! it arrives.
 //!
 //! ## Connection governance
 //!
@@ -55,9 +56,10 @@
 //!   within one deadline tick, and every handler joins its reader thread
 //!   (again within one tick) before it exits.
 //!
-//! Every enforcement action increments a counter reported in
-//! [`Frame::StatsReply`], so tests assert governance outcomes on counters
-//! rather than wall-clock timing.
+//! Every enforcement action increments a registry metric
+//! (`serve.conns.busy_rejections`, `serve.io.timeouts`,
+//! `serve.frames.oversize`, …), so tests assert governance outcomes on
+//! counters rather than wall-clock timing.
 //!
 //! ## Telemetry
 //!
@@ -65,13 +67,11 @@
 //! [`MetricsRegistry`] under a stable dotted name (`serve.cache.hits`,
 //! `serve.rpc.ooo_replies`, …); process-global families (the counting
 //! kernel) and component gauges (dataset registry, connection semaphore,
-//! result cache) are bridged in at snapshot time, as deltas since server
-//! construction where that is what `StatsReply` always reported.
-//! [`Server::stats`] itself is fed **from** the registry
-//! ([`ServerStatsWire::from_metrics`]) so the legacy fixed-field frame
-//! stays byte-compatible while the registry is the single source of
-//! truth; [`Server::metrics_snapshot`] exposes the full sorted snapshot
-//! behind [`Frame::MetricsRequest`]. Each explain additionally records a
+//! result cache) are bridged in at snapshot time, the kernel family as
+//! deltas since server construction. The registry is the one stats
+//! surface: [`Server::metrics_snapshot`] exposes the full sorted snapshot
+//! behind [`Frame::MetricsRequest`], and [`Server::metric`] looks one
+//! name up. Each explain additionally records a
 //! span trace (stage boundaries from the [`RunControl`] hooks, counted in
 //! kernel builds — deterministic — plus monotonic durations for humans)
 //! into a bounded [`TraceRing`] served by [`Frame::TraceRequest`];
@@ -101,11 +101,11 @@ use crate::cache::LruCache;
 use crate::net::{deadline_tick, read_envelope_deadline, DeadlineStream, ReadError};
 use crate::registry::{DatasetRegistry, DatasetSource, DatasetSpec, RegistryError};
 use crate::wire::{
-    encode_parts_into, error_code, v2, write_frame, DatasetAckWire, DatasetListWire, Envelope,
-    ErrorWire, EvictDatasetWire, ExplainRequestWire, ExplanationReplyWire, ExplanationWire, Frame,
+    encode_parts_into, error_code, DatasetAckWire, DatasetListWire, Envelope, ErrorWire,
+    EvictDatasetWire, ExplainRequestWire, ExplanationReplyWire, ExplanationWire, Frame,
     HelloAckWire, LinkStatsWire, LoadDatasetWire, MetricWire, MetricsReplyWire, PartialWire,
-    ProgressWire, ServeStatsWire, ServerStatsWire, SpanWire, TraceReplyWire, TraceWire,
-    UnsupportedWire, WireError, MAX_VERSION, VERSION,
+    ProgressWire, ServeStatsWire, SpanWire, TraceReplyWire, TraceWire, UnsupportedWire, WireError,
+    Workspace, MAX_VERSION,
 };
 
 /// Server failures (setup and socket loops; per-request failures travel
@@ -306,8 +306,7 @@ impl Registry {
 /// Hot-path handles into the server's metrics registry, looked up once at
 /// construction so request paths pay a single atomic op per event (never a
 /// name hash). The dotted names are the public contract: they are what
-/// `MetricsReply` reports and what [`ServerStatsWire::metrics`] maps the
-/// legacy fixed fields onto.
+/// `MetricsReply` reports and what `nexus-cli submit --stats` prints.
 struct ServeMetrics {
     hits: Counter,
     misses: Counter,
@@ -364,7 +363,7 @@ struct Inner {
     gate: Semaphore,
     /// Bounds concurrent connections; over-limit accepts are rejected with
     /// `Busy`, never queued. Its admitted/rejected counters feed
-    /// `conns_accepted`/`busy_rejections` in [`ServerStatsWire`].
+    /// `serve.conns.accepted`/`serve.conns.busy_rejections`.
     conns: Arc<Semaphore>,
     io_timeout: Duration,
     drain_timeout: Duration,
@@ -383,8 +382,8 @@ struct Inner {
     /// single-flight admission, keyed under each dataset's fingerprint.
     memo: Arc<MemoStore>,
     shutdown: AtomicBool,
-    /// Counting-kernel counters at server construction; `stats()` reports
-    /// movement since then, not since process start.
+    /// Counting-kernel counters at server construction; the `kernel.*`
+    /// metrics report movement since then, not since process start.
     kernel_baseline: nexus_info::KernelSnapshot,
 }
 
@@ -501,17 +500,13 @@ impl Server {
         self.inner.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Cumulative server statistics — the legacy fixed-field frame, built
-    /// **from** the metrics registry ([`ServerStatsWire::from_metrics`])
-    /// so every one of its counters is reachable by name through
-    /// [`Server::metrics_snapshot`] and the two can never disagree.
-    pub fn stats(&self) -> ServerStatsWire {
+    /// The current value of one metric by its dotted registry name
+    /// (`serve.io.timeouts`), or `None` if no such metric exists.
+    pub fn metric(&self, name: &str) -> Option<u64> {
         let snap = self.metrics_snapshot();
-        ServerStatsWire::from_metrics(|name| {
-            snap.binary_search_by(|m| m.name.as_str().cmp(name))
-                .map(|i| snap[i].value)
-                .unwrap_or(0)
-        })
+        snap.binary_search_by(|m| m.name.as_str().cmp(name))
+            .ok()
+            .map(|i| snap[i].value)
     }
 
     /// Folds component state the registry does not own — the
@@ -642,20 +637,12 @@ impl Server {
         (self.inner.traces.recorded(), self.inner.traces.evicted())
     }
 
-    /// Answers one request frame — the full in-process request path, used
-    /// directly by tests and, through the same dispatcher, by the socket
-    /// loop.
+    /// Answers one request frame — the full in-process request path, and
+    /// the dispatcher the socket loop hands every frame that needs no
+    /// session state. A reply-only or session frame draws `Unsupported`.
     pub fn handle(&self, frame: Frame) -> Frame {
-        self.answer(frame, VERSION)
-    }
-
-    /// The one request dispatcher: every frame that needs no session
-    /// state, in either protocol version. `version` only labels the
-    /// `Unsupported` reply to a frame that is not a request.
-    fn answer(&self, frame: Frame, version: u16) -> Frame {
         match frame {
             Frame::Ping => Frame::Pong,
-            Frame::Stats => Frame::StatsReply(self.stats()),
             Frame::Shutdown => {
                 self.inner.shutdown.store(true, Ordering::SeqCst);
                 Frame::ShutdownAck
@@ -667,7 +654,7 @@ impl Server {
             Frame::MetricsRequest => self.metrics_reply(),
             Frame::TraceRequest(w) => self.trace_reply(w.last),
             // Reply-only and session-control frames are not requests here.
-            other => unsupported(version, other.frame_type()),
+            other => unsupported(MAX_VERSION, other.frame_type()),
         }
     }
 
@@ -716,7 +703,8 @@ impl Server {
     }
 
     fn explain(&self, req: &ExplainRequestWire) -> Frame {
-        // v1 carries no correlation id; its traces record corr 0.
+        // An in-process request has no correlation id; its trace records
+        // corr 0.
         self.explain_traced(req, 0, RunControl::none())
     }
 
@@ -1019,16 +1007,15 @@ impl Server {
     }
 
     /// Tells an over-limit connection it lost the admission race: a
-    /// one-shot `Busy` error under a short write timeout, then close.
+    /// one-shot `Busy` error (correlation id 0, the id of the `Hello` a
+    /// client opens with) under a short write timeout, then close.
     fn reject_busy<S: DeadlineStream>(&self, mut stream: S) {
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-        let _ = write_frame(
-            &mut stream,
-            &error(
-                error_code::BUSY,
-                "connection limit reached; retry with backoff",
-            ),
+        let busy = error(
+            error_code::BUSY,
+            "connection limit reached; retry with backoff",
         );
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+        let _ = stream.write_all(&Envelope::v2(0, busy).encode());
     }
 
     /// Encodes `frame` as an envelope through the connection's reusable
@@ -1038,11 +1025,10 @@ impl Server {
         &self,
         stream: &mut S,
         lane: &mut ReplyLane,
-        version: u16,
         corr_id: u64,
         frame: &Frame,
     ) -> std::io::Result<()> {
-        let bytes = encode_parts_into(version, corr_id, frame, &mut lane.ws);
+        let bytes = encode_parts_into(corr_id, frame, &mut lane.ws);
         let result = stream.write_all(bytes).and_then(|()| stream.flush());
         let delta = lane.ws.reuse_hits() - lane.reported_reuse;
         if delta > 0 {
@@ -1052,33 +1038,30 @@ impl Server {
         result
     }
 
-    /// The connection loop, for both protocol versions, governed by the
+    /// The connection loop of one NEXUSRPC v2 session, governed by the
     /// server's I/O timeouts.
     ///
-    /// The **first** well-formed envelope fixes the session version. A v1
-    /// frame locks the connection to v1 (later v2 envelopes draw
-    /// [`Frame::Unsupported`]); a v2 envelope must be [`Frame::Hello`],
-    /// answered with [`Frame::HelloAck`], and anything else draws
+    /// The **first** well-formed envelope must be [`Frame::Hello`],
+    /// answered with [`Frame::HelloAck`]; anything else draws
     /// [`error_code::BAD_CORRELATION`] and a hangup.
     ///
     /// The stream is split ([`DeadlineStream::try_clone`]). A reader
     /// thread does the deadline reads and sends every inbound envelope
-    /// into one event channel; the workers that run v2 `Explain`s send
+    /// into one event channel; the workers that run `Explain`s send
     /// their `Progress`/`Partial`/final frames into the same channel. This
     /// thread blocks on the channel and writes each reply the moment it
-    /// arrives, so no reply waits for a read. `Cancel` and a second
-    /// `Hello` are session business; every other frame — a v1 `Explain`
-    /// included, which runs inline — goes through the dispatcher behind
-    /// [`Server::handle`]. Every write happens on this thread, through one
-    /// [`Workspace`](crate::wire::Workspace). Request lifecycle counters
+    /// arrives, so no reply waits for a read. `Explain`, `Cancel` and a
+    /// second `Hello` are session business; every other frame goes
+    /// through [`Server::handle`], inline. Every write happens on this thread, through one
+    /// [`Workspace`]. Request lifecycle counters
     /// (`inflight_peak`, `ooo_replies`, `cancels_honored`,
     /// `partials_streamed`) are kept at registration and reply-write time,
     /// so tests assert multiplexing on counters rather than timing.
     ///
     /// Malformed envelopes that cannot be skipped safely (bad magic, bad
     /// CRC, truncation) drop the connection; well-formed frames of an
-    /// unknown version or type get a [`Frame::Unsupported`] reply and the
-    /// stream survives. Idle and slow-loris connections are dropped after
+    /// unknown version (the retired version 1 included) or type get a
+    /// [`Frame::Unsupported`] reply and the stream survives. Idle and slow-loris connections are dropped after
     /// an [`error_code::TIMEOUT`] reply; oversized declarations after an
     /// [`error_code::FRAME_TOO_LARGE`] reply — each tallied in the server
     /// stats. A session with explains in flight is never idle. During
@@ -1101,8 +1084,7 @@ impl Server {
         };
         let _ = stream.set_write_timeout(Some(io_timeout));
         let mut lane = ReplyLane::new();
-        // `None` until the first good envelope fixes the session version.
-        let mut session: Option<u16> = None;
+        let mut negotiated = false;
         let mut inflight: HashMap<u64, InflightRequest> = HashMap::new();
         let mut next_seq: u64 = 0;
         let mut last_activity = Instant::now();
@@ -1132,7 +1114,7 @@ impl Server {
                         self.inner.m.partials_streamed.add(1);
                     }
                     if self
-                        .write_via(&mut stream, &mut lane, v2::VERSION, corr, &frame)
+                        .write_via(&mut stream, &mut lane, corr, &frame)
                         .is_err()
                     {
                         break;
@@ -1159,28 +1141,23 @@ impl Server {
             };
             // An inline reply overtakes every unfinished explain.
             let overtakes = !inflight.is_empty();
-            let version = session.unwrap_or(VERSION);
-            let (version, corr, reply) = match read {
+            let (corr, reply) = match read {
                 Ok(env) => {
                     let corr = env.corr_id;
-                    let negotiating = session.is_none();
-                    let version = *session.get_or_insert(env.version);
                     let reply = match env.frame {
-                        Frame::Hello(_) if negotiating => Frame::HelloAck(HelloAckWire {
-                            version: v2::VERSION,
-                            max_inflight: self.inner.max_inflight as u32,
-                        }),
-                        _ if negotiating && version >= v2::VERSION => {
-                            self.hang_up(
-                                &mut stream,
-                                &mut lane,
-                                version,
-                                corr,
-                                error(
-                                    error_code::BAD_CORRELATION,
-                                    "a v2 session must open with Hello",
-                                ),
+                        Frame::Hello(_) if !negotiated => {
+                            negotiated = true;
+                            Frame::HelloAck(HelloAckWire {
+                                version: MAX_VERSION,
+                                max_inflight: self.inner.max_inflight as u32,
+                            })
+                        }
+                        _ if !negotiated => {
+                            let reply = error(
+                                error_code::BAD_CORRELATION,
+                                "a v2 session must open with Hello",
                             );
+                            self.hang_up(&mut stream, &mut lane, corr, reply);
                             break;
                         }
                         Frame::Hello(_) => {
@@ -1194,7 +1171,7 @@ impl Server {
                             }
                             continue;
                         }
-                        Frame::Explain(req) if version >= v2::VERSION => {
+                        Frame::Explain(req) => {
                             if self.is_shutting_down() {
                                 error(error_code::SHUTTING_DOWN, "server is shutting down")
                             } else if inflight.contains_key(&corr) {
@@ -1226,16 +1203,14 @@ impl Server {
                                 continue;
                             }
                         }
-                        // A v1 `Explain` runs inline: v1 has no correlation
-                        // id, so its replies must keep request order.
-                        frame => self.answer(frame, version),
+                        frame => self.handle(frame),
                     };
-                    (version, corr, reply)
+                    (corr, reply)
                 }
                 Err(ReadError::IdleTimeout | ReadError::FrameTimeout) => {
                     self.inner.m.io_timeouts.add(1);
                     let reply = error(error_code::TIMEOUT, "i/o deadline exceeded");
-                    self.hang_up(&mut stream, &mut lane, version, 0, reply);
+                    self.hang_up(&mut stream, &mut lane, 0, reply);
                     break;
                 }
                 Err(ReadError::Wire(WireError::PayloadTooLarge(n))) => {
@@ -1247,14 +1222,12 @@ impl Server {
                             crate::wire::MAX_PAYLOAD
                         ),
                     );
-                    self.hang_up(&mut stream, &mut lane, version, 0, reply);
+                    self.hang_up(&mut stream, &mut lane, 0, reply);
                     break;
                 }
-                Err(ReadError::Wire(WireError::UnsupportedVersion(v))) => {
-                    (version, 0, unsupported(v, 0))
-                }
+                Err(ReadError::Wire(WireError::UnsupportedVersion(v))) => (0, unsupported(v, 0)),
                 Err(ReadError::Wire(WireError::UnknownFrameType(t))) => {
-                    (version, 0, unsupported(version, t))
+                    (0, unsupported(MAX_VERSION, t))
                 }
                 // The peer is gone (or the stream is unframeable).
                 Err(ReadError::Closed | ReadError::Aborted | ReadError::Wire(_)) => break,
@@ -1263,7 +1236,7 @@ impl Server {
                 self.inner.m.ooo_replies.add(1);
             }
             if self
-                .write_via(&mut stream, &mut lane, version, corr, &reply)
+                .write_via(&mut stream, &mut lane, corr, &reply)
                 .is_err()
             {
                 break;
@@ -1285,15 +1258,14 @@ impl Server {
         &self,
         stream: &mut S,
         lane: &mut ReplyLane,
-        version: u16,
         corr_id: u64,
         reply: Frame,
     ) {
         let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-        let _ = self.write_via(stream, lane, version, corr_id, &reply);
+        let _ = self.write_via(stream, lane, corr_id, &reply);
     }
 
-    /// The worker side of a v2 `Explain`: runs [`Server::explain_ctl`]
+    /// The worker side of a session `Explain`: runs [`Server::explain_ctl`]
     /// with the request's abort flag and a progress sink that forwards
     /// pipeline events to the session loop as `Progress`/`Partial`
     /// frames addressed at `corr`.
@@ -1349,8 +1321,7 @@ enum Event {
 /// on (the loop keeps the idle clock); an envelope, or a well-formed one
 /// this server cannot decode, is sent and reading goes on; any other
 /// outcome is sent and ends the thread, as does `stop` or a loop that has
-/// gone. A v1 session reads at v1, so a later v2 envelope draws
-/// `Unsupported`.
+/// gone.
 fn read_inbound<S: DeadlineStream>(
     mut stream: S,
     io_timeout: Duration,
@@ -1359,21 +1330,11 @@ fn read_inbound<S: DeadlineStream>(
     tx: &mpsc::SyncSender<Event>,
 ) {
     let abort = || stop.load(Ordering::Acquire);
-    let mut session: Option<u16> = None;
     loop {
-        let ceiling = if session == Some(VERSION) {
-            VERSION
-        } else {
-            MAX_VERSION
-        };
-        let read =
-            read_envelope_deadline(&mut stream, io_timeout, io_timeout, tick, &abort, ceiling);
+        let read = read_envelope_deadline(&mut stream, io_timeout, io_timeout, tick, &abort);
         let more = match &read {
             Err(ReadError::IdleTimeout) => continue,
-            Ok(env) => {
-                session.get_or_insert(env.version);
-                true
-            }
+            Ok(_) => true,
             Err(ReadError::Wire(
                 WireError::UnsupportedVersion(_) | WireError::UnknownFrameType(_),
             )) => true,
@@ -1385,7 +1346,7 @@ fn read_inbound<S: DeadlineStream>(
     }
 }
 
-/// A v2 request the session loop has dispatched to a worker thread.
+/// A request the session loop has dispatched to a worker thread.
 struct InflightRequest {
     /// Raised by `Cancel` (or session teardown); the pipeline polls it.
     abort: Arc<AtomicBool>,
@@ -1406,14 +1367,14 @@ fn abort_and_join(inflight: &mut HashMap<u64, InflightRequest>) {
 /// Per-connection reply state: the reusable encode workspace plus the
 /// high-water mark of reuse hits already folded into the server counter.
 struct ReplyLane {
-    ws: crate::wire::Workspace,
+    ws: Workspace,
     reported_reuse: u64,
 }
 
 impl ReplyLane {
     fn new() -> ReplyLane {
         ReplyLane {
-            ws: crate::wire::Workspace::new(),
+            ws: Workspace::new(),
             reported_reuse: 0,
         }
     }

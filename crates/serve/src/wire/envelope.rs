@@ -1,15 +1,15 @@
-//! The version-spanning envelope codec: one header/CRC path shared by
-//! every NEXUSRPC version, and the reusable [`Workspace`] encode buffer.
+//! The envelope codec: one header/correlation-id/CRC path for every
+//! frame, and the reusable [`Workspace`] encode buffer.
 //!
 //! Adding a frame type touches the [`Frame`](super::Frame) enum and its
-//! payload codec plus a version vocabulary — never this file: header
-//! layout, length patching, and CRC trailer live here once.
+//! payload codec — never this file: header layout, length patching, and
+//! CRC trailer live here once.
 
 use std::io::{Read, Write};
 
 use super::{
-    crc32, put_u16, put_u32, put_u64, v1, v2, Frame, Result, WireError, HEADER_LEN, MAGIC,
-    MAX_PAYLOAD, MAX_VERSION,
+    crc32, put_u16, put_u32, put_u64, Frame, Result, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD,
+    MAX_VERSION,
 };
 
 /// The parsed fixed-size envelope header — everything a reader needs to
@@ -98,32 +98,23 @@ impl Workspace {
 
 /// Encodes one envelope into `ws` and returns the encoded bytes.
 ///
-/// The single header/length/CRC path behind both
-/// [`Envelope::encode_into`] and the v1 [`encode_frame`](super::encode_frame)
-/// convenience (which can't build an [`Envelope`] without cloning its
-/// frame).
+/// The single header/length/CRC path behind [`Envelope::encode_into`],
+/// also used by the server, which writes frames it does not own without
+/// cloning them into an [`Envelope`].
 pub(crate) fn encode_parts_into<'w>(
-    version: u16,
     corr_id: u64,
     frame: &Frame,
     ws: &'w mut Workspace,
 ) -> &'w [u8] {
-    debug_assert!(
-        frame.allowed_in(version),
-        "frame type {} is not in version {version}'s vocabulary",
-        frame.frame_type()
-    );
     let cap_before = ws.buf.capacity();
     let first = ws.encodes == 0;
     ws.buf.clear();
     ws.buf.extend_from_slice(&MAGIC);
-    put_u16(&mut ws.buf, version);
+    put_u16(&mut ws.buf, MAX_VERSION);
     ws.buf.push(frame.frame_type());
     put_u32(&mut ws.buf, 0); // payload length, patched below
-    if version >= v2::VERSION {
-        put_u64(&mut ws.buf, corr_id);
-    }
-    frame.encode_payload_into(version, &mut ws.buf);
+    put_u64(&mut ws.buf, corr_id);
+    frame.encode_payload_into(&mut ws.buf);
     let payload_len = (ws.buf.len() - HEADER_LEN) as u32;
     ws.buf[11..15].copy_from_slice(&payload_len.to_le_bytes());
     let crc = crc32(&ws.buf);
@@ -135,42 +126,25 @@ pub(crate) fn encode_parts_into<'w>(
     &ws.buf
 }
 
-/// One versioned, correlation-id'd NEXUSRPC envelope.
-///
-/// v1 envelopes have no correlation id on the wire; decoding one yields
-/// `corr_id == 0` and encoding ignores the field.
+/// One correlation-id'd NEXUSRPC envelope (always protocol version 2 on
+/// the wire).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
-    /// Protocol version of this envelope.
-    pub version: u16,
-    /// Correlation id tying requests to replies (v2; 0 under v1).
+    /// Correlation id tying requests to replies.
     pub corr_id: u64,
     /// The frame carried.
     pub frame: Frame,
 }
 
 impl Envelope {
-    /// A v1 envelope (no correlation id on the wire).
-    pub fn v1(frame: Frame) -> Envelope {
-        Envelope {
-            version: v1::VERSION,
-            corr_id: 0,
-            frame,
-        }
-    }
-
-    /// A v2 envelope addressed at `corr_id`.
+    /// An envelope addressed at `corr_id`.
     pub fn v2(corr_id: u64, frame: Frame) -> Envelope {
-        Envelope {
-            version: v2::VERSION,
-            corr_id,
-            frame,
-        }
+        Envelope { corr_id, frame }
     }
 
     /// Encodes this envelope into `ws`, returning the encoded bytes.
     pub fn encode_into<'w>(&self, ws: &'w mut Workspace) -> &'w [u8] {
-        encode_parts_into(self.version, self.corr_id, &self.frame, ws)
+        encode_parts_into(self.corr_id, &self.frame, ws)
     }
 
     /// Encodes into a fresh buffer (throwaway-workspace convenience).
@@ -180,22 +154,15 @@ impl Envelope {
         ws.into_inner()
     }
 
-    /// Decodes one envelope of any supported version from the front of
-    /// `buf`, returning it and the number of bytes consumed.
+    /// Decodes one envelope from the front of `buf`, returning it and the
+    /// number of bytes consumed.
     ///
     /// The CRC is validated before the version is judged, so
     /// [`WireError::UnsupportedVersion`] / [`WireError::UnknownFrameType`]
-    /// mean a well-formed envelope this build cannot interpret — the
-    /// reported length is still consumed and the stream stays framed.
+    /// mean a well-formed envelope this build cannot interpret (a retired
+    /// version-1 envelope included) — the reported length is still
+    /// consumed and the stream stays framed.
     pub fn decode(buf: &[u8]) -> Result<(Envelope, usize)> {
-        Envelope::decode_version_max(buf, MAX_VERSION)
-    }
-
-    /// [`Envelope::decode`] with the accepted version ceiling lowered to
-    /// `max_version` — the v1-fixed [`decode_frame`](super::decode_frame)
-    /// path passes 1 so valid v2 envelopes surface as
-    /// `UnsupportedVersion(2)` exactly as they did before v2 existed.
-    pub(crate) fn decode_version_max(buf: &[u8], max_version: u16) -> Result<(Envelope, usize)> {
         if buf.len() < HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -216,32 +183,16 @@ impl Envelope {
         if computed != stored {
             return Err(WireError::BadCrc { computed, stored });
         }
-        let env = Envelope::decode_body(&header, &buf[HEADER_LEN..body_end], max_version)?;
-        Ok((env, total))
-    }
-
-    /// Decodes a CRC-validated payload under its header.
-    fn decode_body(header: &FrameHeader, payload: &[u8], max_version: u16) -> Result<Envelope> {
-        match header.version {
-            v if v > max_version => Err(WireError::UnsupportedVersion(header.version)),
-            v1::VERSION => Ok(Envelope {
-                version: v1::VERSION,
-                corr_id: 0,
-                frame: Frame::decode_payload(v1::VERSION, header.frame_type, payload)?,
-            }),
-            v2::VERSION => {
-                if payload.len() < 8 {
-                    return Err(WireError::Malformed("missing correlation id"));
-                }
-                let corr_id = u64::from_le_bytes(payload[..8].try_into().expect("length checked"));
-                Ok(Envelope {
-                    version: v2::VERSION,
-                    corr_id,
-                    frame: Frame::decode_payload(v2::VERSION, header.frame_type, &payload[8..])?,
-                })
-            }
-            other => Err(WireError::UnsupportedVersion(other)),
+        if header.version != MAX_VERSION {
+            return Err(WireError::UnsupportedVersion(header.version));
         }
+        let payload = &buf[HEADER_LEN..body_end];
+        if payload.len() < 8 {
+            return Err(WireError::Malformed("missing correlation id"));
+        }
+        let corr_id = u64::from_le_bytes(payload[..8].try_into().expect("length checked"));
+        let frame = Frame::decode_payload(header.frame_type, &payload[8..])?;
+        Ok((Envelope { corr_id, frame }, total))
     }
 }
 
@@ -252,14 +203,11 @@ pub fn write_envelope(w: &mut impl Write, env: &Envelope, ws: &mut Workspace) ->
     Ok(())
 }
 
-/// Reads one envelope (any supported version) from a stream.
+/// Reads one envelope from a stream. As with [`Envelope::decode`],
+/// `UnsupportedVersion`/`UnknownFrameType` leave the stream positioned at
+/// the next envelope: the foreign one (validated by its CRC) has been
+/// consumed in full.
 pub fn read_envelope(r: &mut impl Read) -> Result<Envelope> {
-    read_envelope_version_max(r, MAX_VERSION)
-}
-
-/// [`read_envelope`] with a lowered version ceiling (see
-/// [`Envelope::decode`] vs the v1-fixed `decode_frame`).
-pub(crate) fn read_envelope_version_max(r: &mut impl Read, max_version: u16) -> Result<Envelope> {
     let truncated = |e: std::io::Error| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             WireError::Truncated
@@ -273,7 +221,7 @@ pub(crate) fn read_envelope_version_max(r: &mut impl Read, max_version: u16) -> 
     let header = FrameHeader::parse(header)?;
     whole.resize(HEADER_LEN + header.rest_len(), 0);
     r.read_exact(&mut whole[HEADER_LEN..]).map_err(truncated)?;
-    Envelope::decode_version_max(&whole, max_version).map(|(env, _)| env)
+    Envelope::decode(&whole).map(|(env, _)| env)
 }
 
 #[cfg(test)]
@@ -325,40 +273,50 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v1_decoder_reports_v2_envelopes_as_unsupported_version() {
-        let env = Envelope::v2(7, Frame::Ping);
-        let bytes = env.encode();
-        match super::super::decode_frame(&bytes) {
-            Err(WireError::UnsupportedVersion(2)) => {}
-            other => panic!("expected UnsupportedVersion(2), got {other:?}"),
-        }
-        // …while the envelope decoder accepts them.
-        assert!(Envelope::decode(&bytes).is_ok());
-    }
-
-    #[test]
-    fn v2_only_frames_are_unknown_under_v1() {
-        let env = Envelope::v1(Frame::Ping);
-        let mut bytes = env.encode();
-        bytes[10] = 13; // Cancel — a v2-only type under a v1 header
+    /// Recomputes the CRC trailer after a test patched header bytes.
+    fn reseal(bytes: &mut [u8]) {
         let body_end = bytes.len() - 4;
         let crc = crc32(&bytes[..body_end]).to_le_bytes();
         bytes[body_end..].copy_from_slice(&crc);
+    }
+
+    #[test]
+    fn version_one_envelopes_are_an_unsupported_version() {
+        // A retired version-1 Ping: header and CRC, no correlation id.
+        let mut bytes = MAGIC.to_vec();
+        put_u16(&mut bytes, 1);
+        bytes.push(Frame::Ping.frame_type());
+        put_u32(&mut bytes, 0);
+        put_u32(&mut bytes, 0);
+        reseal(&mut bytes);
         match Envelope::decode(&bytes) {
-            Err(WireError::UnknownFrameType(13)) => {}
-            other => panic!("expected UnknownFrameType(13), got {other:?}"),
+            Err(WireError::UnsupportedVersion(1)) => {}
+            other => panic!("expected UnsupportedVersion(1), got {other:?}"),
         }
+        // The stream reader consumes it whole, leaving the next envelope.
+        let mut stream = bytes.clone();
+        stream.extend_from_slice(&Envelope::v2(3, Frame::Ping).encode());
+        let mut cursor = std::io::Cursor::new(&stream);
+        assert!(matches!(
+            read_envelope(&mut cursor),
+            Err(WireError::UnsupportedVersion(1))
+        ));
+        assert_eq!(
+            read_envelope(&mut cursor).expect("next envelope"),
+            Envelope::v2(3, Frame::Ping)
+        );
     }
 
     #[test]
-    fn v2_envelope_missing_correlation_id_is_malformed() {
-        // A v2 header whose payload is shorter than the corr id.
-        let mut bytes = Envelope::v1(Frame::Ping).encode();
-        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]).to_le_bytes();
-        bytes[body_end..].copy_from_slice(&crc);
+    fn envelope_missing_correlation_id_is_malformed() {
+        // A current-version header whose payload is shorter than the corr id.
+        let mut bytes = MAGIC.to_vec();
+        put_u16(&mut bytes, MAX_VERSION);
+        bytes.push(Frame::Ping.frame_type());
+        put_u32(&mut bytes, 3);
+        bytes.extend_from_slice(&[0, 0, 0]);
+        put_u32(&mut bytes, 0);
+        reseal(&mut bytes);
         match Envelope::decode(&bytes) {
             Err(WireError::Malformed(_)) => {}
             other => panic!("expected Malformed, got {other:?}"),
@@ -402,21 +360,5 @@ mod tests {
         let mut ws = Workspace::new();
         assert_eq!(env.encode_into(&mut ws), env.encode().as_slice());
         assert_eq!(ws.bytes(), env.encode().as_slice());
-    }
-
-    #[test]
-    fn v1_and_v2_explanation_payload_bodies_are_byte_identical() {
-        // The final-reply guarantee rests on the frame body encoding
-        // identically under both versions: the v2 envelope is the v1
-        // envelope with the version bumped and 8 corr-id bytes spliced in.
-        let reply = Frame::Explanation(super::super::ExplanationReplyWire {
-            explanation: vec![1, 2, 3, 4],
-            stats: Default::default(),
-        });
-        let v1_bytes = Envelope::v1(reply.clone()).encode();
-        let v2_bytes = Envelope::v2(9, reply).encode();
-        let v1_body = &v1_bytes[HEADER_LEN..v1_bytes.len() - 4];
-        let v2_body = &v2_bytes[HEADER_LEN + 8..v2_bytes.len() - 4];
-        assert_eq!(v1_body, v2_body);
     }
 }

@@ -1,30 +1,30 @@
 //! **NEXUSRPC** — the deterministic, length-prefixed binary wire
-//! protocol of the resident explanation server, in two negotiated
-//! versions behind one [`Envelope`] codec.
+//! protocol of the resident explanation server, one version (v2) behind
+//! one [`Envelope`] codec.
 //!
 //! ## Envelope layout
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"NEXUSRPC"
-//! 8       2     protocol version, u16 LE (1 or 2)
+//! 8       2     protocol version, u16 LE (2)
 //! 10      1     frame type, u8
 //! 11      4     payload length, u32 LE (capped at 64 MiB)
-//! 15      n     payload (version/frame-type specific)
-//! 15+n    4     CRC-32 (IEEE) over bytes [0, 15+n), u32 LE
+//! 15      8     correlation id, u64 LE (the first 8 payload bytes)
+//! 23      n     frame body (frame-type specific)
+//! 23+n    4     CRC-32 (IEEE) over bytes [0, 23+n), u32 LE
 //! ```
 //!
-//! Under **v1** the payload is the frame body alone and a connection is
-//! strictly request → reply. Under **v2** the payload is prefixed by a
-//! `u64` LE *correlation id*, so one connection carries many in-flight
-//! requests with out-of-order replies, plus the session frames
+//! The correlation id lets one connection carry many in-flight requests
+//! with out-of-order replies, alongside the session frames
 //! ([`Frame::Hello`], [`Frame::HelloAck`], [`Frame::Cancel`],
-//! [`Frame::Progress`], [`Frame::Partial`]) of the [`v2`] module and the
-//! telemetry frames ([`Frame::MetricsRequest`], [`Frame::MetricsReply`],
-//! [`Frame::TraceRequest`], [`Frame::TraceReply`]). A v2
-//! `Explain` payload additionally carries a [`CallOverrides`] section;
-//! everything else encodes identically, so a v2 final reply's frame body
-//! is byte-identical to its v1 twin.
+//! [`Frame::Progress`], [`Frame::Partial`]) of the [`v2`] module, the
+//! dataset registry frames, and the telemetry frames
+//! ([`Frame::MetricsRequest`], [`Frame::MetricsReply`],
+//! [`Frame::TraceRequest`], [`Frame::TraceReply`]). Version 1 (no
+//! correlation id) and frame types 6 and 7 (its fixed-layout stats pair)
+//! are retired: a version-1 envelope is an unsupported version like any
+//! other, and types 6/7 are unknown frame types.
 //!
 //! All integers are little-endian; floats travel as their IEEE-754 bit
 //! pattern (`f64::to_bits`), so every value round-trips bit-exactly —
@@ -32,12 +32,11 @@
 //! Strings are UTF-8 with a `u32` byte-length prefix.
 //!
 //! [`Envelope::encode_into`] is the single encode path — header, payload
-//! and CRC for both versions — writing into a reusable [`Workspace`]
-//! buffer; [`encode_frame`]/[`decode_frame`] are the v1-fixed
-//! conveniences built on it, pure functions over byte slices so the
+//! and CRC — writing into a reusable [`Workspace`] buffer;
+//! [`Envelope::decode`] is a pure function over byte slices, so the
 //! protocol is usable (and tested) without any socket.
-//! [`read_frame`]/[`write_frame`]/[`read_envelope`]/[`write_envelope`]
-//! adapt them to `Read`/`Write` streams.
+//! [`read_envelope`]/[`write_envelope`] adapt them to `Read`/`Write`
+//! streams.
 //!
 //! Decoding never panics: truncated, oversized, corrupted (CRC), or
 //! malformed inputs produce a [`WireError`]. Frames with an unknown
@@ -46,11 +45,9 @@
 //! a server can keep the stream alive and answer with
 //! [`Frame::Unsupported`].
 
-use std::io::{Read, Write};
 use std::sync::OnceLock;
 
 mod envelope;
-pub mod v1;
 pub mod v2;
 
 pub(crate) use envelope::encode_parts_into;
@@ -59,10 +56,8 @@ pub use v2::{CallOverrides, HelloAckWire, HelloWire, PartialWire, ProgressWire};
 
 /// Protocol magic, the first eight bytes of every frame.
 pub const MAGIC: [u8; 8] = *b"NEXUSRPC";
-/// The baseline protocol version spoken by every peer (see [`v1`]).
-/// [`encode_frame`]/[`decode_frame`] are fixed to it.
-pub const VERSION: u16 = v1::VERSION;
-/// The highest protocol version this build speaks (see [`v2`]).
+/// The protocol version this build speaks (see [`v2`]); `Hello` offers
+/// it and `Unsupported` names it.
 pub const MAX_VERSION: u16 = v2::VERSION;
 /// Frame header length (magic + version + type + payload length).
 pub const HEADER_LEN: usize = 15;
@@ -79,7 +74,7 @@ pub enum WireError {
     BadMagic,
     /// Well-formed frame of a version this build does not speak.
     UnsupportedVersion(u16),
-    /// Well-formed v1 frame of an unknown type.
+    /// Well-formed frame of an unknown (or retired) type.
     UnknownFrameType(u8),
     /// Declared payload length exceeds [`MAX_PAYLOAD`].
     PayloadTooLarge(u32),
@@ -273,8 +268,8 @@ pub struct ExplainRequestWire {
     pub dataset: String,
     /// The aggregate query, as SQL text (parsed server-side).
     pub sql: String,
-    /// Per-call option overrides (v2 only on the wire; a v1 envelope
-    /// carries — and a v1 decode yields — the empty default).
+    /// Per-call option overrides (the empty default leaves the server's
+    /// options in force).
     pub overrides: CallOverrides,
 }
 
@@ -543,199 +538,6 @@ pub mod error_code {
     pub const STORE: u16 = 10;
 }
 
-/// Cumulative server statistics ([`Frame::Stats`] reply).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServerStatsWire {
-    /// Resident datasets.
-    pub datasets: u64,
-    /// Entries currently in the result cache.
-    pub cache_entries: u64,
-    /// Cumulative cache hits.
-    pub cache_hits: u64,
-    /// Cumulative cache misses.
-    pub cache_misses: u64,
-    /// Explain requests served.
-    pub requests_served: u64,
-    /// Rows visited by the counting kernels since server start.
-    pub kernel_rows_scanned: u64,
-    /// Hash-map accumulator ops in counting builds since server start.
-    pub kernel_hash_ops: u64,
-    /// Dense flat-array accumulator ops since server start.
-    pub kernel_dense_ops: u64,
-    /// Counting builds dispatched to the dense kernel.
-    pub kernel_dense_builds: u64,
-    /// Counting builds that fell back to a hashed accumulator.
-    pub kernel_sparse_builds: u64,
-    /// Vectorized scans whose key space fit a narrow (u8/u16)
-    /// width.
-    pub kernel_narrow_scans: u64,
-    /// All-zero selection words skipped whole by packed-mask scans.
-    pub kernel_packed_words_skipped: u64,
-    /// Retired (always 0): cells written by the radix merges of a
-    /// parallel counting kernel that no longer exists. Kept so the frame
-    /// layout stays byte-compatible; it has no registry name.
-    pub kernel_radix_merge_cells: u64,
-    /// Retired (always 0), like `kernel_radix_merge_cells`.
-    pub kernel_full_merge_cells: u64,
-    /// Vectorized builds whose scan keys packed into u8.
-    pub kernel_builds_w8: u64,
-    /// Vectorized builds whose scan keys packed into u16.
-    pub kernel_builds_w16: u64,
-    /// Vectorized builds whose scan keys packed into u32.
-    pub kernel_builds_w32: u64,
-    /// Vectorized builds whose scan keys packed into u64.
-    pub kernel_builds_w64: u64,
-    /// Vectorized builds whose scan keys needed u128.
-    pub kernel_builds_w128: u64,
-    /// Connections admitted past the connection cap.
-    pub conns_accepted: u64,
-    /// Connections refused with a `Busy` reply because the cap was full.
-    pub busy_rejections: u64,
-    /// Connections dropped by an idle or per-frame I/O deadline.
-    pub io_timeouts: u64,
-    /// Frames rejected for declaring a payload beyond the 64 MiB cap.
-    pub oversize_frames: u64,
-    /// Handler threads joined back by the accept loop — finished
-    /// connections reaped while serving plus the shutdown drain.
-    pub drained_handlers: u64,
-    /// Handler threads currently live (0 after a clean drain).
-    pub live_handlers: u64,
-    /// Highest number of requests simultaneously in flight on any single
-    /// v2 connection.
-    pub inflight_peak: u64,
-    /// v2 final replies written while an earlier-arrived request on the
-    /// same connection was still incomplete (out-of-order completions).
-    pub ooo_replies: u64,
-    /// In-flight explains aborted by a [`Cancel`](Frame::Cancel) frame
-    /// before they finished.
-    pub cancels_honored: u64,
-    /// [`Partial`](Frame::Partial) top-k-so-far frames streamed to v2
-    /// clients.
-    pub partials_streamed: u64,
-    /// Envelope encodes that reused a connection workspace buffer
-    /// without growing it (see [`Workspace`]).
-    pub workspace_reuse_hits: u64,
-    /// Datasets whose artifacts (table + KG extractions) are currently
-    /// materialized in memory. `datasets` counts *registered* names;
-    /// lazily-loaded or evicted entries keep their registration.
-    pub datasets_resident: u64,
-    /// Cumulative dataset materializations (cold loads plus reloads after
-    /// eviction). A warm request leaves this flat.
-    pub datasets_loaded: u64,
-    /// Resident datasets dropped by the registry's byte-budget LRU (or an
-    /// explicit `EvictDataset`).
-    pub dataset_evictions: u64,
-    /// NXCOL-encoded bytes of all resident tables — the gauge the
-    /// registry's `max_resident_bytes` budget bounds.
-    pub store_bytes: u64,
-    /// Cumulative per-column KG extraction builds. Flat across warm
-    /// requests: the proof that a resident dataset is never re-mined.
-    pub extraction_builds: u64,
-    /// Order-independent fingerprint over the resident `(name,
-    /// fingerprint)` pairs — changes exactly when the resident set does.
-    pub registry_fingerprint: u64,
-    /// Sub-query memo hits across all kinds (contingency tables, CMI
-    /// terms, extraction columns) since server start.
-    pub memo_hits: u64,
-    /// Sub-query memo misses across all kinds since server start.
-    pub memo_misses: u64,
-    /// Values published into the sub-query memo since server start.
-    pub memo_inserts: u64,
-    /// Memo entries dropped by the byte-budget LRU since server start.
-    pub memo_evictions: u64,
-    /// Requests that blocked on another request's in-flight build of the
-    /// same sub-computation instead of duplicating it (single-flight).
-    pub memo_coalesced_waits: u64,
-    /// Bytes currently charged against the memo store's budget.
-    pub memo_resident_bytes: u64,
-}
-
-/// One field-to-name mapping entry shared by [`ServerStatsWire::metrics`]
-/// and [`ServerStatsWire::from_metrics`]; the macro lists every live field
-/// once so the two directions can never drift (the struct literal in
-/// `from_metrics` is exhaustive: it names the two retired merge fields
-/// explicitly).
-macro_rules! for_each_stats_metric {
-    ($mac:ident) => {
-        $mac! {
-            datasets => "registry.datasets.registered",
-            cache_entries => "serve.cache.entries",
-            cache_hits => "serve.cache.hits",
-            cache_misses => "serve.cache.misses",
-            requests_served => "serve.requests.served",
-            kernel_rows_scanned => "kernel.rows_scanned",
-            kernel_hash_ops => "kernel.hash_ops",
-            kernel_dense_ops => "kernel.dense_ops",
-            kernel_dense_builds => "kernel.builds.dense",
-            kernel_sparse_builds => "kernel.builds.sparse",
-            kernel_narrow_scans => "kernel.narrow_scans",
-            kernel_packed_words_skipped => "kernel.packed_words_skipped",
-            kernel_builds_w8 => "kernel.builds.w8",
-            kernel_builds_w16 => "kernel.builds.w16",
-            kernel_builds_w32 => "kernel.builds.w32",
-            kernel_builds_w64 => "kernel.builds.w64",
-            kernel_builds_w128 => "kernel.builds.w128",
-            conns_accepted => "serve.conns.accepted",
-            busy_rejections => "serve.conns.busy_rejections",
-            io_timeouts => "serve.io.timeouts",
-            oversize_frames => "serve.frames.oversize",
-            drained_handlers => "serve.handlers.drained",
-            live_handlers => "serve.handlers.live",
-            inflight_peak => "serve.rpc.inflight_peak",
-            ooo_replies => "serve.rpc.ooo_replies",
-            cancels_honored => "serve.rpc.cancels_honored",
-            partials_streamed => "serve.rpc.partials_streamed",
-            workspace_reuse_hits => "serve.rpc.workspace_reuse_hits",
-            datasets_resident => "registry.datasets.resident",
-            datasets_loaded => "registry.datasets.loaded",
-            dataset_evictions => "registry.datasets.evicted",
-            store_bytes => "registry.store.bytes",
-            extraction_builds => "registry.extraction.builds",
-            registry_fingerprint => "registry.fingerprint",
-            memo_hits => "memo.hits",
-            memo_misses => "memo.misses",
-            memo_inserts => "memo.inserts",
-            memo_evictions => "memo.evictions",
-            memo_coalesced_waits => "memo.coalesced_waits",
-            memo_resident_bytes => "memo.resident_bytes",
-        }
-    };
-}
-
-impl ServerStatsWire {
-    /// Every field as a `(registry name, value)` pair, sorted by name —
-    /// the canonical dotted names these counters carry in the telemetry
-    /// registry and in [`Frame::MetricsReply`]. This is what sorted
-    /// `--stats` output prints.
-    pub fn metrics(&self) -> Vec<(&'static str, u64)> {
-        macro_rules! collect {
-            ($($field:ident => $name:expr,)*) => {{
-                let mut pairs = vec![$(($name, self.$field)),*];
-                pairs.sort_by(|a, b| a.0.cmp(b.0));
-                pairs
-            }};
-        }
-        for_each_stats_metric!(collect)
-    }
-
-    /// Builds the legacy fixed-field frame from named registry values —
-    /// the inverse of [`ServerStatsWire::metrics`]. The server feeds
-    /// `StatsReply` through this, so the frame stays byte-compatible while
-    /// the registry is the single source of truth.
-    pub fn from_metrics(mut get: impl FnMut(&str) -> u64) -> ServerStatsWire {
-        macro_rules! build {
-            ($($field:ident => $name:expr,)*) => {
-                ServerStatsWire {
-                    $($field: get($name),)*
-                    kernel_radix_merge_cells: 0,
-                    kernel_full_merge_cells: 0,
-                }
-            };
-        }
-        for_each_stats_metric!(build)
-    }
-}
-
 /// One named metric in a [`Frame::MetricsReply`]: self-describing
 /// name→value pairs, so new counters never need new fixed wire fields.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -781,7 +583,8 @@ pub struct SpanWire {
 /// One traced request: its corr-id and span tree in preorder.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceWire {
-    /// NEXUSRPC v2 correlation id (0 for requests served over v1).
+    /// Correlation id of the traced request (0 for requests answered in
+    /// process by `Server::handle`).
     pub corr_id: u64,
     /// Spans in preorder.
     pub spans: Vec<SpanWire>,
@@ -867,12 +670,6 @@ pub struct UnsupportedWire {
 // ---------------------------------------------------------------------------
 
 /// One NEXUSRPC frame.
-//
-// `StatsReply` carries the full fixed-layout counter block (~340 bytes),
-// far larger than the other variants — but frames are transient values on
-// the encode/decode path, never stored in collections, so boxing it would
-// buy nothing and cost an allocation per stats round-trip.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Liveness probe.
@@ -885,51 +682,48 @@ pub enum Frame {
     Explanation(ExplanationReplyWire),
     /// Error reply.
     Error(ErrorWire),
-    /// Server statistics request.
-    Stats,
-    /// Server statistics reply.
-    StatsReply(ServerStatsWire),
     /// Graceful shutdown request.
     Shutdown,
     /// Shutdown acknowledgement (the server exits after sending it).
     ShutdownAck,
     /// Reply to a frame of an unknown version or type.
     Unsupported(UnsupportedWire),
-    /// Session negotiation opener (v2): the client's highest version.
+    /// Session negotiation opener: the client's highest version.
     Hello(HelloWire),
-    /// Session negotiation answer (v2): the agreed version and the
-    /// server's in-flight cap.
+    /// Session negotiation answer: the agreed version and the server's
+    /// in-flight cap.
     HelloAck(HelloAckWire),
     /// Abort the in-flight request addressed by this envelope's
-    /// correlation id (v2; empty payload).
+    /// correlation id (empty body).
     Cancel,
-    /// Stage-boundary progress notification for an in-flight request
-    /// (v2).
+    /// Stage-boundary progress notification for an in-flight request.
     Progress(ProgressWire),
-    /// Top-k-so-far streaming update for an in-flight request (v2).
+    /// Top-k-so-far streaming update for an in-flight request.
     Partial(PartialWire),
-    /// Register a store-backed dataset (v2).
+    /// Register a store-backed dataset.
     LoadDataset(LoadDatasetWire),
-    /// Drop a dataset's resident artifacts (v2).
+    /// Drop a dataset's resident artifacts.
     EvictDataset(EvictDatasetWire),
-    /// Request the registry listing (v2; empty payload).
+    /// Request the registry listing (empty body).
     ListDatasets,
-    /// Registry listing reply (v2).
+    /// Registry listing reply.
     DatasetList(DatasetListWire),
-    /// Load/evict acknowledgement (v2).
+    /// Load/evict acknowledgement.
     DatasetAck(DatasetAckWire),
-    /// Request the full metrics snapshot (v2; empty payload).
+    /// Request the full metrics snapshot (empty body).
     MetricsRequest,
-    /// Metrics snapshot reply (v2): sorted name→value pairs.
+    /// Metrics snapshot reply: sorted name→value pairs.
     MetricsReply(MetricsReplyWire),
-    /// Request the last-N request span trees (v2).
+    /// Request the last-N request span trees.
     TraceRequest(TraceRequestWire),
-    /// Span-tree reply (v2), newest first.
+    /// Span-tree reply, newest first.
     TraceReply(TraceReplyWire),
 }
 
 impl Frame {
-    /// The frame-type byte of the envelope.
+    /// The frame-type byte of the envelope. Types 6 and 7 are retired
+    /// (they carried the fixed-layout stats pair of version 1) and stay
+    /// unassigned.
     pub fn frame_type(&self) -> u8 {
         match self {
             Frame::Ping => 1,
@@ -937,8 +731,6 @@ impl Frame {
             Frame::Explain(_) => 3,
             Frame::Explanation(_) => 4,
             Frame::Error(_) => 5,
-            Frame::Stats => 6,
-            Frame::StatsReply(_) => 7,
             Frame::Shutdown => 8,
             Frame::ShutdownAck => 9,
             Frame::Unsupported(_) => 10,
@@ -959,16 +751,10 @@ impl Frame {
         }
     }
 
-    /// Whether `version` includes this frame type in its vocabulary.
-    pub fn allowed_in(&self, version: u16) -> bool {
-        allows(version, self.frame_type())
-    }
-
-    pub(crate) fn encode_payload_into(&self, version: u16, out: &mut Vec<u8>) {
+    pub(crate) fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Ping
             | Frame::Pong
-            | Frame::Stats
             | Frame::Shutdown
             | Frame::ShutdownAck
             | Frame::Cancel
@@ -977,12 +763,7 @@ impl Frame {
             Frame::Explain(req) => {
                 put_str(out, &req.dataset);
                 put_str(out, &req.sql);
-                // The overrides section exists only in the v2 vocabulary;
-                // a v1 encode of a request with overrides set would drop
-                // them silently, which the client refuses before encoding.
-                if version >= v2::VERSION {
-                    req.overrides.write(out);
-                }
+                req.overrides.write(out);
             }
             Frame::Explanation(reply) => {
                 put_u32(out, reply.explanation.len() as u32);
@@ -992,50 +773,6 @@ impl Frame {
             Frame::Error(e) => {
                 put_u16(out, e.code);
                 put_str(out, &e.message);
-            }
-            Frame::StatsReply(s) => {
-                put_u64(out, s.datasets);
-                put_u64(out, s.cache_entries);
-                put_u64(out, s.cache_hits);
-                put_u64(out, s.cache_misses);
-                put_u64(out, s.requests_served);
-                put_u64(out, s.kernel_rows_scanned);
-                put_u64(out, s.kernel_hash_ops);
-                put_u64(out, s.kernel_dense_ops);
-                put_u64(out, s.kernel_dense_builds);
-                put_u64(out, s.kernel_sparse_builds);
-                put_u64(out, s.kernel_narrow_scans);
-                put_u64(out, s.kernel_packed_words_skipped);
-                put_u64(out, s.kernel_radix_merge_cells);
-                put_u64(out, s.kernel_full_merge_cells);
-                put_u64(out, s.kernel_builds_w8);
-                put_u64(out, s.kernel_builds_w16);
-                put_u64(out, s.kernel_builds_w32);
-                put_u64(out, s.kernel_builds_w64);
-                put_u64(out, s.kernel_builds_w128);
-                put_u64(out, s.conns_accepted);
-                put_u64(out, s.busy_rejections);
-                put_u64(out, s.io_timeouts);
-                put_u64(out, s.oversize_frames);
-                put_u64(out, s.drained_handlers);
-                put_u64(out, s.live_handlers);
-                put_u64(out, s.inflight_peak);
-                put_u64(out, s.ooo_replies);
-                put_u64(out, s.cancels_honored);
-                put_u64(out, s.partials_streamed);
-                put_u64(out, s.workspace_reuse_hits);
-                put_u64(out, s.datasets_resident);
-                put_u64(out, s.datasets_loaded);
-                put_u64(out, s.dataset_evictions);
-                put_u64(out, s.store_bytes);
-                put_u64(out, s.extraction_builds);
-                put_u64(out, s.registry_fingerprint);
-                put_u64(out, s.memo_hits);
-                put_u64(out, s.memo_misses);
-                put_u64(out, s.memo_inserts);
-                put_u64(out, s.memo_evictions);
-                put_u64(out, s.memo_coalesced_waits);
-                put_u64(out, s.memo_resident_bytes);
             }
             Frame::Unsupported(u) => {
                 put_u16(out, u.version);
@@ -1105,10 +842,9 @@ impl Frame {
         }
     }
 
-    pub(crate) fn decode_payload(version: u16, frame_type: u8, payload: &[u8]) -> Result<Frame> {
-        if !allows(version, frame_type) {
-            return Err(WireError::UnknownFrameType(frame_type));
-        }
+    /// Decodes a frame body; unknown and retired frame types are
+    /// [`WireError::UnknownFrameType`].
+    pub(crate) fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame> {
         let mut r = Reader::new(payload);
         let frame = match frame_type {
             1 => Frame::Ping,
@@ -1116,11 +852,7 @@ impl Frame {
             3 => {
                 let dataset = r.str()?;
                 let sql = r.str()?;
-                let overrides = if version >= v2::VERSION {
-                    CallOverrides::read(&mut r)?
-                } else {
-                    CallOverrides::default()
-                };
+                let overrides = CallOverrides::read(&mut r)?;
                 Frame::Explain(ExplainRequestWire {
                     dataset,
                     sql,
@@ -1143,51 +875,6 @@ impl Frame {
                     message: r.str()?,
                 })
             }
-            6 => Frame::Stats,
-            7 => Frame::StatsReply(ServerStatsWire {
-                datasets: r.u64()?,
-                cache_entries: r.u64()?,
-                cache_hits: r.u64()?,
-                cache_misses: r.u64()?,
-                requests_served: r.u64()?,
-                kernel_rows_scanned: r.u64()?,
-                kernel_hash_ops: r.u64()?,
-                kernel_dense_ops: r.u64()?,
-                kernel_dense_builds: r.u64()?,
-                kernel_sparse_builds: r.u64()?,
-                kernel_narrow_scans: r.u64()?,
-                kernel_packed_words_skipped: r.u64()?,
-                kernel_radix_merge_cells: r.u64()?,
-                kernel_full_merge_cells: r.u64()?,
-                kernel_builds_w8: r.u64()?,
-                kernel_builds_w16: r.u64()?,
-                kernel_builds_w32: r.u64()?,
-                kernel_builds_w64: r.u64()?,
-                kernel_builds_w128: r.u64()?,
-                conns_accepted: r.u64()?,
-                busy_rejections: r.u64()?,
-                io_timeouts: r.u64()?,
-                oversize_frames: r.u64()?,
-                drained_handlers: r.u64()?,
-                live_handlers: r.u64()?,
-                inflight_peak: r.u64()?,
-                ooo_replies: r.u64()?,
-                cancels_honored: r.u64()?,
-                partials_streamed: r.u64()?,
-                workspace_reuse_hits: r.u64()?,
-                datasets_resident: r.u64()?,
-                datasets_loaded: r.u64()?,
-                dataset_evictions: r.u64()?,
-                store_bytes: r.u64()?,
-                extraction_builds: r.u64()?,
-                registry_fingerprint: r.u64()?,
-                memo_hits: r.u64()?,
-                memo_misses: r.u64()?,
-                memo_inserts: r.u64()?,
-                memo_evictions: r.u64()?,
-                memo_coalesced_waits: r.u64()?,
-                memo_resident_bytes: r.u64()?,
-            }),
             8 => Frame::Shutdown,
             9 => Frame::ShutdownAck,
             10 => {
@@ -1321,62 +1008,6 @@ impl Frame {
     }
 }
 
-/// Whether `frame_type` belongs to `version`'s vocabulary.
-///
-/// Unknown versions admit nothing: the envelope layer rejects them with
-/// [`WireError::UnsupportedVersion`] before payload decoding.
-pub fn allows(version: u16, frame_type: u8) -> bool {
-    match version {
-        v1::VERSION => v1::allows(frame_type),
-        v2::VERSION => v2::allows(frame_type),
-        _ => false,
-    }
-}
-
-/// Encodes `frame` into a complete NEXUSRPC **v1** envelope.
-///
-/// Convenience over [`Envelope::encode_into`] with a throwaway
-/// [`Workspace`]; per-connection code holds a workspace and encodes into
-/// it instead.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut ws = Workspace::new();
-    envelope::encode_parts_into(v1::VERSION, 0, frame, &mut ws);
-    ws.into_inner()
-}
-
-/// Decodes one **v1** frame from the front of `buf`, returning it and the
-/// number of bytes consumed.
-///
-/// [`WireError::UnsupportedVersion`] and [`WireError::UnknownFrameType`]
-/// indicate a *well-formed* frame (magic, length, and CRC all valid) that
-/// this decoder cannot interpret — including valid v2 envelopes, which
-/// this v1-fixed entry point reports as `UnsupportedVersion(2)`; the
-/// envelope length is still consumed, so callers can skip it and answer
-/// [`Frame::Unsupported`]. Version-aware readers use
-/// [`Envelope::decode`].
-pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize)> {
-    let (env, consumed) = Envelope::decode_version_max(buf, v1::VERSION)?;
-    Ok((env.frame, consumed))
-}
-
-/// Writes one **v1** frame to a stream.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<()> {
-    let bytes = encode_frame(frame);
-    w.write_all(&bytes)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads one **v1** frame from a stream.
-///
-/// As with [`decode_frame`], `UnsupportedVersion`/`UnknownFrameType` leave
-/// the stream positioned at the next frame: the bad envelope (validated by
-/// its CRC) has been consumed in full.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
-    let env = envelope::read_envelope_version_max(r, v1::VERSION)?;
-    Ok(env.frame)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1427,6 +1058,26 @@ mod tests {
         })
     }
 
+    /// Encodes `frame` under `corr`, checks the pure decoder and the
+    /// stream reader both return it intact, and returns the bytes.
+    fn assert_round_trip(corr: u64, frame: Frame) -> Vec<u8> {
+        let env = Envelope::v2(corr, frame);
+        let bytes = env.encode();
+        let (decoded, consumed) = Envelope::decode(&bytes).expect("decode");
+        assert_eq!(consumed, bytes.len());
+        assert_eq!(decoded, env);
+        let mut cursor = std::io::Cursor::new(&bytes);
+        assert_eq!(read_envelope(&mut cursor).expect("read"), env);
+        bytes
+    }
+
+    /// Recomputes the CRC trailer after a test patched header bytes.
+    fn reseal(bytes: &mut [u8]) {
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_end]).to_le_bytes();
+        bytes[body_end..].copy_from_slice(&crc);
+    }
+
     #[test]
     fn frames_round_trip() {
         let frames = vec![
@@ -1442,72 +1093,21 @@ mod tests {
                 code: error_code::BAD_QUERY,
                 message: "no GROUP BY".into(),
             }),
-            Frame::Stats,
-            Frame::StatsReply(ServerStatsWire {
-                datasets: 2,
-                cache_entries: 7,
-                cache_hits: 100,
-                cache_misses: 8,
-                requests_served: 108,
-                kernel_rows_scanned: 4_000_000,
-                kernel_hash_ops: 123,
-                kernel_dense_ops: 3_999_877,
-                kernel_dense_builds: 11,
-                kernel_sparse_builds: 1,
-                kernel_narrow_scans: 9,
-                kernel_packed_words_skipped: 62_500,
-                kernel_radix_merge_cells: 28_672,
-                kernel_full_merge_cells: 655_360,
-                kernel_builds_w8: 7,
-                kernel_builds_w16: 2,
-                kernel_builds_w32: 1,
-                kernel_builds_w64: 1,
-                kernel_builds_w128: 0,
-                conns_accepted: 31,
-                busy_rejections: 4,
-                io_timeouts: 2,
-                oversize_frames: 1,
-                drained_handlers: 3,
-                live_handlers: 0,
-                inflight_peak: 16,
-                ooo_replies: 5,
-                cancels_honored: 2,
-                partials_streamed: 9,
-                workspace_reuse_hits: 88,
-                datasets_resident: 1,
-                datasets_loaded: 3,
-                dataset_evictions: 2,
-                store_bytes: 65_536,
-                extraction_builds: 6,
-                registry_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
-                memo_hits: 42,
-                memo_misses: 17,
-                memo_inserts: 17,
-                memo_evictions: 3,
-                memo_coalesced_waits: 5,
-                memo_resident_bytes: 1_048_576,
-            }),
             Frame::Shutdown,
             Frame::ShutdownAck,
             Frame::Unsupported(UnsupportedWire {
                 version: 9,
                 frame_type: 77,
-                max_supported: VERSION,
+                max_supported: MAX_VERSION,
             }),
         ];
-        for frame in frames {
-            let bytes = encode_frame(&frame);
-            let (decoded, consumed) = decode_frame(&bytes).expect("decode");
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(decoded, frame);
-            // Stream path agrees with the pure path.
-            let mut cursor = std::io::Cursor::new(&bytes);
-            assert_eq!(read_frame(&mut cursor).expect("read"), frame);
+        for (corr, frame) in frames.into_iter().enumerate() {
+            assert_round_trip(corr as u64, frame);
         }
     }
 
     #[test]
-    fn registry_frames_round_trip_under_v2_and_are_refused_by_v1() {
+    fn registry_frames_round_trip() {
         let frames = vec![
             Frame::LoadDataset(LoadDatasetWire {
                 name: "wdi".into(),
@@ -1546,27 +1146,13 @@ mod tests {
                 resident: false,
             }),
         ];
-        let mut ws = Workspace::new();
         for frame in frames {
-            let bytes = encode_parts_into(v2::VERSION, 42, &frame, &mut ws).to_vec();
-            let (env, consumed) =
-                Envelope::decode_version_max(&bytes, MAX_VERSION).expect("v2 decode");
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(env.corr_id, 42);
-            assert_eq!(env.frame, frame);
-            // The frozen v1 vocabulary excludes the registry frames, and
-            // a v1-capped reader reports the v2 envelope as a version it
-            // does not speak (never a misread).
-            assert!(!v1::allows(frame.frame_type()));
-            assert!(matches!(
-                Envelope::decode_version_max(&bytes, v1::VERSION),
-                Err(WireError::UnsupportedVersion(2))
-            ));
+            assert_round_trip(42, frame);
         }
     }
 
     #[test]
-    fn telemetry_frames_round_trip_under_v2_and_are_refused_by_v1() {
+    fn telemetry_frames_round_trip() {
         let frames = vec![
             Frame::MetricsRequest,
             Frame::MetricsReply(MetricsReplyWire {
@@ -1617,58 +1203,9 @@ mod tests {
             }),
             Frame::TraceReply(TraceReplyWire::default()),
         ];
-        let mut ws = Workspace::new();
         for frame in frames {
-            let bytes = encode_parts_into(v2::VERSION, 7, &frame, &mut ws).to_vec();
-            let (env, consumed) =
-                Envelope::decode_version_max(&bytes, MAX_VERSION).expect("v2 decode");
-            assert_eq!(consumed, bytes.len());
-            assert_eq!(env.corr_id, 7);
-            assert_eq!(env.frame, frame);
-            assert!(!v1::allows(frame.frame_type()));
-            assert!(matches!(
-                Envelope::decode_version_max(&bytes, v1::VERSION),
-                Err(WireError::UnsupportedVersion(2))
-            ));
+            assert_round_trip(7, frame);
         }
-    }
-
-    #[test]
-    fn stats_metric_names_are_sorted_unique_and_invert() {
-        let mut expected = ServerStatsWire::default();
-        // Give every field a distinct value so a crossed mapping is caught.
-        let pairs = expected.metrics();
-        assert_eq!(pairs.len(), 40, "every live StatsReply field has a name");
-        let mut seen = std::collections::HashSet::new();
-        for window in pairs.windows(2) {
-            assert!(window[0].0 < window[1].0, "names sorted: {window:?}");
-        }
-        for (name, _) in &pairs {
-            assert!(seen.insert(*name), "duplicate name {name}");
-        }
-        // Distinct values per field via the inverse direction: number the
-        // names 1..=40, build the struct, and check metrics() echoes the
-        // numbering back under the same names.
-        let numbered: std::collections::HashMap<&str, u64> = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _))| (*name, i as u64 + 1))
-            .collect();
-        expected = ServerStatsWire::from_metrics(|name| numbered[name]);
-        for (name, value) in expected.metrics() {
-            assert_eq!(value, numbered[name], "field behind {name}");
-        }
-        // And the encoded frame is the same legacy fixed-field layout.
-        let direct = Frame::StatsReply(expected);
-        let rebuilt = Frame::StatsReply(ServerStatsWire::from_metrics(|name| {
-            expected
-                .metrics()
-                .iter()
-                .find(|(n, _)| *n == name)
-                .unwrap()
-                .1
-        }));
-        assert_eq!(encode_frame(&direct), encode_frame(&rebuilt));
     }
 
     #[test]
@@ -1696,9 +1233,9 @@ mod tests {
 
     #[test]
     fn truncation_never_panics() {
-        let bytes = encode_frame(&sample_reply());
+        let bytes = Envelope::v2(3, sample_reply()).encode();
         for n in 0..bytes.len() {
-            match decode_frame(&bytes[..n]) {
+            match Envelope::decode(&bytes[..n]) {
                 Err(_) => {}
                 Ok((_, consumed)) => panic!("decoded {consumed} bytes from a {n}-byte prefix"),
             }
@@ -1707,44 +1244,46 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let bytes = encode_frame(&sample_reply());
-        // Flip one bit at every position: magic, header, payload, or CRC —
-        // all must fail, none may panic.
+        let bytes = Envelope::v2(3, sample_reply()).encode();
+        // Flip one bit at every position: magic, header, corr id, body, or
+        // CRC — all must fail, none may panic.
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
-            assert!(decode_frame(&bad).is_err(), "bit flip at byte {i} accepted");
+            assert!(
+                Envelope::decode(&bad).is_err(),
+                "bit flip at byte {i} accepted"
+            );
         }
     }
 
     #[test]
     fn unknown_version_and_type_are_recoverable() {
-        let mut bytes = encode_frame(&Frame::Ping);
+        let mut bytes = Envelope::v2(1, Frame::Ping).encode();
         bytes[8] = 99; // version
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]).to_le_bytes();
-        bytes[body_end..].copy_from_slice(&crc);
-        match decode_frame(&bytes) {
+        reseal(&mut bytes);
+        match Envelope::decode(&bytes) {
             Err(WireError::UnsupportedVersion(99)) => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
 
-        let mut bytes = encode_frame(&Frame::Ping);
-        bytes[10] = 200; // frame type
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]).to_le_bytes();
-        bytes[body_end..].copy_from_slice(&crc);
-        match decode_frame(&bytes) {
-            Err(WireError::UnknownFrameType(200)) => {}
-            other => panic!("expected UnknownFrameType, got {other:?}"),
+        // An unknown type and the two retired stats types alike.
+        for frame_type in [200u8, 6, 7] {
+            let mut bytes = Envelope::v2(1, Frame::Ping).encode();
+            bytes[10] = frame_type;
+            reseal(&mut bytes);
+            match Envelope::decode(&bytes) {
+                Err(WireError::UnknownFrameType(t)) => assert_eq!(t, frame_type),
+                other => panic!("expected UnknownFrameType, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn oversized_payload_is_rejected_without_allocation() {
-        let mut bytes = encode_frame(&Frame::Ping);
+        let mut bytes = Envelope::v2(1, Frame::Ping).encode();
         bytes[11..15].copy_from_slice(&u32::MAX.to_le_bytes());
-        match decode_frame(&bytes) {
+        match Envelope::decode(&bytes) {
             Err(WireError::PayloadTooLarge(n)) => assert_eq!(n, u32::MAX),
             other => panic!("expected PayloadTooLarge, got {other:?}"),
         }
@@ -1752,10 +1291,10 @@ mod tests {
 
     #[test]
     fn frame_header_parse_agrees_with_decoders() {
-        let bytes = encode_frame(&sample_reply());
+        let bytes = Envelope::v2(5, sample_reply()).encode();
         let header: [u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().unwrap();
         let h = FrameHeader::parse(&header).expect("valid header");
-        assert_eq!(h.version, VERSION);
+        assert_eq!(h.version, MAX_VERSION);
         assert_eq!(h.frame_type, sample_reply().frame_type());
         assert_eq!(HEADER_LEN + h.rest_len(), bytes.len());
 
@@ -1786,14 +1325,14 @@ mod tests {
 
     #[test]
     fn back_to_back_frames_decode_in_sequence() {
-        let a = encode_frame(&Frame::Ping);
-        let b = encode_frame(&Frame::Stats);
+        let a = Envelope::v2(1, Frame::Ping).encode();
+        let b = Envelope::v2(2, Frame::MetricsRequest).encode();
         let mut stream = a.clone();
         stream.extend_from_slice(&b);
-        let (f1, n1) = decode_frame(&stream).unwrap();
-        assert_eq!(f1, Frame::Ping);
-        let (f2, n2) = decode_frame(&stream[n1..]).unwrap();
-        assert_eq!(f2, Frame::Stats);
+        let (f1, n1) = Envelope::decode(&stream).unwrap();
+        assert_eq!(f1.frame, Frame::Ping);
+        let (f2, n2) = Envelope::decode(&stream[n1..]).unwrap();
+        assert_eq!((f2.corr_id, f2.frame), (2, Frame::MetricsRequest));
         assert_eq!(n1 + n2, stream.len());
     }
 }

@@ -1,28 +1,16 @@
-//! The **v2** vocabulary: multiplexed pipelined sessions.
+//! The **v2** session vocabulary: multiplexed pipelined sessions.
 //!
-//! v2 extends v1 with a `u64` correlation-id prefix on every payload and
-//! five session frames — [`HelloWire`]/[`HelloAckWire`] negotiation,
-//! `Cancel`, and the [`ProgressWire`]/[`PartialWire`] streaming updates —
-//! plus a [`CallOverrides`] section on `Explain` payloads, the dataset
-//! registry frames (`LoadDataset`/`EvictDataset`/`ListDatasets` and their
-//! replies), and the telemetry frames (`MetricsRequest`/`MetricsReply`,
-//! `TraceRequest`/`TraceReply`). Every v1 frame keeps its v1 body
-//! encoding, so a v2 final reply is the v1 reply with the corr id
-//! spliced in.
+//! Every envelope carries a `u64` correlation id; a session opens with
+//! [`HelloWire`]/[`HelloAckWire`] negotiation, and in-flight requests can
+//! be cancelled (`Cancel`) and stream [`ProgressWire`]/[`PartialWire`]
+//! updates. `Explain` payloads end in a [`CallOverrides`] section. v2 is
+//! the only version the server speaks; version 1, which had neither
+//! correlation ids nor sessions, is retired.
 
 use super::{put_str, put_u32, Reader, Result, WireError};
 
 /// The v2 protocol version byte.
 pub const VERSION: u16 = 2;
-
-/// Whether `frame_type` belongs to the v2 vocabulary (all of v1 plus
-/// `Hello`, `HelloAck`, `Cancel`, `Progress`, `Partial`, the dataset
-/// registry frames `LoadDataset`, `EvictDataset`, `ListDatasets`,
-/// `DatasetList`, `DatasetAck`, and the telemetry frames
-/// `MetricsRequest`, `MetricsReply`, `TraceRequest`, `TraceReply`).
-pub fn allows(frame_type: u8) -> bool {
-    (1..=24).contains(&frame_type)
-}
 
 /// Session opener: the first envelope of every v2 connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

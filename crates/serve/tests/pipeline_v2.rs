@@ -4,8 +4,8 @@
 //! and mid-pipeline fault injection.
 //!
 //! Every multiplexing claim is asserted on the server's own counters
-//! (`inflight_peak`, `ooo_replies`, `cancels_honored`,
-//! `partials_streamed`) or on reply frames — never on wall-clock. The
+//! (the `serve.rpc.*` metrics `inflight_peak`, `ooo_replies`,
+//! `cancels_honored`, `partials_streamed`) or on reply frames — never on wall-clock. The
 //! determinism the assertions lean on is scale, not timing: envelope
 //! dispatch is microsecond work while a real explain takes milliseconds,
 //! so all sixteen requests register before the first can possibly
@@ -18,8 +18,8 @@ use std::time::Duration;
 use nexus_core::{NexusOptions, Parallelism};
 use nexus_datagen::{load, queries_for, DatasetKind, Scale};
 use nexus_serve::wire::{
-    encode_frame, error_code, read_envelope, read_frame, CallOverrides, Envelope,
-    ExplainRequestWire, ExplanationWire, Frame, HelloWire, ServerStatsWire, MAX_VERSION,
+    error_code, read_envelope, CallOverrides, Envelope, ExplainRequestWire, ExplanationWire, Frame,
+    HelloWire, MAX_VERSION,
 };
 use nexus_serve::{pipe, Fault, FaultPlan, FaultyStream, PipeStream, Server, ServerOptions};
 
@@ -74,7 +74,6 @@ fn handshake(stream: &mut PipeStream) -> u32 {
         }),
     );
     let ack = read_envelope(stream).expect("hello ack");
-    assert_eq!(ack.version, V2);
     assert_eq!(ack.corr_id, 0);
     match ack.frame {
         Frame::HelloAck(a) => {
@@ -104,7 +103,6 @@ fn collect_finals(
     let mut completion_order = Vec::new();
     while want.iter().any(|corr| !finals.contains_key(corr)) {
         let env = read_envelope(stream).expect("session envelope");
-        assert_eq!(env.version, V2, "session replies are v2 envelopes");
         match env.frame {
             Frame::Progress(p) => stages.entry(env.corr_id).or_default().push(p.stage),
             Frame::Partial(p) => partials.entry(env.corr_id).or_default().push(p.selected),
@@ -134,17 +132,20 @@ fn next_final(stream: &mut impl std::io::Read) -> (u64, Frame) {
     }
 }
 
-/// Fetches server stats over the session (corr-id'd like any request).
-fn session_stats(stream: &mut PipeStream, corr: u64) -> ServerStatsWire {
-    send(stream, corr, Frame::Stats);
+/// Fetches the server's metrics over the session (corr-id'd like any
+/// request), by name.
+fn session_metrics(stream: &mut PipeStream, corr: u64) -> HashMap<String, u64> {
+    send(stream, corr, Frame::MetricsRequest);
     loop {
-        let env = read_envelope(stream).expect("stats envelope");
+        let env = read_envelope(stream).expect("metrics envelope");
         if env.corr_id != corr {
             continue; // stale stream frames from earlier requests
         }
         match env.frame {
-            Frame::StatsReply(s) => return s,
-            other => panic!("expected StatsReply, got {other:?}"),
+            Frame::MetricsReply(m) => {
+                return m.metrics.into_iter().map(|m| (m.name, m.value)).collect()
+            }
+            other => panic!("expected MetricsReply, got {other:?}"),
         }
     }
 }
@@ -191,18 +192,18 @@ fn sixteen_pipelined_requests_complete_out_of_order_and_byte_identical() {
         assert_eq!(&payloads[0], p, "pipelined replies must be byte-identical");
     }
 
-    let stats = session_stats(&mut client, 200);
+    let metrics = session_metrics(&mut client, 200);
     assert_eq!(
-        stats.inflight_peak, 16,
+        metrics["serve.rpc.inflight_peak"], 16,
         "all sixteen must have been in flight at once"
     );
     assert!(
-        stats.ooo_replies >= 1,
+        metrics["serve.rpc.ooo_replies"] >= 1,
         "the overtaking Pong is an out-of-order completion"
     );
-    assert_eq!(stats.cancels_honored, 0);
+    assert_eq!(metrics["serve.rpc.cancels_honored"], 0);
     assert!(
-        stats.workspace_reuse_hits > 0,
+        metrics["serve.rpc.workspace_reuse_hits"] > 0,
         "replies after the first reuse the connection workspace"
     );
 
@@ -235,8 +236,8 @@ fn cancel_aborts_a_queued_request_and_is_counted() {
         other => panic!("corr 2 must be cancelled, got {other:?}"),
     }
 
-    let stats = session_stats(&mut client, 10);
-    assert_eq!(stats.cancels_honored, 1);
+    let metrics = session_metrics(&mut client, 10);
+    assert_eq!(metrics["serve.rpc.cancels_honored"], 1);
 
     // The session (and the server) keep serving after a cancel.
     send(&mut client, 11, explain_frame(queries[0].sql));
@@ -264,7 +265,10 @@ fn cancelling_an_unknown_correlation_id_is_ignored() {
     let env = read_envelope(&mut client).expect("pong");
     assert_eq!(env.corr_id, 43);
     assert!(matches!(env.frame, Frame::Pong));
-    assert_eq!(session_stats(&mut client, 44).cancels_honored, 0);
+    assert_eq!(
+        session_metrics(&mut client, 44)["serve.rpc.cancels_honored"],
+        0
+    );
 
     drop(client);
     handler.join().expect("handler exits");
@@ -313,34 +317,30 @@ fn progress_and_partials_stream_ahead_of_the_final_reply() {
             .collect();
         assert_eq!(last, &names, "the last partial is the final selection");
     }
-    let stats = session_stats(&mut client, 10);
-    assert_eq!(stats.partials_streamed, partials.len() as u64);
+    let metrics = session_metrics(&mut client, 10);
+    assert_eq!(
+        metrics["serve.rpc.partials_streamed"],
+        partials.len() as u64
+    );
 
     drop(client);
     handler.join().expect("handler exits");
 }
 
 #[test]
-fn v2_cached_reply_is_byte_identical_to_a_cold_v1_reply() {
+fn v2_cached_reply_is_byte_identical_to_a_cold_in_process_reply() {
     let server = dataset_server(2, 128);
     let sql = queries_for(DatasetKind::Covid)[0].sql;
 
-    // Cold v1 request over a classic connection.
-    let (mut v1_client, v1_end) = pipe();
-    let v1_handler = serve_in_thread(&server, v1_end);
-    v1_client
-        .write_all(&encode_frame(&explain_frame(sql)))
-        .expect("v1 explain");
-    let cold = match read_frame(&mut v1_client).expect("v1 reply") {
+    // Cold request answered in process.
+    let cold = match server.handle(explain_frame(sql)) {
         Frame::Explanation(r) => r,
         other => panic!("expected Explanation, got {other:?}"),
     };
     assert!(!cold.stats.cache_hit);
-    drop(v1_client);
-    v1_handler.join().expect("v1 handler exits");
 
     // Same request over a v2 session: the cache echoes the stored bytes,
-    // so the explanation payload is byte-identical across versions.
+    // so the explanation payload is byte-identical across transports.
     let (mut v2_client, v2_end) = pipe();
     let v2_handler = serve_in_thread(&server, v2_end);
     handshake(&mut v2_client);
@@ -353,7 +353,7 @@ fn v2_cached_reply_is_byte_identical_to_a_cold_v1_reply() {
     assert!(hot.stats.cache_hit);
     assert_eq!(
         cold.explanation, hot.explanation,
-        "the explanation payload must not depend on the protocol version"
+        "the explanation payload must not depend on the transport"
     );
 
     drop(v2_client);
@@ -537,13 +537,12 @@ fn peer_vanishing_mid_pipeline_aborts_workers_and_frees_the_server() {
             .join()
             .expect("handler exits after aborting workers");
 
-        // The server survives: a fresh v1 connection is served normally.
+        // The server survives: a fresh session is served normally.
         let (mut fresh, fresh_end) = pipe();
         let fresh_handler = serve_in_thread(&server, fresh_end);
-        fresh
-            .write_all(&encode_frame(&Frame::Ping))
-            .expect("fresh ping");
-        match read_frame(&mut fresh).expect("fresh reply") {
+        handshake(&mut fresh);
+        send(&mut fresh, 1, Frame::Ping);
+        match read_envelope(&mut fresh).expect("fresh reply").frame {
             Frame::Pong => {}
             other => panic!("seed {seed}: expected Pong, got {other:?}"),
         }

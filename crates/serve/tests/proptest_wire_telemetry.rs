@@ -1,4 +1,4 @@
-//! Property-based tests for the NEXUSRPC v2 telemetry frames:
+//! Property-based tests for the NEXUSRPC telemetry frames:
 //! arbitrary `MetricsReply` and `TraceReply` payloads survive
 //! encode→decode bit-exactly under arbitrary correlation ids, and
 //! truncated or seeded-corrupted envelopes decode to errors — never
@@ -56,14 +56,13 @@ fn envelope() -> impl Strategy<Value = Envelope> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// encode → decode returns the identical envelope (version, corr id,
-    /// frame), and re-encoding returns the identical bytes.
+    /// encode → decode returns the identical envelope (corr id, frame),
+    /// and re-encoding returns the identical bytes.
     #[test]
     fn telemetry_envelope_round_trip_is_bit_exact(env in envelope()) {
         let bytes = env.encode();
         let (back, consumed) = Envelope::decode(&bytes).expect("well-formed envelope");
         prop_assert_eq!(consumed, bytes.len());
-        prop_assert_eq!(back.version, env.version);
         prop_assert_eq!(back.corr_id, env.corr_id);
         // Bit-exactness via re-encoded bytes.
         prop_assert_eq!(back.encode(), bytes);

@@ -13,6 +13,11 @@ use nexus_serve::{ServeError, Server, ServerOptions};
 
 const KIND: DatasetKind = DatasetKind::Covid;
 
+/// A registered metric's current value.
+fn metric(srv: &Server, name: &str) -> u64 {
+    srv.metric(name).expect("registered metric")
+}
+
 /// A scratch directory holding the packed Covid sample (NXCOL + KG TSV).
 /// Generation is deterministic, so every `Packed` holds the same bytes.
 struct Packed {
@@ -83,18 +88,17 @@ fn store_backed_serving_is_byte_identical_and_warm() {
     // Store-backed: registration is lazy — nothing materialized yet.
     let srv = Server::new(ServerOptions::default());
     packed.register(&srv, "covid").unwrap();
-    let s = srv.stats();
     assert_eq!(
         (
-            s.datasets,
-            s.datasets_resident,
-            s.datasets_loaded,
-            s.extraction_builds
+            metric(&srv, "registry.datasets.registered"),
+            metric(&srv, "registry.datasets.resident"),
+            metric(&srv, "registry.datasets.loaded"),
+            metric(&srv, "registry.extraction.builds")
         ),
         (1, 0, 0, 0),
         "registration must not materialize"
     );
-    assert_eq!(s.registry_fingerprint, 0);
+    assert_eq!(metric(&srv, "registry.fingerprint"), 0);
     assert!(srv.dataset_kg_entities("covid").is_none());
 
     // First request materializes once and serves the exact same bytes the
@@ -107,13 +111,16 @@ fn store_backed_serving_is_byte_identical_and_warm() {
     // One extraction build per configured column.
     let n_cols = packed.extraction_columns.len() as u64;
     assert!(n_cols > 0);
-    let s = srv.stats();
     assert_eq!(
-        (s.datasets_resident, s.datasets_loaded, s.extraction_builds),
+        (
+            metric(&srv, "registry.datasets.resident"),
+            metric(&srv, "registry.datasets.loaded"),
+            metric(&srv, "registry.extraction.builds")
+        ),
         (1, 1, n_cols)
     );
-    assert!(s.store_bytes > 0);
-    assert_ne!(s.registry_fingerprint, 0);
+    assert!(metric(&srv, "registry.store.bytes") > 0);
+    assert_ne!(metric(&srv, "registry.fingerprint"), 0);
     assert_eq!(
         srv.dataset_kg_entities("covid"),
         mem.dataset_kg_entities("covid"),
@@ -124,13 +131,15 @@ fn store_backed_serving_is_byte_identical_and_warm() {
     // warm: no re-ingest, no KG re-extraction.
     let other = explain(&srv, "covid", queries_for(KIND)[1].sql);
     assert!(!other.is_empty());
-    let s = srv.stats();
     assert_eq!(
-        (s.datasets_loaded, s.extraction_builds),
+        (
+            metric(&srv, "registry.datasets.loaded"),
+            metric(&srv, "registry.extraction.builds")
+        ),
         (1, n_cols),
         "a warm request must not re-materialize"
     );
-    assert_eq!(s.cache_misses, 2);
+    assert_eq!(metric(&srv, "serve.cache.misses"), 2);
 }
 
 #[test]
@@ -149,17 +158,16 @@ fn evicted_datasets_reload_transparently() {
         panic!("expected DatasetAck, got {ack:?}");
     };
     assert!(!ack.resident);
-    let s = srv.stats();
     assert_eq!(
         (
-            s.datasets,
-            s.datasets_resident,
-            s.dataset_evictions,
-            s.store_bytes
+            metric(&srv, "registry.datasets.registered"),
+            metric(&srv, "registry.datasets.resident"),
+            metric(&srv, "registry.datasets.evicted"),
+            metric(&srv, "registry.store.bytes")
         ),
         (1, 0, 1, 0)
     );
-    assert_eq!(s.registry_fingerprint, 0);
+    assert_eq!(metric(&srv, "registry.fingerprint"), 0);
 
     // The listing still knows the dataset (and its last fingerprint).
     let Frame::DatasetList(list) = srv.handle(Frame::ListDatasets) else {
@@ -176,13 +184,19 @@ fn evicted_datasets_reload_transparently() {
     let again = explain(&srv, "covid", sql);
     assert_eq!(again, first);
     let n_cols = packed.extraction_columns.len() as u64;
-    let s = srv.stats();
     assert_eq!(
-        (s.datasets_loaded, s.extraction_builds),
+        (
+            metric(&srv, "registry.datasets.loaded"),
+            metric(&srv, "registry.extraction.builds")
+        ),
         (2, n_cols),
         "the reload must hit the extraction memo instead of re-mining"
     );
-    assert_eq!(s.cache_hits, 1, "content fingerprint must survive eviction");
+    assert_eq!(
+        metric(&srv, "serve.cache.hits"),
+        1,
+        "content fingerprint must survive eviction"
+    );
 
     // Evicting a name that was never registered is a typed error.
     let Frame::Error(e) = srv.handle(Frame::EvictDataset(EvictDatasetWire {
@@ -209,15 +223,18 @@ fn byte_budget_bounds_the_resident_set() {
     let a = explain(&srv, "a", sql);
     let b = explain(&srv, "b", sql);
     assert_eq!(a, b, "same content behind both names");
-    let s = srv.stats();
     assert_eq!(
-        (s.datasets_resident, s.dataset_evictions, s.datasets_loaded),
+        (
+            metric(&srv, "registry.datasets.resident"),
+            metric(&srv, "registry.datasets.evicted"),
+            metric(&srv, "registry.datasets.loaded")
+        ),
         (1, 1, 2),
         "loading b must evict a under a one-dataset budget"
     );
     // The victim reloads on demand — correctness is unaffected.
     assert_eq!(explain(&srv, "a", sql), b);
-    assert_eq!(srv.stats().datasets_loaded, 3);
+    assert_eq!(metric(&srv, "registry.datasets.loaded"), 3);
 }
 
 #[test]
@@ -232,7 +249,7 @@ fn corrupted_store_files_are_refused_with_typed_errors() {
         .add_dataset_from_store("bad", &garbage, None, vec![])
         .unwrap_err();
     assert!(matches!(err, ServeError::Store(_)), "got {err:?}");
-    assert_eq!(srv.stats().datasets, 0);
+    assert_eq!(metric(&srv, "registry.datasets.registered"), 0);
 
     // A truncated copy of a valid file: also refused, with the path in
     // the message.
@@ -271,6 +288,11 @@ fn corrupted_store_files_are_refused_with_typed_errors() {
         panic!("expected an error frame");
     };
     assert_eq!(e.code, error_code::STORE);
-    let s = srv.stats();
-    assert_eq!((s.datasets_loaded, s.datasets_resident), (0, 0));
+    assert_eq!(
+        (
+            metric(&srv, "registry.datasets.loaded"),
+            metric(&srv, "registry.datasets.resident")
+        ),
+        (0, 0)
+    );
 }

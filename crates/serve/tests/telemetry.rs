@@ -1,9 +1,8 @@
-//! Telemetry end to end: the metrics registry feeds `StatsReply`
-//! byte-compatibly, every legacy counter is reachable by name through
-//! `MetricsReply`, span traces are structurally deterministic across
-//! thread counts, tracing is lossless (bit-identical explanations,
-//! unchanged work counters), and the trace ring's memory bound is
-//! counter-asserted.
+//! Telemetry end to end: the metrics snapshot is sorted and moves with
+//! requests, `MetricsReply`/`TraceReply` are served over a session and in
+//! process, span traces are structurally deterministic across thread
+//! counts, tracing is lossless (bit-identical explanations, unchanged
+//! work counters), and the trace ring's memory bound is counter-asserted.
 //!
 //! The counting kernel's counters are process-global, so every test that
 //! runs an explain serializes on [`KERNEL_LOCK`] — deltas measured around
@@ -15,8 +14,8 @@ use std::time::Duration;
 use nexus_core::{NexusOptions, Parallelism};
 use nexus_datagen::{load, queries_for, DatasetKind, Scale};
 use nexus_serve::wire::{
-    encode_frame, read_envelope, CallOverrides, Envelope, ExplainRequestWire, Frame, HelloWire,
-    ServerStatsWire, TraceRequestWire, MAX_VERSION,
+    read_envelope, CallOverrides, Envelope, ExplainRequestWire, Frame, HelloWire, TraceRequestWire,
+    MAX_VERSION,
 };
 use nexus_serve::{pipe, PipeStream, Server, ServerOptions};
 
@@ -54,69 +53,30 @@ fn explanation_bytes(reply: Frame) -> (Vec<u8>, u64) {
     }
 }
 
-/// `StatsReply` stays byte-compatible now that it is fed from the
-/// registry: the frame the server hands a v1 client re-encodes
-/// bit-exactly, the v2 envelope carries the identical body, and
-/// rebuilding the struct from the metrics snapshot reproduces it.
+/// The metrics snapshot (and hence `MetricsReply`) is sorted by name
+/// and moves with the requests served.
 #[test]
-fn stats_reply_is_byte_compatible_and_registry_fed() {
+fn metrics_snapshot_is_sorted_and_moves_with_requests() {
     let _guard = KERNEL_LOCK.lock().unwrap();
     let server = dataset_server(2, 64);
     let sql = queries_for(DatasetKind::Covid)[0].sql;
     let _ = server.handle(explain_frame(sql));
 
-    let stats = server.stats();
-    let v1_bytes = encode_frame(&Frame::StatsReply(stats));
-
-    // The v1 dispatch path answers with the identical bytes.
-    let handled = server.handle(Frame::Stats);
-    assert_eq!(encode_frame(&handled), v1_bytes);
-
-    // The v2 envelope carries the same frame body for the same request.
-    let v2_bytes = Envelope::v2(7, Frame::StatsReply(stats)).encode();
-    let (env, _) = Envelope::decode(&v2_bytes).expect("well-formed v2 envelope");
-    assert_eq!(encode_frame(&env.frame), v1_bytes);
-
-    // Rebuilding the fixed-field struct from the self-describing snapshot
-    // reproduces the frame bit-exactly: nothing lives only in the struct.
-    let snap = server.metrics_snapshot();
-    let rebuilt = ServerStatsWire::from_metrics(|name| {
-        snap.iter().find(|m| m.name == name).map_or(0, |m| m.value)
-    });
-    assert_eq!(encode_frame(&Frame::StatsReply(rebuilt)), v1_bytes);
-}
-
-/// Every `StatsReply` counter is reachable by its dotted name through the
-/// metrics snapshot (and hence `MetricsReply`), with the same value.
-#[test]
-fn every_stats_counter_is_reachable_by_name() {
-    let _guard = KERNEL_LOCK.lock().unwrap();
-    let server = dataset_server(2, 64);
-    let sql = queries_for(DatasetKind::Covid)[0].sql;
-    let _ = server.handle(explain_frame(sql));
-
-    let stats = server.stats();
     let snap = server.metrics_snapshot();
     assert!(snap.windows(2).all(|w| w[0].name < w[1].name), "sorted");
-    for (name, value) in stats.metrics() {
-        let found = snap
-            .iter()
-            .find(|m| m.name == name)
-            .unwrap_or_else(|| panic!("{name} missing from the metrics snapshot"));
-        assert_eq!(found.value, value, "{name}");
-    }
     // The request actually moved the counters this test leans on.
     let get = |name: &str| snap.iter().find(|m| m.name == name).map_or(0, |m| m.value);
     assert_eq!(get("serve.requests.served"), 1);
     assert_eq!(get("serve.cache.misses"), 1);
     assert!(get("kernel.rows_scanned") > 0);
+    assert_eq!(server.metric("serve.requests.served"), Some(1));
+    assert_eq!(server.metric("no.such.metric"), None);
 }
 
 /// Permutation work is reported by name through the metrics snapshot
-/// (and hence `MetricsReply`) only: the fixed `StatsReply` maps 40 names
-/// (its 42-field layout carries two retired, always-zero merge fields).
+/// (and hence `MetricsReply`).
 #[test]
-fn permutation_counters_are_metrics_only() {
+fn permutation_counters_are_exported() {
     let _guard = KERNEL_LOCK.lock().unwrap();
     let server = dataset_server(2, 64);
     let sql = queries_for(DatasetKind::Covid)[0].sql;
@@ -128,12 +88,6 @@ fn permutation_counters_are_metrics_only() {
     let perm_rows = get("kernel.perm_rows").expect("kernel.perm_rows exported");
     assert!(permutations > 0, "an explain calibrates its candidates");
     assert!(perm_rows >= permutations);
-
-    let stats = server.stats().metrics();
-    assert_eq!(stats.len(), 40);
-    assert!(stats
-        .iter()
-        .all(|(name, _)| *name != "kernel.permutations" && *name != "kernel.perm_rows"));
 }
 
 /// The v2 session loop answers `MetricsRequest` and `TraceRequest`

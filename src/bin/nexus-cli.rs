@@ -16,6 +16,7 @@
 //!
 //! # Submit queries to it:
 //! nexus-cli submit --socket /tmp/nexus.sock --sql "SELECT …" [--dataset salaries]
+//! nexus-cli submit --socket /tmp/nexus.sock --stats      # sorted `name value` metrics
 //! nexus-cli submit --socket /tmp/nexus.sock --shutdown
 //!
 //! # Pack a CSV into the NXCOL columnar store and look inside it:
@@ -46,11 +47,11 @@ use nexus::core::{unexplained_subgroups, PipelineStats, SubgroupOptions};
 use nexus::kg::KnowledgeGraph;
 use nexus::lake::{DataLake, LakeOptions};
 use nexus::serve::wire::{
-    encode_frame, error_code, read_frame, ExplanationWire, Frame, MetricWire, ServeStatsWire,
-    TraceWire,
+    error_code, read_envelope, Envelope, ExplanationWire, Frame, HelloWire, MetricWire,
+    ServeStatsWire, TraceWire, MAX_VERSION,
 };
 use nexus::serve::{
-    explanation_to_wire, Client, ClientError, ExplainCall, RetryPolicy, Server, ServerOptions,
+    explanation_to_wire, ClientError, Endpoint, ExplainCall, RetryPolicy, Server, ServerOptions,
     Session,
 };
 use nexus::table::{read_csv_path, Table};
@@ -78,6 +79,8 @@ fn usage() -> ! {
          \x20 nexus-cli submit (--socket <path> | --tcp <addr>) --sql <query> \
          [--dataset <name>] [--retries N] [--timeout-ms N]\n\
          \x20         [--pipeline N [--cancel] [--vary-topk]] [--trace] | --shutdown | --ping | --stats\n\
+         \x20         (one NEXUSRPC v2 session per run; --retries N retries a busy server at \
+         connect; --stats prints the server's sorted `name value` metric lines to stderr)\n\
          \x20 nexus-cli metrics (--socket <path> | --tcp <addr>)\n\
          \x20 nexus-cli trace (--socket <path> | --tcp <addr>) [--last N]\n\
          \x20 nexus-cli abuse (--socket <path> | --tcp <addr>) \
@@ -821,17 +824,16 @@ fn run_inspect(store: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn connect_session(socket: &Option<String>, tcp: &Option<String>) -> Result<Session, Failure> {
-    if let Some(path) = socket {
-        Session::connect_unix(path)
-    } else if let Some(addr) = tcp {
-        Session::connect_tcp(addr)
-    } else {
-        return Err("exactly one of --socket or --tcp is required"
-            .to_string()
-            .into());
+fn endpoint(socket: &Option<String>, tcp: &Option<String>) -> Result<Endpoint, String> {
+    match (socket, tcp) {
+        (Some(path), None) => Ok(Endpoint::Unix(path.into())),
+        (None, Some(addr)) => Ok(Endpoint::Tcp(addr.clone())),
+        _ => Err("exactly one of --socket or --tcp is required".to_string()),
     }
-    .map_err(client_failure)
+}
+
+fn connect_session(socket: &Option<String>, tcp: &Option<String>) -> Result<Session, Failure> {
+    Session::connect(&endpoint(socket, tcp)?, &RetryPolicy::none()).map_err(client_failure)
 }
 
 /// `datasets`: registry management against a running server over one v2
@@ -878,14 +880,22 @@ fn run_datasets(args: &DatasetsArgs) -> Result<(), Failure> {
     Ok(())
 }
 
-fn connect(socket: &Option<String>, tcp: &Option<String>) -> Result<Client, String> {
-    if let Some(path) = socket {
-        Client::connect_unix(path).map_err(|e| format!("failed to connect to {path}: {e}"))
-    } else if let Some(addr) = tcp {
-        Client::connect_tcp(addr).map_err(|e| format!("failed to connect to {addr}: {e}"))
-    } else {
-        Err("exactly one of --socket or --tcp is required".to_string())
+/// The session every `submit` runs on: `--retries` retries a busy server
+/// (or a refused or torn connection) at connect, and `--timeout-ms`
+/// bounds every read and write after the handshake.
+fn submit_session(args: &SubmitArgs) -> Result<Session, Failure> {
+    let retry = RetryPolicy {
+        max_retries: args.retries as u32,
+        ..RetryPolicy::default()
+    };
+    let mut session =
+        Session::connect(&endpoint(&args.socket, &args.tcp)?, &retry).map_err(client_failure)?;
+    if args.timeout_ms > 0 {
+        session
+            .set_io_timeout(Some(std::time::Duration::from_millis(args.timeout_ms)))
+            .map_err(client_failure)?;
     }
+    Ok(session)
 }
 
 fn run_submit(args: &SubmitArgs) -> Result<(), Failure> {
@@ -895,42 +905,30 @@ fn run_submit(args: &SubmitArgs) -> Result<(), Failure> {
     if args.trace {
         return run_traced_submit(args);
     }
-    let mut client = connect(&args.socket, &args.tcp)?;
-    if args.timeout_ms > 0 {
-        client
-            .set_io_timeout(Some(std::time::Duration::from_millis(args.timeout_ms)))
-            .map_err(|e| format!("failed to set i/o timeout: {e}"))?;
-    }
-    if args.retries > 0 {
-        client.set_retry_policy(RetryPolicy {
-            max_retries: args.retries as u32,
-            ..RetryPolicy::default()
-        });
-    }
+    let mut session = submit_session(args)?;
     if args.ping {
-        client.ping().map_err(client_failure)?;
+        session.ping().map_err(client_failure)?;
         eprintln!("pong");
     }
     if args.stats {
-        // One sorted `name value` line per counter — the registry's
+        // One sorted `name value` line per metric — the registry's
         // iteration order, so the output is stable and grep-friendly.
-        let s = client.stats().map_err(client_failure)?;
-        for (name, value) in s.metrics() {
-            eprintln!("{name} {value}");
+        for m in session.metrics().map_err(client_failure)? {
+            eprintln!("{} {}", m.name, m.value);
         }
     }
     if !args.sql.is_empty() {
         // Parse locally too, so the echoed query line matches `explain`.
         let query = parse(&args.sql).map_err(|e| format!("failed to parse SQL: {e}"))?;
-        let response = client
-            .call(&ExplainCall::new(&args.dataset, &args.sql))
+        let response = session
+            .submit(&ExplainCall::new(&args.dataset, &args.sql))
+            .and_then(|ticket| ticket.wait())
             .map_err(client_failure)?;
         print_explanation(&query.to_string(), &response.explanation);
         print_serve_stats(&response.stats);
     }
     if args.shutdown {
-        client.shutdown().map_err(client_failure)?;
-        eprintln!("server acknowledged shutdown");
+        shutdown(&mut session)?;
     }
     Ok(())
 }
@@ -950,13 +948,9 @@ fn print_serve_stats(s: &ServeStatsWire) {
     );
 }
 
-/// Ends a v2 session, then asks the server to shut down over a fresh
-/// connection. The session's connection slot is freed first, so a
-/// `--max-conns 1` server does not bounce the controller connection.
-fn shutdown_after_session(session: Session, args: &SubmitArgs) -> Result<(), Failure> {
-    drop(session);
-    let mut client = connect(&args.socket, &args.tcp)?;
-    client.shutdown().map_err(client_failure)?;
+/// `submit --shutdown`: asks the server to shut down over `session`.
+fn shutdown(session: &mut Session) -> Result<(), Failure> {
+    session.shutdown().map_err(client_failure)?;
     eprintln!("server acknowledged shutdown");
     Ok(())
 }
@@ -988,7 +982,7 @@ fn trace_lines(t: &TraceWire) -> Vec<String> {
 /// diffable); the per-stage spans go to stderr.
 fn run_traced_submit(args: &SubmitArgs) -> Result<(), Failure> {
     let query = parse(&args.sql).map_err(|e| format!("failed to parse SQL: {e}"))?;
-    let session = connect_session(&args.socket, &args.tcp)?;
+    let mut session = submit_session(args)?;
     let ticket = session
         .submit(&ExplainCall::new(&args.dataset, &args.sql))
         .map_err(client_failure)?;
@@ -1008,7 +1002,7 @@ fn run_traced_submit(args: &SubmitArgs) -> Result<(), Failure> {
         }
     }
     if args.shutdown {
-        shutdown_after_session(session, args)?;
+        shutdown(&mut session)?;
     }
     Ok(())
 }
@@ -1063,7 +1057,7 @@ fn run_trace(socket: &Option<String>, tcp: &Option<String>, last: usize) -> Resu
 /// plain `submit`, keeping the pipelined path diffable against it.
 fn run_pipeline(args: &SubmitArgs) -> Result<(), Failure> {
     let query = parse(&args.sql).map_err(|e| format!("failed to parse SQL: {e}"))?;
-    let session = connect_session(&args.socket, &args.tcp)?;
+    let mut session = submit_session(args)?;
     eprintln!(
         "pipeline: v2 session open; server allows {} in-flight request(s)",
         session.max_inflight()
@@ -1151,22 +1145,21 @@ fn run_pipeline(args: &SubmitArgs) -> Result<(), Failure> {
     }
 
     // The multiplexing summary, as sorted `name value` metric lines (the
-    // `serve.rpc.*` family) — same format as `--stats`, grep-friendly.
-    let s = session.stats().map_err(client_failure)?;
-    for (name, value) in s.metrics() {
-        if name.starts_with("serve.rpc.") || name.starts_with("memo.") {
-            eprintln!("{name} {value}");
+    // `serve.rpc.*` and `memo.*` families) — same format as `--stats`,
+    // grep-friendly.
+    for m in session.metrics().map_err(client_failure)? {
+        if m.name.starts_with("serve.rpc.") || m.name.starts_with("memo.") {
+            eprintln!("{} {}", m.name, m.value);
         }
     }
     if args.shutdown {
-        drop(tickets);
-        shutdown_after_session(session, args)?;
+        shutdown(&mut session)?;
     }
     Ok(())
 }
 
 /// A raw protocol stream for the abuse modes, which deliberately send
-/// byte sequences no well-behaved [`Client`] would.
+/// byte sequences no well-behaved [`Session`] would.
 enum RawStream {
     Unix(std::os::unix::net::UnixStream),
     Tcp(std::net::TcpStream),
@@ -1214,9 +1207,9 @@ fn raw_connect(socket: &Option<String>, tcp: &Option<String>) -> Result<RawStrea
     }
 }
 
-/// Expects the next frame on `stream` to be `Error` with `code`.
+/// Expects the next envelope on `stream` to carry `Error` with `code`.
 fn expect_error_reply(stream: &mut RawStream, code: u16, what: &str) -> Result<(), String> {
-    match read_frame(stream) {
+    match read_envelope(stream).map(|env| env.frame) {
         Ok(Frame::Error(e)) if e.code == code => {
             eprintln!(
                 "abuse: got expected {what} reply (code {code}: {})",
@@ -1236,16 +1229,17 @@ fn expect_error_reply(stream: &mut RawStream, code: u16, what: &str) -> Result<(
 ///   `Error(TIMEOUT)` reply when the server's frame deadline fires.
 /// * `overlimit` — declares a payload one byte over the 64 MiB cap;
 ///   expects `Error(FRAME_TOO_LARGE)` before any payload is sent.
-/// * `busy` — opens connections (each proving admission with a served
-///   `Ping`) until one is rejected with `Error(BUSY)` — works at any
-///   `--max-conns` up to 64 — then proves a retrying client recovers
-///   once the held connections close.
+/// * `busy` — opens connections (each proving admission with a
+///   `Hello`/`HelloAck` handshake) until one is rejected with
+///   `Error(BUSY)` — works at any `--max-conns` up to 64 — then proves a
+///   session that retries at connect recovers once the held connections
+///   close.
 fn run_abuse(args: &AbuseArgs) -> Result<(), String> {
     use std::io::Write as _;
     match args.mode.as_str() {
         "stall" => {
             let mut stream = raw_connect(&args.socket, &args.tcp)?;
-            let envelope = encode_frame(&Frame::Ping);
+            let envelope = Envelope::v2(0, Frame::Ping).encode();
             stream
                 .write_all(&envelope[..7])
                 .map_err(|e| format!("failed to send partial header: {e}"))?;
@@ -1255,7 +1249,7 @@ fn run_abuse(args: &AbuseArgs) -> Result<(), String> {
         }
         "overlimit" => {
             let mut stream = raw_connect(&args.socket, &args.tcp)?;
-            let mut envelope = encode_frame(&Frame::Ping);
+            let mut envelope = Envelope::v2(0, Frame::Ping).encode();
             // Patch the payload length (bytes 11..15 of the header) to one
             // past the cap; the server must refuse before reading payload.
             let oversize = nexus::serve::wire::MAX_PAYLOAD + 1;
@@ -1269,8 +1263,9 @@ fn run_abuse(args: &AbuseArgs) -> Result<(), String> {
         }
         "busy" => {
             // Fill the server's connection slots until an accept bounces.
-            // Each held connection proves admission with a served Ping, so
-            // this works at any --max-conns up to the 64-holder cap.
+            // Each held connection proves admission with a negotiated
+            // session, so this works at any --max-conns up to the
+            // 64-holder cap.
             let mut holders: Vec<RawStream> = Vec::new();
             loop {
                 if holders.len() >= 64 {
@@ -1282,10 +1277,13 @@ fn run_abuse(args: &AbuseArgs) -> Result<(), String> {
                 // The write may race the server's rejection close; the
                 // buffered Busy reply is still readable, so only the read
                 // decides the outcome.
-                let _ = conn.write_all(&encode_frame(&Frame::Ping));
+                let hello = Frame::Hello(HelloWire {
+                    max_version: MAX_VERSION,
+                });
+                let _ = conn.write_all(&Envelope::v2(0, hello).encode());
                 conn.flush().ok();
-                match read_frame(&mut conn) {
-                    Ok(Frame::Pong) => holders.push(conn), // admitted: hold the slot
+                match read_envelope(&mut conn).map(|env| env.frame) {
+                    Ok(Frame::HelloAck(_)) => holders.push(conn), // admitted: hold the slot
                     Ok(Frame::Error(e)) if e.code == error_code::BUSY => {
                         eprintln!(
                             "abuse: got expected busy reply with {} connection(s) held \
@@ -1296,22 +1294,24 @@ fn run_abuse(args: &AbuseArgs) -> Result<(), String> {
                         );
                         break;
                     }
-                    Ok(other) => return Err(format!("expected Pong or busy error, got {other:?}")),
+                    Ok(other) => {
+                        return Err(format!("expected HelloAck or busy error, got {other:?}"))
+                    }
                     Err(e) => return Err(format!("holder connection failed: {e}")),
                 }
             }
             drop(holders);
-            // With the slots free again, a retrying client must get through
-            // even if it races the server reaping the held connections.
-            let mut retrier = connect(&args.socket, &args.tcp)?;
-            retrier.set_retry_policy(RetryPolicy {
+            // With the slots free again, a session that retries at connect
+            // must get through even if it races the server reaping the
+            // held connections.
+            let retry = RetryPolicy {
                 max_retries: 10,
                 base_backoff: std::time::Duration::from_millis(20),
                 max_backoff: std::time::Duration::from_millis(200),
                 ..RetryPolicy::default()
-            });
-            retrier
-                .ping()
+            };
+            Session::connect(&endpoint(&args.socket, &args.tcp)?, &retry)
+                .and_then(|retrier| retrier.ping())
                 .map_err(|e| format!("retrying client after slot freed: {e}"))?;
             eprintln!("abuse: retrying client recovered after the slot freed");
             Ok(())

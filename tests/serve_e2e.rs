@@ -1,6 +1,6 @@
 //! End-to-end serving tests: a real [`nexus::serve::Server`] on a Unix
-//! socket (and TCP loopback), a blocking [`nexus::serve::Client`], and the
-//! tentpole guarantees of the resident server:
+//! socket (and TCP loopback), the blocking [`nexus::serve::Session`]
+//! client, and the tentpole guarantees of the resident server:
 //!
 //! * a cache hit returns a payload **byte-identical** to the cold run;
 //! * the hit is ≥10× cheaper, asserted via the server's own counters —
@@ -11,8 +11,12 @@
 use std::time::Duration;
 
 use nexus::kg::{KnowledgeGraph, PropertyValue};
-use nexus::serve::wire::{decode_frame, encode_frame, Frame, MAGIC, MAX_VERSION};
-use nexus::serve::{explanation_to_wire, Client, ExplainCall, Server, ServerOptions, Session};
+use nexus::serve::wire::{
+    crc32, read_envelope, Envelope, Frame, HelloWire, MetricWire, MAGIC, MAX_VERSION,
+};
+use nexus::serve::{
+    explanation_to_wire, ClientError, ExplainCall, ExplainResponse, Server, ServerOptions, Session,
+};
 use nexus::table::{Column, Table};
 use nexus::{parse, ExplainRequest, Nexus, NexusOptions};
 
@@ -53,6 +57,20 @@ fn world() -> (Table, KnowledgeGraph) {
     (table, kg)
 }
 
+/// One request, submitted and awaited.
+fn call(session: &Session, call: &ExplainCall) -> Result<ExplainResponse, ClientError> {
+    session.submit(call).and_then(|ticket| ticket.wait())
+}
+
+/// A named value from a metrics snapshot.
+fn metric(metrics: &[MetricWire], name: &str) -> u64 {
+    metrics
+        .iter()
+        .find(|m| m.name == name)
+        .unwrap_or_else(|| panic!("{name} missing from the metrics snapshot"))
+        .value
+}
+
 fn resident_server() -> Server {
     let (table, kg) = world();
     let server = Server::new(ServerOptions::default());
@@ -82,13 +100,11 @@ fn unix_socket_round_trip_with_cache_guarantees() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let mut client = Client::connect_unix(&socket).expect("connect");
+    let mut client = Session::connect_unix(&socket).expect("connect");
     client.ping().expect("ping");
 
     // Cold run: misses the cache and scores candidates on the pool.
-    let cold = client
-        .call(&ExplainCall::new("world", SQL))
-        .expect("cold explain");
+    let cold = call(&client, &ExplainCall::new("world", SQL)).expect("cold explain");
     assert!(!cold.stats.cache_hit);
     assert!(
         cold.stats.scored_tasks >= 10,
@@ -99,9 +115,7 @@ fn unix_socket_round_trip_with_cache_guarantees() {
     // Repeat: byte-identical payload, and ≥10× cheaper by the server's own
     // counters — the hit scores zero tasks (pipeline skipped), versus ≥10
     // cold. No wall-clock involved.
-    let hot = client
-        .call(&ExplainCall::new("world", SQL))
-        .expect("hot explain");
+    let hot = call(&client, &ExplainCall::new("world", SQL)).expect("hot explain");
     assert!(hot.stats.cache_hit);
     assert_eq!(
         hot.stats.scored_tasks, 0,
@@ -137,16 +151,15 @@ fn unix_socket_round_trip_with_cache_guarantees() {
         .iter()
         .any(|a| a.name == "Country::hdi"));
 
-    // Server-side stats agree with what the client observed.
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.datasets, 1);
-    assert!(stats.cache_hits >= 1 && stats.cache_misses >= 1);
-    assert!(stats.requests_served >= 2);
+    // Server-side metrics agree with what the client observed.
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metric(&metrics, "registry.datasets.registered"), 1);
+    assert!(metric(&metrics, "serve.cache.hits") >= 1);
+    assert!(metric(&metrics, "serve.cache.misses") >= 1);
+    assert!(metric(&metrics, "serve.requests.served") >= 2);
 
     // Unknown dataset is an error reply, not a dropped connection.
-    let err = client
-        .call(&ExplainCall::new("nope", SQL))
-        .expect_err("unknown dataset");
+    let err = call(&client, &ExplainCall::new("nope", SQL)).expect_err("unknown dataset");
     assert!(err.to_string().contains("nope"));
     client.ping().expect("connection survives an error reply");
 
@@ -184,9 +197,8 @@ fn tcp_round_trip_and_concurrent_clients() {
             .map(|_| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let mut client = Client::connect_tcp(&addr).expect("connect");
-                    client
-                        .call(&ExplainCall::new("world", SQL))
+                    let client = Session::connect_tcp(&addr).expect("connect");
+                    call(&client, &ExplainCall::new("world", SQL))
                         .expect("explain")
                         .explanation_bytes
                 })
@@ -198,10 +210,9 @@ fn tcp_round_trip_and_concurrent_clients() {
         assert_eq!(&payloads[0], p, "all clients must see identical bytes");
     }
 
-    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let mut client = Session::connect_tcp(&addr).expect("connect");
     assert!(
-        client
-            .call(&ExplainCall::new("world", SQL))
+        call(&client, &ExplainCall::new("world", SQL))
             .expect("explain")
             .stats
             .cache_hit
@@ -230,41 +241,89 @@ fn server_answers_unsupported_for_foreign_frames() {
     let addr = addr_rx.recv_timeout(Duration::from_secs(10)).expect("bind");
 
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let reply = |stream: &mut std::net::TcpStream| read_envelope(stream).expect("reply");
+    // Recomputes the CRC trailer after a header patch.
+    let reseal = |bytes: &mut Vec<u8>| {
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_end]).to_le_bytes();
+        bytes[body_end..].copy_from_slice(&crc);
+    };
 
     // A frame from a future protocol version: well-formed envelope, higher
     // version number, valid CRC. The server must answer Unsupported and
     // keep the connection alive.
-    let mut future = encode_frame(&Frame::Ping);
+    let mut future = Envelope::v2(1, Frame::Ping).encode();
     future[8..10].copy_from_slice(&7u16.to_le_bytes());
-    let body_end = future.len() - 4;
-    let crc = nexus::serve::wire::crc32(&future[..body_end]).to_le_bytes();
-    future[body_end..].copy_from_slice(&crc);
+    reseal(&mut future);
     stream.write_all(&future).unwrap();
-
-    let mut reply = vec![0u8; 1024];
-    let n = stream.read(&mut reply).unwrap();
-    match decode_frame(&reply[..n]) {
-        Ok((Frame::Unsupported(u), _)) => {
+    match reply(&mut stream).frame {
+        Frame::Unsupported(u) => {
             assert_eq!(u.version, 7);
-            assert_eq!(u.max_supported, MAX_VERSION, "the server speaks up to v2");
+            assert_eq!(u.max_supported, MAX_VERSION, "the server speaks v2");
         }
         other => panic!("expected Unsupported, got {other:?}"),
     }
 
-    // The same connection still answers a v1 Ping afterwards.
-    stream.write_all(&encode_frame(&Frame::Ping)).unwrap();
-    let n = stream.read(&mut reply).unwrap();
-    assert!(matches!(decode_frame(&reply[..n]), Ok((Frame::Pong, _))));
+    // A retired version-1 Ping (no correlation id) is an unknown version
+    // like any other: answered, and the stream survives.
+    let mut v1_ping = MAGIC.to_vec();
+    v1_ping.extend_from_slice(&1u16.to_le_bytes());
+    v1_ping.push(Frame::Ping.frame_type());
+    v1_ping.extend_from_slice(&0u32.to_le_bytes()); // empty payload
+    v1_ping.extend_from_slice(&[0; 4]); // CRC, sealed below
+    reseal(&mut v1_ping);
+    stream.write_all(&v1_ping).unwrap();
+    match reply(&mut stream).frame {
+        Frame::Unsupported(u) => {
+            assert_eq!((u.version, u.max_supported), (1, 2));
+        }
+        other => panic!("expected Unsupported for version 1, got {other:?}"),
+    }
+
+    // A Hello on the same stream still negotiates the session.
+    let hello = Frame::Hello(HelloWire {
+        max_version: MAX_VERSION,
+    });
+    stream.write_all(&Envelope::v2(0, hello).encode()).unwrap();
+    match reply(&mut stream).frame {
+        Frame::HelloAck(ack) => assert_eq!(ack.version, MAX_VERSION),
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+
+    // Frame types 6 and 7 are retired: unknown types on a v2 session.
+    for frame_type in [6u8, 7] {
+        let mut retired = Envelope::v2(9, Frame::Ping).encode();
+        retired[10] = frame_type;
+        reseal(&mut retired);
+        stream.write_all(&retired).unwrap();
+        match reply(&mut stream).frame {
+            Frame::Unsupported(u) => {
+                assert_eq!(u.frame_type, frame_type);
+                assert_eq!((u.version, u.max_supported), (2, 2));
+            }
+            other => panic!("expected Unsupported for type {frame_type}, got {other:?}"),
+        }
+    }
+
+    // The same session still answers a Ping afterwards.
+    stream
+        .write_all(&Envelope::v2(10, Frame::Ping).encode())
+        .unwrap();
+    assert_eq!(reply(&mut stream), Envelope::v2(10, Frame::Pong));
 
     // Garbage (bad magic) drops the connection without killing the server.
-    let mut garbage = encode_frame(&Frame::Ping);
+    let mut garbage = Envelope::v2(11, Frame::Ping).encode();
     garbage[..8].copy_from_slice(b"NOTMAGIC");
     assert_ne!(garbage[..8], MAGIC);
     stream.write_all(&garbage).unwrap();
-    let n = stream.read(&mut reply).unwrap_or(0);
+    let mut rest = vec![0u8; 1024];
+    let n = stream.read(&mut rest).unwrap_or(0);
     assert_eq!(n, 0, "server should drop the connection on bad magic");
 
-    let mut client = Client::connect_tcp(&addr.to_string()).expect("reconnect");
+    let mut client = Session::connect_tcp(&addr.to_string()).expect("reconnect");
     client.ping().expect("server survives");
     client.shutdown().expect("shutdown");
     daemon.join().unwrap().expect("clean exit");
@@ -287,11 +346,11 @@ fn v2_session_pipelines_over_tcp_with_typed_calls() {
         .expect("server binds")
         .to_string();
 
-    let session = Session::connect_tcp(&addr).expect("v2 handshake");
+    let mut session = Session::connect_tcp(&addr).expect("v2 handshake");
     assert!(session.max_inflight() >= 8);
 
-    // Eight identical calls plus one with a per-call override (a v2-only
-    // feature a v1 Client refuses), all in flight on one connection.
+    // Eight identical calls plus one with a per-call override, all in
+    // flight on one connection.
     let call = ExplainCall::new("world", SQL);
     let tickets: Vec<_> = (0..8)
         .map(|_| session.submit(&call).expect("submit"))
@@ -319,30 +378,20 @@ fn v2_session_pipelines_over_tcp_with_typed_calls() {
         "a cold run streams one partial per selected attribute"
     );
 
-    // The v1 client path still refuses override calls loudly.
-    let mut v1 = Client::connect_tcp(&addr).expect("v1 connect");
-    assert!(matches!(
-        v1.call(&call.clone().top_k(1)),
-        Err(nexus::serve::ClientError::NeedsSession)
-    ));
-    drop(v1);
-
-    let stats = session.stats().expect("stats over the session");
+    let metrics = session.metrics().expect("metrics over the session");
+    let peak = metric(&metrics, "serve.rpc.inflight_peak");
     assert!(
-        stats.inflight_peak >= 8,
-        "the pipeline must overlap at least its eight identical calls; peak {}",
-        stats.inflight_peak
+        peak >= 8,
+        "the pipeline must overlap at least its eight identical calls; peak {peak}"
     );
     assert!(
-        stats.ooo_replies >= 1,
+        metric(&metrics, "serve.rpc.ooo_replies") >= 1,
         "the overtaking pong is an out-of-order completion"
     );
 
     drop(tickets);
     drop(capped);
-    drop(session);
-    let mut controller = Client::connect_tcp(&addr).expect("controller");
-    controller.shutdown().expect("shutdown");
+    session.shutdown().expect("shutdown");
     daemon
         .join()
         .expect("daemon thread")

@@ -1,17 +1,18 @@
 //! End-to-end connection-governance tests over real sockets: connection
 //! caps with `Busy` rejections and client retry, idle-timeout
 //! enforcement, and shutdown that drains in-flight requests — asserted
-//! via the server's governance counters (`conns_accepted`,
-//! `busy_rejections`, `io_timeouts`, `drained_handlers`,
-//! `live_handlers`), never via wall-clock timing.
+//! via the server's governance metrics (`serve.conns.accepted`,
+//! `serve.conns.busy_rejections`, `serve.io.timeouts`,
+//! `serve.handlers.drained`, `serve.handlers.live`), never via wall-clock
+//! timing.
 
 use std::io::{Read, Write};
 use std::time::Duration;
 
 use nexus::core::Parallelism;
 use nexus::kg::KnowledgeGraph;
-use nexus::serve::wire::{decode_frame, encode_frame, error_code, Frame};
-use nexus::serve::{Client, ExplainCall, RetryPolicy, Server, ServerOptions};
+use nexus::serve::wire::{error_code, read_envelope, Envelope, Frame};
+use nexus::serve::{Endpoint, ExplainCall, RetryPolicy, Server, ServerOptions, Session};
 use nexus::table::{Column, Table};
 use nexus::NexusOptions;
 
@@ -39,6 +40,25 @@ fn world() -> (Table, KnowledgeGraph) {
     ])
     .unwrap();
     (table, kg)
+}
+
+/// A named value from the metrics snapshot of a live session.
+fn metric(session: &Session, name: &str) -> u64 {
+    session
+        .metrics()
+        .expect("metrics")
+        .into_iter()
+        .find(|m| m.name == name)
+        .unwrap_or_else(|| panic!("{name} missing from the metrics snapshot"))
+        .value
+}
+
+/// The error code of the next envelope on a raw stream.
+fn error_reply(stream: &mut std::net::TcpStream) -> u16 {
+    match read_envelope(stream).expect("reply envelope").frame {
+        Frame::Error(e) => e.code,
+        other => panic!("expected an error reply, got {other:?}"),
+    }
 }
 
 fn governed_server(options: ServerOptions) -> Server {
@@ -80,7 +100,7 @@ fn over_cap_connection_gets_busy_and_a_retrying_client_recovers() {
     let (addr, daemon) = spawn_tcp(&server);
 
     // Fill the only slot and prove it is established server-side.
-    let mut holder = Client::connect_tcp(&addr).expect("connect");
+    let holder = Session::connect_tcp(&addr).expect("connect");
     holder.ping().expect("slot holder is served");
 
     // The next connection must be bounced with Busy — read the one-shot
@@ -89,33 +109,36 @@ fn over_cap_connection_gets_busy_and_a_retrying_client_recovers() {
     bounced
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut reply = vec![0u8; 1024];
-    let n = bounced.read(&mut reply).expect("busy reply");
-    match decode_frame(&reply[..n]) {
-        Ok((Frame::Error(e), _)) => assert_eq!(e.code, error_code::BUSY),
-        other => panic!("expected Busy, got {other:?}"),
-    }
-    assert_eq!(bounced.read(&mut reply).unwrap_or(0), 0, "then closed");
+    assert_eq!(error_reply(&mut bounced), error_code::BUSY);
+    let mut rest = vec![0u8; 1024];
+    assert_eq!(bounced.read(&mut rest).unwrap_or(0), 0, "then closed");
 
-    // A retrying client pointed at the saturated server blocks out its
-    // backoff schedule; once the holder leaves, a retry gets through.
+    // A session retrying at connect against the saturated server blocks
+    // out its backoff schedule; once the holder leaves, a retried `Hello`
+    // gets through.
     let freer = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(100));
         drop(holder);
     });
-    let mut retrier = Client::connect_tcp(&addr).expect("connect");
-    retrier.set_retry_policy(RetryPolicy {
+    let retry = RetryPolicy {
         max_retries: 20,
         base_backoff: Duration::from_millis(20),
         max_backoff: Duration::from_millis(100),
         seed: 42,
-    });
-    retrier.ping().expect("retrying client recovers");
+    };
+    let mut retrier =
+        Session::connect(&Endpoint::Tcp(addr.clone()), &retry).expect("retrying client recovers");
+    retrier.ping().expect("recovered session is served");
     freer.join().unwrap();
 
-    let stats = retrier.stats().expect("stats");
-    assert!(stats.busy_rejections >= 2, "bounced + ≥1 retry rejection");
-    assert!(stats.conns_accepted >= 2, "holder + eventual retrier");
+    assert!(
+        metric(&retrier, "serve.conns.busy_rejections") >= 2,
+        "bounced + ≥1 retry rejection"
+    );
+    assert!(
+        metric(&retrier, "serve.conns.accepted") >= 2,
+        "holder + eventual retrier"
+    );
 
     retrier.shutdown().expect("shutdown");
     daemon.join().unwrap();
@@ -135,19 +158,14 @@ fn idle_connection_is_timed_out_and_the_server_keeps_serving() {
     idler
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let mut reply = vec![0u8; 1024];
-    let n = idler.read(&mut reply).expect("timeout reply");
-    match decode_frame(&reply[..n]) {
-        Ok((Frame::Error(e), _)) => assert_eq!(e.code, error_code::TIMEOUT),
-        other => panic!("expected timeout error, got {other:?}"),
-    }
-    assert_eq!(idler.read(&mut reply).unwrap_or(0), 0, "then closed");
+    assert_eq!(error_reply(&mut idler), error_code::TIMEOUT);
+    let mut rest = vec![0u8; 1024];
+    assert_eq!(idler.read(&mut rest).unwrap_or(0), 0, "then closed");
 
     // A prompt client on a fresh connection is served normally.
-    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let mut client = Session::connect_tcp(&addr).expect("connect");
     client.ping().expect("server still serves");
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.io_timeouts, 1);
+    assert_eq!(metric(&client, "serve.io.timeouts"), 1);
 
     client.shutdown().expect("shutdown");
     daemon.join().unwrap();
@@ -168,25 +186,20 @@ fn slow_loris_header_is_timed_out() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     loris
-        .write_all(&encode_frame(&Frame::Ping)[..7])
+        .write_all(&Envelope::v2(0, Frame::Ping).encode()[..7])
         .expect("partial header");
-    let mut reply = vec![0u8; 1024];
-    let n = loris.read(&mut reply).expect("timeout reply");
-    match decode_frame(&reply[..n]) {
-        Ok((Frame::Error(e), _)) => assert_eq!(e.code, error_code::TIMEOUT),
-        other => panic!("expected timeout error, got {other:?}"),
-    }
+    assert_eq!(error_reply(&mut loris), error_code::TIMEOUT);
 
-    let mut client = Client::connect_tcp(&addr).expect("connect");
-    assert_eq!(client.stats().expect("stats").io_timeouts, 1);
+    let mut client = Session::connect_tcp(&addr).expect("connect");
+    assert_eq!(metric(&client, "serve.io.timeouts"), 1);
     client.shutdown().expect("shutdown");
     daemon.join().unwrap();
 }
 
 /// Shutdown arriving while an `Explain` is in flight: the in-flight reply
 /// still arrives, the daemon drains every handler, and the post-drain
-/// counters prove it — `live_handlers == 0`, `drained_handlers` covers
-/// all accepted connections. Run at pipeline parallelism 1 and 8.
+/// metrics prove it — `serve.handlers.live == 0`, `serve.handlers.drained`
+/// covers all accepted connections. Run at pipeline parallelism 1 and 8.
 #[test]
 fn shutdown_drains_in_flight_requests_at_either_pool_width() {
     for threads in [1usize, 8] {
@@ -204,25 +217,25 @@ fn shutdown_drains_in_flight_requests_at_either_pool_width() {
         let worker = {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                let mut client = Client::connect_tcp(&addr).expect("connect");
+                let client = Session::connect_tcp(&addr).expect("connect");
                 client
-                    .call(&ExplainCall::new("world", SQL))
+                    .submit(&ExplainCall::new("world", SQL))
+                    .and_then(|ticket| ticket.wait())
                     .expect("in-flight reply")
             })
         };
 
         // Shutdown from a second connection as soon as the server has
         // accepted both and started the explain — admission and arrival
-        // are observable via conns_accepted and requests_served, so this
-        // is counter-gated, not sleep-gated. (Admission alone is not
-        // enough: on a loaded machine the worker's Explain frame can
-        // arrive after the shutdown and be refused.)
-        let mut controller = Client::connect_tcp(&addr).expect("connect");
-        loop {
-            let stats = controller.stats().expect("stats");
-            if stats.conns_accepted >= 2 && stats.requests_served >= 1 {
-                break;
-            }
+        // are observable via `serve.conns.accepted` and
+        // `serve.requests.served`, so this is counter-gated, not
+        // sleep-gated. (Admission alone is not enough: on a loaded machine
+        // the worker's Explain frame can arrive after the shutdown and be
+        // refused.)
+        let mut controller = Session::connect_tcp(&addr).expect("connect");
+        while metric(&controller, "serve.conns.accepted") < 2
+            || metric(&controller, "serve.requests.served") < 1
+        {
             std::thread::yield_now();
         }
         controller.shutdown().expect("shutdown acknowledged");
@@ -236,17 +249,22 @@ fn shutdown_drains_in_flight_requests_at_either_pool_width() {
 
         // Daemon returns only after the drain: every handler joined.
         daemon.join().unwrap();
-        let stats = server.stats();
+        let metric = |name: &str| server.metric(name).expect("registered metric");
         assert_eq!(
-            stats.live_handlers, 0,
+            metric("serve.handlers.live"),
+            0,
             "threads {threads}: no handler thread may outlive the drain"
         );
+        let drained = metric("serve.handlers.drained");
         assert!(
-            stats.drained_handlers >= 2,
-            "threads {threads}: worker + controller handlers were joined, got {}",
-            stats.drained_handlers
+            drained >= 2,
+            "threads {threads}: worker + controller handlers were joined, got {drained}"
         );
-        assert_eq!(stats.conns_accepted, 2, "threads {threads}");
-        assert_eq!(stats.busy_rejections, 0, "threads {threads}");
+        assert_eq!(metric("serve.conns.accepted"), 2, "threads {threads}");
+        assert_eq!(
+            metric("serve.conns.busy_rejections"),
+            0,
+            "threads {threads}"
+        );
     }
 }
