@@ -26,9 +26,17 @@
 //! parallel on its pool. Each build is serial and every cell is an exact
 //! integer count, so NEXUS's bit-identical-output promise holds at every
 //! thread count.
+//!
+//! The cross-column `(X₁, X₂)` counts behind MCIMR's redundancy term are
+//! the same kind of build. Every score derived from cells — candidate
+//! stats, pairwise MI, the selection-bias test — folds them through one
+//! `Marginal` accumulator that drains in ascending key order, the order
+//! an ordered map would give. Unweighted cells are exact integers, so
+//! their sums are exact in any order and only the entropy terms' order
+//! matters.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use nexus_info::kernel;
 use nexus_info::{entropy_from_counts, entropy_mm, InfoContext, JointCounts, MemoKind};
@@ -37,7 +45,6 @@ use nexus_table::{Codes, Fnv64};
 
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, MISSING_CODE};
 use crate::memo::{set_fingerprint, Claim, MemoHandle, MemoKey, WaitOutcome};
-use crate::shard::{NameCache, PairCache};
 
 /// Entropy-level statistics of one candidate `E` against the outcome `O`
 /// and exposure `T`, over the complete-case support of `(O, T, E)` within
@@ -183,12 +190,13 @@ impl Contingency {
 
 /// The estimation engine for one candidate set.
 ///
-/// Caches are keyed by candidate *name* so they stay valid when the
-/// candidate vector is compacted by pruning. All interior caches are
-/// mutex-guarded and every cached value is a pure function of its key, so
-/// the engine is freely shared across the worker threads of its
-/// [`ThreadPool`]; a duplicated computation under contention is wasted
-/// work, never a wrong answer.
+/// The memo is keyed by candidate *name* so it stays valid when the
+/// candidate vector is compacted by pruning. It sits behind one mutex and
+/// every memoized value is a pure function of its key, so the engine is
+/// freely shared across the worker threads of its [`ThreadPool`]: values
+/// are computed outside the lock and the last insert wins, so a duplicated
+/// computation under contention is wasted work, never a wrong answer.
+/// Cross-column pair counts alone are built once per pair.
 pub struct Engine {
     /// `(O,T,X)` contingencies per extraction column. `Arc`'d so warm
     /// builds share the memoized tables instead of recounting rows.
@@ -200,18 +208,36 @@ pub struct Engine {
     /// The pool candidate-parallel stages (scoring, pruning, bias
     /// detection) run on.
     pool: ThreadPool,
-    /// Cached per-candidate stats, keyed by `(name, weighted)`.
-    stats_cache: NameCache<CandStats>,
-    /// Cached calibrated CMI, keyed by `(name, weighted)`.
-    calibrated_cache: NameCache<f64>,
-    /// Cached pairwise MI, keyed by ordered candidate names.
-    pair_cache: PairCache<f64>,
-    /// Cached cross-column `(X₁, X₂)` joint counts.
-    column_pairs: PairCache<Arc<PairCells>>,
+    memo: Mutex<EngineMemo>,
 }
 
-/// Joint `(x₁, x₂, weight)` cells for a pair of extraction columns.
+/// The engine's memoized scores and cross-column counts. Pair maps are
+/// nested by the name-ordered pair, so a lookup borrows both names.
+#[derive(Default)]
+struct EngineMemo {
+    /// Per-candidate values, indexed `[weighted as usize]`.
+    names: HashMap<String, [NameMemo; 2]>,
+    /// Pairwise MI of two candidates.
+    mi_pairs: HashMap<String, HashMap<String, f64>>,
+    /// Joint cells of two extraction columns, built once per engine: the
+    /// build is a counted `JointCounts` pass that many candidate pairs
+    /// share, so a racing duplicate would make the kernel counters depend
+    /// on the thread count.
+    column_pairs: HashMap<String, HashMap<String, PairSlot>>,
+}
+
+/// One candidate's memoized values under one weighting.
+#[derive(Default)]
+struct NameMemo {
+    stats: Option<CandStats>,
+    calibrated: Option<f64>,
+}
+
+/// Joint `(x₁, x₂, count)` cells for a pair of extraction columns.
 type PairCells = Vec<(u32, u32, f64)>;
+
+/// A column pair's memo slot, filled by the first caller that needs it.
+type PairSlot = Arc<OnceLock<Arc<PairCells>>>;
 
 impl Engine {
     /// Builds the engine serially: one row pass per extraction column plus
@@ -250,73 +276,70 @@ impl Engine {
         // Every per-set memo entry shares one fingerprint over the context
         // mask words and the O/T codes (computed once per engine build).
         let scope = memo.map(|h| (h, set_fingerprint(&set.mask, &set.o, &set.t)));
+        let col_key = |(h, set_fp): &(&MemoHandle, u64), column: &str| {
+            MemoKey::new(MemoKind::Contingency, h.dataset_fp, *set_fp, 0, column)
+        };
         let mut columns: Vec<&String> = set.column_codes.keys().collect();
         columns.sort();
 
-        let base: HashMap<String, Arc<Contingency>> = match &scope {
-            None => {
-                let contingencies = pool.map_slice(&columns, |_, column| {
-                    Arc::new(Contingency::build(set, column))
-                });
-                columns.into_iter().cloned().zip(contingencies).collect()
+        // Single-flight discipline: claim every column first (claim never
+        // blocks), pool-build this engine's Build claims, publish them, and
+        // only then wait on other requests' in-flight builds — so no engine
+        // ever waits while holding an unbuilt ticket another engine could
+        // be waiting on. Without a memo every column is a Build with no
+        // ticket to publish.
+        let mut base: HashMap<String, Arc<Contingency>> = HashMap::new();
+        let mut builds = Vec::new();
+        let mut waits: Vec<&String> = Vec::new();
+        for column in columns {
+            let Some(scope) = &scope else {
+                builds.push((column, None));
+                continue;
+            };
+            match scope.0.store.claim(&col_key(scope, column)) {
+                Claim::Hit(v) => {
+                    let cont = v
+                        .downcast::<Contingency>()
+                        .expect("memo value type mismatch");
+                    base.insert(column.clone(), cont);
+                }
+                Claim::Build(ticket) => builds.push((column, Some(ticket))),
+                Claim::Wait => waits.push(column),
             }
-            Some((h, set_fp)) => {
-                let col_key = |column: &str| {
-                    MemoKey::new(MemoKind::Contingency, h.dataset_fp, *set_fp, 0, column)
-                };
-                // Single-flight discipline: claim every column first (claim
-                // never blocks), pool-build only this engine's Build claims,
-                // publish them, and only then wait on other requests'
-                // in-flight builds — so no engine ever waits while holding
-                // an unbuilt ticket another engine could be waiting on.
-                let mut resolved: HashMap<String, Arc<Contingency>> = HashMap::new();
-                let mut builds = Vec::new();
-                let mut waits: Vec<&String> = Vec::new();
-                for column in &columns {
-                    match h.store.claim(&col_key(column)) {
-                        Claim::Hit(v) => {
-                            let cont = v
-                                .downcast::<Contingency>()
-                                .expect("memo value type mismatch");
-                            resolved.insert((*column).clone(), cont);
-                        }
-                        Claim::Build(ticket) => builds.push((*column, ticket)),
-                        Claim::Wait => waits.push(column),
-                    }
-                }
-                // The misses are the only pool tasks this build spawns: a
-                // fully warm engine runs zero counting tasks, which is how
-                // the CI suite asserts memo gains (counters, not clocks).
-                let build_cols: Vec<&String> = builds.iter().map(|(c, _)| *c).collect();
-                let built: Vec<Arc<Contingency>> = if build_cols.is_empty() {
-                    Vec::new()
-                } else {
-                    pool.map_slice(&build_cols, |_, column| {
-                        Arc::new(Contingency::build(set, column))
-                    })
-                };
-                for ((column, ticket), cont) in builds.into_iter().zip(built) {
-                    ticket.publish(cont.clone(), cont.approx_bytes());
-                    resolved.insert(column.clone(), cont);
-                }
-                for column in waits {
-                    let key = col_key(column);
-                    let cont = match h.store.wait(&key) {
-                        WaitOutcome::Ready(v) => v
-                            .downcast::<Contingency>()
-                            .expect("memo value type mismatch"),
-                        WaitOutcome::Build(ticket) => {
-                            // The original builder abandoned; build here.
-                            let c = Arc::new(Contingency::build(set, column));
-                            ticket.publish(c.clone(), c.approx_bytes());
-                            c
-                        }
-                    };
-                    resolved.insert(column.clone(), cont);
-                }
-                resolved
-            }
+        }
+        // The builds are the only pool tasks this step spawns: a fully
+        // warm engine runs zero counting tasks, which is how the CI suite
+        // asserts memo gains (counters, not clocks).
+        let build_cols: Vec<&String> = builds.iter().map(|(c, _)| *c).collect();
+        let built: Vec<Arc<Contingency>> = if build_cols.is_empty() {
+            Vec::new()
+        } else {
+            pool.map_slice(&build_cols, |_, column| {
+                Arc::new(Contingency::build(set, column))
+            })
         };
+        for ((column, ticket), cont) in builds.into_iter().zip(built) {
+            if let Some(ticket) = ticket {
+                ticket.publish(cont.clone(), cont.approx_bytes());
+            }
+            base.insert(column.clone(), cont);
+        }
+        if let Some(scope) = &scope {
+            for column in waits {
+                let cont = match scope.0.store.wait(&col_key(scope, column)) {
+                    WaitOutcome::Ready(v) => v
+                        .downcast::<Contingency>()
+                        .expect("memo value type mismatch"),
+                    WaitOutcome::Build(ticket) => {
+                        // The original builder abandoned; build here.
+                        let c = Arc::new(Contingency::build(set, column));
+                        ticket.publish(c.clone(), c.approx_bytes());
+                        c
+                    }
+                };
+                base.insert(column.clone(), cont);
+            }
+        }
 
         let (baseline_cmi, baseline_support) = {
             let compute = || {
@@ -339,11 +362,12 @@ impl Engine {
             baseline_cmi,
             baseline_support,
             pool,
-            stats_cache: NameCache::new(),
-            calibrated_cache: NameCache::new(),
-            pair_cache: PairCache::new(),
-            column_pairs: PairCache::new(),
+            memo: Mutex::new(EngineMemo::default()),
         }
+    }
+
+    fn memo(&self) -> MutexGuard<'_, EngineMemo> {
+        self.memo.lock().expect("engine memo")
     }
 
     /// The pool shared by every candidate-parallel stage of this engine.
@@ -396,12 +420,17 @@ impl Engine {
     /// after a previous call).
     pub fn stats(&self, set: &CandidateSet, idx: usize) -> CandStats {
         let cand = &set.candidates[idx];
-        let weighted = cand.is_weighted();
-        if let Some(s) = self.stats_cache.get(&cand.name, weighted) {
+        let slot = cand.is_weighted() as usize;
+        let hit = self
+            .memo()
+            .names
+            .get(&cand.name)
+            .and_then(|m| m[slot].stats);
+        if let Some(s) = hit {
             return s;
         }
         let s = self.compute_stats(set, cand);
-        self.stats_cache.insert(&cand.name, weighted, s);
+        self.memo().names.entry(cand.name.clone()).or_default()[slot].stats = Some(s);
         s
     }
 
@@ -444,12 +473,17 @@ impl Engine {
     /// gets no credit, consistent with the paper's logical-dependency rule.
     pub fn cmi_single(&self, set: &CandidateSet, idx: usize) -> f64 {
         let cand = &set.candidates[idx];
-        let weighted = cand.is_weighted();
-        if let Some(v) = self.calibrated_cache.get(&cand.name, weighted) {
+        let slot = cand.is_weighted() as usize;
+        let hit = self
+            .memo()
+            .names
+            .get(&cand.name)
+            .and_then(|m| m[slot].calibrated);
+        if let Some(v) = hit {
             return v;
         }
         let v = self.compute_calibrated(set, idx);
-        self.calibrated_cache.insert(&cand.name, weighted, v);
+        self.memo().names.entry(cand.name.clone()).or_default()[slot].calibrated = Some(v);
         v
     }
 
@@ -590,16 +624,27 @@ impl Engine {
     }
 
     /// Pairwise `I(Eᵢ;Eⱼ)` (the Min-Redundancy criterion), cached
-    /// symmetrically.
+    /// symmetrically: a pair's value is computed in the orientation of its
+    /// first call, and both orientations return it.
     pub fn mi_pair(&self, set: &CandidateSet, a: usize, b: usize) -> f64 {
         let na = set.candidates[a].name.as_str();
         let nb = set.candidates[b].name.as_str();
         let (ka, kb) = if na <= nb { (na, nb) } else { (nb, na) };
-        if let Some(v) = self.pair_cache.get(ka, kb) {
+        let hit = self
+            .memo()
+            .mi_pairs
+            .get(ka)
+            .and_then(|m| m.get(kb))
+            .copied();
+        if let Some(v) = hit {
             return v;
         }
         let v = self.compute_mi_pair(set, a, b);
-        self.pair_cache.insert(ka, kb, v);
+        let mut memo = self.memo();
+        memo.mi_pairs
+            .entry(ka.to_owned())
+            .or_default()
+            .insert(kb.to_owned(), v);
         v
     }
 
@@ -619,38 +664,23 @@ impl Engine {
                     ..
                 },
             ) => {
+                let spaces = (key_space(map_a), key_space(map_b));
                 if col_a == col_b {
                     // Both are functions of the same entity code.
                     let cont = &self.base[col_a];
-                    let mut joint: BTreeMap<u64, f64> = BTreeMap::new();
-                    let mut total = 0.0;
-                    for (x, &w) in cont.x_marginal.iter().enumerate() {
-                        if w <= 0.0 {
-                            continue;
-                        }
-                        let ea = map_a[x];
-                        let eb = map_b[x];
-                        if ea == MISSING_CODE || eb == MISSING_CODE {
-                            continue;
-                        }
-                        *joint.entry(((ea as u64) << 32) | eb as u64).or_insert(0.0) += w;
-                        total += w;
-                    }
-                    mi_from_joint(&joint, total)
+                    let cells = cont
+                        .x_marginal
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &w)| w > 0.0);
+                    mi_from_cells(cells.map(|(x, &w)| (map_a[x], map_b[x], w)), spaces)
                 } else {
-                    let pairs = self.column_pair_counts(set, col_a, col_b);
-                    let mut joint: BTreeMap<u64, f64> = BTreeMap::new();
-                    let mut total = 0.0;
-                    for &(xa, xb, w) in pairs.iter() {
-                        let ea = map_a[xa as usize];
-                        let eb = map_b[xb as usize];
-                        if ea == MISSING_CODE || eb == MISSING_CODE {
-                            continue;
-                        }
-                        *joint.entry(((ea as u64) << 32) | eb as u64).or_insert(0.0) += w;
-                        total += w;
-                    }
-                    mi_from_joint(&joint, total)
+                    let (pairs, swap) = self.column_pair_counts(set, col_a, col_b);
+                    let cells = pairs.iter().map(|&(x1, x2, w)| {
+                        let (xa, xb) = if swap { (x2, x1) } else { (x1, x2) };
+                        (map_a[xa as usize], map_b[xb as usize], w)
+                    });
+                    mi_from_cells(cells, spaces)
                 }
             }
             _ => {
@@ -662,48 +692,50 @@ impl Engine {
         }
     }
 
-    /// Joint `(X₁, X₂)` counts across two extraction columns (cached, in
-    /// ascending `(x₁, x₂)` order of the canonically ordered pair).
-    fn column_pair_counts(&self, set: &CandidateSet, col_a: &str, col_b: &str) -> Arc<PairCells> {
-        let (ka, kb) = if col_a <= col_b {
-            (col_a, col_b)
-        } else {
-            (col_b, col_a)
-        };
+    /// Joint `(X₁, X₂)` counts across two extraction columns, cached once
+    /// per unordered pair: the name-ordered pair's `(x₁, x₂, count)` cells
+    /// in ascending `(x₁, x₂)` order, and whether `(col_a, col_b)` is that
+    /// pair swapped.
+    fn column_pair_counts(
+        &self,
+        set: &CandidateSet,
+        col_a: &str,
+        col_b: &str,
+    ) -> (Arc<PairCells>, bool) {
         let swap = col_a > col_b;
-        let canonical = self.column_pairs.get(ka, kb);
-        let canonical = canonical.unwrap_or_else(|| {
-            let xa = &set.column_codes[ka];
-            let xb = &set.column_codes[kb];
-            let mut map: BTreeMap<u64, f64> = BTreeMap::new();
-            for i in 0..xa.len() {
-                if !set.mask.get(i) || !xa.is_valid(i) || !xb.is_valid(i) {
-                    continue;
-                }
-                let k = ((xa.codes[i] as u64) << 32) | xb.codes[i] as u64;
-                *map.entry(k).or_insert(0.0) += 1.0;
-            }
-            let v: Arc<PairCells> = Arc::new(
-                map.into_iter()
-                    .map(|(k, w)| ((k >> 32) as u32, (k & 0xffff_ffff) as u32, w))
-                    .collect(),
+        let (ka, kb) = if swap { (col_b, col_a) } else { (col_a, col_b) };
+        // Claim the pair's slot under the engine lock; build outside it.
+        let slot = {
+            let mut memo = self.memo();
+            let pairs = memo.column_pairs.entry(ka.to_owned()).or_default();
+            Arc::clone(pairs.entry(kb.to_owned()).or_default())
+        };
+        let cells = slot.get_or_init(|| {
+            // First variable fastest: key `x₁·|X₂| + x₂` drains in
+            // `(x₁, x₂)` order.
+            let joint = JointCounts::count(
+                &[&set.column_codes[kb], &set.column_codes[ka]],
+                Some(&set.mask),
+                None,
             );
-            self.column_pairs.insert(ka, kb, v.clone());
-            v
+            let radix = joint.radices[0];
+            Arc::new(
+                joint
+                    .counts
+                    .iter()
+                    .map(|(k, w)| ((k / radix) as u32, (k % radix) as u32, w))
+                    .collect(),
+            )
         });
-        if swap {
-            Arc::new(canonical.iter().map(|&(a, b, w)| (b, a, w)).collect())
-        } else {
-            canonical
-        }
+        (Arc::clone(cells), swap)
     }
 
-    /// `I(O;T|C, E₁,…,Eₖ)` for a conditioning set (row-level; `k` is small).
-    /// Permutation-calibrated `I(O;T|C, E₁..Eₖ)` for a conditioning **set**:
-    /// the same null as [`Engine::cmi_single`], with every member permuted
-    /// jointly (each at its own granularity). Used by set-enumerating
-    /// baselines (Brute-Force) so that a bundle of shape-lucky attributes
-    /// cannot outscore genuine confounders.
+    /// Permutation-calibrated `I(O;T|C, E₁..Eₖ)` for a conditioning **set**
+    /// (row-level counts; `k` is small): six samples, each permuting every
+    /// member with `Engine::permute_codes`, credited by the same rule as
+    /// [`Engine::cmi_single`] (the deviation beyond one permutation-sd).
+    /// Used by set-enumerating baselines (Brute-Force) so that a bundle of
+    /// shape-lucky attributes cannot outscore genuine confounders.
     pub fn cmi_given_calibrated(&self, set: &CandidateSet, indices: &[usize]) -> f64 {
         use rand::SeedableRng;
         const N_PERMS: usize = 6;
@@ -742,9 +774,10 @@ impl Engine {
     }
 
     /// One shape-preserving permutation of a candidate's row codes: entity
-    /// level when the candidate is entity-backed, exposure-group level when
-    /// it is a function of `T`, per-row otherwise. Adds the number of
-    /// values shuffled to `shuffled`.
+    /// level when the candidate is entity-backed, else per row over its
+    /// in-context valid rows — even for a function of `T`, which
+    /// [`Engine::cmi_single`] would shuffle by exposure group. Adds the
+    /// number of values shuffled to `shuffled`.
     fn permute_codes(
         &self,
         set: &CandidateSet,
@@ -827,38 +860,7 @@ impl Engine {
         let CandidateRepr::EntityLevel { column, map, .. } = &cand.repr else {
             return None;
         };
-        let cont = &self.base[column];
-        // Joint (o, r) and (t, r) from the cells (ordered maps: the counts
-        // feed f64 entropy sums that must reproduce bit-for-bit).
-        let mut m_or: BTreeMap<u64, f64> = BTreeMap::new();
-        let mut m_tr: BTreeMap<u64, f64> = BTreeMap::new();
-        let mut missing = 0.0;
-        for &(o, t, x, w) in &cont.cells {
-            let r = (map[x as usize] != MISSING_CODE) as u64;
-            if r == 0 {
-                missing += w;
-            }
-            *m_or.entry(((o as u64) << 1) | r).or_insert(0.0) += w;
-            *m_tr.entry(((t as u64) << 1) | r).or_insert(0.0) += w;
-        }
-        let total = cont.total;
-        if total <= 0.0 {
-            return Some((0.0, 0.0, 0.0));
-        }
-        let mi = |m: &BTreeMap<u64, f64>| {
-            // I(A;R) = H(A)+H(R)-H(A,R)
-            let mut m_a: BTreeMap<u64, f64> = BTreeMap::new();
-            let mut m_r = [0.0f64; 2];
-            for (&k, &w) in m {
-                *m_a.entry(k >> 1).or_insert(0.0) += w;
-                m_r[(k & 1) as usize] += w;
-            }
-            let h_ar = entropy_from_counts(m.values().copied(), total);
-            let h_a = entropy_from_counts(m_a.values().copied(), total);
-            let h_r = entropy_from_counts(m_r.iter().copied(), total);
-            (h_a + h_r - h_ar).max(0.0)
-        };
-        Some((mi(&m_or), mi(&m_tr), missing / total))
+        Some(bias_from_cells(&self.base[column], map))
     }
 
     /// Per-x total weights for an extraction column (used for entity-level
@@ -879,11 +881,7 @@ impl Engine {
 fn stats_from_cells(cont: &Contingency, map: &[u32], weights: Option<&[f64]>) -> CandStats {
     let card_o = cont.card_o.max(1) as u128;
     let card_t = cont.card_t.max(1) as u128;
-    let card_e = map
-        .iter()
-        .filter(|&&e| e != MISSING_CODE)
-        .max()
-        .map_or(1, |&e| e as u128 + 1);
+    let card_e = key_space(map);
     let cells = cont.cells.len();
     let mut m_o = Marginal::new(card_o, cells);
     let mut m_t = Marginal::new(card_t, cells);
@@ -928,6 +926,43 @@ fn stats_from_cells(cont: &Contingency, map: &[u32], weights: Option<&[f64]>) ->
     }
 }
 
+/// `(I(R;O), I(R;T), missing fraction)` of a candidate's observation
+/// indicator `R` (its entity has a value) over a contingency's cells.
+/// `(o,r)`, `(t,r)`, `O`, `T` and `R` accumulate in [`Marginal`]s keyed
+/// `o·2 + r`, `t·2 + r`, `o`, `t` and `r`.
+fn bias_from_cells(cont: &Contingency, map: &[u32]) -> (f64, f64, f64) {
+    let (card_o, card_t) = (cont.card_o.max(1) as u128, cont.card_t.max(1) as u128);
+    let n = cont.cells.len();
+    let mut m_or = Marginal::new(card_o * 2, n);
+    let mut m_tr = Marginal::new(card_t * 2, n);
+    let mut m_o = Marginal::new(card_o, n);
+    let mut m_t = Marginal::new(card_t, n);
+    let mut m_r = Marginal::new(2, n);
+    let mut missing = 0.0;
+    for &(o, t, x, w) in &cont.cells {
+        let r = (map[x as usize] != MISSING_CODE) as u128;
+        if r == 0 {
+            missing += w;
+        }
+        let (o, t) = (o as u128, t as u128);
+        m_or.add(o * 2 + r, w);
+        m_tr.add(t * 2 + r, w);
+        m_o.add(o, w);
+        m_t.add(t, w);
+        m_r.add(r, w);
+    }
+    let total = cont.total;
+    if total <= 0.0 {
+        return (0.0, 0.0, 0.0);
+    }
+    // I(A;R) = H(A) + H(R) − H(A,R)
+    let h = |m: Marginal| m.entropy_and_cells(total).0;
+    let h_r = h(m_r);
+    let mi_or = (h(m_o) + h_r - h(m_or)).max(0.0);
+    let mi_tr = (h(m_t) + h_r - h(m_tr)).max(0.0);
+    (mi_or, mi_tr, missing / total)
+}
+
 /// Marginal key spaces up to this many times the contingency's cell
 /// count (or [`MARGINAL_DENSE_MIN`]) accumulate densely; sparser ones
 /// collect `(key, weight)` adds and sort them.
@@ -936,9 +971,10 @@ const MARGINAL_DENSE_FACTOR: u128 = 8;
 /// Key spaces this small are always dense.
 const MARGINAL_DENSE_MIN: u128 = 1024;
 
-/// One marginal's accumulator in [`stats_from_cells`]. Every add is a
-/// positive weight, so a key is occupied exactly when its sum is
-/// positive.
+/// One marginal's accumulator: every fold of contingency cells in the
+/// engine ([`stats_from_cells`], [`bias_from_cells`], [`mi_from_cells`])
+/// goes through it. Every add is a positive weight, so a key is occupied
+/// exactly when its sum is positive.
 enum Marginal {
     /// Flat sums indexed by key; drained by walking the key space.
     Dense(Vec<f64>),
@@ -989,32 +1025,46 @@ impl Marginal {
     }
 }
 
-fn mi_from_joint(joint: &BTreeMap<u64, f64>, total: f64) -> f64 {
+/// The key space of a candidate's codes: one past its largest observed
+/// code (1 when every entity is missing).
+fn key_space(map: &[u32]) -> u128 {
+    map.iter()
+        .filter(|&&e| e != MISSING_CODE)
+        .max()
+        .map_or(1, |&e| e as u128 + 1)
+}
+
+/// Miller–Madow `I(A;B)` from `(a, b, count)` cells of exact integer
+/// counts, codes within the key spaces `(|A|, |B|)`; cells with a missing
+/// code are skipped. The joint accumulates in a [`Marginal`] keyed
+/// `a·|B| + b`, which drains in ascending `(a, b)` order.
+fn mi_from_cells(
+    cells: impl Iterator<Item = (u32, u32, f64)>,
+    (card_a, card_b): (u128, u128),
+) -> f64 {
+    let cells: Vec<(u32, u32, f64)> = cells
+        .filter(|&(a, b, _)| a != MISSING_CODE && b != MISSING_CODE)
+        .collect();
+    let n = cells.len();
+    let mut m_ab = Marginal::new(card_a * card_b, n);
+    let mut m_a = Marginal::new(card_a, n);
+    let mut m_b = Marginal::new(card_b, n);
+    let mut total = 0.0;
+    for (a, b, w) in cells {
+        let (a, b) = (a as u128, b as u128);
+        m_ab.add(a * card_b + b, w);
+        m_a.add(a, w);
+        m_b.add(b, w);
+        total += w;
+    }
     if total <= 0.0 {
         return 0.0;
     }
-    let mut m_a: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut m_b: BTreeMap<u32, f64> = BTreeMap::new();
-    for (&k, &w) in joint {
-        *m_a.entry((k >> 32) as u32).or_insert(0.0) += w;
-        *m_b.entry((k & 0xffff_ffff) as u32).or_insert(0.0) += w;
-    }
-    let h_ab = entropy_mm(
-        entropy_from_counts(joint.values().copied(), total),
-        joint.len(),
-        total,
-    );
-    let h_a = entropy_mm(
-        entropy_from_counts(m_a.values().copied(), total),
-        m_a.len(),
-        total,
-    );
-    let h_b = entropy_mm(
-        entropy_from_counts(m_b.values().copied(), total),
-        m_b.len(),
-        total,
-    );
-    (h_a + h_b - h_ab).max(0.0)
+    let h = |m: Marginal| {
+        let (h, cells) = m.entropy_and_cells(total);
+        entropy_mm(h, cells, total)
+    };
+    (h(m_a) + h(m_b) - h(m_ab)).max(0.0)
 }
 
 #[cfg(test)]
@@ -1023,6 +1073,8 @@ mod kernel_equivalence;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use crate::candidate::build_candidates;
     use crate::options::NexusOptions;
     use nexus_kg::KnowledgeGraph;
@@ -1483,5 +1535,310 @@ mod tests {
                 assert_stats_identical(&engine.stats(&set, idx), &want, &cand.name);
             }
         }
+    }
+
+    /// The ordered-map `bias_mi` fold `bias_from_cells` replaced, kept as
+    /// its oracle.
+    fn bias_oracle(cont: &Contingency, map: &[u32]) -> (f64, f64, f64) {
+        let mut m_or: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut m_tr: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut missing = 0.0;
+        for &(o, t, x, w) in &cont.cells {
+            let r = (map[x as usize] != MISSING_CODE) as u64;
+            if r == 0 {
+                missing += w;
+            }
+            *m_or.entry(((o as u64) << 1) | r).or_insert(0.0) += w;
+            *m_tr.entry(((t as u64) << 1) | r).or_insert(0.0) += w;
+        }
+        let total = cont.total;
+        if total <= 0.0 {
+            return (0.0, 0.0, 0.0);
+        }
+        let mi = |m: &BTreeMap<u64, f64>| {
+            let mut m_a: BTreeMap<u64, f64> = BTreeMap::new();
+            let mut m_r = [0.0f64; 2];
+            for (&k, &w) in m {
+                *m_a.entry(k >> 1).or_insert(0.0) += w;
+                m_r[(k & 1) as usize] += w;
+            }
+            let h_ar = entropy_from_counts(m.values().copied(), total);
+            let h_a = entropy_from_counts(m_a.values().copied(), total);
+            let h_r = entropy_from_counts(m_r.iter().copied(), total);
+            (h_a + h_r - h_ar).max(0.0)
+        };
+        (mi(&m_or), mi(&m_tr), missing / total)
+    }
+
+    #[test]
+    fn bias_from_cells_matches_ordered_map_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xb1a5);
+        // ((|O|, |T|, |X|), occupancy 1 in k): the last shape is sparse
+        // enough over a wide `T` that `(t, r)` and `T` take the sorted
+        // fallback.
+        let shapes = [
+            ((3u32, 4u32, 30u32), 3u32),
+            ((5, 20, 60), 3),
+            ((40, 300, 2), 40),
+            ((2, 3000, 3), 50),
+        ];
+        for (si, &(cards, one_in)) in shapes.iter().enumerate() {
+            let cont = random_contingency(&mut rng, cards, one_in);
+            if si == 3 {
+                let space = cards.1 as u128 * 2;
+                let sorted = Marginal::new(space, cont.cells.len());
+                assert!(matches!(sorted, Marginal::Sorted(_)));
+            }
+            for trial in 0..6 {
+                let map: Vec<u32> = (0..cards.2)
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => MISSING_CODE,
+                        _ => rng.gen_range(0..7),
+                    })
+                    .collect();
+                let (got, want) = (bias_from_cells(&cont, &map), bias_oracle(&cont, &map));
+                let bits = |(a, b, c): (f64, f64, f64)| [a.to_bits(), b.to_bits(), c.to_bits()];
+                assert_eq!(bits(got), bits(want), "shape {si} trial {trial}");
+            }
+        }
+        let empty = Contingency::from_sorted_cells(std::iter::empty(), 3, 4, 5);
+        assert_eq!(bias_from_cells(&empty, &[0; 5]), (0.0, 0.0, 0.0));
+    }
+
+    /// The ordered-map Miller–Madow `I(A;B)` fold `mi_from_cells`
+    /// replaced, over `(a << 32) | b` keys.
+    fn ordered_map_mi_oracle(joint: &BTreeMap<u64, f64>, total: f64) -> f64 {
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let mut m_a: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut m_b: BTreeMap<u32, f64> = BTreeMap::new();
+        for (&k, &w) in joint {
+            *m_a.entry((k >> 32) as u32).or_insert(0.0) += w;
+            *m_b.entry((k & 0xffff_ffff) as u32).or_insert(0.0) += w;
+        }
+        let h = |m: Vec<f64>| {
+            entropy_mm(
+                entropy_from_counts(m.iter().copied(), total),
+                m.len(),
+                total,
+            )
+        };
+        let h_ab = h(joint.values().copied().collect());
+        let h_a = h(m_a.into_values().collect());
+        let h_b = h(m_b.into_values().collect());
+        (h_a + h_b - h_ab).max(0.0)
+    }
+
+    /// The per-row ordered-map `column_pair_counts` the `JointCounts` build
+    /// replaced: cells of `(col_a, col_b)` in the caller's orientation.
+    fn column_pair_oracle(set: &CandidateSet, col_a: &str, col_b: &str) -> PairCells {
+        let (ka, kb) = if col_a <= col_b {
+            (col_a, col_b)
+        } else {
+            (col_b, col_a)
+        };
+        let (xa, xb) = (&set.column_codes[ka], &set.column_codes[kb]);
+        let mut map: BTreeMap<u64, f64> = BTreeMap::new();
+        for i in 0..xa.len() {
+            if !set.mask.get(i) || !xa.is_valid(i) || !xb.is_valid(i) {
+                continue;
+            }
+            let k = ((xa.codes[i] as u64) << 32) | xb.codes[i] as u64;
+            *map.entry(k).or_insert(0.0) += 1.0;
+        }
+        let canonical = map
+            .into_iter()
+            .map(|(k, w)| ((k >> 32) as u32, (k & 0xffff_ffff) as u32, w));
+        if col_a > col_b {
+            canonical.map(|(a, b, w)| (b, a, w)).collect()
+        } else {
+            canonical.collect()
+        }
+    }
+
+    /// The ordered-map entity-level arms of `compute_mi_pair`.
+    fn mi_pair_oracle(engine: &Engine, set: &CandidateSet, a: usize, b: usize) -> f64 {
+        let entity = |i: usize| match &set.candidates[i].repr {
+            CandidateRepr::EntityLevel { column, map, .. } => (column.as_str(), map),
+            CandidateRepr::RowLevel(_) => unreachable!("entity-level fixture"),
+        };
+        let ((col_a, map_a), (col_b, map_b)) = (entity(a), entity(b));
+        let cells: PairCells = if col_a == col_b {
+            let marginal = &engine.base[col_a].x_marginal;
+            (0..marginal.len() as u32)
+                .filter(|&x| marginal[x as usize] > 0.0)
+                .map(|x| (x, x, marginal[x as usize]))
+                .collect()
+        } else {
+            column_pair_oracle(set, col_a, col_b)
+        };
+        let mut joint: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut total = 0.0;
+        for (xa, xb, w) in cells {
+            let (ea, eb) = (map_a[xa as usize], map_b[xb as usize]);
+            if ea == MISSING_CODE || eb == MISSING_CODE {
+                continue;
+            }
+            *joint.entry(((ea as u64) << 32) | eb as u64).or_insert(0.0) += w;
+            total += w;
+        }
+        ordered_map_mi_oracle(&joint, total)
+    }
+
+    /// Two extraction columns, `A` (30 entities) and `B` (50), over a
+    /// masked table with nulls, each carrying entity-level candidates with
+    /// small codes (dense joint marginals) and huge codes (sorted ones).
+    fn two_column_set(rng: &mut rand::rngs::StdRng, n: usize) -> CandidateSet {
+        use rand::Rng;
+        let codes = |rng: &mut rand::rngs::StdRng, card: u32| {
+            let mut validity = nexus_table::Bitmap::with_value(n, true);
+            let codes = (0..n)
+                .map(|i| {
+                    if rng.gen_range(0..9) == 0 {
+                        validity.set(i, false);
+                    }
+                    rng.gen_range(0..card)
+                })
+                .collect();
+            Codes {
+                codes,
+                cardinality: card,
+                validity: Some(validity),
+            }
+        };
+        let (o, t) = (codes(rng, 3), codes(rng, 4));
+        let mut column_codes = HashMap::new();
+        let mut candidates = Vec::new();
+        for (column, card) in [("A", 30u32), ("B", 50)] {
+            column_codes.insert(column.to_string(), Arc::new(codes(rng, card)));
+            for (i, max_code) in [4u32, 9, 3_000_000].into_iter().enumerate() {
+                let map = (0..card)
+                    .map(|_| match rng.gen_range(0..5) {
+                        0 => MISSING_CODE,
+                        _ => rng.gen_range(0..=max_code),
+                    })
+                    .collect();
+                candidates.push(Candidate {
+                    name: format!("{column}::p{i}"),
+                    source: crate::candidate::CandidateSource::Extracted {
+                        column: column.to_string(),
+                    },
+                    repr: CandidateRepr::EntityLevel {
+                        column: column.to_string(),
+                        map,
+                        cardinality: max_code + 1,
+                    },
+                    entity_weights: None,
+                    bias: None,
+                });
+            }
+        }
+        let mut mask = nexus_table::Bitmap::with_value(n, true);
+        for i in 0..n {
+            if rng.gen_range(0..4) == 0 {
+                mask.set(i, false);
+            }
+        }
+        CandidateSet {
+            candidates,
+            column_codes,
+            o,
+            t,
+            mask,
+            link_stats: HashMap::new(),
+        }
+    }
+
+    #[test]
+    fn mi_pair_and_column_pairs_match_ordered_map_oracle() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x3141);
+        let mut paths = [0; 2];
+        for _ in 0..3 {
+            let set = two_column_set(&mut rng, 2_000);
+            let engine = Engine::new(&set);
+            for (col_a, col_b) in [("A", "B"), ("B", "A"), ("A", "A")] {
+                let (cells, swap) = engine.column_pair_counts(&set, col_a, col_b);
+                let oriented: PairCells = if swap {
+                    cells.iter().map(|&(a, b, w)| (b, a, w)).collect()
+                } else {
+                    cells.to_vec()
+                };
+                let bits = |c: &PairCells| {
+                    c.iter()
+                        .map(|&(a, b, w)| (a, b, w.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    bits(&oriented),
+                    bits(&column_pair_oracle(&set, col_a, col_b))
+                );
+                assert_eq!(swap, col_a > col_b);
+            }
+            let n = set.candidates.len();
+            for a in 0..n {
+                for b in 0..n {
+                    let got = engine.compute_mi_pair(&set, a, b);
+                    let want = mi_pair_oracle(&engine, &set, a, b);
+                    let (na, nb) = (&set.candidates[a].name, &set.candidates[b].name);
+                    assert_eq!(got.to_bits(), want.to_bits(), "I({na};{nb})");
+                    let CandidateRepr::EntityLevel { map: map_a, .. } = &set.candidates[a].repr
+                    else {
+                        unreachable!()
+                    };
+                    let CandidateRepr::EntityLevel { map: map_b, .. } = &set.candidates[b].repr
+                    else {
+                        unreachable!()
+                    };
+                    // At most |A|·|B| = 1500 cells reach the joint.
+                    let space = key_space(map_a) * key_space(map_b);
+                    match Marginal::new(space, 1_500) {
+                        Marginal::Dense(_) => paths[0] += 1,
+                        Marginal::Sorted(_) => paths[1] += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            paths[0] > 0 && paths[1] > 0,
+            "dense/sorted joints: {paths:?}"
+        );
+    }
+
+    #[test]
+    fn memo_keeps_orientations_together_and_weightings_apart() {
+        let (mut set, engine) = setup();
+        let hdi = set.index_of("Country::hdi").unwrap();
+        let gender = set.index_of("Gender").unwrap();
+        let sparse = set.index_of("Country::sparse").unwrap();
+        // A pair's first orientation is memoized for both.
+        let first = engine.mi_pair(&set, sparse, hdi);
+        assert_eq!(
+            first.to_bits(),
+            engine.compute_mi_pair(&set, sparse, hdi).to_bits()
+        );
+        assert_eq!(engine.mi_pair(&set, hdi, sparse).to_bits(), first.to_bits());
+        assert_eq!(
+            engine.mi_pair(&set, gender, hdi).to_bits(),
+            engine.mi_pair(&set, hdi, gender).to_bits()
+        );
+        // Weighted and unweighted values of one name are memoized apart.
+        let plain = (engine.stats(&set, sparse), engine.cmi_single(&set, sparse));
+        let card = set.column_codes["Country"].cardinality as usize;
+        set.candidates[sparse].entity_weights =
+            Some((0..card).map(|i| 1.0 + 3.0 * i as f64).collect());
+        let weighted = (engine.stats(&set, sparse), engine.cmi_single(&set, sparse));
+        let fresh = Engine::new(&set);
+        assert_eq!(weighted.0, fresh.stats(&set, sparse));
+        assert_eq!(
+            weighted.1.to_bits(),
+            fresh.cmi_single(&set, sparse).to_bits()
+        );
+        assert_ne!(weighted.0, plain.0);
+        set.candidates[sparse].entity_weights = None;
+        assert_eq!(engine.stats(&set, sparse), plain.0);
+        assert_eq!(engine.cmi_single(&set, sparse).to_bits(), plain.1.to_bits());
     }
 }

@@ -72,7 +72,6 @@ pub mod options;
 pub mod pipeline;
 pub mod prune;
 pub mod responsibility;
-pub mod shard;
 pub mod subgroups;
 
 pub use candidate::{

@@ -12,9 +12,8 @@
 //! one packed selection bitmap and scans it **word at a time**: all-zero
 //! 64-bit words are skipped without touching a row (counted in
 //! `packed_words_skipped`), set bits inside surviving words decode with
-//! `trailing_zeros`. The key width is classified once per build from the
-//! checked key-space cardinality ([`kernel::ScanWidth`]); keys stay in one
-//! machine word up to 64-bit spaces with a `u128` fallback beyond.
+//! `trailing_zeros`. Keys stay in one machine word up to 64-bit key spaces
+//! (checked once per build) with a `u128` fallback beyond.
 //!
 //! Unweighted scans *run-coalesce*: a run of `r` consecutive rows with the
 //! same composite key becomes one `counts[key] += r` write. Every
@@ -28,7 +27,7 @@ use std::collections::HashMap;
 
 use nexus_table::{complete_case_mask, Bitmap, Codes};
 
-use crate::kernel::{self, ScanWidth};
+use crate::kernel;
 
 /// Key space above which we switch from dense vectors to hash maps.
 const DENSE_LIMIT: u128 = 1 << 21;
@@ -489,11 +488,8 @@ impl JointCounts {
             if dense { tally.adds } else { 0 },
             dense,
         );
-        if vectorized {
-            counters.record_scan_width(ScanWidth::for_space(space));
-            if tally.words_skipped > 0 {
-                counters.record_packed_words_skipped(tally.words_skipped);
-            }
+        if tally.words_skipped > 0 {
+            counters.record_packed_words_skipped(tally.words_skipped);
         }
 
         JointCounts {

@@ -9,8 +9,7 @@
 //!   once per build, never per row) by [`JointCounts`](crate::JointCounts),
 //!   the one counting kernel every contingency build in NEXUS runs on;
 //! * [`KernelSnapshot`] — a copyable snapshot with [`delta`] arithmetic so
-//!   callers can attribute counter movement to one pipeline run;
-//! * [`ScanWidth`] — the key width a build's inner loop ran at.
+//!   callers can attribute counter movement to one pipeline run.
 //!
 //! Counters are monotone and `Relaxed`: they are diagnostics, never inputs
 //! to any estimate, so they cannot perturb NEXUS's bit-identical-output
@@ -18,14 +17,9 @@
 //!
 //! # Scan counters
 //!
-//! Next to the row/op counts, the scan loop records:
-//!
-//! * [`narrow_scans`] — builds whose key space fit a narrow (8- or
-//!   16-bit) width, the cache-resident class;
-//! * [`packed_words_skipped`] — all-zero 64-bit selection words the packed
-//!   mask scan skipped without touching any row (zone-style early-out);
-//! * `builds_w8 … builds_w128` — per-width build counts, recorded once
-//!   per build via [`KernelCounters::record_scan_width`].
+//! Next to the row/op counts, the scan loop records
+//! [`packed_words_skipped`]: all-zero 64-bit selection words the packed
+//! mask scan skipped without touching any row (zone-style early-out).
 //!
 //! # Permutation counters
 //!
@@ -47,7 +41,6 @@
 //! fewer pool tasks, never with wall-clock.
 //!
 //! [`delta`]: KernelSnapshot::delta
-//! [`narrow_scans`]: KernelSnapshot::narrow_scans
 //! [`packed_words_skipped`]: KernelSnapshot::packed_words_skipped
 //! [`permutations`]: KernelSnapshot::permutations
 //! [`perm_rows`]: KernelSnapshot::perm_rows
@@ -90,48 +83,6 @@ impl MemoKind {
     }
 }
 
-/// The width of a counting build's packed mixed-radix key.
-///
-/// Chosen once per build from the *checked* key-space cardinality, never
-/// per row, so the scan loop itself is monomorphic and branch-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanWidth {
-    /// Key space fits in 8 bits (≤ 256 cells / codes).
-    W8,
-    /// Key space fits in 16 bits (≤ 65 536).
-    W16,
-    /// Key space fits in 32 bits.
-    W32,
-    /// Key space fits in 64 bits.
-    W64,
-    /// Anything wider (keys scanned as `u128`).
-    W128,
-}
-
-impl ScanWidth {
-    /// The narrowest width whose key range covers `space` cells
-    /// (keys run `0..space`).
-    pub fn for_space(space: u128) -> ScanWidth {
-        if space <= 1 << 8 {
-            ScanWidth::W8
-        } else if space <= 1 << 16 {
-            ScanWidth::W16
-        } else if space <= 1 << 32 {
-            ScanWidth::W32
-        } else if space <= u64::MAX as u128 + 1 {
-            ScanWidth::W64
-        } else {
-            ScanWidth::W128
-        }
-    }
-
-    /// Whether this width counts as a narrow scan (8/16-bit codes, the
-    /// cache-resident fast class).
-    pub fn is_narrow(self) -> bool {
-        matches!(self, ScanWidth::W8 | ScanWidth::W16)
-    }
-}
-
 /// Process-global counters for every counting-kernel invocation.
 ///
 /// All counters are cumulative over the process lifetime; use
@@ -144,13 +95,7 @@ pub struct KernelCounters {
     dense_ops: AtomicU64,
     dense_builds: AtomicU64,
     sparse_builds: AtomicU64,
-    narrow_scans: AtomicU64,
     packed_words_skipped: AtomicU64,
-    builds_w8: AtomicU64,
-    builds_w16: AtomicU64,
-    builds_w32: AtomicU64,
-    builds_w64: AtomicU64,
-    builds_w128: AtomicU64,
     permutations: AtomicU64,
     perm_rows: AtomicU64,
     memo_hits: [AtomicU64; MEMO_KINDS],
@@ -172,13 +117,7 @@ static COUNTERS: KernelCounters = KernelCounters {
     dense_ops: AtomicU64::new(0),
     dense_builds: AtomicU64::new(0),
     sparse_builds: AtomicU64::new(0),
-    narrow_scans: AtomicU64::new(0),
     packed_words_skipped: AtomicU64::new(0),
-    builds_w8: AtomicU64::new(0),
-    builds_w16: AtomicU64::new(0),
-    builds_w32: AtomicU64::new(0),
-    builds_w64: AtomicU64::new(0),
-    builds_w128: AtomicU64::new(0),
     permutations: AtomicU64::new(0),
     perm_rows: AtomicU64::new(0),
     memo_hits: MEMO_ZEROS,
@@ -208,22 +147,6 @@ impl KernelCounters {
             self.dense_builds.fetch_add(1, Ordering::Relaxed);
         } else {
             self.sparse_builds.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records the scan width one build ran at (once per build). Narrow
-    /// widths (8/16-bit) also bump `narrow_scans`.
-    pub fn record_scan_width(&self, width: ScanWidth) {
-        let bucket = match width {
-            ScanWidth::W8 => &self.builds_w8,
-            ScanWidth::W16 => &self.builds_w16,
-            ScanWidth::W32 => &self.builds_w32,
-            ScanWidth::W64 => &self.builds_w64,
-            ScanWidth::W128 => &self.builds_w128,
-        };
-        bucket.fetch_add(1, Ordering::Relaxed);
-        if width.is_narrow() {
-            self.narrow_scans.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -279,13 +202,7 @@ impl KernelCounters {
             dense_ops: self.dense_ops.load(Ordering::Relaxed),
             dense_builds: self.dense_builds.load(Ordering::Relaxed),
             sparse_builds: self.sparse_builds.load(Ordering::Relaxed),
-            narrow_scans: self.narrow_scans.load(Ordering::Relaxed),
             packed_words_skipped: self.packed_words_skipped.load(Ordering::Relaxed),
-            builds_w8: self.builds_w8.load(Ordering::Relaxed),
-            builds_w16: self.builds_w16.load(Ordering::Relaxed),
-            builds_w32: self.builds_w32.load(Ordering::Relaxed),
-            builds_w64: self.builds_w64.load(Ordering::Relaxed),
-            builds_w128: self.builds_w128.load(Ordering::Relaxed),
             permutations: self.permutations.load(Ordering::Relaxed),
             perm_rows: self.perm_rows.load(Ordering::Relaxed),
             memo_hits: load_kinds(&self.memo_hits),
@@ -322,20 +239,8 @@ pub struct KernelSnapshot {
     pub dense_builds: u64,
     /// Builds that fell back to a sparse (hashed) accumulator.
     pub sparse_builds: u64,
-    /// Builds whose inner loop ran at a narrow (8/16-bit) code width.
-    pub narrow_scans: u64,
     /// All-zero 64-bit selection words skipped by packed mask scans.
     pub packed_words_skipped: u64,
-    /// Builds scanned at 8-bit width.
-    pub builds_w8: u64,
-    /// Builds scanned at 16-bit width.
-    pub builds_w16: u64,
-    /// Builds scanned at 32-bit width.
-    pub builds_w32: u64,
-    /// Builds scanned at 64-bit width.
-    pub builds_w64: u64,
-    /// Builds that needed the 128-bit row-scan fallback.
-    pub builds_w128: u64,
     /// Permutation-null samples drawn (CI-test permutations and
     /// calibration samples).
     pub permutations: u64,
@@ -386,15 +291,9 @@ impl KernelSnapshot {
             dense_ops: self.dense_ops.saturating_sub(earlier.dense_ops),
             dense_builds: self.dense_builds.saturating_sub(earlier.dense_builds),
             sparse_builds: self.sparse_builds.saturating_sub(earlier.sparse_builds),
-            narrow_scans: self.narrow_scans.saturating_sub(earlier.narrow_scans),
             packed_words_skipped: self
                 .packed_words_skipped
                 .saturating_sub(earlier.packed_words_skipped),
-            builds_w8: self.builds_w8.saturating_sub(earlier.builds_w8),
-            builds_w16: self.builds_w16.saturating_sub(earlier.builds_w16),
-            builds_w32: self.builds_w32.saturating_sub(earlier.builds_w32),
-            builds_w64: self.builds_w64.saturating_sub(earlier.builds_w64),
-            builds_w128: self.builds_w128.saturating_sub(earlier.builds_w128),
             permutations: self.permutations.saturating_sub(earlier.permutations),
             perm_rows: self.perm_rows.saturating_sub(earlier.perm_rows),
             memo_hits: sub_kinds(self.memo_hits, earlier.memo_hits),
@@ -430,45 +329,13 @@ mod tests {
     fn record_v2_counters() {
         let c = KernelCounters::default();
         let before = c.snapshot();
-        c.record_scan_width(ScanWidth::W8);
-        c.record_scan_width(ScanWidth::W16);
-        c.record_scan_width(ScanWidth::W32);
-        c.record_scan_width(ScanWidth::W64);
-        c.record_scan_width(ScanWidth::W128);
         c.record_packed_words_skipped(7);
         c.record_permutations(100, 2_000);
         c.record_permutations(16, 3);
         let d = c.snapshot().delta(&before);
         assert_eq!(d.permutations, 116);
         assert_eq!(d.perm_rows, 200_048);
-        assert_eq!(d.narrow_scans, 2);
-        assert_eq!(
-            (
-                d.builds_w8,
-                d.builds_w16,
-                d.builds_w32,
-                d.builds_w64,
-                d.builds_w128
-            ),
-            (1, 1, 1, 1, 1)
-        );
         assert_eq!(d.packed_words_skipped, 7);
-    }
-
-    #[test]
-    fn width_selection_boundaries() {
-        assert_eq!(ScanWidth::for_space(1), ScanWidth::W8);
-        assert_eq!(ScanWidth::for_space(256), ScanWidth::W8);
-        assert_eq!(ScanWidth::for_space(257), ScanWidth::W16);
-        assert_eq!(ScanWidth::for_space(65536), ScanWidth::W16);
-        assert_eq!(ScanWidth::for_space(65537), ScanWidth::W32);
-        assert_eq!(ScanWidth::for_space(1 << 32), ScanWidth::W32);
-        assert_eq!(ScanWidth::for_space((1 << 32) + 1), ScanWidth::W64);
-        assert_eq!(ScanWidth::for_space(u64::MAX as u128 + 1), ScanWidth::W64);
-        assert_eq!(ScanWidth::for_space(u64::MAX as u128 + 2), ScanWidth::W128);
-        assert!(ScanWidth::W8.is_narrow());
-        assert!(ScanWidth::W16.is_narrow());
-        assert!(!ScanWidth::W32.is_narrow());
     }
 
     #[test]

@@ -524,14 +524,8 @@ impl Server {
         r.gauge("kernel.dense_ops").set(kernel.dense_ops);
         r.gauge("kernel.builds.dense").set(kernel.dense_builds);
         r.gauge("kernel.builds.sparse").set(kernel.sparse_builds);
-        r.gauge("kernel.narrow_scans").set(kernel.narrow_scans);
         r.gauge("kernel.packed_words_skipped")
             .set(kernel.packed_words_skipped);
-        r.gauge("kernel.builds.w8").set(kernel.builds_w8);
-        r.gauge("kernel.builds.w16").set(kernel.builds_w16);
-        r.gauge("kernel.builds.w32").set(kernel.builds_w32);
-        r.gauge("kernel.builds.w64").set(kernel.builds_w64);
-        r.gauge("kernel.builds.w128").set(kernel.builds_w128);
         r.gauge("kernel.permutations").set(kernel.permutations);
         r.gauge("kernel.perm_rows").set(kernel.perm_rows);
         r.gauge("memo.hits").set(kernel.memo_hits_total());
@@ -987,9 +981,11 @@ impl Server {
                         let server = self.clone();
                         self.inner.m.live_handlers.add(1);
                         registry.spawn(move || {
-                            server.serve_connection(stream);
-                            server.inner.m.live_handlers.sub(1);
-                            drop(slot); // free the connection slot last
+                            let inner = Arc::clone(&server.inner);
+                            server.serve_session(stream, move || {
+                                inner.m.live_handlers.sub(1);
+                                drop(slot);
+                            });
                         });
                     }
                     None => self.reject_busy(stream),
@@ -1069,7 +1065,18 @@ impl Server {
     /// written before the connection closes; a departing peer aborts them.
     /// The deadline tick bounds only how soon an idle connection
     /// notices shutdown or idleness, never how soon a reply is written.
-    pub fn serve_connection<S: DeadlineStream + Send + 'static>(&self, mut stream: S) {
+    pub fn serve_connection<S: DeadlineStream + Send + 'static>(&self, stream: S) {
+        self.serve_session(stream, || ());
+    }
+
+    /// [`Server::serve_connection`], calling `release` once the session's
+    /// workers and reader are gone and before a parting reply is written,
+    /// so a peer that reads its `TIMEOUT` can reconnect at once.
+    fn serve_session<S: DeadlineStream + Send + 'static>(
+        &self,
+        mut stream: S,
+        release: impl FnOnce(),
+    ) {
         let io_timeout = self.inner.io_timeout;
         let tick = deadline_tick(io_timeout);
         let (tx, rx) = mpsc::sync_channel::<Event>(EVENT_DEPTH);
@@ -1080,7 +1087,7 @@ impl Server {
                 std::thread::spawn(move || read_inbound(read_half, io_timeout, tick, &stop, &tx))
             }
             // Out of descriptors (or an unsplittable stream): hang up.
-            Err(_) => return,
+            Err(_) => return release(),
         };
         let _ = stream.set_write_timeout(Some(io_timeout));
         let mut lane = ReplyLane::new();
@@ -1088,6 +1095,8 @@ impl Server {
         let mut inflight: HashMap<u64, InflightRequest> = HashMap::new();
         let mut next_seq: u64 = 0;
         let mut last_activity = Instant::now();
+        // The error reply a hangup leaves on the wire, written last.
+        let mut parting: Option<(u64, Frame)> = None;
 
         loop {
             // Draining a shutdown: finish what started, then close.
@@ -1157,7 +1166,7 @@ impl Server {
                                 error_code::BAD_CORRELATION,
                                 "a v2 session must open with Hello",
                             );
-                            self.hang_up(&mut stream, &mut lane, corr, reply);
+                            parting = Some((corr, reply));
                             break;
                         }
                         Frame::Hello(_) => {
@@ -1209,8 +1218,7 @@ impl Server {
                 }
                 Err(ReadError::IdleTimeout | ReadError::FrameTimeout) => {
                     self.inner.m.io_timeouts.add(1);
-                    let reply = error(error_code::TIMEOUT, "i/o deadline exceeded");
-                    self.hang_up(&mut stream, &mut lane, 0, reply);
+                    parting = Some((0, error(error_code::TIMEOUT, "i/o deadline exceeded")));
                     break;
                 }
                 Err(ReadError::Wire(WireError::PayloadTooLarge(n))) => {
@@ -1222,7 +1230,7 @@ impl Server {
                             crate::wire::MAX_PAYLOAD
                         ),
                     );
-                    self.hang_up(&mut stream, &mut lane, 0, reply);
+                    parting = Some((0, reply));
                     break;
                 }
                 Err(ReadError::Wire(WireError::UnsupportedVersion(v))) => (0, unsupported(v, 0)),
@@ -1250,19 +1258,13 @@ impl Server {
         stop.store(true, Ordering::Release);
         abort_and_join(&mut inflight);
         let _ = reader.join();
-    }
-
-    /// Writes a parting reply under a short write timeout; the caller
-    /// then hangs up.
-    fn hang_up<S: DeadlineStream>(
-        &self,
-        stream: &mut S,
-        lane: &mut ReplyLane,
-        corr_id: u64,
-        reply: Frame,
-    ) {
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-        let _ = self.write_via(stream, lane, corr_id, &reply);
+        release();
+        // The parting reply goes out under a short write timeout, then the
+        // stream drops: the peer sees the hangup right after the reply.
+        if let Some((corr, reply)) = parting {
+            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+            let _ = self.write_via(&mut stream, &mut lane, corr, &reply);
+        }
     }
 
     /// The worker side of a session `Explain`: runs [`Server::explain_ctl`]

@@ -4,9 +4,9 @@
 //! workspace. It provides two facilities:
 //!
 //! * A [`Registry`] of named metrics — monotone [`Counter`]s, settable
-//!   [`Gauge`]s, and log₂-bucketed [`Histogram`]s — sharded 16 ways (like the
-//!   engine's `NameCache`) so concurrent handle lookups never contend on one
-//!   lock. [`Registry::snapshot`] returns every metric in deterministic
+//!   [`Gauge`]s, and log₂-bucketed [`Histogram`]s — sharded 16 ways so
+//!   concurrent handle lookups never contend on one lock.
+//!   [`Registry::snapshot`] returns every metric in deterministic
 //!   sorted name order, which is what makes `--stats` output and smoke-test
 //!   greps stable.
 //! * Per-request span tracing: a [`TraceBuilder`] turns `RunControl` stage

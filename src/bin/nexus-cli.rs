@@ -656,14 +656,8 @@ fn run_explain(args: &ExplainArgs) -> Result<(), String> {
         s.kernel.sparse_builds
     );
     eprintln!(
-        "kernel v2: {} narrow scan(s), {} packed word(s) skipped, widths u8:{} u16:{} u32:{} u64:{} u128:{}",
-        s.kernel.narrow_scans,
-        s.kernel.packed_words_skipped,
-        s.kernel.builds_w8,
-        s.kernel.builds_w16,
-        s.kernel.builds_w32,
-        s.kernel.builds_w64,
-        s.kernel.builds_w128
+        "kernel v2: {} packed word(s) skipped",
+        s.kernel.packed_words_skipped
     );
     eprintln!(
         "permutations: {} null sample(s), {} value(s) shuffled",

@@ -148,6 +148,7 @@ fn over_cap_connection_gets_busy_and_a_retrying_client_recovers() {
 fn idle_connection_is_timed_out_and_the_server_keeps_serving() {
     let server = governed_server(ServerOptions {
         io_timeout: Duration::from_millis(150),
+        max_connections: 1,
         ..ServerOptions::default()
     });
     let (addr, daemon) = spawn_tcp(&server);
@@ -159,11 +160,12 @@ fn idle_connection_is_timed_out_and_the_server_keeps_serving() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     assert_eq!(error_reply(&mut idler), error_code::TIMEOUT);
+
+    // The one connection slot is free by the time the reply arrives: a
+    // prompt client on a fresh connection is admitted and served.
+    let mut client = Session::connect_tcp(&addr).expect("connect");
     let mut rest = vec![0u8; 1024];
     assert_eq!(idler.read(&mut rest).unwrap_or(0), 0, "then closed");
-
-    // A prompt client on a fresh connection is served normally.
-    let mut client = Session::connect_tcp(&addr).expect("connect");
     client.ping().expect("server still serves");
     assert_eq!(metric(&client, "serve.io.timeouts"), 1);
 
