@@ -83,14 +83,15 @@ pub use engine::{CandStats, Engine};
 pub use error::{CoreError, Result};
 pub use mcimr::{mcimr, mcimr_controlled, IterationTrace, McimrResult};
 pub use memo::{
-    codes_fingerprint, set_fingerprint, weights_fingerprint, MemoHandle, MemoKey, MemoStore,
+    codes_fingerprint, set_fingerprint, weights_fingerprint, MemoCounts, MemoHandle, MemoKey,
+    MemoKind, MemoStore,
 };
-pub use nexus_info::{KernelSnapshot, MemoKind};
+pub use nexus_info::KernelSnapshot;
 pub use nexus_runtime::{Parallelism, PoolMetrics, ThreadPool};
 pub use options::{NexusOptions, NexusOptionsBuilder};
 pub use pipeline::{
     apply_selection_bias_weights, ExplainRequest, Explanation, Nexus, PipelineStats, RunArtifacts,
-    SelectedAttribute,
+    SelectedAttribute, StageSpan,
 };
 pub use prune::{prune_offline, prune_online, PruneReason, PruneReport};
 pub use responsibility::responsibilities;

@@ -43,19 +43,73 @@
 //! (`max_bytes`, `0` = unbounded). Enforcement evicts least-recently-used
 //! entries, but never the entry just published and never an entry whose
 //! key is *pinned* — i.e. has a live in-flight record because a builder
-//! ticket is still open or waiters are still draining. Counters (per-kind
-//! hits/misses/inserts/evictions plus coalesced waits) flow through the
-//! process-global [`KernelCounters`](nexus_info::KernelCounters), so memo
-//! effectiveness is asserted the same way as every other kernel gain:
-//! with counters, never wall-clock.
+//! ticket is still open or waiters are still draining.
+//!
+//! # Counts
+//!
+//! Each store counts its own traffic under its state lock — per-kind
+//! hits/misses/inserts/evictions plus coalesced waits — and
+//! [`MemoStore::counts`] copies them out. Two stores in one process never
+//! see each other's counts, and memo effectiveness is asserted the same
+//! way as every kernel gain: with counters, never wall-clock.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use nexus_info::kernel::counters;
-pub use nexus_info::MemoKind;
 use nexus_table::{Bitmap, Codes, Fnv64};
+
+/// Number of [`MemoKind`] values (the dimension of [`MemoCounts`]' arrays).
+const KINDS: usize = 3;
+
+/// What kind of sub-query value a memo entry caches. Doubles as the index
+/// into the per-kind arrays of [`MemoCounts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(usize)]
+pub enum MemoKind {
+    /// A per-column joint-count contingency table.
+    Contingency = 0,
+    /// A marginal entropy / conditional-mutual-information term.
+    CmiTerm = 1,
+    /// A KG extraction column (row→entity codes + candidates).
+    Extraction = 2,
+}
+
+impl MemoKind {
+    /// All kinds, in counter-array index order.
+    pub const ALL: [MemoKind; KINDS] = [
+        MemoKind::Contingency,
+        MemoKind::CmiTerm,
+        MemoKind::Extraction,
+    ];
+
+    /// A stable lowercase label (used in dotted metric names).
+    pub fn label(self) -> &'static str {
+        match self {
+            MemoKind::Contingency => "contingency",
+            MemoKind::CmiTerm => "cmi_term",
+            MemoKind::Extraction => "extraction",
+        }
+    }
+}
+
+/// A store's traffic since its creation, per [`MemoKind`] (index with
+/// `kind as usize`). Copied out by [`MemoStore::counts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemoCounts {
+    /// Lookups that found a published entry.
+    pub hits: [u64; KINDS],
+    /// Lookups that found nothing (the caller became the builder or a
+    /// coalesced waiter).
+    pub misses: [u64; KINDS],
+    /// Values published.
+    pub inserts: [u64; KINDS],
+    /// Entries evicted by budget enforcement.
+    pub evictions: [u64; KINDS],
+    /// Lookups that blocked on another request's in-flight build instead
+    /// of duplicating it.
+    pub coalesced_waits: u64,
+}
 
 /// A type-erased memoized value. Values are immutable once published and
 /// shared by `Arc`, so a hit is a pointer clone, never a recompute.
@@ -158,6 +212,7 @@ struct State {
     /// Logical LRU clock (bumped on insert and on every hit).
     clock: u64,
     resident_bytes: u64,
+    counts: MemoCounts,
 }
 
 /// The byte-budgeted, single-flight sub-query memo store.
@@ -230,7 +285,7 @@ impl<'a> BuildTicket<'a> {
                 last_used: stamp,
             },
         );
-        counters().record_memo_insert(self.key.kind);
+        s.counts.inserts[self.key.kind as usize] += 1;
         self.published = true;
         // The ticket's own in-flight record still pins the key, so
         // enforcement here can evict anything LRU *except* this entry
@@ -276,6 +331,7 @@ impl MemoStore {
                 inflight: HashMap::new(),
                 clock: 0,
                 resident_bytes: 0,
+                counts: MemoCounts::default(),
             }),
             cond: Condvar::new(),
             max_bytes,
@@ -297,6 +353,11 @@ impl MemoStore {
         self.state.lock().expect("memo state").map.len()
     }
 
+    /// This store's traffic so far, copied under its lock.
+    pub fn counts(&self) -> MemoCounts {
+        self.state.lock().expect("memo state").counts
+    }
+
     /// Claims `key`: a published value, a build ticket, or an order to
     /// wait on the in-flight builder. Never blocks.
     pub fn claim(&self, key: &MemoKey) -> Claim<'_> {
@@ -305,13 +366,14 @@ impl MemoStore {
         let stamp = s.clock;
         if let Some(entry) = s.map.get_mut(key) {
             entry.last_used = stamp;
-            counters().record_memo_hit(key.kind);
-            return Claim::Hit(entry.value.clone());
+            let value = entry.value.clone();
+            s.counts.hits[key.kind as usize] += 1;
+            return Claim::Hit(value);
         }
-        counters().record_memo_miss(key.kind);
+        s.counts.misses[key.kind as usize] += 1;
         if let Some(rec) = s.inflight.get_mut(key) {
             rec.waiters += 1;
-            counters().record_memo_coalesced_wait();
+            s.counts.coalesced_waits += 1;
             return Claim::Wait;
         }
         s.inflight.insert(
@@ -437,7 +499,7 @@ impl MemoStore {
                 Some(key) => {
                     if let Some(entry) = s.map.remove(&key) {
                         s.resident_bytes -= entry.bytes;
-                        counters().record_memo_evictions(key.kind, 1);
+                        s.counts.evictions[key.kind as usize] += 1;
                     }
                 }
                 None => break,
@@ -468,7 +530,6 @@ impl MemoHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexus_info::kernel::counters;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn key(name: &str) -> MemoKey {
@@ -482,15 +543,15 @@ mod tests {
     #[test]
     fn get_or_build_roundtrip_and_hit() {
         let store = MemoStore::new(0);
-        let before = counters().snapshot();
         let a = put(&store, "a", 41, 10);
         assert_eq!(*a, 41);
         let again = put(&store, "a", 99, 10); // builder must not run
         assert_eq!(*again, 41);
         assert!(Arc::ptr_eq(&a, &again));
-        let d = counters().snapshot().delta(&before);
-        assert!(d.memo_hits[MemoKind::Contingency as usize] >= 1);
-        assert!(d.memo_inserts[MemoKind::Contingency as usize] >= 1);
+        let c = store.counts();
+        assert_eq!(c.hits[MemoKind::Contingency as usize], 1);
+        assert_eq!(c.misses[MemoKind::Contingency as usize], 1);
+        assert_eq!(c.inserts[MemoKind::Contingency as usize], 1);
         assert_eq!(store.resident_entries(), 1);
         assert_eq!(store.resident_bytes(), 10);
     }
@@ -643,7 +704,6 @@ mod tests {
     fn concurrent_get_or_build_runs_builder_once() {
         let store = Arc::new(MemoStore::new(0));
         let builds = Arc::new(AtomicUsize::new(0));
-        let before = counters().snapshot();
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let store = store.clone();
@@ -665,10 +725,63 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(builds.load(Ordering::SeqCst), 1, "single-flight");
-        // Counters are process-global (other tests may run in parallel),
-        // so only lower-bound them; exactness is the atomic above.
-        let d = counters().snapshot().delta(&before);
-        assert!(d.memo_inserts[MemoKind::CmiTerm as usize] >= 1);
+        // The store's own counts are exact: one publish, and every lookup
+        // either missed (builder or coalesced waiter) or hit.
+        let c = store.counts();
+        let kind = MemoKind::CmiTerm as usize;
+        assert_eq!(c.inserts[kind], 1);
+        assert_eq!(c.hits[kind] + c.misses[kind], 8);
+        assert_eq!(c.misses[kind], 1 + c.coalesced_waits);
+    }
+
+    #[test]
+    fn record_memo_counters() {
+        let store = MemoStore::new(100);
+        let contingency = MemoKind::Contingency as usize;
+        let cmi = MemoKind::CmiTerm as usize;
+        put(&store, "a", 1, 60);
+        put(&store, "a", 1, 60);
+        put(&store, "a", 1, 60);
+        let b = MemoKey::new(MemoKind::CmiTerm, 1, 2, 0, "b");
+        let ticket = match store.claim(&b) {
+            Claim::Build(t) => t,
+            _ => panic!("fresh key"),
+        };
+        assert!(matches!(store.claim(&b), Claim::Wait));
+        // 60 + 60 > 100: publishing "b" evicts the LRU contingency "a".
+        ticket.publish(Arc::new(2u64), 60);
+        assert!(matches!(store.wait(&b), WaitOutcome::Ready(_)));
+        let c = store.counts();
+        assert_eq!(c.hits[contingency], 2);
+        assert_eq!(c.misses[contingency], 1);
+        assert_eq!(c.inserts[contingency], 1);
+        assert_eq!(c.evictions[contingency], 1);
+        assert_eq!(c.misses[cmi], 2, "the builder's and the waiter's claims");
+        assert_eq!(c.inserts[cmi], 1);
+        assert_eq!(c.evictions[cmi], 0);
+        assert_eq!(c.coalesced_waits, 1);
+        // Diagnostics lookups count nothing.
+        let _ = store.peek::<u64>(&b);
+        assert_eq!(store.counts(), c);
+    }
+
+    #[test]
+    fn memo_kind_labels_are_distinct() {
+        let labels: std::collections::HashSet<_> =
+            MemoKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(labels.len(), MemoKind::ALL.len());
+        for (i, kind) in MemoKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "ALL is in counter-array index order");
+        }
+    }
+
+    #[test]
+    fn stores_count_only_their_own_traffic() {
+        let (a, b) = (MemoStore::new(0), MemoStore::new(0));
+        put(&a, "x", 1, 8);
+        put(&a, "x", 1, 8);
+        assert_eq!(b.counts(), MemoCounts::default());
+        assert_eq!(a.counts().hits[MemoKind::Contingency as usize], 1);
     }
 
     #[test]

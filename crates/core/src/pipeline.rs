@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use nexus_info::KernelSnapshot;
 use nexus_kg::KnowledgeGraph;
 use nexus_missing::{FeatureMatrix, LogisticOptions, LogisticRegression};
 use nexus_query::AggregateQuery;
@@ -36,6 +37,18 @@ pub struct SelectedAttribute {
     pub weighted: bool,
 }
 
+/// One entry of a run's stage ledger ([`PipelineStats::stages`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StageSpan {
+    /// Stage name: `build` or `assemble`, then `prune-offline`,
+    /// `prune-online`, `bias`, `select`.
+    pub name: &'static str,
+    /// Wall-clock time from this stage's start to the next one's.
+    pub duration: Duration,
+    /// Counting-kernel counter movement over the same interval.
+    pub kernel: KernelSnapshot,
+}
+
 /// Counters and timings of one pipeline run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
@@ -49,14 +62,14 @@ pub struct PipelineStats {
     pub n_biased: usize,
     /// Per-extraction-column link statistics.
     pub link_stats: HashMap<String, nexus_kg::LinkStats>,
-    /// Time to link + extract + assemble candidates.
-    pub t_build: Duration,
-    /// Time in the pruning passes.
-    pub t_prune: Duration,
-    /// Time in bias detection and weighting.
-    pub t_bias: Duration,
-    /// Time in MCIMR (the paper's reported query latency).
-    pub t_mcimr: Duration,
+    /// The stage ledger, in run order. First the candidate build: `build`
+    /// (link + extract + assemble) from scratch, or `assemble` over
+    /// precomputed extractions. Then `prune-offline`, `prune-online`,
+    /// `bias` (detection and weighting) and `select` (MCIMR with the
+    /// responsibility test — the paper's reported query latency). Each
+    /// stage runs until the next one starts, so the durations sum to
+    /// [`PipelineStats::total`].
+    pub stages: Vec<StageSpan>,
 
     // ---- parallel execution ---------------------------------------------
     /// Worker threads the engine's pool ran with (1 = serial).
@@ -69,9 +82,10 @@ pub struct PipelineStats {
     pub t_pool_busy: Duration,
 
     // ---- counting kernels -----------------------------------------------
-    /// Counting-kernel counter movement attributable to this run
-    /// (rows scanned, hash vs dense accumulator ops, build dispatch, and
-    /// the permutation nulls' samples and shuffled values).
+    /// Counting-kernel counter movement of the run after the candidate
+    /// build (rows scanned, hash vs dense accumulator ops, build dispatch,
+    /// and the permutation nulls' samples and shuffled values): the sum of
+    /// the post-build [`stages`](PipelineStats::stages)' deltas.
     ///
     /// The underlying counters are process-global, so concurrent runs in
     /// one process (e.g. a parallel test binary) can bleed into each
@@ -80,9 +94,18 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Total wall-clock time.
+    /// Total wall-clock time: the sum of the stage durations.
     pub fn total(&self) -> Duration {
-        self.t_build + self.t_prune + self.t_bias + self.t_mcimr
+        self.stages.iter().map(|s| s.duration).sum()
+    }
+
+    /// Time in the stages named `names` (zero for a name the ledger lacks).
+    pub fn stage_time(&self, names: &[&str]) -> Duration {
+        self.stages
+            .iter()
+            .filter(|s| names.contains(&s.name))
+            .map(|s| s.duration)
+            .sum()
     }
 
     /// Effective speedup realized by the parallel regions (busy time over
@@ -363,12 +386,11 @@ impl Nexus {
         query: &AggregateQuery,
         ctl: RunControl<'_>,
     ) -> Result<(Explanation, RunArtifacts)> {
-        let t0 = Instant::now();
-        ctl.check()?;
-        ctl.stage("assemble");
+        let mut ledger = Ledger::default();
+        ledger.enter(&ctl, "assemble")?;
         let pool = ThreadPool::new(self.options.parallelism);
         let set = assemble_candidates_on(table, extractions, query, &self.options, &pool)?;
-        self.execute_set_controlled(set, pool, t0.elapsed(), ctl)
+        self.execute_set_controlled(set, pool, ledger, ctl)
     }
 
     /// Builds the candidate set on a fresh pool for the run, then runs the
@@ -381,33 +403,30 @@ impl Nexus {
         query: &AggregateQuery,
         ctl: RunControl<'_>,
     ) -> Result<(Explanation, RunArtifacts)> {
-        let t0 = Instant::now();
         ctl.check()?;
+        let mut ledger = Ledger::default();
+        ledger.open("build");
         let pool = ThreadPool::new(self.options.parallelism);
         let set = build_candidates_on(table, kg, extraction_columns, query, &self.options, &pool)?;
-        self.execute_set_controlled(set, pool, t0.elapsed(), ctl)
+        self.execute_set_controlled(set, pool, ledger, ctl)
     }
 
     /// Pruning → bias weighting → MCIMR → responsibility over an assembled
     /// candidate set, with abort checks at every stage boundary and
     /// [`ProgressEvent::Stage`](crate::control::ProgressEvent::Stage)
     /// emissions as each stage begins. `pool` is the run's pool (the one
-    /// the set was built on); `t_build` is the (possibly amortized) build
-    /// time reported in the stats.
+    /// the set was built on); `ledger` holds the open build stage.
     fn execute_set_controlled(
         &self,
         mut set: CandidateSet,
         pool: ThreadPool,
-        t_build: Duration,
+        mut ledger: Ledger,
         ctl: RunControl<'_>,
     ) -> Result<(Explanation, RunArtifacts)> {
         let options = &self.options;
         let n_initial = set.candidates.len();
-        let kernel_before = nexus_info::kernel::counters().snapshot();
 
-        let t0 = Instant::now();
-        ctl.check()?;
-        ctl.stage("prune-offline");
+        ledger.enter(&ctl, "prune-offline")?;
         let offline_report = if options.offline_pruning {
             prune_offline(&mut set, options)
         } else {
@@ -415,8 +434,7 @@ impl Nexus {
         };
         let n_after_offline = set.candidates.len();
 
-        ctl.check()?;
-        ctl.stage("prune-online");
+        ledger.enter(&ctl, "prune-online")?;
         let engine = Engine::with_pool_memo(&set, pool, ctl.memo);
         let online_report = if options.online_pruning {
             prune_online(&mut set, &engine, options)
@@ -424,24 +442,19 @@ impl Nexus {
             PruneReport::default()
         };
         let n_after_online = set.candidates.len();
-        let t_prune = t0.elapsed();
 
-        let t0 = Instant::now();
-        ctl.check()?;
-        ctl.stage("bias");
+        ledger.enter(&ctl, "bias")?;
         let n_biased = if options.handle_selection_bias {
             apply_selection_bias_weights(&mut set, &engine, options)
         } else {
             0
         };
-        let t_bias = t0.elapsed();
 
-        let t0 = Instant::now();
-        ctl.stage("select");
+        ledger.enter(&ctl, "select")?;
         let result = mcimr_controlled(&set, &engine, options, ctl)?;
         ctl.check()?;
         let resp = responsibilities(&set, &engine, &result.selected, result.final_cmi);
-        let t_mcimr = t0.elapsed();
+        let (stages, kernel) = ledger.close();
 
         let attributes: Vec<SelectedAttribute> = result
             .selected
@@ -470,17 +483,12 @@ impl Nexus {
                 n_after_online,
                 n_biased,
                 link_stats: set.link_stats.clone(),
-                t_build,
-                t_prune,
-                t_bias,
-                t_mcimr,
+                stages,
                 threads: pool.threads(),
                 pool_tasks: pool.metrics().tasks(),
                 t_pool_wall: pool.metrics().wall(),
                 t_pool_busy: pool.metrics().busy(),
-                kernel: nexus_info::kernel::counters()
-                    .snapshot()
-                    .delta(&kernel_before),
+                kernel,
             },
         };
         Ok((
@@ -492,6 +500,50 @@ impl Nexus {
                 prune_reports: (offline_report, online_report),
             },
         ))
+    }
+}
+
+/// The stage ledger under construction: a clock reading and the kernel
+/// counters at every stage boundary. One reading both closes a stage and
+/// opens the next, so the spans' durations and counter deltas telescope
+/// to the whole run's.
+#[derive(Default)]
+struct Ledger {
+    marks: Vec<(&'static str, Instant, KernelSnapshot)>,
+}
+
+impl Ledger {
+    /// Opens `stage` unannounced, closing the stage before it (if any).
+    fn open(&mut self, stage: &'static str) {
+        let snap = nexus_info::kernel::counters().snapshot();
+        self.marks.push((stage, Instant::now(), snap));
+    }
+
+    /// A stage boundary: polls the abort flag, announces `stage` to the
+    /// progress sink and opens it in the ledger.
+    fn enter(&mut self, ctl: &RunControl<'_>, stage: &'static str) -> Result<()> {
+        ctl.check()?;
+        ctl.stage(stage);
+        self.open(stage);
+        Ok(())
+    }
+
+    /// Closes the last stage. Returns the spans and the post-build window
+    /// (every stage after the first).
+    fn close(mut self) -> (Vec<StageSpan>, KernelSnapshot) {
+        // The end mark: its name never reaches a span.
+        self.open("");
+        let spans = self
+            .marks
+            .windows(2)
+            .map(|w| StageSpan {
+                name: w[0].0,
+                duration: w[1].1 - w[0].1,
+                kernel: w[1].2.delta(&w[0].2),
+            })
+            .collect();
+        let (first, last) = (&self.marks[1], &self.marks[self.marks.len() - 1]);
+        (spans, last.2.delta(&first.2))
     }
 }
 
@@ -764,6 +816,101 @@ mod tests {
         assert_eq!(e.stats.n_candidates_initial, e.stats.n_after_online);
         // Quality should not collapse without pruning (MESA- ≈ MESA).
         assert!(e.explained_fraction() > 0.7);
+    }
+
+    /// The field-by-field sum of kernel snapshots.
+    fn kernel_sum<'a>(spans: impl Iterator<Item = &'a StageSpan>) -> KernelSnapshot {
+        spans.fold(KernelSnapshot::default(), |a, s| {
+            let k = &s.kernel;
+            KernelSnapshot {
+                rows_scanned: a.rows_scanned + k.rows_scanned,
+                hash_ops: a.hash_ops + k.hash_ops,
+                dense_ops: a.dense_ops + k.dense_ops,
+                dense_builds: a.dense_builds + k.dense_builds,
+                sparse_builds: a.sparse_builds + k.sparse_builds,
+                packed_words_skipped: a.packed_words_skipped + k.packed_words_skipped,
+                permutations: a.permutations + k.permutations,
+                perm_rows: a.perm_rows + k.perm_rows,
+            }
+        })
+    }
+
+    /// Runs both entry points with a progress sink; returns each run's
+    /// stats and the stage events it announced.
+    fn ledger_runs() -> Vec<(PipelineStats, Vec<&'static str>)> {
+        let (table, kg, cols) = setup();
+        let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
+        let nexus = Nexus::default();
+        let extraction =
+            crate::candidate::extract_column(&table, &kg, &cols[0], &nexus.options).unwrap();
+        let mut runs = Vec::new();
+        for from_scratch in [true, false] {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let sink = |e: crate::control::ProgressEvent| {
+                if let crate::control::ProgressEvent::Stage { stage } = e {
+                    seen.lock().unwrap().push(stage);
+                }
+            };
+            let ctl = RunControl {
+                progress: Some(&sink),
+                ..RunControl::none()
+            };
+            let (e, _) = if from_scratch {
+                nexus.execute(&table, &kg, &cols, &q, ctl)
+            } else {
+                nexus.run_with_extractions_controlled(&table, &[&extraction], &q, ctl)
+            }
+            .unwrap();
+            runs.push((e.stats, seen.into_inner().unwrap()));
+        }
+        runs
+    }
+
+    #[test]
+    fn stage_ledger_covers_the_run() {
+        let runs = ledger_runs();
+        for (stats, _) in &runs {
+            let names: Vec<&str> = stats.stages.iter().map(|s| s.name).collect();
+            assert_eq!(
+                names[1..],
+                ["prune-offline", "prune-online", "bias", "select"]
+            );
+            let durations: Duration = stats.stages.iter().map(|s| s.duration).sum();
+            assert_eq!(durations, stats.total());
+            // The post-build deltas telescope to the run's kernel window
+            // exactly, whatever other threads count meanwhile.
+            assert_eq!(kernel_sum(stats.stages[1..].iter()), stats.kernel);
+            assert_eq!(
+                stats.stage_time(&["prune-offline", "prune-online"]),
+                stats.stages[1].duration + stats.stages[2].duration
+            );
+        }
+        assert_eq!(runs[0].0.stages[0].name, "build");
+        assert_eq!(runs[1].0.stages[0].name, "assemble");
+        assert!(
+            runs[0].0.stages[4].kernel.dense_builds + runs[0].0.stages[4].kernel.sparse_builds > 0
+        );
+    }
+
+    #[test]
+    fn stage_events_are_unchanged_by_the_ledger() {
+        let runs = ledger_runs();
+        // The from-scratch build stays unannounced; the extraction path
+        // announces its assembly.
+        assert_eq!(
+            runs[0].1,
+            ["prune-offline", "prune-online", "bias", "select"]
+        );
+        assert_eq!(
+            runs[1].1,
+            [
+                "assemble",
+                "prune-offline",
+                "prune-online",
+                "bias",
+                "select"
+            ]
+        );
     }
 
     #[test]

@@ -685,6 +685,33 @@ mod tests {
         assert!((j.entropy() - (3.0f64).log2()).abs() < 1e-12);
     }
 
+    /// The row-aware cut of [`Accumulator::for_scan`]: a 2016 × 2000 =
+    /// 4,032,000-cell key space is past `DENSE_LIMIT`, so it goes dense
+    /// only from 4,032,000 / 32 = 126,000 counted rows up. This is the
+    /// shape of FL-Q4's hashed MCIMR backstop joints at 20,000 rows.
+    #[test]
+    fn row_aware_dense_cut_moves_the_counters() {
+        let space = 2016 * 2000;
+        assert!(space > DENSE_LIMIT);
+        for (n, dense) in [(20_000u32, false), (125_999, false), (126_000, true)] {
+            // Consecutive rows never share a key, so no run coalesces.
+            let a = codes(&(0..n).map(|i| i % 2016).collect::<Vec<_>>(), 2016);
+            let b = codes(&(0..n).map(|i| i % 2000).collect::<Vec<_>>(), 2000);
+            let before = crate::kernel::counters().snapshot();
+            let j = JointCounts::count(&[&a, &b], None, None);
+            let d = crate::kernel::counters().snapshot().delta(&before);
+            assert_eq!(j.counts.is_dense(), dense, "{n} rows");
+            assert_eq!(j.total, n as f64);
+            // The counters are process-global, so these are lower bounds.
+            let n = u64::from(n);
+            if dense {
+                assert!(d.dense_builds >= 1 && d.dense_ops >= n, "{n} rows: {d:?}");
+            } else {
+                assert!(d.sparse_builds >= 1 && d.hash_ops >= n, "{n} rows: {d:?}");
+            }
+        }
+    }
+
     #[test]
     fn entropy_from_counts_empty() {
         assert_eq!(entropy_from_counts(std::iter::empty(), 0.0), 0.0);

@@ -13,7 +13,10 @@
 //!
 //! Counters are monotone and `Relaxed`: they are diagnostics, never inputs
 //! to any estimate, so they cannot perturb NEXUS's bit-identical-output
-//! guarantee.
+//! guarantee. Inside the product two places read them: the pipeline's
+//! stage ledger (`nexus-core`'s `PipelineStats::stages`, one delta per
+//! stage) and the server's `kernel.*` metrics. Only kernel work lives
+//! here; the sub-query memo store counts its own traffic.
 //!
 //! # Scan counters
 //!
@@ -30,58 +33,12 @@
 //! and re-counted, summed: rows for row-level nulls, entities for
 //! entity-level calibration).
 //!
-//! # Memo counters
-//!
-//! The sub-query memo store (`nexus-core::memo`) records its traffic here
-//! too, per cached-value kind ([`MemoKind`]): hits, misses, inserts, and
-//! evictions, plus the number of times a request blocked on another
-//! request's in-flight build instead of duplicating it
-//! (`memo_coalesced_waits`). Like the kernel counters they are portable
-//! cost evidence: a warm memoized run proves itself with `hits > 0` and
-//! fewer pool tasks, never with wall-clock.
-//!
 //! [`delta`]: KernelSnapshot::delta
 //! [`packed_words_skipped`]: KernelSnapshot::packed_words_skipped
 //! [`permutations`]: KernelSnapshot::permutations
 //! [`perm_rows`]: KernelSnapshot::perm_rows
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of distinct [`MemoKind`] values (array dimension of the per-kind
-/// memo counters).
-pub const MEMO_KINDS: usize = 3;
-
-/// What kind of sub-query value a memo entry caches. Doubles as the index
-/// into the per-kind counter arrays of [`KernelCounters`] /
-/// [`KernelSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum MemoKind {
-    /// A per-column joint-count contingency table.
-    Contingency = 0,
-    /// A marginal entropy / conditional-mutual-information term.
-    CmiTerm = 1,
-    /// A KG extraction column (row→entity codes + candidates).
-    Extraction = 2,
-}
-
-impl MemoKind {
-    /// All kinds, in counter-array index order.
-    pub const ALL: [MemoKind; MEMO_KINDS] = [
-        MemoKind::Contingency,
-        MemoKind::CmiTerm,
-        MemoKind::Extraction,
-    ];
-
-    /// A stable lowercase label (used in dotted metric names).
-    pub fn label(self) -> &'static str {
-        match self {
-            MemoKind::Contingency => "contingency",
-            MemoKind::CmiTerm => "cmi_term",
-            MemoKind::Extraction => "extraction",
-        }
-    }
-}
 
 /// Process-global counters for every counting-kernel invocation.
 ///
@@ -98,17 +55,7 @@ pub struct KernelCounters {
     packed_words_skipped: AtomicU64,
     permutations: AtomicU64,
     perm_rows: AtomicU64,
-    memo_hits: [AtomicU64; MEMO_KINDS],
-    memo_misses: [AtomicU64; MEMO_KINDS],
-    memo_inserts: [AtomicU64; MEMO_KINDS],
-    memo_evictions: [AtomicU64; MEMO_KINDS],
-    memo_coalesced_waits: AtomicU64,
 }
-
-/// A per-kind array of zeroed atomics (const-initializable; used only to
-/// build the static below, never shared between fields).
-#[allow(clippy::declare_interior_mutable_const)]
-const MEMO_ZEROS: [AtomicU64; MEMO_KINDS] = [const { AtomicU64::new(0) }; MEMO_KINDS];
 
 /// The global counter instance.
 static COUNTERS: KernelCounters = KernelCounters {
@@ -120,11 +67,6 @@ static COUNTERS: KernelCounters = KernelCounters {
     packed_words_skipped: AtomicU64::new(0),
     permutations: AtomicU64::new(0),
     perm_rows: AtomicU64::new(0),
-    memo_hits: MEMO_ZEROS,
-    memo_misses: MEMO_ZEROS,
-    memo_inserts: MEMO_ZEROS,
-    memo_evictions: MEMO_ZEROS,
-    memo_coalesced_waits: AtomicU64::new(0),
 };
 
 /// The process-global [`KernelCounters`].
@@ -165,33 +107,6 @@ impl KernelCounters {
             .fetch_add(samples.saturating_mul(values), Ordering::Relaxed);
     }
 
-    /// Records one memo-store lookup that found a published entry.
-    pub fn record_memo_hit(&self, kind: MemoKind) {
-        self.memo_hits[kind as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one memo-store lookup that found nothing (the caller
-    /// becomes the builder or a coalesced waiter).
-    pub fn record_memo_miss(&self, kind: MemoKind) {
-        self.memo_misses[kind as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one value published into the memo store.
-    pub fn record_memo_insert(&self, kind: MemoKind) {
-        self.memo_inserts[kind as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` entries of `kind` evicted by budget enforcement.
-    pub fn record_memo_evictions(&self, kind: MemoKind, n: u64) {
-        self.memo_evictions[kind as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one request blocking on another request's in-flight build
-    /// instead of duplicating it.
-    pub fn record_memo_coalesced_wait(&self) {
-        self.memo_coalesced_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A consistent-enough copy of the counters (each counter is read
     /// atomically; the set is not a transaction, which is fine for
     /// monotone diagnostics).
@@ -205,23 +120,8 @@ impl KernelCounters {
             packed_words_skipped: self.packed_words_skipped.load(Ordering::Relaxed),
             permutations: self.permutations.load(Ordering::Relaxed),
             perm_rows: self.perm_rows.load(Ordering::Relaxed),
-            memo_hits: load_kinds(&self.memo_hits),
-            memo_misses: load_kinds(&self.memo_misses),
-            memo_inserts: load_kinds(&self.memo_inserts),
-            memo_evictions: load_kinds(&self.memo_evictions),
-            memo_coalesced_waits: self.memo_coalesced_waits.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Relaxed load of a per-kind counter array.
-fn load_kinds(a: &[AtomicU64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
-    std::array::from_fn(|k| a[k].load(Ordering::Relaxed))
-}
-
-/// Element-wise saturating subtraction of per-kind counter arrays.
-fn sub_kinds(a: [u64; MEMO_KINDS], b: [u64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
-    std::array::from_fn(|k| a[k].saturating_sub(b[k]))
 }
 
 /// A point-in-time copy of [`KernelCounters`].
@@ -247,38 +147,6 @@ pub struct KernelSnapshot {
     /// Values those samples shuffled and re-counted, summed over samples
     /// (rows for row-level nulls, entities for entity-level calibration).
     pub perm_rows: u64,
-    /// Memo-store hits, indexed by [`MemoKind`].
-    pub memo_hits: [u64; MEMO_KINDS],
-    /// Memo-store misses, indexed by [`MemoKind`].
-    pub memo_misses: [u64; MEMO_KINDS],
-    /// Values published into the memo store, indexed by [`MemoKind`].
-    pub memo_inserts: [u64; MEMO_KINDS],
-    /// Entries evicted by budget enforcement, indexed by [`MemoKind`].
-    pub memo_evictions: [u64; MEMO_KINDS],
-    /// Requests that blocked on another request's in-flight build.
-    pub memo_coalesced_waits: u64,
-}
-
-impl KernelSnapshot {
-    /// Total memo hits across all kinds.
-    pub fn memo_hits_total(&self) -> u64 {
-        self.memo_hits.iter().sum()
-    }
-
-    /// Total memo misses across all kinds.
-    pub fn memo_misses_total(&self) -> u64 {
-        self.memo_misses.iter().sum()
-    }
-
-    /// Total memo inserts across all kinds.
-    pub fn memo_inserts_total(&self) -> u64 {
-        self.memo_inserts.iter().sum()
-    }
-
-    /// Total memo evictions across all kinds.
-    pub fn memo_evictions_total(&self) -> u64 {
-        self.memo_evictions.iter().sum()
-    }
 }
 
 impl KernelSnapshot {
@@ -296,13 +164,6 @@ impl KernelSnapshot {
                 .saturating_sub(earlier.packed_words_skipped),
             permutations: self.permutations.saturating_sub(earlier.permutations),
             perm_rows: self.perm_rows.saturating_sub(earlier.perm_rows),
-            memo_hits: sub_kinds(self.memo_hits, earlier.memo_hits),
-            memo_misses: sub_kinds(self.memo_misses, earlier.memo_misses),
-            memo_inserts: sub_kinds(self.memo_inserts, earlier.memo_inserts),
-            memo_evictions: sub_kinds(self.memo_evictions, earlier.memo_evictions),
-            memo_coalesced_waits: self
-                .memo_coalesced_waits
-                .saturating_sub(earlier.memo_coalesced_waits),
         }
     }
 }
@@ -336,35 +197,6 @@ mod tests {
         assert_eq!(d.permutations, 116);
         assert_eq!(d.perm_rows, 200_048);
         assert_eq!(d.packed_words_skipped, 7);
-    }
-
-    #[test]
-    fn record_memo_counters() {
-        let c = KernelCounters::default();
-        let before = c.snapshot();
-        c.record_memo_hit(MemoKind::Contingency);
-        c.record_memo_hit(MemoKind::Contingency);
-        c.record_memo_miss(MemoKind::CmiTerm);
-        c.record_memo_insert(MemoKind::CmiTerm);
-        c.record_memo_evictions(MemoKind::CmiTerm, 3);
-        c.record_memo_hit(MemoKind::Extraction);
-        c.record_memo_coalesced_wait();
-        let d = c.snapshot().delta(&before);
-        assert_eq!(d.memo_hits[MemoKind::Contingency as usize], 2);
-        assert_eq!(d.memo_hits[MemoKind::Extraction as usize], 1);
-        assert_eq!(d.memo_hits_total(), 3);
-        assert_eq!(d.memo_misses_total(), 1);
-        assert_eq!(d.memo_inserts[MemoKind::CmiTerm as usize], 1);
-        assert_eq!(d.memo_evictions[MemoKind::CmiTerm as usize], 3);
-        assert_eq!(d.memo_evictions_total(), 3);
-        assert_eq!(d.memo_coalesced_waits, 1);
-    }
-
-    #[test]
-    fn memo_kind_labels_are_distinct() {
-        let labels: std::collections::HashSet<_> =
-            MemoKind::ALL.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), MEMO_KINDS);
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use fd::{approx_fd, logically_dependent, DEFAULT_FD_EPSILON};
 pub use independence::{
     ci_screen, ci_test, ci_test_default, CiScreen, CiTestOptions, CiTestResult, PendingCiTest,
 };
-pub use kernel::{KernelCounters, KernelSnapshot, MemoKind, MEMO_KINDS};
+pub use kernel::{KernelCounters, KernelSnapshot};

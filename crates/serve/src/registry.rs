@@ -242,14 +242,17 @@ impl DatasetRegistry {
                 (Arc::new(table), Arc::new(kg))
             }
         };
+        // Each content fingerprint hashes the whole table or graph, so
+        // compute it once for both keys below.
+        let (table_fp, kg_fp) = (table.fingerprint(), kg.fingerprint());
         // Extraction depends only on the table column, the KG, and the
         // extraction options — exactly what this key hashes. The per-spec
         // dataset fingerprint below also covers the column *list*, which
         // the per-column artifact must not depend on.
         let memo_scope = memo.map(|store| {
             let mut h = nexus_table::Fnv64::new();
-            h.write_u64(table.fingerprint());
-            h.write_u64(kg.fingerprint());
+            h.write_u64(table_fp);
+            h.write_u64(kg_fp);
             (store, h.finish())
         });
         let mut extractions = Vec::with_capacity(spec.extraction_columns.len());
@@ -277,8 +280,8 @@ impl DatasetRegistry {
         }
         let fingerprint = {
             let mut h = nexus_table::Fnv64::new();
-            h.write_u64(table.fingerprint());
-            h.write_u64(kg.fingerprint());
+            h.write_u64(table_fp);
+            h.write_u64(kg_fp);
             h.write_u64(spec.extraction_columns.len() as u64);
             for c in &spec.extraction_columns {
                 h.write_str(c);

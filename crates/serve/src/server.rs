@@ -65,18 +65,19 @@
 //!
 //! Every server counter lives in a per-server `nexus-telemetry`
 //! [`MetricsRegistry`] under a stable dotted name (`serve.cache.hits`,
-//! `serve.rpc.ooo_replies`, …); process-global families (the counting
-//! kernel) and component gauges (dataset registry, connection semaphore,
-//! result cache) are bridged in at snapshot time, the kernel family as
-//! deltas since server construction. The registry is the one stats
+//! `serve.rpc.ooo_replies`, …). Components that count for themselves —
+//! the memo store, the dataset registry, the connection semaphore, the
+//! result cache — are read into gauges at snapshot time, and so is the
+//! process-global counting-kernel family, as deltas since server
+//! construction. The registry is the one stats
 //! surface: [`Server::metrics_snapshot`] exposes the full sorted snapshot
 //! behind [`Frame::MetricsRequest`], and [`Server::metric`] looks one
-//! name up. Each explain additionally records a
-//! span trace (stage boundaries from the [`RunControl`] hooks, counted in
+//! name up. Each explain additionally records a span trace into a
+//! bounded [`TraceRing`] served by [`Frame::TraceRequest`]: the
+//! pipeline's own stage ledger (`PipelineStats::stages`, counted in
 //! kernel builds — deterministic — plus monotonic durations for humans)
-//! into a bounded [`TraceRing`] served by [`Frame::TraceRequest`];
-//! [`ServerOptions::trace_capacity`] sizes the ring (0 disables tracing
-//! entirely).
+//! under an `explain` root. [`ServerOptions::trace_capacity`] sizes the
+//! ring (0 disables tracing entirely).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -87,14 +88,14 @@ use std::time::{Duration, Instant};
 
 use nexus_core::{
     ColumnExtraction, CoreError, Explanation, MemoHandle, MemoKind, MemoStore, Nexus, NexusOptions,
-    ProgressEvent, RunControl,
+    ProgressEvent, RunControl, StageSpan,
 };
 use nexus_kg::KnowledgeGraph;
 use nexus_query::parse;
 use nexus_runtime::Semaphore;
 use nexus_table::Table;
 use nexus_telemetry::{
-    Counter, Gauge, Histogram, MetricValue, Registry as MetricsRegistry, TraceBuilder, TraceRing,
+    Counter, Gauge, Histogram, MetricValue, Registry as MetricsRegistry, Span, Trace, TraceRing,
 };
 
 use crate::cache::LruCache;
@@ -368,10 +369,10 @@ struct Inner {
     io_timeout: Duration,
     drain_timeout: Duration,
     max_inflight: usize,
-    /// This server's metrics registry. Per-server (not process-global) so
-    /// servers coexisting in one test process never mix counters; the
-    /// process-global kernel family is bridged in as a delta against
-    /// `kernel_baseline` at snapshot time.
+    /// This server's metrics registry. Per-server so servers coexisting
+    /// in one test process never mix counters; the process-global kernel
+    /// family is bridged in as a delta against `kernel_baseline` at
+    /// snapshot time.
     metrics: MetricsRegistry,
     /// Pre-resolved hot-path handles into `metrics`.
     m: ServeMetrics,
@@ -511,9 +512,10 @@ impl Server {
 
     /// Folds component state the registry does not own — the
     /// process-global kernel counters (as deltas since server
-    /// construction), the connection semaphore, the result cache, the
-    /// dataset registry, and the trace ring — into bridge gauges, so one
-    /// registry snapshot describes the whole server.
+    /// construction), the memo store's own counts, the connection
+    /// semaphore, the result cache, the dataset registry, and the trace
+    /// ring — into bridge gauges, so one registry snapshot describes the
+    /// whole server.
     fn bridge_component_metrics(&self) {
         let r = &self.inner.metrics;
         let kernel = nexus_info::kernel::counters()
@@ -528,18 +530,18 @@ impl Server {
             .set(kernel.packed_words_skipped);
         r.gauge("kernel.permutations").set(kernel.permutations);
         r.gauge("kernel.perm_rows").set(kernel.perm_rows);
-        r.gauge("memo.hits").set(kernel.memo_hits_total());
-        r.gauge("memo.misses").set(kernel.memo_misses_total());
-        r.gauge("memo.inserts").set(kernel.memo_inserts_total());
-        r.gauge("memo.evictions").set(kernel.memo_evictions_total());
-        r.gauge("memo.coalesced_waits")
-            .set(kernel.memo_coalesced_waits);
+        let memo = self.inner.memo.counts();
+        r.gauge("memo.hits").set(memo.hits.iter().sum());
+        r.gauge("memo.misses").set(memo.misses.iter().sum());
+        r.gauge("memo.inserts").set(memo.inserts.iter().sum());
+        r.gauge("memo.evictions").set(memo.evictions.iter().sum());
+        r.gauge("memo.coalesced_waits").set(memo.coalesced_waits);
         for kind in MemoKind::ALL {
             let i = kind as usize;
             r.gauge(&format!("memo.hits.{}", kind.label()))
-                .set(kernel.memo_hits[i]);
+                .set(memo.hits[i]);
             r.gauge(&format!("memo.misses.{}", kind.label()))
-                .set(kernel.memo_misses[i]);
+                .set(memo.misses[i]);
         }
         r.gauge("memo.resident_bytes")
             .set(self.inner.memo.resident_bytes());
@@ -702,48 +704,21 @@ impl Server {
         self.explain_traced(req, 0, RunControl::none())
     }
 
-    /// Current deterministic span work count: counting-kernel builds so
-    /// far (dense + sparse). Build counts are one-per-statistic and thus
-    /// invariant under pool thread count and row chunking — the property
-    /// the span determinism test rests on. (Under concurrent traffic the
-    /// process-global counter attributes overlapping requests' builds to
-    /// whichever span is open — traces are diagnostics, not ledgers.)
-    fn span_count_now() -> u64 {
-        let snap = nexus_info::kernel::counters().snapshot();
-        snap.dense_builds + snap.sparse_builds
-    }
-
-    /// [`Server::explain_ctl`] wrapped in span recording: stage
-    /// transitions observed at the [`RunControl`] progress hooks open and
-    /// close spans (durations monotonic, counts from
-    /// [`Server::span_count_now`]), and the finished trace — rooted at an
-    /// `explain` span — lands in the bounded ring. With
-    /// [`ServerOptions::trace_capacity`] 0 this is exactly
-    /// [`Server::explain_ctl`]: no builder, no extra hook work, and the
-    /// explanation bytes are identical either way (the sink only reads).
+    /// [`Server::explain_ctl`] plus its span trace, pushed into the
+    /// bounded ring: the `explain` root covers the whole request, and the
+    /// pipeline's stage ledger supplies the stage spans (see
+    /// [`ledger_trace`]). A request that ran no pipeline — a cache hit, a
+    /// failure, a cancellation — records the root alone. With
+    /// [`ServerOptions::trace_capacity`] 0 nothing is recorded; the
+    /// explanation bytes are identical either way.
     fn explain_traced(&self, req: &ExplainRequestWire, corr: u64, ctl: RunControl<'_>) -> Frame {
-        if !self.inner.traces.enabled() {
-            return self.explain_ctl(req, ctl);
+        let started = Instant::now();
+        let mut stages = Vec::new();
+        let reply = self.explain_ctl(req, ctl, &mut stages);
+        if self.inner.traces.enabled() {
+            let trace = ledger_trace(corr, started.elapsed(), &stages);
+            self.inner.traces.push(trace);
         }
-        let builder = TraceBuilder::new(corr, Self::span_count_now());
-        let outer = ctl.progress;
-        let sink = |event: ProgressEvent| {
-            if let ProgressEvent::Stage { stage } = &event {
-                builder.enter_stage(stage, Self::span_count_now());
-            }
-            if let Some(s) = outer {
-                s(event);
-            }
-        };
-        let traced = RunControl {
-            abort: ctl.abort,
-            progress: Some(&sink),
-            memo: ctl.memo,
-        };
-        let reply = self.explain_ctl(req, traced);
-        self.inner
-            .traces
-            .push(builder.finish(Self::span_count_now()));
         reply
     }
 
@@ -790,7 +765,13 @@ impl Server {
     /// polled while queued for a pipeline slot and at every pipeline hook
     /// point (an aborted request answers [`error_code::CANCELLED`] and
     /// caches nothing), and progress events stream to the control's sink.
-    fn explain_ctl(&self, req: &ExplainRequestWire, ctl: RunControl<'_>) -> Frame {
+    /// A pipeline that completes leaves its stage ledger in `stages`.
+    fn explain_ctl(
+        &self,
+        req: &ExplainRequestWire,
+        ctl: RunControl<'_>,
+        stages: &mut Vec<StageSpan>,
+    ) -> Frame {
         let arrived = Instant::now();
         self.inner.m.requests.add(1);
         if self.is_shutting_down() {
@@ -885,6 +866,7 @@ impl Server {
         let refs: Vec<&ColumnExtraction> = dataset.extractions.iter().map(Arc::as_ref).collect();
         match nexus.run_with_extractions_controlled(&dataset.table, &refs, &query, ctl) {
             Ok((explanation, _artifacts)) => {
+                stages.clone_from(&explanation.stats.stages);
                 let bytes = Arc::new(explanation_to_wire(&explanation).encode());
                 self.inner
                     .cache
@@ -1267,7 +1249,7 @@ impl Server {
         }
     }
 
-    /// The worker side of a session `Explain`: runs [`Server::explain_ctl`]
+    /// The worker side of a session `Explain`: runs [`Server::explain_traced`]
     /// with the request's abort flag and a progress sink that forwards
     /// pipeline events to the session loop as `Progress`/`Partial`
     /// frames addressed at `corr`.
@@ -1397,6 +1379,29 @@ fn unsupported(version: u16, frame_type: u8) -> Frame {
         frame_type,
         max_supported: MAX_VERSION,
     })
+}
+
+/// One request's span tree: an `explain` root over the whole request
+/// (`elapsed`), then one depth-1 span per stage of the pipeline's ledger.
+/// A span counts its kernel builds (dense + sparse), which are one per
+/// statistic and so invariant under thread count; the root counts its
+/// stages' builds. An empty ledger gives the root alone.
+fn ledger_trace(corr_id: u64, elapsed: Duration, stages: &[StageSpan]) -> Trace {
+    let span = |name: &str, depth, count, duration: Duration| Span {
+        name: name.to_string(),
+        depth,
+        count,
+        duration_nanos: duration.as_nanos() as u64,
+    };
+    let builds = |s: &StageSpan| s.kernel.dense_builds + s.kernel.sparse_builds;
+    let root = span("explain", 0, stages.iter().map(builds).sum(), elapsed);
+    let stage_spans = stages
+        .iter()
+        .map(|s| span(s.name, 1, builds(s), s.duration));
+    Trace {
+        corr_id,
+        spans: std::iter::once(root).chain(stage_spans).collect(),
+    }
 }
 
 /// Maps registry failures onto the public setup error type.

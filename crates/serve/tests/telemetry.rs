@@ -5,8 +5,10 @@
 //! work counters), and the trace ring's memory bound is counter-asserted.
 //!
 //! The counting kernel's counters are process-global, so every test that
-//! runs an explain serializes on [`KERNEL_LOCK`] — deltas measured around
-//! a request must not see a concurrent test's kernel work.
+//! runs an explain and reads kernel work serializes on [`KERNEL_LOCK`] —
+//! deltas measured around a request must not see a concurrent test's
+//! kernel work. Memo counts belong to each server's store and need no
+//! lock.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -207,6 +209,56 @@ fn span_trees_are_deterministic_across_thread_counts() {
         shapes[0], shapes[1],
         "span structure and counts must not depend on thread count"
     );
+}
+
+/// A cold explain's trace is the pipeline's stage ledger under an
+/// `explain` root whose count is the sum of its stages' counts; a cache
+/// hit ran no pipeline and records the root alone.
+#[test]
+fn served_trace_is_the_stage_ledger() {
+    let _guard = KERNEL_LOCK.lock().unwrap();
+    let server = dataset_server(2, 64);
+    let sql = queries_for(DatasetKind::Covid)[0].sql;
+    let _ = server.handle(explain_frame(sql));
+    let cold = &server.traces(1)[0];
+    let names: Vec<&str> = cold.spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "explain",
+            "assemble",
+            "prune-offline",
+            "prune-online",
+            "bias",
+            "select"
+        ]
+    );
+    assert_eq!(cold.spans[0].depth, 0);
+    assert!(cold.spans[1..].iter().all(|s| s.depth == 1));
+    let stage_counts: u64 = cold.spans[1..].iter().map(|s| s.count).sum();
+    assert_eq!(cold.spans[0].count, stage_counts);
+    assert!(stage_counts > 0, "a cold explain builds contingencies");
+
+    let _ = server.handle(explain_frame(sql));
+    let hit = &server.traces(1)[0];
+    assert_eq!(hit.spans.len(), 1, "a cache hit traces the root alone");
+    assert_eq!(
+        (hit.spans[0].name.as_str(), hit.spans[0].count),
+        ("explain", 0)
+    );
+}
+
+/// Each server reports its own memo store's traffic: a miss served by
+/// one server never shows up in another server's `memo.*` metrics.
+#[test]
+fn memo_metrics_belong_to_their_server() {
+    let other = Server::new(ServerOptions::default());
+    let server = dataset_server(2, 64);
+    let sql = queries_for(DatasetKind::Covid)[0].sql;
+    let _ = server.handle(explain_frame(sql));
+    assert!(server.metric("memo.misses").unwrap() > 0);
+    assert_eq!(other.metric("memo.hits"), Some(0));
+    assert_eq!(other.metric("memo.misses"), Some(0));
 }
 
 /// Tracing is lossless: with the ring disabled (`trace_capacity: 0`) and

@@ -1,50 +1,38 @@
-//! nexus-telemetry: a unified metrics registry and per-request span tracing.
+//! nexus-telemetry: a unified metrics registry and per-request span trees.
 //!
 //! This crate is std-only with zero dependencies, like the rest of the
 //! workspace. It provides two facilities:
 //!
 //! * A [`Registry`] of named metrics — monotone [`Counter`]s, settable
-//!   [`Gauge`]s, and log₂-bucketed [`Histogram`]s — sharded 16 ways so
-//!   concurrent handle lookups never contend on one lock.
+//!   [`Gauge`]s, and log₂-bucketed [`Histogram`]s — behind one lock.
+//!   Lookups get-or-create a handle and hot paths keep the handle, so the
+//!   lock is taken at set-up and once per snapshot, never per event.
 //!   [`Registry::snapshot`] returns every metric in deterministic
 //!   sorted name order, which is what makes `--stats` output and smoke-test
 //!   greps stable.
-//! * Per-request span tracing: a [`TraceBuilder`] turns `RunControl` stage
-//!   hooks into a [`Trace`] (a preorder span tree keyed by NEXUSRPC v2
-//!   corr-id), and a bounded [`TraceRing`] retains the last N traces per
-//!   server, counting evictions instead of growing.
+//! * Per-request span trees: a [`Trace`] is a preorder list of [`Span`]s
+//!   keyed by NEXUSRPC v2 corr-id, and a bounded [`TraceRing`] retains the
+//!   last N traces per server, counting evictions instead of growing. The
+//!   server builds each trace from the pipeline's own stage ledger
+//!   (`nexus-core`'s `PipelineStats::stages`), so it measures nothing
+//!   itself.
 //!
 //! Metric names are dotted lowercase paths (`serve.cache.hits`,
 //! `kernel.builds.dense`, `registry.datasets.resident`). Spans record
 //! monotonic durations for humans but deterministic *counts* (kernel build
 //! deltas) for tests — assertions must never depend on wall-clock.
 //!
-//! Scope: the kernel counter family (`nexus-info`) is process-global by
-//! construction; serve/registry/cache families are per-server. Each server
-//! therefore owns a `Registry` instance and bridges global families into it
-//! as deltas at snapshot time. [`registry()`] offers a process-global
-//! default instance for contexts without a natural owner.
+//! Every server owns its `Registry`; components that keep their own
+//! counts (the memo store, the dataset registry, the result cache) and
+//! the process-global kernel counters are read into it at snapshot time.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
-
-/// Number of lock shards in a [`Registry`]; must be a power of two.
-const SHARDS: usize = 16;
+use std::sync::{Arc, Mutex};
 
 /// Number of log₂ buckets in a histogram: bucket 0 holds value 0, bucket
 /// `b >= 1` holds values with `64 - leading_zeros == b`, i.e. `[2^(b-1), 2^b)`.
 const BUCKETS: usize = 65;
-
-fn fnv1a(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in name.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The kind of a metric value, carried alongside each name in snapshots and
 /// on the wire so `MetricsReply` is self-describing.
@@ -180,11 +168,11 @@ fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
-/// A lock-sharded registry of named metrics with deterministic sorted
-/// iteration. Handle lookups (`counter`/`gauge`/`histogram`) get-or-create;
-/// hot paths should look a handle up once and keep it.
+/// A registry of named metrics with deterministic sorted iteration.
+/// Handle lookups (`counter`/`gauge`/`histogram`) get-or-create; hot paths
+/// should look a handle up once and keep it.
 pub struct Registry {
-    shards: [Mutex<HashMap<String, Slot>>; SHARDS],
+    slots: Mutex<HashMap<String, Slot>>,
 }
 
 impl Default for Registry {
@@ -197,12 +185,12 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            slots: Mutex::new(HashMap::new()),
         }
     }
 
-    fn shard(&self, name: &str) -> &Mutex<HashMap<String, Slot>> {
-        &self.shards[(fnv1a(name) as usize) & (SHARDS - 1)]
+    fn slots(&self) -> std::sync::MutexGuard<'_, HashMap<String, Slot>> {
+        self.slots.lock().expect("registry poisoned")
     }
 
     /// Returns the counter named `name`, creating it at zero on first use.
@@ -210,7 +198,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.shard(name).lock().expect("registry shard poisoned");
+        let mut map = self.slots();
         if let Some(slot) = map.get(name) {
             return match slot {
                 Slot::Counter(c) => Counter(Arc::clone(c)),
@@ -227,7 +215,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.shard(name).lock().expect("registry shard poisoned");
+        let mut map = self.slots();
         if let Some(slot) = map.get(name) {
             return match slot {
                 Slot::Gauge(g) => Gauge(Arc::clone(g)),
@@ -244,7 +232,7 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.shard(name).lock().expect("registry shard poisoned");
+        let mut map = self.slots();
         if let Some(slot) = map.get(name) {
             return match slot {
                 Slot::Histogram(h) => Histogram(Arc::clone(h)),
@@ -266,60 +254,51 @@ impl Registry {
     /// numeric order).
     pub fn snapshot(&self) -> Vec<MetricValue> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.lock().expect("registry shard poisoned");
-            for (name, slot) in map.iter() {
-                match slot {
-                    Slot::Counter(c) => out.push(MetricValue {
-                        name: name.clone(),
-                        kind: MetricKind::Counter,
-                        value: c.load(Ordering::SeqCst),
-                    }),
-                    Slot::Gauge(g) => out.push(MetricValue {
-                        name: name.clone(),
-                        kind: MetricKind::Gauge,
-                        value: g.load(Ordering::SeqCst),
-                    }),
-                    Slot::Histogram(h) => {
-                        out.push(MetricValue {
-                            name: format!("{name}.count"),
-                            kind: MetricKind::HistogramCount,
-                            value: h.count.load(Ordering::Relaxed),
-                        });
-                        out.push(MetricValue {
-                            name: format!("{name}.sum"),
-                            kind: MetricKind::HistogramSum,
-                            value: h.sum.load(Ordering::Relaxed),
-                        });
-                        for (i, bucket) in h.buckets.iter().enumerate() {
-                            let v = bucket.load(Ordering::Relaxed);
-                            if v > 0 {
-                                out.push(MetricValue {
-                                    name: format!("{name}.b{i:02}"),
-                                    kind: MetricKind::HistogramBucket,
-                                    value: v,
-                                });
-                            }
+        for (name, slot) in self.slots().iter() {
+            match slot {
+                Slot::Counter(c) => out.push(MetricValue {
+                    name: name.clone(),
+                    kind: MetricKind::Counter,
+                    value: c.load(Ordering::SeqCst),
+                }),
+                Slot::Gauge(g) => out.push(MetricValue {
+                    name: name.clone(),
+                    kind: MetricKind::Gauge,
+                    value: g.load(Ordering::SeqCst),
+                }),
+                Slot::Histogram(h) => {
+                    out.push(MetricValue {
+                        name: format!("{name}.count"),
+                        kind: MetricKind::HistogramCount,
+                        value: h.count.load(Ordering::Relaxed),
+                    });
+                    out.push(MetricValue {
+                        name: format!("{name}.sum"),
+                        kind: MetricKind::HistogramSum,
+                        value: h.sum.load(Ordering::Relaxed),
+                    });
+                    for (i, bucket) in h.buckets.iter().enumerate() {
+                        let v = bucket.load(Ordering::Relaxed);
+                        if v > 0 {
+                            out.push(MetricValue {
+                                name: format!("{name}.b{i:02}"),
+                                kind: MetricKind::HistogramBucket,
+                                value: v,
+                            });
                         }
                     }
                 }
             }
         }
+        // Map order is arbitrary, and a histogram's expansion (`.b00`,
+        // `.count`) interleaves with other names.
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
 }
 
-/// The process-global registry, for contexts without a natural owner.
-/// Servers deliberately use their own [`Registry`] instances instead, so
-/// multiple servers in one test process never mix counters.
-pub fn registry() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 /// One span of a [`Trace`]: a named phase with its tree depth, a
-/// deterministic work count (kernel build delta at the recording site), and
+/// deterministic work count (the stage's kernel builds), and
 /// a monotonic duration for human consumption only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
@@ -335,93 +314,13 @@ pub struct Span {
 }
 
 /// A finished per-request span tree, in preorder, keyed by the NEXUSRPC v2
-/// correlation id (0 for v1 requests, which carry no corr-id).
+/// correlation id (0 for in-process requests, which carry none).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Correlation id of the request that produced this trace.
     pub corr_id: u64,
     /// Spans in preorder: the `explain` root first, stage spans after.
     pub spans: Vec<Span>,
-}
-
-struct OpenSpan {
-    name: String,
-    since: Instant,
-    base: u64,
-}
-
-struct BuilderState {
-    spans: Vec<Span>,
-    open: Option<OpenSpan>,
-}
-
-/// Incrementally builds one [`Trace`] from stage transitions. The caller
-/// supplies the current deterministic work count (kernel builds so far) at
-/// every hook; the builder records per-span deltas. Sync so it can be shared
-/// with a `RunControl` progress sink.
-pub struct TraceBuilder {
-    corr_id: u64,
-    started: Instant,
-    base: u64,
-    state: Mutex<BuilderState>,
-}
-
-impl TraceBuilder {
-    /// Starts a trace for `corr_id`; `count_now` is the work counter at
-    /// request entry.
-    pub fn new(corr_id: u64, count_now: u64) -> TraceBuilder {
-        TraceBuilder {
-            corr_id,
-            started: Instant::now(),
-            base: count_now,
-            state: Mutex::new(BuilderState {
-                spans: Vec::new(),
-                open: None,
-            }),
-        }
-    }
-
-    fn close_open(state: &mut BuilderState, count_now: u64) {
-        if let Some(open) = state.open.take() {
-            state.spans.push(Span {
-                name: open.name,
-                depth: 1,
-                count: count_now.saturating_sub(open.base),
-                duration_nanos: open.since.elapsed().as_nanos() as u64,
-            });
-        }
-    }
-
-    /// Records a stage transition: closes the currently open stage span (if
-    /// any) and opens one named `name`.
-    pub fn enter_stage(&self, name: &str, count_now: u64) {
-        let mut state = self.state.lock().expect("trace builder poisoned");
-        Self::close_open(&mut state, count_now);
-        state.open = Some(OpenSpan {
-            name: name.to_string(),
-            since: Instant::now(),
-            base: count_now,
-        });
-    }
-
-    /// Closes any open span and returns the finished trace, rooted at an
-    /// `explain` span covering the whole request.
-    pub fn finish(self, count_now: u64) -> Trace {
-        let mut state = self.state.into_inner().expect("trace builder poisoned");
-        Self::close_open(&mut state, count_now);
-        let mut spans = Vec::with_capacity(state.spans.len() + 1);
-        spans.push(Span {
-            name: "explain".to_string(),
-            depth: 0,
-            count: count_now.saturating_sub(self.base),
-            duration_nanos: self.started.elapsed().as_nanos() as u64,
-        });
-        spans.extend(state.spans);
-        Trace {
-            corr_id: self.corr_id,
-            spans,
-        }
-    }
 }
 
 /// A bounded ring of finished traces. Past capacity the oldest trace is
@@ -575,7 +474,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_concurrent_increments_sum() {
+    fn concurrent_increments_sum() {
         let r = Arc::new(Registry::new());
         let mut joins = Vec::new();
         for t in 0..8 {
@@ -591,24 +490,6 @@ mod tests {
         }
         let total: u64 = r.snapshot().iter().map(|m| m.value).sum();
         assert_eq!(total, 8000);
-    }
-
-    #[test]
-    fn trace_builder_records_stage_deltas() {
-        let b = TraceBuilder::new(42, 10);
-        b.enter_stage("assemble", 10);
-        b.enter_stage("select", 13);
-        let trace = b.finish(20);
-        assert_eq!(trace.corr_id, 42);
-        let shape: Vec<(&str, u32, u64)> = trace
-            .spans
-            .iter()
-            .map(|s| (s.name.as_str(), s.depth, s.count))
-            .collect();
-        assert_eq!(
-            shape,
-            [("explain", 0, 10), ("assemble", 1, 3), ("select", 1, 7)]
-        );
     }
 
     #[test]

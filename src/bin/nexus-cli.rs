@@ -618,10 +618,10 @@ fn timing_line(s: &PipelineStats) -> String {
     format!(
         "timing: {:.2?} total (build {:.2?}, prune {:.2?}, bias {:.2?}, select {:.2?}); pool: {} thread(s), {} task(s), {:.2}x speedup",
         s.total(),
-        s.t_build,
-        s.t_prune,
-        s.t_bias,
-        s.t_mcimr,
+        s.stage_time(&["build", "assemble"]),
+        s.stage_time(&["prune-offline", "prune-online"]),
+        s.stage_time(&["bias"]),
+        s.stage_time(&["select"]),
         s.threads,
         s.pool_tasks,
         s.parallel_speedup()
@@ -1318,15 +1318,25 @@ fn run_abuse(args: &AbuseArgs) -> Result<(), String> {
 mod tests {
     use std::time::Duration;
 
+    use nexus::core::StageSpan;
+
     use super::*;
 
     #[test]
     fn timing_line_names_every_stage_and_the_pool() {
+        let stage = |name, ms| StageSpan {
+            name,
+            duration: Duration::from_millis(ms),
+            kernel: Default::default(),
+        };
         let stats = PipelineStats {
-            t_build: Duration::from_millis(120),
-            t_prune: Duration::from_millis(30),
-            t_bias: Duration::from_millis(5),
-            t_mcimr: Duration::from_millis(45),
+            stages: vec![
+                stage("build", 120),
+                stage("prune-offline", 10),
+                stage("prune-online", 20),
+                stage("bias", 5),
+                stage("select", 45),
+            ],
             threads: 2,
             pool_tasks: 77,
             t_pool_wall: Duration::from_millis(100),

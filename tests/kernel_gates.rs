@@ -5,10 +5,17 @@
 //! one `MemoStore`. The plain pass's output signature must hash to a
 //! golden digest, so a change that moves every output bit the same way —
 //! which memo-off = memo-on cannot see — fails here. The other assertions
-//! read the per-pass kernel counter deltas (`Explanation::stats.kernel`),
-//! never wall-clock, so they hold on any machine. The counters are
+//! read the per-pass kernel counter deltas (`Explanation::stats.kernel`)
+//! and the shared store's own counts (`MemoStore::counts`), never
+//! wall-clock, so they hold on any machine. The kernel counters are
 //! process-global; this binary has one test, so no concurrent run can
 //! pollute a pass's delta.
+//!
+//! `hash_ops == 0` is a property of these three workloads, not of the
+//! kernel: every joint they count fits the dense policy. A key space past
+//! `DENSE_LIMIT`, or past 32 cells per counted row, goes hashed by design
+//! (FL-Q4 at 20k rows hashes three MCIMR backstop joints; see DESIGN.md
+//! §6d and `nexus-info`'s counter tests).
 //!
 //! Bit-identity of the kernel against naive counts is tested per call,
 //! next to the code (`nexus-info`'s counter tests and `nexus-core`'s
@@ -90,7 +97,7 @@ fn assert_gates(id: &str, dataset: &Dataset, sql: &str, golden: u64) {
     let k = &plain.stats.kernel;
     let rows = dataset.table.n_rows() as u64;
 
-    // Every build is dense: no per-row hashing anywhere.
+    // Every build of these workloads is dense: no per-row hashing.
     assert_eq!(k.hash_ops, 0, "{id}: hash ops on the kernel path: {k:?}");
     // No build scans more than the table once.
     assert!(
@@ -106,14 +113,17 @@ fn assert_gates(id: &str, dataset: &Dataset, sql: &str, golden: u64) {
 
     // Repeated workload over one memo store: cold populates, warm replays.
     let store = Arc::new(MemoStore::new(0));
-    let handle = MemoHandle::new(store, dataset.table.fingerprint());
+    let handle = MemoHandle::new(Arc::clone(&store), dataset.table.fingerprint());
     let cold = explain(dataset, sql, Some(&handle));
+    let mc = store.counts();
     let warm = explain(dataset, sql, Some(&handle));
-    let (kc, kw) = (&cold.stats.kernel, &warm.stats.kernel);
+    let mw = store.counts();
+    let sum = |a: &[u64]| a.iter().sum::<u64>();
     assert!(
-        kw.memo_hits_total() > 0 && kw.memo_misses_total() == 0 && kc.memo_inserts_total() > 0,
-        "{id}: memo not engaged: cold {kc:?}, warm {kw:?}"
+        sum(&mw.hits) > sum(&mc.hits) && mw.misses == mc.misses && sum(&mc.inserts) > 0,
+        "{id}: memo not engaged: after cold {mc:?}, after warm {mw:?}"
     );
+    let (kc, kw) = (&cold.stats.kernel, &warm.stats.kernel);
     let expected = signature(&plain);
     assert_eq!(signature(&cold), expected, "{id}: memo-cold output differs");
     assert_eq!(signature(&warm), expected, "{id}: memo-warm output differs");
