@@ -1,7 +1,7 @@
-//! Property-based tests for NXCOL v1 strict validation: arbitrary tables
+//! Property-based tests for NXCOL v2 strict validation: arbitrary tables
 //! round-trip bit-exactly (pack → load → re-pack), and truncated or
 //! corrupted files decode to typed errors — never panics, never silent
-//! misreads.
+//! misreads. v1 files are refused with a re-pack hint.
 
 use nexus_store::{decode_table, encode_table, inspect, StoreError, MAX_SECTION_LEN};
 use nexus_table::{Column, Table};
@@ -193,5 +193,94 @@ fn seeded_corruptions_are_typed() {
         StoreError::SectionTooLarge {
             declared: MAX_SECTION_LEN + 7
         }
+    );
+}
+
+/// CRC32 (IEEE, reflected), bit by bit: re-seals a section after a test
+/// edits it, so the edit reaches the checks behind the CRC.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// A section whose stored column fingerprint was altered (and its CRC
+/// recomputed to match) is refused with an error naming that column.
+#[test]
+fn altered_column_fingerprint_names_the_column() {
+    let t = Table::new(vec![
+        ("k", Column::from_strs(&["a", "b", "a", "c"])),
+        ("salary", Column::from_f64(vec![1.0, 2.0, 3.0, 4.0])),
+    ])
+    .unwrap();
+    let mut bytes = encode_table(&t);
+    // Header (36 bytes), then the first section: length, body, CRC.
+    let second = 36 + 4 + u32_at(&bytes, 36) + 4;
+    let (body, len) = (second + 4, u32_at(&bytes, second));
+    // The body opens with the name (u32 length + bytes), then the column
+    // fingerprint.
+    bytes[body + 4 + "salary".len()] ^= 0x01;
+    let crc = crc32(&bytes[body..body + len]);
+    bytes[body + len..body + len + 4].copy_from_slice(&crc.to_le_bytes());
+
+    let err = decode_table(&bytes).unwrap_err();
+    assert_eq!(
+        err,
+        StoreError::ColumnFingerprint {
+            column: "salary".into()
+        }
+    );
+    assert!(err.to_string().contains("'salary'"), "{err}");
+    // `inspect` checks structure only and reports the stored value.
+    let info = inspect(&bytes).unwrap();
+    assert_ne!(
+        info.columns[1].fingerprint,
+        inspect(&encode_table(&t)).unwrap().columns[1].fingerprint
+    );
+}
+
+/// An NXCOL v1 file, byte for byte as the v1 writer packed a two-column
+/// table (`k` Utf8 a/b/a, `v` Int64 7/8/9).
+const V1_FILE: [u8; 152] = [
+    0x4e, 0x58, 0x43, 0x4f, 0x4c, 0x31, 0x0d, 0x0a, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd7, 0xc1, 0x98, 0x3a, 0x75, 0x9d, 0x29, 0x96,
+    0x21, 0xa0, 0xe8, 0x02, 0x2f, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x6b, 0x03, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x61, 0x01, 0x00, 0x00, 0x00, 0x62, 0x00, 0x00,
+    0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x63, 0x07, 0x47, 0xb9, 0x35, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x76, 0x01, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x00, 0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x97, 0x13, 0x9e, 0x85,
+];
+
+/// A v1 file is refused by version, with the re-pack hint, by both the
+/// decoder and `inspect`.
+#[test]
+fn v1_file_is_refused_with_a_repack_hint() {
+    assert_eq!(
+        crc32(&V1_FILE[..32]),
+        u32_at(&V1_FILE, 32) as u32,
+        "a well-formed v1 header"
+    );
+    let err = decode_table(&V1_FILE).unwrap_err();
+    assert_eq!(err, StoreError::UnsupportedVersion(1));
+    assert!(err.to_string().contains("re-pack"), "{err}");
+    assert_eq!(
+        inspect(&V1_FILE).unwrap_err(),
+        StoreError::UnsupportedVersion(1)
     );
 }

@@ -10,6 +10,28 @@
 //! dependency-free, and byte-order independent (every input is serialized
 //! little-endian before hashing). It is **not** cryptographic; it guards
 //! against accidental collisions in a cache key, not against adversaries.
+//!
+//! A table fingerprint is built in three levels so that it can be computed
+//! in parallel without its value depending on the thread count:
+//!
+//! 1. A **block digest** is FNV-1a over one [`ROW_CHUNK`]-row block of a
+//!    column, row by row: a null contributes the tag byte `0`, a valid row
+//!    the tag byte `1` followed by its value (Utf8 rows by dictionary
+//!    code).
+//! 2. A **column fingerprint** is FNV-1a over the column length, its dtype
+//!    tag, the dictionary (Utf8 only), then its block digests in block
+//!    order.
+//! 3. The **table fingerprint** is FNV-1a over the column and row counts,
+//!    then each column's name and column fingerprint, in schema order.
+//!
+//! [`Table::column_fingerprints`] computes every block digest of every
+//! column in one [`ThreadPool::map`], so one long column spreads across
+//! the pool; each task hashes up to four consecutive blocks in lockstep,
+//! so their independent FNV chains overlap in the CPU. NXCOL stores each
+//! column fingerprint in its section and the table fingerprint in its
+//! header, and checks both on decode.
+
+use nexus_runtime::{Parallelism, ThreadPool, ROW_CHUNK};
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
@@ -90,74 +112,127 @@ impl Fnv64 {
 }
 
 impl Column {
-    /// Absorbs the column's content (dtype, length, validity, values) into
-    /// `h`. Null rows contribute a fixed tag so the payload slot value
-    /// behind a null cannot influence the digest.
-    pub fn fingerprint_into(&self, h: &mut Fnv64) {
-        let n = self.len();
-        h.write_u64(n as u64);
+    /// Standalone content fingerprint of this column (see the module
+    /// docs), computed on a pool of [`Parallelism::Auto`] workers.
+    pub fn fingerprint(&self) -> u64 {
+        column_fingerprints(&[self], &ThreadPool::new(Parallelism::Auto))[0]
+    }
+
+    /// The block digests of blocks `first..first + LANES` (those that
+    /// exist). The value behind a null cannot influence them.
+    fn block_digests(&self, first: usize) -> Vec<u64> {
+        let validity = self.validity();
         match self.data() {
-            ColumnData::Int64(v) => {
-                h.write_u8(1);
-                for (i, &x) in v.iter().enumerate() {
-                    if self.is_null(i) {
-                        h.write_u8(0);
-                    } else {
-                        h.write_u8(1);
-                        h.write_i64(x);
-                    }
-                }
-            }
-            ColumnData::Float64(v) => {
-                h.write_u8(2);
-                for (i, &x) in v.iter().enumerate() {
-                    if self.is_null(i) {
-                        h.write_u8(0);
-                    } else {
-                        h.write_u8(1);
-                        h.write_f64(x);
-                    }
-                }
-            }
+            ColumnData::Int64(v) => digest_blocks(v, validity, first, Fnv64::write_i64),
+            ColumnData::Float64(v) => digest_blocks(v, validity, first, Fnv64::write_f64),
+            ColumnData::Utf8(arr) => digest_blocks(arr.codes(), validity, first, Fnv64::write_u32),
+            ColumnData::Bool(v) => digest_blocks(v, validity, first, Fnv64::write_bool),
+        }
+    }
+
+    /// The column fingerprint from its block digests, in block order.
+    fn fold_digests(&self, digests: &[u64]) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(self.len() as u64);
+        match self.data() {
+            ColumnData::Int64(_) => h.write_u8(1),
+            ColumnData::Float64(_) => h.write_u8(2),
             ColumnData::Utf8(arr) => {
                 h.write_u8(3);
-                // The dictionary is built in first-occurrence order, which
-                // is a pure function of the row values, so hashing dict +
-                // codes equals hashing the per-row strings at a fraction of
-                // the cost on wide repeated columns.
+                // The dictionary is built in first-occurrence order, a pure
+                // function of the row values, so dictionary + per-row codes
+                // identify the per-row strings.
                 h.write_u64(arr.dict().len() as u64);
                 for s in arr.dict() {
                     h.write_str(s);
                 }
-                for (i, &c) in arr.codes().iter().enumerate() {
-                    if self.is_null(i) {
-                        h.write_u8(0);
-                    } else {
-                        h.write_u8(1);
-                        h.write_u32(c);
-                    }
-                }
             }
-            ColumnData::Bool(v) => {
-                h.write_u8(4);
-                for (i, &x) in v.iter().enumerate() {
-                    if self.is_null(i) {
-                        h.write_u8(0);
-                    } else {
-                        h.write_u8(1);
-                        h.write_bool(x);
-                    }
-                }
-            }
+            ColumnData::Bool(_) => h.write_u8(4),
         }
-    }
-
-    /// Standalone content fingerprint of this column.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv64::new();
-        self.fingerprint_into(&mut h);
+        for &d in digests {
+            h.write_u64(d);
+        }
         h.finish()
     }
+}
+
+/// Blocks one task digests. Their FNV chains are independent, so hashed
+/// in lockstep they overlap in the CPU instead of waiting on each
+/// multiply in turn.
+const LANES: usize = 4;
+
+fn digest_blocks<T: Copy>(
+    values: &[T],
+    validity: Option<&Bitmap>,
+    first: usize,
+    write: impl Fn(&mut Fnv64, T),
+) -> Vec<u64> {
+    let row = |h: &mut Fnv64, i: usize| {
+        if validity.is_some_and(|v| !v.get(i)) {
+            h.write_u8(0);
+        } else {
+            h.write_u8(1);
+            write(h, values[i]);
+        }
+    };
+    let lo = first * ROW_CHUNK;
+    let hi = (lo + LANES * ROW_CHUNK).min(values.len());
+    let full = (hi - lo) / ROW_CHUNK;
+    let mut digests = match full {
+        4 => lockstep::<4>(lo, &row),
+        3 => lockstep::<3>(lo, &row),
+        2 => lockstep::<2>(lo, &row),
+        1 => lockstep::<1>(lo, &row),
+        0 => Vec::new(),
+        _ => unreachable!("a task spans at most LANES blocks"),
+    };
+    // The column's last block may be short.
+    let tail = lo + full * ROW_CHUNK;
+    if tail < hi {
+        let mut h = Fnv64::new();
+        (tail..hi).for_each(|i| row(&mut h, i));
+        digests.push(h.finish());
+    }
+    digests
+}
+
+/// The digests of the `K` full blocks from row `lo`, hashed in lockstep.
+fn lockstep<const K: usize>(lo: usize, row: &impl Fn(&mut Fnv64, usize)) -> Vec<u64> {
+    let mut hs: [Fnv64; K] = std::array::from_fn(|_| Fnv64::new());
+    for i in lo..lo + ROW_CHUNK {
+        for (k, h) in hs.iter_mut().enumerate() {
+            row(h, i + k * ROW_CHUNK);
+        }
+    }
+    hs.iter().map(Fnv64::finish).collect()
+}
+
+/// Every column's fingerprint, in order. All block digests of all columns
+/// are one `pool.map`, so the value does not depend on the pool's width.
+fn column_fingerprints(columns: &[&Column], pool: &ThreadPool) -> Vec<u64> {
+    let tasks: Vec<(usize, usize)> = columns
+        .iter()
+        .enumerate()
+        .flat_map(|(c, col)| {
+            let blocks = col.len().div_ceil(ROW_CHUNK);
+            (0..blocks).step_by(LANES).map(move |b| (c, b))
+        })
+        .collect();
+    let digests: Vec<u64> = pool
+        .map(tasks.len(), |t| {
+            let (c, first) = tasks[t];
+            columns[c].block_digests(first)
+        })
+        .concat();
+    let mut rest = digests.as_slice();
+    columns
+        .iter()
+        .map(|col| {
+            let (own, tail) = rest.split_at(col.len().div_ceil(ROW_CHUNK));
+            rest = tail;
+            col.fold_digests(own)
+        })
+        .collect()
 }
 
 impl Bitmap {
@@ -183,15 +258,31 @@ impl Bitmap {
 
 impl Table {
     /// Content fingerprint of the table: schema (names, in order) plus
-    /// every column's values. Depends only on content, never on how or
-    /// when the table was loaded.
+    /// every column's values (see the module docs). Depends only on
+    /// content, never on how or when the table was loaded, and is computed
+    /// on a pool of [`Parallelism::Auto`] workers.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint_from(&self.column_fingerprints(&ThreadPool::new(Parallelism::Auto)))
+    }
+
+    /// Every column's content fingerprint, in schema order, with all block
+    /// digests computed on `pool`. Equal at any pool width.
+    pub fn column_fingerprints(&self, pool: &ThreadPool) -> Vec<u64> {
+        let columns: Vec<&Column> = (0..self.n_cols()).map(|i| self.column_at(i)).collect();
+        column_fingerprints(&columns, pool)
+    }
+
+    /// The table fingerprint from the column fingerprints that
+    /// [`Table::column_fingerprints`] returns, so a caller that needs both
+    /// hashes every row once.
+    pub fn fingerprint_from(&self, column_fingerprints: &[u64]) -> u64 {
+        debug_assert_eq!(column_fingerprints.len(), self.n_cols());
         let mut h = Fnv64::new();
         h.write_u64(self.n_cols() as u64);
         h.write_u64(self.n_rows() as u64);
-        for (i, field) in self.schema().fields().iter().enumerate() {
+        for (field, &fp) in self.schema().fields().iter().zip(column_fingerprints) {
             h.write_str(&field.name);
-            self.column_at(i).fingerprint_into(&mut h);
+            h.write_u64(fp);
         }
         h.finish()
     }
@@ -279,6 +370,141 @@ mod tests {
         let mut d = a.clone();
         d.push(false);
         assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    /// The three-level definition of the module docs, spelled out
+    /// serially as an independent reference.
+    fn reference(t: &Table) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(t.n_cols() as u64);
+        h.write_u64(t.n_rows() as u64);
+        for (i, field) in t.schema().fields().iter().enumerate() {
+            let col = t.column_at(i);
+            let mut c = Fnv64::new();
+            c.write_u64(col.len() as u64);
+            match col.data() {
+                ColumnData::Int64(_) => c.write_u8(1),
+                ColumnData::Float64(_) => c.write_u8(2),
+                ColumnData::Utf8(arr) => {
+                    c.write_u8(3);
+                    c.write_u64(arr.dict().len() as u64);
+                    arr.dict().iter().for_each(|s| c.write_str(s));
+                }
+                ColumnData::Bool(_) => c.write_u8(4),
+            }
+            for lo in (0..col.len()).step_by(ROW_CHUNK) {
+                let mut b = Fnv64::new();
+                for r in lo..(lo + ROW_CHUNK).min(col.len()) {
+                    if col.is_null(r) {
+                        b.write_u8(0);
+                        continue;
+                    }
+                    b.write_u8(1);
+                    match col.data() {
+                        ColumnData::Int64(v) => b.write_i64(v[r]),
+                        ColumnData::Float64(v) => b.write_f64(v[r]),
+                        ColumnData::Utf8(arr) => b.write_u32(arr.codes()[r]),
+                        ColumnData::Bool(v) => b.write_bool(v[r]),
+                    }
+                }
+                c.write_u64(b.finish());
+            }
+            h.write_str(&field.name);
+            h.write_u64(c.finish());
+        }
+        h.finish()
+    }
+
+    /// One column of each type, with nulls in all but the float one.
+    fn mixed(n: usize) -> Table {
+        let words: Vec<Option<String>> = (0..n)
+            .map(|r| (r % 5 != 0).then(|| format!("v{}", r % 11)))
+            .collect();
+        Table::new(vec![
+            (
+                "i",
+                Column::from_opt_i64(
+                    (0..n)
+                        .map(|r| (r % 7 != 3).then_some(r as i64 * 31))
+                        .collect(),
+                ),
+            ),
+            (
+                "f",
+                Column::from_f64((0..n).map(|r| r as f64 * 0.5).collect()),
+            ),
+            ("s", Column::from_opt_strs(&words)),
+            (
+                "b",
+                Column::from_opt_bools(
+                    (0..n).map(|r| (r % 3 != 1).then_some(r % 2 == 0)).collect(),
+                ),
+            ),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn fingerprint_is_identical_at_every_pool_width() {
+        for n in [0, 1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1] {
+            let t = mixed(n);
+            let expect = reference(&t);
+            assert_eq!(t.fingerprint(), expect, "{n} rows, auto width");
+            for width in [1, 2, 8] {
+                let pool = ThreadPool::new(Parallelism::Fixed(width));
+                let fps = t.column_fingerprints(&pool);
+                assert_eq!(t.fingerprint_from(&fps), expect, "{n} rows, width {width}");
+                for (i, fp) in fps.into_iter().enumerate() {
+                    assert_eq!(fp, t.column_at(i).fingerprint(), "{n} rows, column {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edits_around_a_block_boundary_change_the_fingerprint() {
+        let n = 2 * ROW_CHUNK + 5;
+        let values: Vec<f64> = (0..n).map(|r| r as f64).collect();
+        let fingerprint = |name: &str, values: Vec<f64>, null: Option<usize>| {
+            let mut f = Column::from_f64(values);
+            if let Some(row) = null {
+                f.set_null(row);
+            }
+            let keys: Vec<String> = (0..n).map(|r| format!("k{}", r % 3)).collect();
+            Table::new(vec![("k", Column::from_strs(&keys)), (name, f)])
+                .unwrap()
+                .fingerprint()
+        };
+        let base = fingerprint("f", values.clone(), None);
+        for row in [ROW_CHUNK - 1, ROW_CHUNK] {
+            let mut v = values.clone();
+            v[row] += 0.5;
+            assert_ne!(fingerprint("f", v, None), base, "value at row {row}");
+        }
+        assert_ne!(
+            fingerprint("f", values.clone(), Some(ROW_CHUNK)),
+            base,
+            "null flipped"
+        );
+        assert_ne!(
+            fingerprint("g", values.clone(), None),
+            base,
+            "column renamed"
+        );
+        let mut swapped = values.clone();
+        swapped.swap(ROW_CHUNK - 1, ROW_CHUNK);
+        assert_ne!(
+            fingerprint("f", swapped, None),
+            base,
+            "rows swapped across the boundary"
+        );
+        // The payload behind a null never counts.
+        let mut garbage = values.clone();
+        garbage[ROW_CHUNK] = 1e9;
+        assert_eq!(
+            fingerprint("f", garbage, Some(ROW_CHUNK)),
+            fingerprint("f", values, Some(ROW_CHUNK))
+        );
     }
 
     #[test]

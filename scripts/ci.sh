@@ -206,7 +206,7 @@ step_store_smoke() {
     cmp "$nx" "$SMOKE_DIR/data2.nxcol"
     diff "$SMOKE_DIR/pack.txt" "$SMOKE_DIR/pack2.txt"
     "$BIN" inspect --store "$nx" > "$SMOKE_DIR/inspect.txt"
-    grep -q "NXCOL v1" "$SMOKE_DIR/inspect.txt"
+    grep -q "NXCOL v2" "$SMOKE_DIR/inspect.txt"
 
     # A corrupted store file must be refused (typed error, nonzero exit) —
     # never served from.
@@ -215,6 +215,15 @@ step_store_smoke() {
         echo "inspect accepted a truncated store file" >&2
         exit 1
     fi
+    # A file of the retired v1 format (version field, bytes 8-9, set to 1)
+    # is refused with a hint to re-pack it.
+    cp "$nx" "$SMOKE_DIR/v1.nxcol"
+    printf '\001\000' | dd of="$SMOKE_DIR/v1.nxcol" bs=1 seek=8 conv=notrunc 2> /dev/null
+    if "$BIN" inspect --store "$SMOKE_DIR/v1.nxcol" > /dev/null 2> "$SMOKE_DIR/v1.err"; then
+        echo "inspect accepted a version-1 store file" >&2
+        exit 1
+    fi
+    grep -q "re-pack" "$SMOKE_DIR/v1.err"
 
     local sock="$SMOKE_DIR/store.sock"
     "$BIN" serve --socket "$sock" --store "$nx" --kg "$KG" --extract Country \

@@ -806,11 +806,11 @@ fn run_inspect(store: &str) -> Result<(), String> {
     );
     for c in &info.columns {
         println!(
-            "  {:<24} {:<7} {:<5} {:>4} block(s) {:>10} byte(s){}",
+            "  {:<24} {:<7} {:<5} fingerprint {:#018x} {:>10} byte(s){}",
             c.name,
             c.dtype,
             c.encoding,
-            c.n_blocks,
+            c.fingerprint,
             c.section_bytes,
             if c.has_validity { "  [nulls]" } else { "" }
         );

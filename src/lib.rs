@@ -26,7 +26,7 @@
 //! * [`serve`] — the resident explanation server (NEXUSRPC binary
 //!   protocol, fingerprint-keyed result cache, Unix/TCP endpoints,
 //!   multi-dataset registry);
-//! * [`store`] — NXCOL v1, the deterministic on-disk columnar store
+//! * [`store`] — NXCOL v2, the deterministic on-disk columnar store
 //!   behind `nexus-cli pack` and instant server restarts;
 //! * [`telemetry`] — the unified metrics registry (named counters, gauges,
 //!   log₂ histograms; sorted iteration) and per-request span tracing behind
