@@ -35,16 +35,21 @@
 //! their sums are exact in any order and only the entropy terms' order
 //! matters.
 
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use nexus_info::kernel;
 use nexus_info::{entropy_from_counts, entropy_mm, InfoContext, JointCounts};
 use nexus_runtime::{Parallelism, ThreadPool};
-use nexus_table::{Codes, Fnv64};
+use nexus_table::{BinStrategy, Codes, Fnv64};
 
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, MISSING_CODE};
-use crate::memo::{set_fingerprint, Claim, MemoHandle, MemoKey, MemoKind, WaitOutcome};
+use crate::memo::{
+    map_fingerprint, set_fingerprint, weights_fingerprint, Claim, MemoHandle, MemoKey, MemoKind,
+    WaitOutcome,
+};
+use crate::options::NexusOptions;
 
 /// Entropy-level statistics of one candidate `E` against the outcome `O`
 /// and exposure `T`, over the complete-case support of `(O, T, E)` within
@@ -190,13 +195,17 @@ impl Contingency {
 
 /// The estimation engine for one candidate set.
 ///
-/// The memo is keyed by candidate *name* so it stays valid when the
-/// candidate vector is compacted by pruning. It sits behind one mutex and
-/// every memoized value is a pure function of its key, so the engine is
-/// freely shared across the worker threads of its [`ThreadPool`]: values
-/// are computed outside the lock and the last insert wins, so a duplicated
-/// computation under contention is wasted work, never a wrong answer.
-/// Cross-column pair counts alone are built once per pair.
+/// Every per-candidate value the engine derives — [`CandStats`], the
+/// calibrated CMI, the pairwise MI and a flagged candidate's IPW weights —
+/// is memoized in a [`MemoStore`](crate::MemoStore) through one
+/// [`MemoHandle`]: the server's store for a served run, so a later request
+/// over the same set reuses them, or a private store the engine owns
+/// otherwise. Keys carry the candidate's *content* (its values and
+/// weights), never just its name, so they stay valid when pruning
+/// compacts the candidate vector or IPW attaches weights. Every value is a
+/// pure function of its key, and the store builds each key once, so the
+/// engine is freely shared across the worker threads of its
+/// [`ThreadPool`]. Cross-column pair counts are built once per engine.
 pub struct Engine {
     /// `(O,T,X)` contingencies per extraction column. `Arc`'d so warm
     /// builds share the memoized tables instead of recounting rows.
@@ -208,29 +217,18 @@ pub struct Engine {
     /// The pool candidate-parallel stages (scoring, pruning, bias
     /// detection) run on.
     pool: ThreadPool,
-    memo: Mutex<EngineMemo>,
-}
-
-/// The engine's memoized scores and cross-column counts. Pair maps are
-/// nested by the name-ordered pair, so a lookup borrows both names.
-#[derive(Default)]
-struct EngineMemo {
-    /// Per-candidate values, indexed `[weighted as usize]`.
-    names: HashMap<String, [NameMemo; 2]>,
-    /// Pairwise MI of two candidates.
-    mi_pairs: HashMap<String, HashMap<String, f64>>,
-    /// Joint cells of two extraction columns, built once per engine: the
-    /// build is a counted `JointCounts` pass that many candidate pairs
-    /// share, so a racing duplicate would make the kernel counters depend
-    /// on the thread count.
-    column_pairs: HashMap<String, HashMap<String, PairSlot>>,
-}
-
-/// One candidate's memoized values under one weighting.
-#[derive(Default)]
-struct NameMemo {
-    stats: Option<CandStats>,
-    calibrated: Option<f64>,
+    /// The store every memoized value lives in.
+    memo: MemoHandle,
+    /// The set fingerprint every key carries (`0` in a private store).
+    set_fp: u64,
+    /// What shaped a row-level candidate's codes beyond its name and the
+    /// set: the binnings (`0` in a private store).
+    row_fp: u64,
+    /// Joint cells of two extraction columns, built once per engine and
+    /// nested by the name-ordered pair: the build is a counted
+    /// `JointCounts` pass that many candidate pairs share, so a racing
+    /// duplicate would make the kernel counters depend on the thread count.
+    column_pairs: Mutex<HashMap<String, HashMap<String, PairSlot>>>,
 }
 
 /// Joint `(x₁, x₂, count)` cells for a pair of extraction columns.
@@ -238,6 +236,10 @@ type PairCells = Vec<(u32, u32, f64)>;
 
 /// A column pair's memo slot, filled by the first caller that needs it.
 type PairSlot = Arc<OnceLock<Arc<PairCells>>>;
+
+/// Bytes a memo entry costs beyond its value: the key and the store's
+/// bookkeeping.
+const ENTRY_OVERHEAD: u64 = 96;
 
 impl Engine {
     /// Builds the engine serially: one row pass per extraction column plus
@@ -250,35 +252,47 @@ impl Engine {
     /// contingency passes run on the pool, and the pool drives every
     /// candidate-parallel stage scored through this engine.
     pub fn with_parallelism(set: &CandidateSet, parallelism: Parallelism) -> Engine {
-        Engine::with_parallelism_memo(set, parallelism, None)
+        Engine::with_pool_memo(set, ThreadPool::new(parallelism), None)
     }
 
-    /// [`Engine::with_parallelism`] with a sub-query memo handle: the
-    /// per-column contingencies and the baseline CMI term are fetched from (and published to) the store instead of
-    /// rebuilt. Results are byte-identical to the memo-less path; warm
-    /// builds simply skip the per-column counting pool tasks.
+    /// [`Engine::with_parallelism`] over a shared sub-query memo: the
+    /// per-column contingencies, the baseline CMI term and every
+    /// per-candidate value are fetched from (and published to) the store
+    /// instead of recomputed. `options` are the ones the set was built
+    /// with: their binnings shaped the row-level candidates' codes, which
+    /// those candidates' keys must carry. Results are byte-identical to
+    /// the memo-less path; warm builds simply skip the work.
     pub fn with_parallelism_memo(
         set: &CandidateSet,
         parallelism: Parallelism,
-        memo: Option<&MemoHandle>,
+        memo: &MemoHandle,
+        options: &NexusOptions,
     ) -> Engine {
-        Engine::with_pool_memo(set, ThreadPool::new(parallelism), memo)
+        Engine::with_pool_memo(set, ThreadPool::new(parallelism), Some((memo, options)))
     }
 
-    /// [`Engine::with_parallelism_memo`] on a given pool: a pipeline run
-    /// passes the pool its candidate build ran on, so one set of pool
-    /// counters covers the whole run.
+    /// The engine on a given pool, over a shared memo (with the set's
+    /// build options) or a private one: a pipeline run passes the pool its
+    /// candidate build ran on, so one set of pool counters covers the
+    /// whole run.
     pub(crate) fn with_pool_memo(
         set: &CandidateSet,
         pool: ThreadPool,
-        memo: Option<&MemoHandle>,
+        shared: Option<(&MemoHandle, &NexusOptions)>,
     ) -> Engine {
-        // Every per-set memo entry shares one fingerprint over the context
-        // mask words and the O/T codes (computed once per engine build).
-        let scope = memo.map(|h| (h, set_fingerprint(&set.mask, &set.o, &set.t)));
-        let col_key = |(h, set_fp): &(&MemoHandle, u64), column: &str| {
-            MemoKey::new(MemoKind::Contingency, h.dataset_fp, *set_fp, 0, column)
+        // Every per-set entry of a shared store carries one fingerprint
+        // over the context mask words and the O/T codes (computed once per
+        // engine build). A private store holds one set only.
+        let (memo, set_fp, row_fp) = match shared {
+            Some((handle, options)) => (
+                handle.clone(),
+                set_fingerprint(&set.mask, &set.o, &set.t),
+                bins_fingerprint(options),
+            ),
+            None => (MemoHandle::private(), 0, 0),
         };
+        let col_key =
+            |column: &str| MemoKey::new(MemoKind::Contingency, memo.dataset_fp, set_fp, 0, column);
         let mut columns: Vec<&String> = set.column_codes.keys().collect();
         columns.sort();
 
@@ -286,24 +300,19 @@ impl Engine {
         // blocks), pool-build this engine's Build claims, publish them, and
         // only then wait on other requests' in-flight builds — so no engine
         // ever waits while holding an unbuilt ticket another engine could
-        // be waiting on. Without a memo every column is a Build with no
-        // ticket to publish.
+        // be waiting on.
         let mut base: HashMap<String, Arc<Contingency>> = HashMap::new();
         let mut builds = Vec::new();
         let mut waits: Vec<&String> = Vec::new();
         for column in columns {
-            let Some(scope) = &scope else {
-                builds.push((column, None));
-                continue;
-            };
-            match scope.0.store.claim(&col_key(scope, column)) {
+            match memo.store.claim(&col_key(column)) {
                 Claim::Hit(v) => {
                     let cont = v
                         .downcast::<Contingency>()
                         .expect("memo value type mismatch");
                     base.insert(column.clone(), cont);
                 }
-                Claim::Build(ticket) => builds.push((column, Some(ticket))),
+                Claim::Build(ticket) => builds.push((column, ticket)),
                 Claim::Wait => waits.push(column),
             }
         }
@@ -319,55 +328,93 @@ impl Engine {
             })
         };
         for ((column, ticket), cont) in builds.into_iter().zip(built) {
-            if let Some(ticket) = ticket {
-                ticket.publish(cont.clone(), cont.approx_bytes());
-            }
+            ticket.publish(cont.clone(), cont.approx_bytes());
             base.insert(column.clone(), cont);
         }
-        if let Some(scope) = &scope {
-            for column in waits {
-                let cont = match scope.0.store.wait(&col_key(scope, column)) {
-                    WaitOutcome::Ready(v) => v
-                        .downcast::<Contingency>()
-                        .expect("memo value type mismatch"),
-                    WaitOutcome::Build(ticket) => {
-                        // The original builder abandoned; build here.
-                        let c = Arc::new(Contingency::build(set, column));
-                        ticket.publish(c.clone(), c.approx_bytes());
-                        c
-                    }
-                };
-                base.insert(column.clone(), cont);
-            }
+        for column in waits {
+            let cont = match memo.store.wait(&col_key(column)) {
+                WaitOutcome::Ready(v) => v
+                    .downcast::<Contingency>()
+                    .expect("memo value type mismatch"),
+                WaitOutcome::Build(ticket) => {
+                    // The original builder abandoned; build here.
+                    let c = Arc::new(Contingency::build(set, column));
+                    ticket.publish(c.clone(), c.approx_bytes());
+                    c
+                }
+            };
+            base.insert(column.clone(), cont);
         }
 
-        let (baseline_cmi, baseline_support) = {
-            let compute = || {
-                let ctx = InfoContext::masked(&set.mask);
-                (
-                    ctx.mutual_information_mm(&set.o, &set.t),
-                    ctx.support(&[&set.o, &set.t]),
-                )
-            };
-            match &scope {
-                None => compute(),
-                Some((h, set_fp)) => {
-                    let key = MemoKey::new(MemoKind::CmiTerm, h.dataset_fp, *set_fp, 0, "baseline");
-                    *h.store.get_or_build(&key, || (Arc::new(compute()), 24))
-                }
-            }
-        };
+        let baseline_key = MemoKey::new(MemoKind::CmiTerm, memo.dataset_fp, set_fp, 0, "baseline");
+        let (baseline_cmi, baseline_support) = *memo.store.get_or_build(&baseline_key, || {
+            let ctx = InfoContext::masked(&set.mask);
+            let value = (
+                ctx.mutual_information_mm(&set.o, &set.t),
+                ctx.support(&[&set.o, &set.t]),
+            );
+            (Arc::new(value), 24)
+        });
         Engine {
             base,
             baseline_cmi,
             baseline_support,
             pool,
-            memo: Mutex::new(EngineMemo::default()),
+            memo,
+            set_fp,
+            row_fp,
+            column_pairs: Mutex::default(),
         }
     }
 
-    fn memo(&self) -> MutexGuard<'_, EngineMemo> {
-        self.memo.lock().expect("engine memo")
+    /// Single-flight get-or-build of one memoized value under this
+    /// engine's dataset and set. `bytes` is the value's resident size.
+    fn memoized<T: Any + Send + Sync>(
+        &self,
+        kind: MemoKind,
+        name: String,
+        item_fp: u64,
+        bytes: u64,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let bytes = bytes + name.len() as u64 + ENTRY_OVERHEAD;
+        let key = MemoKey::new(kind, self.memo.dataset_fp, self.set_fp, item_fp, name);
+        self.memo
+            .store
+            .get_or_build(&key, || (Arc::new(build()), bytes))
+    }
+
+    /// Absorbs what a candidate's values are beyond its name and the set:
+    /// `(column, map)` for an entity-level candidate; for a row-level one,
+    /// whose codes are its named base column binned under the set's mask,
+    /// the binnings.
+    fn write_content(&self, h: &mut Fnv64, cand: &Candidate) {
+        match &cand.repr {
+            CandidateRepr::EntityLevel { column, map, .. } => {
+                h.write_u8(1);
+                h.write_str(column);
+                h.write_u64(map_fingerprint(map));
+            }
+            CandidateRepr::RowLevel(_) => {
+                h.write_u8(2);
+                h.write_u64(self.row_fp);
+            }
+        }
+    }
+
+    /// The item fingerprint of a candidate's stats and calibrated CMI: its
+    /// content and its IPW weights.
+    fn weighted_fp(&self, cand: &Candidate) -> u64 {
+        let mut h = Fnv64::new();
+        self.write_content(&mut h, cand);
+        match &cand.entity_weights {
+            None => h.write_u8(0),
+            Some(w) => {
+                h.write_u8(1);
+                h.write_u64(weights_fingerprint(w));
+            }
+        }
+        h.finish()
     }
 
     /// The pool shared by every candidate-parallel stage of this engine.
@@ -388,12 +435,7 @@ impl Engine {
     /// Whether a candidate's complete-case support covers at least
     /// `min_support_fraction` of the in-context rows — the estimator
     /// validity precondition shared by MCIMR and every baseline.
-    pub fn eligible(
-        &self,
-        set: &CandidateSet,
-        idx: usize,
-        options: &crate::options::NexusOptions,
-    ) -> bool {
+    pub fn eligible(&self, set: &CandidateSet, idx: usize, options: &NexusOptions) -> bool {
         let s = self.stats(set, idx);
         if s.support < options.min_support_fraction * self.baseline_support as f64 {
             return false;
@@ -416,22 +458,18 @@ impl Engine {
         true
     }
 
-    /// Per-candidate stats (cached; recomputed if weights were attached
-    /// after a previous call).
+    /// Per-candidate stats (memoized under the candidate's content and
+    /// weights).
     pub fn stats(&self, set: &CandidateSet, idx: usize) -> CandStats {
         let cand = &set.candidates[idx];
-        let slot = cand.is_weighted() as usize;
-        let hit = self
-            .memo()
-            .names
-            .get(&cand.name)
-            .and_then(|m| m[slot].stats);
-        if let Some(s) = hit {
-            return s;
-        }
-        let s = self.compute_stats(set, cand);
-        self.memo().names.entry(cand.name.clone()).or_default()[slot].stats = Some(s);
-        s
+        let size = std::mem::size_of::<CandStats>() as u64;
+        *self.memoized(
+            MemoKind::Stats,
+            cand.name.clone(),
+            self.weighted_fp(cand),
+            size,
+            || self.compute_stats(set, cand),
+        )
     }
 
     fn compute_stats(&self, set: &CandidateSet, cand: &Candidate) -> CandStats {
@@ -473,18 +511,15 @@ impl Engine {
     /// gets no credit, consistent with the paper's logical-dependency rule.
     pub fn cmi_single(&self, set: &CandidateSet, idx: usize) -> f64 {
         let cand = &set.candidates[idx];
-        let slot = cand.is_weighted() as usize;
-        let hit = self
-            .memo()
-            .names
-            .get(&cand.name)
-            .and_then(|m| m[slot].calibrated);
-        if let Some(v) = hit {
-            return v;
-        }
-        let v = self.compute_calibrated(set, idx);
-        self.memo().names.entry(cand.name.clone()).or_default()[slot].calibrated = Some(v);
-        v
+        // Its build reads the candidate's stats, a key of another kind:
+        // memoized builds only ever nest calibrated → stats.
+        *self.memoized(
+            MemoKind::Calibrated,
+            cand.name.clone(),
+            self.weighted_fp(cand),
+            8,
+            || self.compute_calibrated(set, idx),
+        )
     }
 
     /// The raw (uncalibrated, Miller–Madow) `I(O;T|C,E)` for one candidate.
@@ -521,7 +556,7 @@ impl Engine {
                 let mut map_buf = map.to_vec();
                 let mut w_buf = vec![1.0f64; map.len()];
                 let mut samples = Vec::with_capacity(16);
-                kernel::counters().record_permutations(16, vals.len() as u64);
+                kernel::counters().record_calibration(16, vals.len() as u64);
                 for _ in 0..16 {
                     vals.shuffle(&mut rng);
                     for (&x, &(v, w)) in present.iter().zip(&vals) {
@@ -574,7 +609,7 @@ impl Engine {
                 };
                 let mut permuted = codes.clone();
                 let mut samples = Vec::with_capacity(6);
-                kernel::counters().record_permutations(6, vals.len() as u64);
+                kernel::counters().record_calibration(6, vals.len() as u64);
                 for _ in 0..6 {
                     vals.shuffle(&mut rng);
                     if group_level {
@@ -623,29 +658,21 @@ impl Engine {
         (self.baseline_cmi - credit).max(0.0)
     }
 
-    /// Pairwise `I(Eᵢ;Eⱼ)` (the Min-Redundancy criterion), cached
-    /// symmetrically: a pair's value is computed in the orientation of its
-    /// first call, and both orientations return it.
+    /// Pairwise `I(Eᵢ;Eⱼ)` (the Min-Redundancy criterion), memoized per
+    /// *ordered* pair: the fold's f64 sums depend on the orientation, so
+    /// each orientation is keyed (and computed) on its own. MCIMR asks
+    /// only `(candidate, selected)`.
     pub fn mi_pair(&self, set: &CandidateSet, a: usize, b: usize) -> f64 {
-        let na = set.candidates[a].name.as_str();
-        let nb = set.candidates[b].name.as_str();
-        let (ka, kb) = if na <= nb { (na, nb) } else { (nb, na) };
-        let hit = self
-            .memo()
-            .mi_pairs
-            .get(ka)
-            .and_then(|m| m.get(kb))
-            .copied();
-        if let Some(v) = hit {
-            return v;
-        }
-        let v = self.compute_mi_pair(set, a, b);
-        let mut memo = self.memo();
-        memo.mi_pairs
-            .entry(ka.to_owned())
-            .or_default()
-            .insert(kb.to_owned(), v);
-        v
+        let (ca, cb) = (&set.candidates[a], &set.candidates[b]);
+        // Length-prefixing the first name keeps `("ab", "c")` and
+        // `("a", "bc")` apart.
+        let name = format!("{}:{}{}", ca.name.len(), ca.name, cb.name);
+        let mut h = Fnv64::new();
+        self.write_content(&mut h, ca);
+        self.write_content(&mut h, cb);
+        *self.memoized(MemoKind::MiPair, name, h.finish(), 8, || {
+            self.compute_mi_pair(set, a, b)
+        })
     }
 
     fn compute_mi_pair(&self, set: &CandidateSet, a: usize, b: usize) -> f64 {
@@ -706,8 +733,8 @@ impl Engine {
         let (ka, kb) = if swap { (col_b, col_a) } else { (col_a, col_b) };
         // Claim the pair's slot under the engine lock; build outside it.
         let slot = {
-            let mut memo = self.memo();
-            let pairs = memo.column_pairs.entry(ka.to_owned()).or_default();
+            let mut column_pairs = self.column_pairs.lock().expect("column pairs");
+            let pairs = column_pairs.entry(ka.to_owned()).or_default();
             Arc::clone(pairs.entry(kb.to_owned()).or_default())
         };
         let cells = slot.get_or_init(|| {
@@ -765,7 +792,7 @@ impl Engine {
             let refs: Vec<&Codes> = permuted.iter().collect();
             samples.push(InfoContext::masked(&set.mask).cmi_mm(&set.o, &set.t, &refs));
         }
-        kernel::counters().record_permutations(N_PERMS as u64, shuffled / N_PERMS as u64);
+        kernel::counters().record_calibration(N_PERMS as u64, shuffled / N_PERMS as u64);
         let n = samples.len() as f64;
         let mean = samples.iter().sum::<f64>() / n;
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (n - 1.0);
@@ -868,6 +895,50 @@ impl Engine {
     pub fn x_marginal(&self, column: &str) -> Option<&[f64]> {
         self.base.get(column).map(|c| c.x_marginal.as_slice())
     }
+
+    /// A flagged candidate's entity-level IPW weights, memoized: `fit`
+    /// runs only on a miss. `covariates_fp` fingerprints the covariate
+    /// maps the selection model is fitted on; the candidate's content and
+    /// its column's in-context row mass (part of the set) complete the key.
+    pub(crate) fn ipw_weights(
+        &self,
+        set: &CandidateSet,
+        idx: usize,
+        covariates_fp: u64,
+        fit: impl FnOnce() -> Vec<f64>,
+    ) -> Arc<Vec<f64>> {
+        let cand = &set.candidates[idx];
+        let mut h = Fnv64::new();
+        self.write_content(&mut h, cand);
+        h.write_u64(covariates_fp);
+        let bytes = match &cand.repr {
+            CandidateRepr::EntityLevel { map, .. } => 24 + 8 * map.len() as u64,
+            CandidateRepr::RowLevel(_) => 24,
+        };
+        self.memoized(
+            MemoKind::IpwWeights,
+            cand.name.clone(),
+            h.finish(),
+            bytes,
+            fit,
+        )
+    }
+}
+
+/// Fingerprint of the binnings a set was built with. Both count: a
+/// numeric base column is binned with the outcome's strategy over the
+/// context rows, an extracted one with the candidates'.
+fn bins_fingerprint(options: &NexusOptions) -> u64 {
+    let mut h = Fnv64::new();
+    for bins in [options.outcome_bins, options.candidate_bins] {
+        let (tag, n) = match bins {
+            BinStrategy::EqualWidth(n) => (1, n),
+            BinStrategy::Quantile(n) => (2, n),
+        };
+        h.write_u8(tag);
+        h.write_u64(n as u64);
+    }
+    h.finish()
 }
 
 /// Builds [`CandStats`] for an entity-level candidate from the column's
@@ -1307,9 +1378,28 @@ mod tests {
 
         let store = Arc::new(MemoStore::new(0));
         let handle = MemoHandle::new(store.clone(), table.fingerprint());
-        let _cold = Engine::with_parallelism_memo(&set, Parallelism::Serial, Some(&handle));
+        let options = NexusOptions::default();
+        let n = set.candidates.len();
+        let scores = |engine: &Engine| {
+            let mut bits = Vec::new();
+            for idx in 0..n {
+                bits.push(engine.stats(&set, idx).cmi().to_bits());
+                bits.push(engine.cmi_single(&set, idx).to_bits());
+                for other in 0..n {
+                    bits.push(engine.mi_pair(&set, idx, other).to_bits());
+                }
+            }
+            bits
+        };
+        let cold_scores = scores(&Engine::with_parallelism_memo(
+            &set,
+            Parallelism::Serial,
+            &handle,
+            &options,
+        ));
         let cold = store.counts();
-        let warm = Engine::with_parallelism_memo(&set, Parallelism::Serial, Some(&handle));
+        let warm = Engine::with_parallelism_memo(&set, Parallelism::Serial, &handle, &options);
+        let warm_scores = scores(&warm);
         let after = store.counts();
 
         // Warm memoized results are bit-identical to the memo-less engine.
@@ -1318,19 +1408,18 @@ mod tests {
             plain.baseline_cmi().to_bits()
         );
         assert_eq!(warm.baseline_support(), plain.baseline_support());
-        for idx in 0..set.candidates.len() {
-            let a = plain.stats(&set, idx);
-            let b = warm.stats(&set, idx);
-            assert_eq!(
-                a.cmi().to_bits(),
-                b.cmi().to_bits(),
-                "{}",
-                set.candidates[idx].name
-            );
-        }
-        // The cold build published; the warm build hit every kind it asked
+        let plain_scores = scores(&plain);
+        assert_eq!(cold_scores, plain_scores);
+        assert_eq!(warm_scores, plain_scores);
+        // The cold engine published; the warm one hit every kind it asked
         // for and missed nothing.
-        for kind in [MemoKind::Contingency, MemoKind::CmiTerm] {
+        for kind in [
+            MemoKind::Contingency,
+            MemoKind::CmiTerm,
+            MemoKind::Stats,
+            MemoKind::Calibrated,
+            MemoKind::MiPair,
+        ] {
             let k = kind as usize;
             assert!(cold.inserts[k] >= 1, "{kind:?}");
             assert!(after.hits[k] > cold.hits[k], "{kind:?}");
@@ -1807,21 +1896,60 @@ mod tests {
     }
 
     #[test]
-    fn memo_keeps_orientations_together_and_weightings_apart() {
+    fn mi_pairs_keep_their_orientation_across_engines() {
+        use crate::memo::{MemoHandle, MemoStore};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0b1e);
+        let set = two_column_set(&mut rng, 2_000);
+        let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 1);
+        let options = NexusOptions::default();
+        let n = set.candidates.len();
+        // One engine fills the store in one orientation…
+        let first = Engine::with_parallelism_memo(&set, Parallelism::Serial, &handle, &options);
+        for a in 0..n {
+            for b in 0..a {
+                first.mi_pair(&set, a, b);
+            }
+        }
+        // …and the next engine over the same set asks the other one.
+        let second = Engine::with_parallelism_memo(&set, Parallelism::Serial, &handle, &options);
+        let mut asymmetric = 0;
+        for a in 0..n {
+            for b in (a + 1)..n {
+                let want = second.compute_mi_pair(&set, a, b);
+                let reversed = second.compute_mi_pair(&set, b, a);
+                asymmetric += (want.to_bits() != reversed.to_bits()) as usize;
+                assert_eq!(second.mi_pair(&set, a, b).to_bits(), want.to_bits());
+            }
+        }
+        assert!(asymmetric > 0, "no pair's bits depend on its orientation");
+    }
+
+    #[test]
+    fn memo_keys_orientations_and_weightings_apart() {
         let (mut set, engine) = setup();
         let hdi = set.index_of("Country::hdi").unwrap();
         let gender = set.index_of("Gender").unwrap();
         let sparse = set.index_of("Country::sparse").unwrap();
-        // A pair's first orientation is memoized for both.
-        let first = engine.mi_pair(&set, sparse, hdi);
+        // Each orientation of a pair is its own key, computed in that
+        // orientation; asking again hits.
+        let pairs = [(sparse, hdi), (hdi, sparse), (gender, hdi), (hdi, gender)];
+        for (a, b) in pairs {
+            let first = engine.mi_pair(&set, a, b);
+            assert_eq!(
+                first.to_bits(),
+                engine.compute_mi_pair(&set, a, b).to_bits()
+            );
+        }
+        let counts = engine.memo.store.counts();
+        let mi = MemoKind::MiPair as usize;
+        assert_eq!(counts.inserts[mi], pairs.len() as u64);
+        for (a, b) in pairs {
+            engine.mi_pair(&set, a, b);
+        }
         assert_eq!(
-            first.to_bits(),
-            engine.compute_mi_pair(&set, sparse, hdi).to_bits()
-        );
-        assert_eq!(engine.mi_pair(&set, hdi, sparse).to_bits(), first.to_bits());
-        assert_eq!(
-            engine.mi_pair(&set, gender, hdi).to_bits(),
-            engine.mi_pair(&set, hdi, gender).to_bits()
+            engine.memo.store.counts().hits[mi],
+            counts.hits[mi] + pairs.len() as u64
         );
         // Weighted and unweighted values of one name are memoized apart.
         let plain = (engine.stats(&set, sparse), engine.cmi_single(&set, sparse));

@@ -2,9 +2,10 @@
 //! the engine builds must equal, bit for bit, an ordered per-row count of
 //! the complete-case rows, and everything the engine derives from those
 //! tables — per-candidate [`CandStats`], calibrated CMIs, pairwise MIs —
-//! must be identical serially and at 2 and 8 threads. A differential test
-//! checks that the engine's per-set memo keys cover every input they
-//! stand for.
+//! must be identical serially and at 2 and 8 threads. Differential tests
+//! check that the memo keys cover every input they stand for: the set
+//! (mask, O, T), each candidate's content and weights, the selection
+//! models' covariates, and every `NexusOptions` field.
 //!
 //! [`CandStats`]: super::CandStats
 
@@ -12,12 +13,16 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use nexus_runtime::Parallelism;
-use nexus_table::{Bitmap, Codes};
+use nexus_table::{BinStrategy, Bitmap, Codes};
 use proptest::prelude::*;
+
+use nexus_kg::{KnowledgeGraph, OneToManyAgg, PropertyValue};
+use nexus_table::{Column, Table};
 
 use super::{Contingency, Engine};
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, CandidateSource, MISSING_CODE};
-use crate::memo::{set_fingerprint, MemoHandle, MemoStore};
+use crate::memo::{set_fingerprint, MemoHandle, MemoKind, MemoStore};
+use crate::{ExplainRequest, Nexus, NexusOptions, RunControl};
 
 /// Deterministic xorshift so the fixtures need no external RNG.
 struct Rng(u64);
@@ -404,9 +409,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Memo under-keying is a correctness bug: an engine built on a
-    /// one-bit perturbation of a set, over a store warmed on the original,
-    /// must either miss (its set fingerprint changed, so it publishes new
-    /// entries) or reproduce a memo-off engine's digest bit for bit.
+    /// one-bit perturbation of a set, over a store warmed on the original
+    /// (every kind the digest reads), must either miss (its set
+    /// fingerprint changed, so it publishes new entries) or reproduce a
+    /// memo-off engine's digest bit for bit.
     #[test]
     fn memo_keys_cover_every_set_input(
         seed in any::<u64>(),
@@ -416,12 +422,15 @@ proptest! {
     ) {
         let set = synthetic_set(n, seed);
         let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 0xDA7A);
-        Engine::with_parallelism_memo(&set, Parallelism::Serial, Some(&handle));
+        let options = NexusOptions::default();
+        let warm = Engine::with_parallelism_memo(&set, Parallelism::Serial, &handle, &options);
+        digest(&warm, &set);
         let warmed = handle.store.resident_entries();
 
         let mut perturbed = synthetic_set(n, seed);
         perturb(&mut perturbed, what, row % n);
-        let memo = Engine::with_parallelism_memo(&perturbed, Parallelism::Serial, Some(&handle));
+        let memo =
+            Engine::with_parallelism_memo(&perturbed, Parallelism::Serial, &handle, &options);
         let missed = handle.store.resident_entries() > warmed;
         let fp_changed = set_fingerprint(&set.mask, &set.o, &set.t)
             != set_fingerprint(&perturbed.mask, &perturbed.o, &perturbed.t);
@@ -457,5 +466,291 @@ proptest! {
         let parallel = digest(&Engine::with_parallelism(&set, Parallelism::Fixed(3)), &set);
         prop_assert_eq!(&reference, &serial);
         prop_assert_eq!(&reference, &parallel);
+    }
+}
+
+/// Changes one input of a candidate's memo keys: `what` picks an entry of
+/// the unweighted or the weighted candidate's map, one bit of an entity
+/// weight, or one row of the row-level candidate (what another binning of
+/// its base column gives; the caller changes the binning to match).
+fn perturb_candidate(set: &mut CandidateSet, what: u8, entity: usize, bit: u32) {
+    match what {
+        0 | 1 => {
+            let CandidateRepr::EntityLevel {
+                map, cardinality, ..
+            } = &mut set.candidates[what as usize].repr
+            else {
+                unreachable!("the fixture's first two candidates are entity-level")
+            };
+            let e = entity % map.len();
+            map[e] = match map[e] {
+                MISSING_CODE => 0,
+                c if c + 1 < *cardinality => c + 1,
+                _ => MISSING_CODE,
+            };
+        }
+        2 => {
+            let weights = set.candidates[1]
+                .entity_weights
+                .as_mut()
+                .expect("the fixture's second candidate is weighted");
+            let e = entity % weights.len();
+            weights[e] = f64::from_bits(weights[e].to_bits() ^ (1 << (bit % 52)));
+        }
+        _ => {
+            let CandidateRepr::RowLevel(codes) = &mut set.candidates[2].repr else {
+                unreachable!("the fixture's third candidate is row-level")
+            };
+            let row = entity % codes.len();
+            codes.codes[row] = (codes.codes[row] + 1) % codes.cardinality;
+        }
+    }
+}
+
+/// The fixture world for pipeline-level key tests: 24 countries whose
+/// `hdi` drives salary, a `region` and an `hdi` that qualify as selection
+/// covariates, an MNAR `rich_flag` the bias detector flags, a one-to-many
+/// link (so `hops` and `one_to_many` matter), and a numeric base column
+/// (so the candidate binning shapes a row-level candidate). `moved`
+/// reassigns one country's region, which changes one covariate map.
+fn world(moved: Option<usize>) -> (Table, KnowledgeGraph) {
+    let mut kg = KnowledgeGraph::new();
+    let (mut countries, mut genders, mut ages, mut salaries) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for c in 0..24usize {
+        let name = format!("C{c:02}");
+        let hdi = (c % 4) as f64;
+        let id = kg.add_entity(name.clone(), "Country");
+        kg.set_literal(id, "hdi", hdi);
+        let region = if moved == Some(c) {
+            (c / 4 + 1) % 6
+        } else {
+            c / 4
+        };
+        kg.set_literal(id, "region", format!("R{region}"));
+        if hdi >= 2.0 {
+            kg.set_literal(id, "rich_flag", if hdi >= 3.0 { 1.0 } else { 0.0 });
+        }
+        let group = kg.add_entity(format!("G{c:02}"), "Ethnic");
+        kg.set_literal(group, "population", (c * 7 % 10) as f64);
+        kg.set_property(id, "ethnic group", PropertyValue::EntityList(vec![group]));
+        for i in 0..30 {
+            countries.push(name.clone());
+            genders.push(if i % 4 == 0 { "f" } else { "m" });
+            let age = 20.0 + ((i * 7 + c) % 40) as f64;
+            ages.push(age);
+            let senior = if age >= 45.0 { 1.5 } else { 0.0 };
+            salaries.push(15.0 * hdi + (i % 3) as f64 * 0.2 + (c % 3) as f64 + senior);
+        }
+    }
+    let table = Table::new(vec![
+        ("Country", Column::from_strs(&countries)),
+        ("Gender", Column::from_strs(&genders)),
+        ("Age", Column::from_f64(ages)),
+        ("Salary", Column::from_f64(salaries)),
+    ])
+    .unwrap();
+    (table, kg)
+}
+
+const WORLD_SQL: &str = "SELECT Country, avg(Salary) FROM t GROUP BY Country";
+
+/// Every output of a pipeline run, f64s as raw bits: the explanation, and
+/// each surviving candidate's IPW weights, stats and calibrated CMI.
+fn run_digest(
+    table: &Table,
+    kg: &KnowledgeGraph,
+    options: &NexusOptions,
+    memo: Option<&MemoHandle>,
+) -> Vec<String> {
+    let query = nexus_query::parse(WORLD_SQL).unwrap();
+    let request = ExplainRequest::new()
+        .table(table)
+        .knowledge_graph(kg)
+        .extraction_column("Country")
+        .query(&query);
+    let ctl = match memo {
+        Some(handle) => RunControl::none().with_memo(handle),
+        None => RunControl::none(),
+    };
+    let (e, artifacts) = Nexus::new(options.clone())
+        .run_controlled(&request, ctl)
+        .unwrap();
+    let mut digest = vec![format!(
+        "{:x} {:x} {} {} {}",
+        bits(e.initial_cmi),
+        bits(e.explained_cmi),
+        e.stopped_by_responsibility,
+        e.stats.n_after_online,
+        e.stats.n_biased
+    )];
+    for a in &e.attributes {
+        digest.push(format!(
+            "{} {:x} {}",
+            a.name,
+            bits(a.responsibility),
+            a.weighted
+        ));
+    }
+    let (set, engine) = (&artifacts.set, &artifacts.engine);
+    for (idx, c) in set.candidates.iter().enumerate() {
+        let weights = c.entity_weights.iter().flatten().map(|&w| bits(w));
+        let stats = engine.stats(set, idx);
+        digest.push(format!(
+            "{} {:?} {:x} {:x} {:x}",
+            c.name,
+            weights.collect::<Vec<_>>(),
+            bits(stats.cmi()),
+            bits(stats.support),
+            bits(engine.cmi_single(set, idx))
+        ));
+    }
+    digest
+}
+
+/// Perturbs option `field` (in declaration order; `ci` counts as its four
+/// fields) of `options`.
+fn perturb_option(options: &mut NexusOptions, field: u8) {
+    let o = options;
+    match field {
+        0 => o.excluded_columns.push("Age".into()),
+        1 => o.max_explanation_size = 1,
+        2 => o.outcome_bins = BinStrategy::EqualWidth(4),
+        3 => o.candidate_bins = BinStrategy::EqualWidth(3),
+        4 => o.hops = 2,
+        5 => o.one_to_many = OneToManyAgg::Max,
+        6 => o.offline_pruning = !o.offline_pruning,
+        7 => o.online_pruning = !o.online_pruning,
+        8 => o.max_missing_fraction = 0.2,
+        9 => o.high_entropy_ratio = 0.1,
+        10 => o.entity_identifier_ratio = 0.1,
+        11 => o.min_entities_for_identifier_test = 2,
+        12 => o.fd_epsilon = 0.9,
+        13 => o.relevance_epsilon = 0.5,
+        14 => o.outcome_alias_fraction = 0.01,
+        15 => o.handle_selection_bias = !o.handle_selection_bias,
+        16 => o.bias_mi_threshold = 0.5,
+        17 => o.bias_min_missing = 0.6,
+        18 => o.min_support_fraction = 0.95,
+        19 => o.min_rows_per_category = 200.0,
+        20 => o.min_entities_per_category = 8.0,
+        21 => o.ci.n_permutations = 17,
+        22 => o.ci.alpha = 0.5,
+        23 => o.ci.seed ^= 1,
+        24 => o.ci.cmi_shortcut = 0.5,
+        25 => o.min_improvement = 0.4,
+        _ => o.parallelism = Parallelism::Fixed(3),
+    }
+}
+
+/// Inserts of the four per-candidate kinds so far.
+fn candidate_kind_inserts(store: &MemoStore) -> [u64; 4] {
+    let c = store.counts();
+    CANDIDATE_KINDS.map(|k| c.inserts[k as usize])
+}
+
+const CANDIDATE_KINDS: [MemoKind; 4] = [
+    MemoKind::Stats,
+    MemoKind::Calibrated,
+    MemoKind::MiPair,
+    MemoKind::IpwWeights,
+];
+
+fn base_options() -> NexusOptions {
+    NexusOptions {
+        parallelism: Parallelism::Serial,
+        ..NexusOptions::default()
+    }
+}
+
+/// A new explanation bound is the served mix's novel request: same set,
+/// same options otherwise. It must hit every per-candidate kind and miss
+/// none, and still match the memo-off run.
+#[test]
+fn changing_only_the_explanation_size_hits_every_candidate_kind() {
+    let (table, kg) = world(None);
+    let options = base_options();
+    let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 0xDA7A);
+    let warm = run_digest(&table, &kg, &options, Some(&handle));
+    let selected = warm.len() - 1 - warm.iter().filter(|l| l.contains(" [")).count();
+    assert!(selected >= 1, "the fixture explains nothing: {warm:?}");
+    let mut resized = options.clone();
+    resized.max_explanation_size = if selected < options.max_explanation_size {
+        options.max_explanation_size + 1
+    } else {
+        selected - 1
+    };
+    let before = handle.store.counts();
+    let digest = run_digest(&table, &kg, &resized, Some(&handle));
+    let after = handle.store.counts();
+    assert_eq!(digest, run_digest(&table, &kg, &resized, None));
+    for kind in CANDIDATE_KINDS {
+        let k = kind as usize;
+        assert!(after.hits[k] > before.hits[k], "{kind:?} never hit");
+        assert_eq!(after.misses[k], before.misses[k], "{kind:?} missed");
+    }
+}
+
+/// A pipeline run over a store warmed by the default options, with one
+/// option field perturbed or one covariate map changed, must reproduce
+/// the memo-off run of the same inputs bit for bit (whatever it hit or
+/// missed). Every field is perturbed, and three countries move region.
+#[test]
+fn memo_keys_cover_every_option_and_covariate() {
+    let cases = (0..27u8)
+        .map(|field| (Some(field), None))
+        .chain([0, 9, 23].map(|country| (None, Some(country))));
+    for (field, moved) in cases {
+        let (table, kg) = world(None);
+        let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 0xDA7A);
+        run_digest(&table, &kg, &base_options(), Some(&handle));
+        let mut options = base_options();
+        if let Some(field) = field {
+            perturb_option(&mut options, field);
+        }
+        let (table, kg) = world(moved);
+        let warm = run_digest(&table, &kg, &options, Some(&handle));
+        let plain = run_digest(&table, &kg, &options, None);
+        assert_eq!(warm, plain, "option {field:?}, moved country {moved:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An engine over a store warmed on a set, asked about a set whose
+    /// candidate map entry, entity weight bit or row-level binning
+    /// differs, must miss those keys (publishing new entries) and
+    /// reproduce a memo-off engine's digest bit for bit.
+    #[test]
+    fn memo_keys_cover_every_candidate_input(
+        seed in any::<u64>(),
+        n in 64usize..600,
+        what in 0u8..4,
+        entity in any::<usize>(),
+        bit in any::<u32>(),
+    ) {
+        let set = synthetic_set(n, seed);
+        let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 0xDA7A);
+        let warm = Engine::with_parallelism_memo(
+            &set, Parallelism::Serial, &handle, &NexusOptions::default(),
+        );
+        digest(&warm, &set);
+        let warmed = candidate_kind_inserts(&handle.store);
+
+        let mut perturbed = synthetic_set(n, seed);
+        perturb_candidate(&mut perturbed, what, entity, bit);
+        let mut options = NexusOptions::default();
+        if what == 3 {
+            options.outcome_bins = BinStrategy::EqualWidth(5);
+        }
+        let memo =
+            Engine::with_parallelism_memo(&perturbed, Parallelism::Serial, &handle, &options);
+        let got = digest(&memo, &perturbed);
+        let inserts = candidate_kind_inserts(&handle.store);
+        // Stats and calibrated CMI of the perturbed candidate were rebuilt.
+        prop_assert!(inserts[0] > warmed[0] && inserts[1] > warmed[1]);
+        let plain = Engine::with_parallelism(&perturbed, Parallelism::Serial);
+        prop_assert_eq!(got, digest(&plain, &perturbed));
     }
 }

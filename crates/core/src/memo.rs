@@ -3,8 +3,11 @@
 //! The server's result cache only hits on byte-identical full requests,
 //! but different requests over the same dataset keep rebuilding the same
 //! fine-grained units: per-column joint-count contingency tables,
-//! marginal entropy/CMI terms, and KG extraction columns. [`MemoStore`] pushes the fingerprint-LRU
-//! discipline below the request level and caches those units directly.
+//! marginal entropy/CMI terms, KG extraction columns, and every
+//! per-candidate value the engine derives from them. [`MemoStore`] pushes
+//! the fingerprint-LRU discipline below the request level and caches
+//! those units directly. It is the engine's only cache: a served run uses
+//! the server's store, and any other run gets a private one.
 //!
 //! # Key schema
 //!
@@ -18,13 +21,44 @@
 //! * `set_fp` — the candidate-set fingerprint: the context mask's actual
 //!   words (not its popcount — two masks selecting the same number of
 //!   rows but different rows must not alias), plus the outcome and
-//!   exposure codes with their validity. For [`MemoKind::Extraction`]
-//!   this slot carries the options fingerprint instead (extractions are
-//!   query-independent but option-dependent).
-//! * `weights_fp` — fingerprint of any IPW weight vector baked into the
-//!   value (`0` for the unweighted base units).
-//! * `name` — the column / term name, kept as a string so distinct names
-//!   can never hash-collide into one entry.
+//!   exposure codes with their validity.
+//! * `weights_fp` — the fingerprint of whatever else the value depends
+//!   on (see the table below; `0` when nothing).
+//! * `name` — the column / term / candidate name, kept as a string so
+//!   distinct names can never hash-collide into one entry.
+//!
+//! What each kind puts in the last three slots:
+//!
+//! | kind | `set_fp` | `weights_fp` | `name` |
+//! |---|---|---|---|
+//! | `Contingency` | set | `0` | extraction column |
+//! | `CmiTerm` | set | `0` | `"baseline"` |
+//! | `Extraction` | options fingerprint | `0` | extraction column |
+//! | `Stats`, `Calibrated` | set | candidate content + IPW weights | candidate |
+//! | `MiPair` | set | both candidates' content | both names, in call order |
+//! | `IpwWeights` | set | candidate content + covariate maps | candidate |
+//!
+//! A candidate's *content* is `(column, map)` for an entity-level
+//! candidate. A row-level candidate's codes are its named base column
+//! binned over the set's context rows, so its content is the binnings the
+//! set was built with. `Calibrated` needs the name as well as the content:
+//! its permutation null is seeded from the name. `MiPair` keeps the call
+//! order because the MI fold's f64 sums depend on the orientation. The
+//! IPW weights' `set_fp` stands for the column's in-context row mass they
+//! are normalized by.
+//!
+//! Only `Extraction` uses [`NexusOptions::fingerprint`]: extraction runs
+//! before any query and depends on options only. The other kinds key on
+//! the values an option produces (a mask, a map, chosen covariates), never
+//! on the options themselves. The options fingerprint also hashes fields
+//! that change no memoized value, `max_explanation_size` among them, so
+//! keying on it would make every request with a new `top_k` miss.
+//!
+//! A private store holds one engine's values only, so its keys carry `0`
+//! for the dataset and the set, and no fingerprint pass over the table or
+//! the set is needed.
+//!
+//! [`NexusOptions::fingerprint`]: crate::NexusOptions::fingerprint
 //!
 //! # Single-flight protocol
 //!
@@ -60,7 +94,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use nexus_table::{Bitmap, Codes, Fnv64};
 
 /// Number of [`MemoKind`] values (the dimension of [`MemoCounts`]' arrays).
-const KINDS: usize = 3;
+const KINDS: usize = 7;
 
 /// What kind of sub-query value a memo entry caches. Doubles as the index
 /// into the per-kind arrays of [`MemoCounts`].
@@ -73,6 +107,14 @@ pub enum MemoKind {
     CmiTerm = 1,
     /// A KG extraction column (row→entity codes + candidates).
     Extraction = 2,
+    /// One candidate's entropy statistics (`CandStats`).
+    Stats = 3,
+    /// One candidate's permutation-calibrated `I(O;T|C,E)`.
+    Calibrated = 4,
+    /// The redundancy term `I(Eᵢ;Eⱼ)` of an ordered candidate pair.
+    MiPair = 5,
+    /// One flagged candidate's entity-level IPW weight vector.
+    IpwWeights = 6,
 }
 
 impl MemoKind {
@@ -81,6 +123,10 @@ impl MemoKind {
         MemoKind::Contingency,
         MemoKind::CmiTerm,
         MemoKind::Extraction,
+        MemoKind::Stats,
+        MemoKind::Calibrated,
+        MemoKind::MiPair,
+        MemoKind::IpwWeights,
     ];
 
     /// A stable lowercase label (used in dotted metric names).
@@ -89,6 +135,10 @@ impl MemoKind {
             MemoKind::Contingency => "contingency",
             MemoKind::CmiTerm => "cmi_term",
             MemoKind::Extraction => "extraction",
+            MemoKind::Stats => "stats",
+            MemoKind::Calibrated => "calibrated",
+            MemoKind::MiPair => "mi_pair",
+            MemoKind::IpwWeights => "ipw_weights",
         }
     }
 }
@@ -126,9 +176,11 @@ pub struct MemoKey {
     /// Candidate-set fingerprint (mask words + O/T codes), or the
     /// options fingerprint for extraction entries.
     pub set_fp: u64,
-    /// Fingerprint of any weight vector baked into the value (0 = none).
+    /// Fingerprint of the value's other inputs: candidate content,
+    /// weights, covariates (0 = none; see the module docs).
     pub weights_fp: u64,
-    /// Column / term name (kept verbatim: names never hash-collide).
+    /// Column / term / candidate name (kept verbatim: names never
+    /// hash-collide).
     pub name: String,
 }
 
@@ -182,12 +234,30 @@ pub fn set_fingerprint(mask: &Bitmap, o: &Codes, t: &Codes) -> u64 {
 
 /// Fingerprint of an IPW weight vector (bit-exact over the f64s).
 pub fn weights_fingerprint(weights: &[f64]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(weights.len() as u64);
-    for &w in weights {
-        h.write_f64(w);
+    words_fingerprint(weights.len(), weights.iter().map(|w| w.to_bits()))
+}
+
+/// Fingerprint of an entity-level candidate map (every code, in order).
+pub(crate) fn map_fingerprint(map: &[u32]) -> u64 {
+    let words = map
+        .chunks(2)
+        .map(|pair| pair.iter().fold(0u64, |w, &c| w << 32 | c as u64));
+    words_fingerprint(map.len(), words)
+}
+
+/// A digest of `len` and `words` for key material the engine hashes on
+/// every lookup (candidate maps, IPW weights): one multiply and one
+/// shift per 64-bit word, where byte-wise FNV-1a spends eight multiplies
+/// (an 8× cost on a 320-entity map). Each step is a bijection of the
+/// state, so inputs of one length that differ in one word never collide.
+fn words_fingerprint(len: usize, words: impl Iterator<Item = u64>) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (len as u64).wrapping_mul(K);
+    for w in words {
+        let x = (h ^ w).wrapping_mul(K);
+        h = x ^ (x >> 32);
     }
-    h.finish()
+    h
 }
 
 /// One published entry.
@@ -525,6 +595,13 @@ impl MemoHandle {
     pub fn new(store: Arc<MemoStore>, dataset_fp: u64) -> MemoHandle {
         MemoHandle { store, dataset_fp }
     }
+
+    /// A fresh unbounded store that one engine owns alone. Nothing else
+    /// shares it, so its keys need no dataset or set fingerprint: both
+    /// are `0`.
+    pub(crate) fn private() -> MemoHandle {
+        MemoHandle::new(Arc::new(MemoStore::new(0)), 0)
+    }
 }
 
 #[cfg(test)]
@@ -802,6 +879,12 @@ mod tests {
             weights_fingerprint(&[1.0, 2.0]),
             weights_fingerprint(&[2.0, 1.0])
         );
+        assert_ne!(weights_fingerprint(&[0.0]), weights_fingerprint(&[-0.0]));
         assert_eq!(weights_fingerprint(&[]), weights_fingerprint(&[]));
+        assert_ne!(map_fingerprint(&[1, 2, 3]), map_fingerprint(&[2, 1, 3]));
+        assert_ne!(map_fingerprint(&[1, 2, 3]), map_fingerprint(&[1, 2, 4]));
+        // An odd tail and a trailing zero code differ by length.
+        assert_ne!(map_fingerprint(&[1, 2, 0]), map_fingerprint(&[1, 2]));
+        assert_ne!(map_fingerprint(&[0]), map_fingerprint(&[]));
     }
 }

@@ -8,7 +8,7 @@ use nexus_info::KernelSnapshot;
 use nexus_kg::KnowledgeGraph;
 use nexus_missing::{FeatureMatrix, LogisticOptions, LogisticRegression};
 use nexus_query::AggregateQuery;
-use nexus_table::{Codes, Table};
+use nexus_table::{Codes, Fnv64, Table};
 
 use nexus_runtime::ThreadPool;
 
@@ -20,6 +20,7 @@ use crate::control::RunControl;
 use crate::engine::Engine;
 use crate::error::{CoreError, Result};
 use crate::mcimr::{mcimr_controlled, McimrResult};
+use crate::memo::codes_fingerprint;
 use crate::options::NexusOptions;
 use crate::prune::{prune_offline, prune_online, PruneReport};
 use crate::responsibility::responsibilities;
@@ -435,7 +436,7 @@ impl Nexus {
         let n_after_offline = set.candidates.len();
 
         ledger.enter(&ctl, "prune-online")?;
-        let engine = Engine::with_pool_memo(&set, pool, ctl.memo);
+        let engine = Engine::with_pool_memo(&set, pool, ctl.memo.map(|memo| (memo, options)));
         let online_report = if options.online_pruning {
             prune_online(&mut set, &engine, options)
         } else {
@@ -586,8 +587,9 @@ pub fn apply_selection_bias_weights(
     }
 
     // …then fit weights per flagged candidate.
-    // Covariates per column: up to 6 well-observed sibling attributes.
-    let mut covariates_by_column: HashMap<String, Vec<Codes>> = HashMap::new();
+    // Covariates per column: up to 6 well-observed sibling attributes, and
+    // a fingerprint of the chosen maps for the weights' memo key.
+    let mut covariates_by_column: HashMap<String, (Vec<Codes>, u64)> = HashMap::new();
     for column in set.column_codes.keys() {
         let n_entities = set.column_codes[column].cardinality as usize;
         let mut covs: Vec<Codes> = Vec::new();
@@ -611,26 +613,34 @@ pub fn apply_selection_bias_weights(
                 covs.push(codes_from_map(map, *cardinality));
             }
         }
-        covariates_by_column.insert(column.clone(), covs);
+        let mut h = Fnv64::new();
+        h.write_u64(covs.len() as u64);
+        for cov in &covs {
+            h.write_u64(codes_fingerprint(cov));
+        }
+        covariates_by_column.insert(column.clone(), (covs, h.finish()));
     }
 
-    // Each flagged candidate's logistic fit is independent: compute all
-    // weight vectors on the pool (immutable borrow of `set`), then attach
-    // them serially.
+    // Each flagged candidate's logistic fit is independent: fetch or fit
+    // all weight vectors on the pool (immutable borrow of `set`), then
+    // attach them serially.
     let fitted: Vec<Option<Vec<f64>>> = engine.pool().map(flagged.len(), |i| {
         let (idx, _) = flagged[i];
         let (column, map) = match &set.candidates[idx].repr {
             CandidateRepr::EntityLevel { column, map, .. } => (column, map),
             CandidateRepr::RowLevel(_) => return None,
         };
-        let covs = &covariates_by_column[column];
-        Some(if covs.is_empty() {
-            // No covariates: fall back to uniform weights (no correction
-            // possible, but the flag is still recorded).
-            vec![1.0; map.len()]
-        } else {
-            fit_entity_weights(map, covs, engine.x_marginal(column))
-        })
+        let (covs, covs_fp) = &covariates_by_column[column];
+        let weights = engine.ipw_weights(set, idx, *covs_fp, || {
+            if covs.is_empty() {
+                // No covariates: fall back to uniform weights (no
+                // correction possible, but the flag is still recorded).
+                vec![1.0; map.len()]
+            } else {
+                fit_entity_weights(map, covs, engine.x_marginal(column))
+            }
+        });
+        Some(weights.as_ref().clone())
     });
 
     let n_flagged = flagged.len();
@@ -665,6 +675,7 @@ fn codes_from_map(map: &[u32], cardinality: u32) -> Codes {
 /// entity, normalized to mean 1 over present entities (row-weighted by the
 /// column's in-context row mass).
 fn fit_entity_weights(map: &[u32], covs: &[Codes], x_marginal: Option<&[f64]>) -> Vec<f64> {
+    nexus_info::kernel::counters().record_ipw_fit();
     let refs: Vec<&Codes> = covs.iter().collect();
     let x = FeatureMatrix::one_hot(&refs);
     let y: Vec<f64> = map
@@ -831,6 +842,8 @@ mod tests {
                 packed_words_skipped: a.packed_words_skipped + k.packed_words_skipped,
                 permutations: a.permutations + k.permutations,
                 perm_rows: a.perm_rows + k.perm_rows,
+                calib_samples: a.calib_samples + k.calib_samples,
+                ipw_fits: a.ipw_fits + k.ipw_fits,
             }
         })
     }

@@ -9,8 +9,11 @@
 //! the permutations of the old one minus those of the candidates the
 //! backstop rejected.
 //!
-//! The kernel counters are process-global, so this binary has one test:
-//! no concurrent test can pollute a delta.
+//! Each order runs on a fresh engine, so both also draw calibration
+//! samples; the kernel counts those apart (`calib_samples`), and the CI
+//! test's share is `permutations − calib_samples`. The kernel counters are
+//! process-global, so this binary has one test: no concurrent test can
+//! pollute a delta.
 
 use nexus_core::{mcimr, CandidateSet, Engine, ExplainRequest, Nexus, NexusOptions};
 use nexus_datagen::flights::{self, FlightsConfig};
@@ -106,11 +109,14 @@ fn permute_first(set: &CandidateSet, engine: &Engine, options: &NexusOptions) ->
     (selected, permuted_then_undone)
 }
 
-/// CI-test permutations drawn by `f`.
-fn permutations(f: impl FnOnce()) -> u64 {
+/// CI-test permutations drawn by `f`: every permutation sample except the
+/// calibration ones.
+fn ci_permutations(f: impl FnOnce()) -> u64 {
     let before = kernel::counters().snapshot();
     f();
-    kernel::counters().snapshot().delta(&before).permutations
+    let delta = kernel::counters().snapshot().delta(&before);
+    assert!(delta.calib_samples > 0, "a fresh engine calibrates");
+    delta.permutations - delta.calib_samples
 }
 
 #[test]
@@ -128,17 +134,18 @@ fn backstop_rejected_candidates_draw_no_permutations() {
         .knowledge_graph(&data.kg)
         .extraction_columns(data.extraction_columns.clone())
         .query(&query);
-    // The pipeline's run leaves every candidate's calibrated score cached
-    // in the engine, so the deltas below count CI-test permutations only.
+    // The pruned, weighted set the pipeline selects from.
     let (_, artifacts) = Nexus::new(options.clone())
         .run_with_artifacts(&request)
         .unwrap();
-    let (set, engine) = (&artifacts.set, &artifacts.engine);
+    let set = &artifacts.set;
 
     let mut backstop_first = None;
-    let new_order = permutations(|| backstop_first = Some(mcimr(set, engine, &options)));
+    let new_order =
+        ci_permutations(|| backstop_first = Some(mcimr(set, &Engine::new(set), &options)));
     let mut oracle = None;
-    let old_order = permutations(|| oracle = Some(permute_first(set, engine, &options)));
+    let old_order =
+        ci_permutations(|| oracle = Some(permute_first(set, &Engine::new(set), &options)));
     let (selected, undone) = oracle.unwrap();
     assert_eq!(backstop_first.unwrap().selected, selected);
 

@@ -31,12 +31,21 @@
 //! kernels above, so they get counters of their own: [`permutations`]
 //! (null samples drawn) and [`perm_rows`] (values each sample shuffled
 //! and re-counted, summed: rows for row-level nulls, entities for
-//! entity-level calibration).
+//! entity-level calibration). [`calib_samples`] counts the subset of
+//! those samples that calibrate a score rather than test independence,
+//! so `permutations − calib_samples` is the CI test's share.
+//!
+//! # Model counters
+//!
+//! [`ipw_fits`] counts the selection-bias layer's logistic fits: one per
+//! flagged candidate whose IPW weights were not already memoized.
 //!
 //! [`delta`]: KernelSnapshot::delta
 //! [`packed_words_skipped`]: KernelSnapshot::packed_words_skipped
 //! [`permutations`]: KernelSnapshot::permutations
 //! [`perm_rows`]: KernelSnapshot::perm_rows
+//! [`calib_samples`]: KernelSnapshot::calib_samples
+//! [`ipw_fits`]: KernelSnapshot::ipw_fits
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,6 +64,8 @@ pub struct KernelCounters {
     packed_words_skipped: AtomicU64,
     permutations: AtomicU64,
     perm_rows: AtomicU64,
+    calib_samples: AtomicU64,
+    ipw_fits: AtomicU64,
 }
 
 /// The global counter instance.
@@ -67,6 +78,8 @@ static COUNTERS: KernelCounters = KernelCounters {
     packed_words_skipped: AtomicU64::new(0),
     permutations: AtomicU64::new(0),
     perm_rows: AtomicU64::new(0),
+    calib_samples: AtomicU64::new(0),
+    ipw_fits: AtomicU64::new(0),
 };
 
 /// The process-global [`KernelCounters`].
@@ -107,6 +120,19 @@ impl KernelCounters {
             .fetch_add(samples.saturating_mul(values), Ordering::Relaxed);
     }
 
+    /// Records `samples` calibration-null samples of `values` values each:
+    /// counted as permutations (see [`KernelCounters::record_permutations`])
+    /// and, separately, as calibration samples.
+    pub fn record_calibration(&self, samples: u64, values: u64) {
+        self.record_permutations(samples, values);
+        self.calib_samples.fetch_add(samples, Ordering::Relaxed);
+    }
+
+    /// Records one fitted selection (IPW) model.
+    pub fn record_ipw_fit(&self) {
+        self.ipw_fits.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// A consistent-enough copy of the counters (each counter is read
     /// atomically; the set is not a transaction, which is fine for
     /// monotone diagnostics).
@@ -120,6 +146,8 @@ impl KernelCounters {
             packed_words_skipped: self.packed_words_skipped.load(Ordering::Relaxed),
             permutations: self.permutations.load(Ordering::Relaxed),
             perm_rows: self.perm_rows.load(Ordering::Relaxed),
+            calib_samples: self.calib_samples.load(Ordering::Relaxed),
+            ipw_fits: self.ipw_fits.load(Ordering::Relaxed),
         }
     }
 }
@@ -147,6 +175,12 @@ pub struct KernelSnapshot {
     /// Values those samples shuffled and re-counted, summed over samples
     /// (rows for row-level nulls, entities for entity-level calibration).
     pub perm_rows: u64,
+    /// The calibration samples among [`permutations`](Self::permutations)
+    /// (MCIMR's per-candidate nulls and the set-level null); the rest are
+    /// the responsibility test's.
+    pub calib_samples: u64,
+    /// Selection (IPW) models fitted.
+    pub ipw_fits: u64,
 }
 
 impl KernelSnapshot {
@@ -164,6 +198,8 @@ impl KernelSnapshot {
                 .saturating_sub(earlier.packed_words_skipped),
             permutations: self.permutations.saturating_sub(earlier.permutations),
             perm_rows: self.perm_rows.saturating_sub(earlier.perm_rows),
+            calib_samples: self.calib_samples.saturating_sub(earlier.calib_samples),
+            ipw_fits: self.ipw_fits.saturating_sub(earlier.ipw_fits),
         }
     }
 }
@@ -192,10 +228,13 @@ mod tests {
         let before = c.snapshot();
         c.record_packed_words_skipped(7);
         c.record_permutations(100, 2_000);
-        c.record_permutations(16, 3);
+        c.record_calibration(16, 3);
+        c.record_ipw_fit();
         let d = c.snapshot().delta(&before);
         assert_eq!(d.permutations, 116);
         assert_eq!(d.perm_rows, 200_048);
+        assert_eq!(d.calib_samples, 16);
+        assert_eq!(d.ipw_fits, 1);
         assert_eq!(d.packed_words_skipped, 7);
     }
 

@@ -530,6 +530,8 @@ impl Server {
             .set(kernel.packed_words_skipped);
         r.gauge("kernel.permutations").set(kernel.permutations);
         r.gauge("kernel.perm_rows").set(kernel.perm_rows);
+        r.gauge("kernel.calib_samples").set(kernel.calib_samples);
+        r.gauge("kernel.ipw_fits").set(kernel.ipw_fits);
         let memo = self.inner.memo.counts();
         r.gauge("memo.hits").set(memo.hits.iter().sum());
         r.gauge("memo.misses").set(memo.misses.iter().sum());

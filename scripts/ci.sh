@@ -126,6 +126,9 @@ make_pipe_fixture() {
             printf "C%d\telev\t%d.0\n", c, (c*11)%13;
             printf "C%d\tcoast\t%d.0\n", c, (c*17)%29;
             printf "C%d\train\t%d.0\n", c, (c*19)%31;
+            # Observed only where development is high (MNAR): the bias
+            # layer flags it and fits its IPW weights.
+            if (c % 3) printf "C%d\trich\t%d.0\n", c, (c%3) * 10 + (c*7)%3;
         }
     }' > "$PIPE_KG"
     "$BIN" explain --table "$PIPE_CSV" --kg "$PIPE_KG" --extract Country \
@@ -390,6 +393,12 @@ step_memo_smoke() {
     "$BIN" submit --socket "$sock" --sql "$SQL" --pipeline 8 --vary-topk \
         > /dev/null 2> "$SMOKE_DIR/memo_pipeline.log"
     grep -Eq '^memo\.hits [1-9]' "$SMOKE_DIR/memo_pipeline.log"
+    # The per-candidate values are memo kinds too: requests that differ
+    # only in top-k reuse each other's stats, calibrated CMIs, MI pairs
+    # and IPW weights.
+    for kind in stats calibrated mi_pair ipw_weights; do
+        grep -Eq "^memo\.hits\.$kind [1-9]" "$SMOKE_DIR/memo_pipeline.log"
+    done
 
     # Coalescing additionally needs the burst's builds to genuinely
     # overlap; on a loaded machine a burst can serialize. If the first
