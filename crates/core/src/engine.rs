@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use nexus_info::kernel;
-use nexus_info::{entropy_from_counts, entropy_mm, InfoContext, JointCounts};
+use nexus_info::{entropy_from_counts, entropy_mm, CalibrationRows, InfoContext, JointCounts};
 use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{BinStrategy, Codes, Fnv64};
 
@@ -569,79 +569,10 @@ impl Engine {
                 samples
             }
             CandidateRepr::RowLevel(codes) => {
-                let rows: Vec<usize> = (0..codes.len())
-                    .filter(|&i| set.mask.get(i) && codes.is_valid(i))
-                    .collect();
-                if rows.len() < 2 {
-                    return self.baseline_cmi;
+                match self.row_level_samples(set, idx, codes, &mut rng) {
+                    Some(samples) => samples,
+                    None => return self.baseline_cmi,
                 }
-                // A candidate that is (almost) a function of the exposure —
-                // e.g. the `Continent` column under a per-country query —
-                // must be permuted at the exposure-group level: per-row
-                // shuffling would destroy structure a random group-level
-                // attribute of the same shape retains.
-                let group_level = self.stats(set, idx).h_e_given_t() < 0.05;
-                let t = &set.t;
-                let t_groups: Vec<u32> = if group_level {
-                    let mut t_to_e: Vec<Option<u32>> = vec![None; t.cardinality as usize];
-                    for &i in &rows {
-                        if t.is_valid(i) {
-                            t_to_e[t.codes[i] as usize] = Some(codes.codes[i]);
-                        }
-                    }
-                    (0..t.cardinality)
-                        .filter(|&g| t_to_e[g as usize].is_some())
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mut vals: Vec<u32> = if group_level {
-                    // One representative value per exposure group.
-                    let mut rep = vec![0u32; t.cardinality as usize];
-                    for &i in &rows {
-                        if t.is_valid(i) {
-                            rep[t.codes[i] as usize] = codes.codes[i];
-                        }
-                    }
-                    t_groups.iter().map(|&g| rep[g as usize]).collect()
-                } else {
-                    rows.iter().map(|&i| codes.codes[i]).collect()
-                };
-                let mut permuted = codes.clone();
-                let mut samples = Vec::with_capacity(6);
-                kernel::counters().record_calibration(6, vals.len() as u64);
-                for _ in 0..6 {
-                    vals.shuffle(&mut rng);
-                    if group_level {
-                        let mut assign = vec![0u32; t.cardinality as usize];
-                        for (&g, &v) in t_groups.iter().zip(&vals) {
-                            assign[g as usize] = v;
-                        }
-                        for &i in &rows {
-                            if t.is_valid(i) {
-                                permuted.codes[i] = assign[t.codes[i] as usize];
-                            }
-                        }
-                    } else {
-                        for (&i, &v) in rows.iter().zip(&vals) {
-                            permuted.codes[i] = v;
-                        }
-                    }
-                    let joint =
-                        JointCounts::count(&[&set.o, &set.t, &permuted], Some(&set.mask), None);
-                    let n = joint.total;
-                    let (h_xyz, k_xyz) = joint.entropy_and_cells();
-                    let (h_oe, k_oe) = joint.marginal_entropy_and_cells(&[0, 2]);
-                    let (h_te, k_te) = joint.marginal_entropy_and_cells(&[1, 2]);
-                    let (h_e, k_e) = joint.marginal_entropy_and_cells(&[2]);
-                    samples.push(
-                        (entropy_mm(h_oe, k_oe, n) + entropy_mm(h_te, k_te, n)
-                            - entropy_mm(h_xyz, k_xyz, n)
-                            - entropy_mm(h_e, k_e, n))
-                        .max(0.0),
-                    );
-                }
-                samples
             }
         };
         let n = samples.len() as f64;
@@ -656,6 +587,64 @@ impl Engine {
         // small-support attributes spurious credit.
         let credit = (mean_perm - observed - var.sqrt()).max(0.0);
         (self.baseline_cmi - credit).max(0.0)
+    }
+
+    /// The six calibration samples of a row-level candidate: `E` shuffled
+    /// over its in-context valid rows (or, for a near-function of the
+    /// exposure, across exposure groups), each scored by the Miller–Madow
+    /// `I(O;T|E)` over a compact copy of the rows it counts
+    /// ([`CalibrationRows`]). `None` when fewer than two rows can be
+    /// shuffled.
+    fn row_level_samples(
+        &self,
+        set: &CandidateSet,
+        idx: usize,
+        codes: &Codes,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Option<Vec<f64>> {
+        use rand::seq::SliceRandom;
+
+        let (mut counted, domain_vals) = CalibrationRows::new(&set.o, &set.t, codes, &set.mask);
+        if domain_vals.len() < 2 {
+            return None;
+        }
+        // A candidate that is (almost) a function of the exposure — e.g.
+        // the `Continent` column under a per-country query — must be
+        // permuted at the exposure-group level: per-row shuffling would
+        // destroy structure a random group-level attribute of the same
+        // shape retains.
+        let group_level = self.stats(set, idx).h_e_given_t() < 0.05;
+        let t = &set.t;
+        let (t_groups, mut vals): (Vec<u32>, Vec<u32>) = if group_level {
+            // One representative value per exposure group.
+            let mut rep: Vec<Option<u32>> = vec![None; t.cardinality as usize];
+            for (g, &v) in counted.exposures().zip(&domain_vals) {
+                if let Some(g) = g {
+                    rep[g as usize] = Some(v);
+                }
+            }
+            (0..t.cardinality)
+                .filter_map(|g| rep[g as usize].map(|v| (g, v)))
+                .unzip()
+        } else {
+            (Vec::new(), domain_vals)
+        };
+        let mut assign = vec![0u32; t.cardinality as usize];
+        let mut samples = Vec::with_capacity(6);
+        kernel::counters().record_calibration(6, vals.len() as u64);
+        for _ in 0..6 {
+            vals.shuffle(rng);
+            let cmi = if group_level {
+                for (&g, &v) in t_groups.iter().zip(&vals) {
+                    assign[g as usize] = v;
+                }
+                counted.cmi_mm(codes.cardinality, |_, t| assign[t as usize])
+            } else {
+                counted.cmi_mm(codes.cardinality, |j, _| vals[j])
+            };
+            samples.push(cmi);
+        }
+        Some(samples)
     }
 
     /// Pairwise `I(Eᵢ;Eⱼ)` (the Min-Redundancy criterion), memoized per
@@ -776,18 +765,23 @@ impl Engine {
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed.finish());
 
-        // Materialize row codes once; permute at entity level where
-        // applicable, else per-row.
+        // Materialize row codes and shuffle domains once; permute at
+        // entity level where applicable, else per-row.
         let originals: Vec<Codes> = indices
             .iter()
             .map(|&i| set.row_codes(&set.candidates[i]))
+            .collect();
+        let domains: Vec<(Vec<usize>, Vec<u32>)> = indices
+            .iter()
+            .zip(&originals)
+            .map(|(&idx, rows)| self.shuffle_domain(set, idx, rows))
             .collect();
         let mut samples = Vec::with_capacity(N_PERMS);
         let mut shuffled = 0u64;
         for _ in 0..N_PERMS {
             let mut permuted: Vec<Codes> = Vec::with_capacity(indices.len());
-            for (&idx, rows) in indices.iter().zip(&originals) {
-                permuted.push(self.permute_codes(set, idx, rows, &mut rng, &mut shuffled));
+            for ((&idx, rows), domain) in indices.iter().zip(&originals).zip(&domains) {
+                permuted.push(self.permute_codes(set, idx, rows, domain, &mut rng, &mut shuffled));
             }
             let refs: Vec<&Codes> = permuted.iter().collect();
             samples.push(InfoContext::masked(&set.mask).cmi_mm(&set.o, &set.t, &refs));
@@ -800,9 +794,38 @@ impl Engine {
         (self.baseline_cmi - credit).max(0.0)
     }
 
-    /// One shape-preserving permutation of a candidate's row codes: entity
-    /// level when the candidate is entity-backed, else per row over its
-    /// in-context valid rows — even for a function of `T`, which
+    /// What [`Engine::permute_codes`] shuffles for a candidate: the
+    /// entities that carry in-context rows and their codes when it is
+    /// entity-backed, else its in-context valid rows and their codes.
+    fn shuffle_domain(
+        &self,
+        set: &CandidateSet,
+        idx: usize,
+        rows: &Codes,
+    ) -> (Vec<usize>, Vec<u32>) {
+        match &set.candidates[idx].repr {
+            CandidateRepr::EntityLevel { column, map, .. } => {
+                let cont = &self.base[column];
+                let present: Vec<usize> = (0..map.len())
+                    .filter(|&e| cont.x_marginal.get(e).is_some_and(|&w| w > 0.0))
+                    .collect();
+                let vals = present.iter().map(|&e| map[e]).collect();
+                (present, vals)
+            }
+            CandidateRepr::RowLevel(_) => {
+                let usable: Vec<usize> = (0..rows.len())
+                    .filter(|&i| set.mask.get(i) && rows.is_valid(i))
+                    .collect();
+                let vals = usable.iter().map(|&i| rows.codes[i]).collect();
+                (usable, vals)
+            }
+        }
+    }
+
+    /// One shape-preserving permutation of a candidate's row codes: its
+    /// [`Engine::shuffle_domain`] values shuffled afresh from their
+    /// original order, at entity level when the candidate is
+    /// entity-backed, else per row — even for a function of `T`, which
     /// [`Engine::cmi_single`] would shuffle by exposure group. Adds the
     /// number of values shuffled to `shuffled`.
     fn permute_codes(
@@ -810,22 +833,19 @@ impl Engine {
         set: &CandidateSet,
         idx: usize,
         rows: &Codes,
+        (slots, originals): &(Vec<usize>, Vec<u32>),
         rng: &mut rand::rngs::StdRng,
         shuffled: &mut u64,
     ) -> Codes {
         use rand::seq::SliceRandom;
+        let mut vals = originals.clone();
+        vals.shuffle(rng);
+        *shuffled += vals.len() as u64;
         match &set.candidates[idx].repr {
             CandidateRepr::EntityLevel { column, map, .. } => {
                 let x = &set.column_codes[column];
-                let cont = &self.base[column];
-                let present: Vec<usize> = (0..map.len())
-                    .filter(|&e| cont.x_marginal.get(e).is_some_and(|&w| w > 0.0))
-                    .collect();
-                let mut vals: Vec<u32> = present.iter().map(|&e| map[e]).collect();
-                vals.shuffle(rng);
-                *shuffled += vals.len() as u64;
                 let mut new_map = map.clone();
-                for (&e, &v) in present.iter().zip(&vals) {
+                for (&e, &v) in slots.iter().zip(&vals) {
                     new_map[e] = v;
                 }
                 // Rebuild row codes through the permuted map.
@@ -851,14 +871,8 @@ impl Engine {
                 }
             }
             CandidateRepr::RowLevel(_) => {
-                let usable: Vec<usize> = (0..rows.len())
-                    .filter(|&i| set.mask.get(i) && rows.is_valid(i))
-                    .collect();
-                let mut vals: Vec<u32> = usable.iter().map(|&i| rows.codes[i]).collect();
-                vals.shuffle(rng);
-                *shuffled += vals.len() as u64;
                 let mut permuted = rows.clone();
-                for (&i, &v) in usable.iter().zip(&vals) {
+                for (&i, &v) in slots.iter().zip(&vals) {
                     permuted.codes[i] = v;
                 }
                 permuted
@@ -1967,5 +1981,262 @@ mod tests {
         set.candidates[sparse].entity_weights = None;
         assert_eq!(engine.stats(&set, sparse), plain.0);
         assert_eq!(engine.cmi_single(&set, sparse).to_bits(), plain.1.to_bits());
+    }
+
+    /// The full-table row-level calibration arm the compact count
+    /// replaced, kept as its oracle: each sample rewrites a clone of the
+    /// candidate's codes and counts `(O, T, E)` over the whole table.
+    fn row_level_samples_oracle(
+        engine: &Engine,
+        set: &CandidateSet,
+        idx: usize,
+        codes: &Codes,
+        rng: &mut rand::rngs::StdRng,
+    ) -> Option<Vec<f64>> {
+        use rand::seq::SliceRandom;
+        let rows: Vec<usize> = (0..codes.len())
+            .filter(|&i| set.mask.get(i) && codes.is_valid(i))
+            .collect();
+        if rows.len() < 2 {
+            return None;
+        }
+        let group_level = engine.stats(set, idx).h_e_given_t() < 0.05;
+        let t = &set.t;
+        let t_groups: Vec<u32> = if group_level {
+            let mut t_to_e: Vec<Option<u32>> = vec![None; t.cardinality as usize];
+            for &i in &rows {
+                if t.is_valid(i) {
+                    t_to_e[t.codes[i] as usize] = Some(codes.codes[i]);
+                }
+            }
+            (0..t.cardinality)
+                .filter(|&g| t_to_e[g as usize].is_some())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut vals: Vec<u32> = if group_level {
+            let mut rep = vec![0u32; t.cardinality as usize];
+            for &i in &rows {
+                if t.is_valid(i) {
+                    rep[t.codes[i] as usize] = codes.codes[i];
+                }
+            }
+            t_groups.iter().map(|&g| rep[g as usize]).collect()
+        } else {
+            rows.iter().map(|&i| codes.codes[i]).collect()
+        };
+        let mut permuted = codes.clone();
+        let mut samples = Vec::with_capacity(6);
+        for _ in 0..6 {
+            vals.shuffle(rng);
+            if group_level {
+                let mut assign = vec![0u32; t.cardinality as usize];
+                for (&g, &v) in t_groups.iter().zip(&vals) {
+                    assign[g as usize] = v;
+                }
+                for &i in &rows {
+                    if t.is_valid(i) {
+                        permuted.codes[i] = assign[t.codes[i] as usize];
+                    }
+                }
+            } else {
+                for (&i, &v) in rows.iter().zip(&vals) {
+                    permuted.codes[i] = v;
+                }
+            }
+            let joint = JointCounts::count(&[&set.o, &set.t, &permuted], Some(&set.mask), None);
+            let n = joint.total;
+            let (h_xyz, k_xyz) = joint.entropy_and_cells();
+            let (h_oe, k_oe) = joint.marginal_entropy_and_cells(&[0, 2]);
+            let (h_te, k_te) = joint.marginal_entropy_and_cells(&[1, 2]);
+            let (h_e, k_e) = joint.marginal_entropy_and_cells(&[2]);
+            samples.push(
+                (entropy_mm(h_oe, k_oe, n) + entropy_mm(h_te, k_te, n)
+                    - entropy_mm(h_xyz, k_xyz, n)
+                    - entropy_mm(h_e, k_e, n))
+                .max(0.0),
+            );
+        }
+        Some(samples)
+    }
+
+    /// [`two_column_set`] plus row-level candidates: per-row noise with
+    /// nulls, a narrow and a wide one (dense and sorted calibration
+    /// tables), a function of the exposure and the exposure itself (both
+    /// shuffled by exposure group). `ot_nulls = false` drops the nulls
+    /// of `O` and `T`.
+    fn mixed_set(rng: &mut rand::rngs::StdRng, n: usize, ot_nulls: bool) -> CandidateSet {
+        use rand::Rng;
+        let mut set = two_column_set(rng, n);
+        if !ot_nulls {
+            set.o.validity = None;
+            set.t.validity = None;
+        }
+        let t = set.t.clone();
+        let mut row_level = |name: &str, codes: Codes| {
+            set.candidates.push(Candidate {
+                name: name.to_string(),
+                source: crate::candidate::CandidateSource::BaseTable,
+                repr: CandidateRepr::RowLevel(codes),
+                entity_weights: None,
+                bias: None,
+            })
+        };
+        for (name, card) in [("R::narrow", 5u32), ("R::wide", 4000)] {
+            let validity = (0..n).map(|_| rng.gen_range(0..7) != 0).collect();
+            let codes = (0..n).map(|_| rng.gen_range(0..card)).collect();
+            row_level(
+                name,
+                Codes {
+                    codes,
+                    cardinality: card,
+                    validity: Some(validity),
+                },
+            );
+        }
+        row_level(
+            "R::half_t",
+            Codes {
+                codes: t.codes.iter().map(|&v| v / 2).collect(),
+                cardinality: 2,
+                validity: Some((0..n).map(|i| i % 11 != 0).collect()),
+            },
+        );
+        row_level("R::t", t);
+        set
+    }
+
+    /// Every row-level calibration sample, by row and by exposure group,
+    /// with and without `O`/`T` nulls, equals the full-table arm's bits,
+    /// and so does the calibrated score built from them.
+    #[test]
+    fn row_level_calibration_matches_full_table_oracle() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x2718);
+        let mut group_level = 0;
+        for ot_nulls in [true, false] {
+            let set = mixed_set(&mut rng, 3000, ot_nulls);
+            let engine = Engine::new(&set);
+            for (idx, cand) in set.candidates.iter().enumerate() {
+                let CandidateRepr::RowLevel(codes) = &cand.repr else {
+                    continue;
+                };
+                group_level += (engine.stats(&set, idx).h_e_given_t() < 0.05) as usize;
+                let seed = 77 + idx as u64;
+                let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                let got = engine.row_level_samples(&set, idx, codes, &mut a).unwrap();
+                let want = row_level_samples_oracle(&engine, &set, idx, codes, &mut b).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{} ot_nulls={ot_nulls}", cand.name);
+                assert_eq!(a.next_u64(), b.next_u64(), "{}: RNG stream", cand.name);
+                assert!(engine.cmi_single(&set, idx).is_finite());
+            }
+        }
+        assert_eq!(
+            group_level, 4,
+            "the exposure and its function shuffle by group"
+        );
+    }
+
+    /// The Brute-Force calibration loop before its shuffle domains were
+    /// hoisted: every sample recomputes each member's present entities or
+    /// usable rows.
+    fn cmi_given_calibrated_oracle(engine: &Engine, set: &CandidateSet, indices: &[usize]) -> f64 {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        const N_PERMS: usize = 6;
+        let observed = engine.cmi_given(set, indices);
+        let mut seed = Fnv64::new();
+        for &i in indices {
+            seed.write(set.candidates[i].name.as_bytes());
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.finish());
+        let originals: Vec<Codes> = indices
+            .iter()
+            .map(|&i| set.row_codes(&set.candidates[i]))
+            .collect();
+        let mut samples = Vec::with_capacity(N_PERMS);
+        for _ in 0..N_PERMS {
+            let mut permuted: Vec<Codes> = Vec::new();
+            for (&idx, rows) in indices.iter().zip(&originals) {
+                permuted.push(match &set.candidates[idx].repr {
+                    CandidateRepr::EntityLevel { column, map, .. } => {
+                        let x = &set.column_codes[column];
+                        let cont = &engine.base[column];
+                        let present: Vec<usize> = (0..map.len())
+                            .filter(|&e| cont.x_marginal.get(e).is_some_and(|&w| w > 0.0))
+                            .collect();
+                        let mut vals: Vec<u32> = present.iter().map(|&e| map[e]).collect();
+                        vals.shuffle(&mut rng);
+                        let mut new_map = map.clone();
+                        for (&e, &v) in present.iter().zip(&vals) {
+                            new_map[e] = v;
+                        }
+                        let n = x.len();
+                        let mut codes = vec![0u32; n];
+                        let mut validity = nexus_table::Bitmap::with_value(n, true);
+                        for i in 0..n {
+                            if !x.is_valid(i) {
+                                validity.set(i, false);
+                                continue;
+                            }
+                            let e = new_map[x.codes[i] as usize];
+                            if e == MISSING_CODE {
+                                validity.set(i, false);
+                            } else {
+                                codes[i] = e;
+                            }
+                        }
+                        Codes {
+                            codes,
+                            cardinality: rows.cardinality,
+                            validity: Some(validity),
+                        }
+                    }
+                    CandidateRepr::RowLevel(_) => {
+                        let usable: Vec<usize> = (0..rows.len())
+                            .filter(|&i| set.mask.get(i) && rows.is_valid(i))
+                            .collect();
+                        let mut vals: Vec<u32> = usable.iter().map(|&i| rows.codes[i]).collect();
+                        vals.shuffle(&mut rng);
+                        let mut permuted = rows.clone();
+                        for (&i, &v) in usable.iter().zip(&vals) {
+                            permuted.codes[i] = v;
+                        }
+                        permuted
+                    }
+                });
+            }
+            let refs: Vec<&Codes> = permuted.iter().collect();
+            samples.push(InfoContext::masked(&set.mask).cmi_mm(&set.o, &set.t, &refs));
+        }
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (n - 1.0);
+        let credit = (mean - observed - var.sqrt()).max(0.0);
+        (engine.baseline_cmi - credit).max(0.0)
+    }
+
+    #[test]
+    fn hoisted_set_calibration_matches_per_sample_domains() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1618);
+        let set = mixed_set(&mut rng, 2000, true);
+        let engine = Engine::new(&set);
+        let id = |name: &str| set.index_of(name).unwrap();
+        for subset in [
+            vec![id("A::p0"), id("R::narrow")],
+            vec![id("R::t"), id("B::p1"), id("A::p2")],
+            vec![id("R::wide")],
+            vec![id("B::p0")],
+        ] {
+            assert_eq!(
+                engine.cmi_given_calibrated(&set, &subset).to_bits(),
+                cmi_given_calibrated_oracle(&engine, &set, &subset).to_bits(),
+                "{subset:?}"
+            );
+        }
     }
 }

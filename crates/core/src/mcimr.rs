@@ -147,7 +147,7 @@ pub fn mcimr_controlled(
                     && (last_cmi - cmi_after) / initial_cmi < options.min_improvement;
                 let responsible = !negligible
                     && match screen {
-                        CiScreen::Pending(test) => !test.permute().independent,
+                        CiScreen::Pending(test) => !test.permute(engine.pool()).independent,
                         CiScreen::Decided(_) => true,
                     };
                 responsible.then_some(cmi_after)

@@ -25,7 +25,16 @@ pub struct NexusOptions {
     pub max_explanation_size: usize,
     /// Binning of the (numeric) outcome attribute.
     pub outcome_bins: BinStrategy,
-    /// Binning of numeric candidate attributes.
+    /// Binning of numeric attributes extracted from the knowledge graph
+    /// (over entity values), of the numeric columns of a multi-column
+    /// exposure, and of numeric columns in the unexplained-subgroups
+    /// search.
+    ///
+    /// Numeric *base-table* candidates do not use it: they are binned with
+    /// [`outcome_bins`](NexusOptions::outcome_bins) over the context rows.
+    /// Both default to `Quantile(6)`, so no default output shows the
+    /// difference; aligning them belongs to the versioned estimator change
+    /// of ROADMAP item 2.
     pub candidate_bins: BinStrategy,
     /// KG extraction hops (the paper defaults to 1).
     pub hops: usize,

@@ -11,8 +11,9 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
+use nexus_runtime::ThreadPool;
 use nexus_table::{Bitmap, Codes};
 
 use crate::counter::EntropyFold;
@@ -60,7 +61,7 @@ pub struct CiTestResult {
 
 /// Tests `X ⫫ Y | Z` on the complete-case rows under `ctx`: the cheap
 /// [`ci_screen`], then, when no shortcut decides it,
-/// [`PendingCiTest::permute`].
+/// [`PendingCiTest::permute`] on the calling thread.
 pub fn ci_test(
     ctx: &InfoContext<'_>,
     x: &Codes,
@@ -70,7 +71,7 @@ pub fn ci_test(
 ) -> CiTestResult {
     match ci_screen(ctx, x, y, z, options) {
         CiScreen::Decided(result) => result,
-        CiScreen::Pending(pending) => pending.permute(),
+        CiScreen::Pending(pending) => pending.permute(&ThreadPool::default()),
     }
 }
 
@@ -151,8 +152,12 @@ pub fn ci_screen<'a>(
 impl PendingCiTest<'_> {
     /// The expensive phase of [`ci_test`]: builds the stratified null from
     /// the complete-case rows and draws `n_permutations` samples from an
-    /// RNG seeded with `options.seed`.
-    pub fn permute(self) -> CiTestResult {
+    /// RNG seeded with `options.seed`. The permutations run in fixed
+    /// blocks on `pool`, each block jumping a clone of the RNG ahead to its
+    /// own stream position ([`StdRng::advance`]); the p-value is
+    /// bit-identical to drawing every sample serially from that one
+    /// stream, at any pool width.
+    pub fn permute(self, pool: &ThreadPool) -> CiTestResult {
         let PendingCiTest {
             ctx,
             x,
@@ -166,14 +171,7 @@ impl PendingCiTest<'_> {
             .collect();
         let null = StratifiedNull::new(&ctx, x, y, z, &usable);
         drop(usable);
-        let mut scratch = NullScratch::default();
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let mut exceed = 0usize;
-        for _ in 0..options.n_permutations {
-            if null.permuted_cmi(&mut rng, &mut scratch) >= observed {
-                exceed += 1;
-            }
-        }
+        let exceed = null.exceedances(&options, observed, pool, |_, _| {});
         kernel::counters().record_permutations(options.n_permutations as u64, null.rows() as u64);
         let p_value = (exceed + 1) as f64 / (options.n_permutations + 1) as f64;
         CiTestResult {
@@ -204,6 +202,53 @@ const DENSE_TABLE_MIN: usize = 64;
 
 /// Cap on the dense `(y, x)` table (2^20 f64 cells = 8 MiB).
 const DENSE_TABLE_CAP: usize = 1 << 20;
+
+/// The dense-table policy of the permutation nulls: a table of `cells`
+/// (`None` when the count overflows) is counted densely when it is under
+/// the cap and at most [`DENSE_TABLE_ROWS_FACTOR`] times the `rows`
+/// counted into it (or tiny), and through a sorted fold otherwise.
+pub(crate) fn dense_table(cells: Option<usize>, rows: usize) -> bool {
+    cells.is_some_and(|cells| {
+        cells <= DENSE_TABLE_CAP
+            && cells
+                <= rows
+                    .saturating_mul(DENSE_TABLE_ROWS_FACTOR)
+                    .max(DENSE_TABLE_MIN)
+    })
+}
+
+/// Permutations per block of a parallel null. The block grid depends only
+/// on `n_permutations`, never on the pool's width.
+const PERM_BLOCK: usize = 8;
+
+/// The permutation RNG, counting the words drawn through it.
+struct CountedRng<'a> {
+    rng: &'a mut StdRng,
+    draws: u64,
+}
+
+impl RngCore for CountedRng<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.draws += 1;
+        self.rng.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.rng.next_u64()
+    }
+}
+
+/// One block of permutations drawn from a known stream position.
+struct NullBlock {
+    /// Permutations whose CMI reached the observed one.
+    exceed: usize,
+    /// Whether every permutation drew exactly
+    /// [`StratifiedNull::draws_per_permutation`] words.
+    regular: bool,
+    /// The RNG after the block's last permutation.
+    end: StdRng,
+}
 
 /// The complete-case rows of a CI test, copied once in stratum-major
 /// order: strata in ascending `Z`-key order, rows ascending within each
@@ -347,25 +392,114 @@ impl StratifiedNull {
         self.xs.len()
     }
 
+    /// RNG words one permutation draws unless a draw is rejected: a
+    /// stratum of `m` rows shuffles with `m − 1` bounded draws, one word
+    /// each. A rejection (probability below `span / 2^64` per draw) adds
+    /// a word.
+    fn draws_per_permutation(&self) -> u64 {
+        (self.rows() - (self.bounds.len() - 1)) as u64
+    }
+
+    /// How many of `options.n_permutations` permuted CMIs reach
+    /// `observed`, drawn from one RNG seeded with `options.seed` exactly as
+    /// a serial loop would draw them.
+    ///
+    /// The permutations split into blocks of [`PERM_BLOCK`]; each block
+    /// jumps a clone of the seeded RNG ahead by `first · D` words
+    /// ([`StdRng::advance`]), `D` the [`draws_per_permutation`], and draws
+    /// its permutations serially on the pool. A block whose permutations
+    /// drew other than `D` words each (a rejected draw) was still drawn in
+    /// sequence from a true start, but every later block started off its
+    /// true position: those are re-drawn serially from the irregular
+    /// block's end state. The exceedance count is a sum of booleans, so it
+    /// equals the serial loop's whatever the pool width. `after_draw` runs
+    /// after each permutation `p` on its RNG (a test hook; production
+    /// passes a no-op).
+    ///
+    /// [`draws_per_permutation`]: StratifiedNull::draws_per_permutation
+    fn exceedances<H>(
+        &self,
+        options: &CiTestOptions,
+        observed: f64,
+        pool: &ThreadPool,
+        after_draw: H,
+    ) -> usize
+    where
+        H: Fn(usize, &mut CountedRng<'_>) + Sync,
+    {
+        let n = options.n_permutations;
+        let seeded = StdRng::seed_from_u64(options.seed);
+        let per_perm = self.draws_per_permutation();
+        let blocks = pool.map(n.div_ceil(PERM_BLOCK), |b| {
+            let first = b * PERM_BLOCK;
+            let mut rng = seeded.clone();
+            rng.advance(first as u128 * per_perm as u128);
+            self.draw_block(
+                rng,
+                first..(first + PERM_BLOCK).min(n),
+                observed,
+                &after_draw,
+            )
+        });
+        let mut exceed = 0;
+        for (b, block) in blocks.into_iter().enumerate() {
+            exceed += block.exceed;
+            if !block.regular {
+                let rest = (b + 1) * PERM_BLOCK..n;
+                exceed += self
+                    .draw_block(block.end, rest, observed, &after_draw)
+                    .exceed;
+                break;
+            }
+        }
+        exceed
+    }
+
+    /// Draws permutations `range` in sequence from `rng`.
+    fn draw_block<H>(
+        &self,
+        mut rng: StdRng,
+        range: std::ops::Range<usize>,
+        observed: f64,
+        after_draw: &H,
+    ) -> NullBlock
+    where
+        H: Fn(usize, &mut CountedRng<'_>),
+    {
+        let mut scratch = NullScratch::default();
+        let mut exceed = 0;
+        let mut regular = true;
+        for p in range {
+            let mut counted = CountedRng {
+                rng: &mut rng,
+                draws: 0,
+            };
+            if self.permuted_cmi(&mut counted, &mut scratch) >= observed {
+                exceed += 1;
+            }
+            after_draw(p, &mut counted);
+            regular &= counted.draws == self.draws_per_permutation();
+        }
+        NullBlock {
+            exceed,
+            regular,
+            end: rng,
+        }
+    }
+
     /// One permutation: shuffles `X` within each stratum (ascending
     /// stratum order, one `shuffle` call per stratum, so the RNG stream
     /// is the one the row-rewrite loop consumed) and returns the CMI of
     /// the permuted rows.
-    fn permuted_cmi(&self, rng: &mut StdRng, s: &mut NullScratch) -> f64 {
+    fn permuted_cmi<R: RngCore>(&self, rng: &mut R, s: &mut NullScratch) -> f64 {
         let mut folds = CmiFolds::default();
         for w in self.bounds.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             s.perm.clear();
             s.perm.extend_from_slice(&self.xs[lo..hi]);
             s.perm.shuffle(rng);
-            let m = hi - lo;
             match self.table_cells {
-                Some(cells)
-                    if cells <= DENSE_TABLE_CAP
-                        && cells
-                            <= m.saturating_mul(DENSE_TABLE_ROWS_FACTOR)
-                                .max(DENSE_TABLE_MIN) =>
-                {
+                Some(cells) if dense_table(self.table_cells, hi - lo) => {
                     self.fold_dense(lo, cells, s, &mut folds)
                 }
                 _ => self.fold_sorted(lo, s, &mut folds),
@@ -659,6 +793,62 @@ mod tests {
         }
     }
 
+    /// An injected extra draw after permutation 17 (as a rejected draw
+    /// would add) leaves later blocks off their true stream position; the
+    /// fallback re-draws them serially, so every permutation's end state
+    /// and the exceedance count match a serial loop with the same
+    /// injection, at every pool width.
+    #[test]
+    fn irregular_block_falls_back_to_the_serial_stream() {
+        use std::sync::Mutex;
+        let mut next = lcg(53);
+        let n = 500;
+        let x = codes(&(0..n).map(|_| next() % 4).collect::<Vec<_>>(), 4);
+        let y = codes(&(0..n).map(|_| next() % 3).collect::<Vec<_>>(), 3);
+        let z = codes(&(0..n).map(|_| next() % 5).collect::<Vec<_>>(), 5);
+        let ctx = InfoContext::default();
+        let usable: Vec<usize> = (0..n as usize).collect();
+        let null = StratifiedNull::new(&ctx, &x, &y, &[&z], &usable);
+        let options = CiTestOptions::default();
+        let injected = [17, 40];
+        // The serial oracle: one stream, an extra word after each
+        // injected permutation; each permutation's end state is
+        // fingerprinted by the next word it would draw.
+        let mut rng = StdRng::seed_from_u64(options.seed);
+        let mut scratch = NullScratch::default();
+        let mut stats = Vec::new();
+        let mut ends = Vec::new();
+        for p in 0..options.n_permutations {
+            stats.push(null.permuted_cmi(&mut rng, &mut scratch));
+            if injected.contains(&p) {
+                rng.next_u64();
+            }
+            ends.push(rng.clone().next_u64());
+        }
+        // The median permuted CMI as the observed one: about half the
+        // draws exceed it, so a misplaced stream moves the count.
+        let mut sorted = stats.clone();
+        sorted.sort_by(f64::total_cmp);
+        let observed = sorted[stats.len() / 2];
+        let want = stats.iter().filter(|&&s| s >= observed).count();
+        for threads in [1, 2, 8] {
+            let pool = ThreadPool::new(nexus_runtime::Parallelism::Fixed(threads));
+            let seen = Mutex::new(vec![None; options.n_permutations]);
+            let got = null.exceedances(&options, observed, &pool, |p, rng| {
+                if injected.contains(&p) {
+                    rng.next_u64();
+                }
+                // The fallback re-draws after every block has finished,
+                // so the last end state recorded per permutation is the
+                // one that counted.
+                seen.lock().unwrap()[p] = Some(rng.rng.clone().next_u64());
+            });
+            assert_eq!(got, want, "{threads} threads");
+            let seen: Vec<u64> = seen.into_inner().unwrap().into_iter().flatten().collect();
+            assert_eq!(seen, ends, "{threads} threads");
+        }
+    }
+
     /// The screen's verdict, which must be `Decided`.
     fn decided(screen: CiScreen<'_>) -> CiTestResult {
         match screen {
@@ -747,7 +937,7 @@ mod tests {
                 let CiScreen::Pending(pending) = ci_screen(&ctx, &x, &y, &zs, &opts) else {
                     panic!("decided by a shortcut (n = {n})");
                 };
-                let got = pending.permute();
+                let got = pending.permute(&ThreadPool::default());
                 assert_eq!(got.observed_cmi.to_bits(), ctx.cmi(&x, &y, &zs).to_bits());
                 let want = ci_test(&ctx, &x, &y, &zs, &opts);
                 assert_eq!(got.observed_cmi.to_bits(), want.observed_cmi.to_bits());

@@ -27,12 +27,14 @@
 
 #![warn(missing_docs)]
 
+pub mod calibration;
 pub mod counter;
 pub mod estimator;
 pub mod fd;
 pub mod independence;
 pub mod kernel;
 
+pub use calibration::CalibrationRows;
 pub use counter::{entropy_from_counts, entropy_mm, Accumulator, JointCounts};
 pub use estimator::{cmi, entropy, mutual_information, InfoContext};
 pub use fd::{approx_fd, logically_dependent, DEFAULT_FD_EPSILON};

@@ -3,14 +3,18 @@
 //!
 //! The oracle below is the previous implementation kept verbatim: clone
 //! `X`, rewrite the codes of every complete-case row stratum by stratum
-//! with one `shuffle` per stratum, and re-count the whole permuted column
-//! with `InfoContext::cmi`. The production test counts a compact
-//! stratum-major copy instead; every field of the result must match bit
-//! for bit on random codes, masks, nulls and weights.
+//! with one `shuffle` per stratum, drawing every permutation serially from
+//! one RNG, and re-count the whole permuted column with
+//! `InfoContext::cmi`. The production test counts a compact stratum-major
+//! copy instead, in blocks of permutations on a thread pool, each block
+//! jumping its RNG ahead to its own stream position; every field of the
+//! result must match bit for bit on random codes, masks, nulls and
+//! weights, at every pool width.
 
 use std::collections::BTreeMap;
 
-use nexus_info::{ci_test, CiTestOptions, CiTestResult, InfoContext};
+use nexus_info::{ci_screen, ci_test, CiScreen, CiTestOptions, CiTestResult, InfoContext};
+use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{Bitmap, Codes};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -197,6 +201,32 @@ const SHAPES: &[Shape] = &[
     },
 ];
 
+/// Every pending test, drawn on pools 1, 2 and 8 wide, matches the serial
+/// oracle; returns how many inputs reached the permutation null.
+fn permute_matches_oracle_at_every_width(
+    ctx: &InfoContext<'_>,
+    x: &Codes,
+    y: &Codes,
+    z: &[&Codes],
+    options: &CiTestOptions,
+    what: &str,
+) -> usize {
+    let want = ci_test_oracle(ctx, x, y, z, options);
+    let mut pending = 0;
+    for threads in [1, 2, 8] {
+        let pool = ThreadPool::new(Parallelism::Fixed(threads));
+        let got = match ci_screen(ctx, x, y, z, options) {
+            CiScreen::Decided(result) => result,
+            CiScreen::Pending(test) => {
+                pending += 1;
+                test.permute(&pool)
+            }
+        };
+        assert_identical(&got, &want, &format!("{what} threads={threads}"));
+    }
+    pending
+}
+
 fn run_case(seed: u64, shape: &Shape, weighted: bool, masked: bool, nulls: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = shape.n;
@@ -241,6 +271,73 @@ fn run_case(seed: u64, shape: &Shape, weighted: bool, masked: bool, nulls: bool)
         );
         assert_identical(&got, &want, &what);
     }
+}
+
+#[test]
+fn pooled_permute_matches_oracle_at_every_width() {
+    let mut pending = 0;
+    for (s, shape) in SHAPES.iter().enumerate() {
+        for (weighted, masked) in [(false, false), (true, false), (false, true), (true, true)] {
+            let seed = 100 + 4 * s as u64 + 2 * weighted as u64 + masked as u64;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = shape.n;
+            let x = random_codes(&mut rng, n, shape.card_x, true);
+            let y = leaning_codes(&mut rng, &x, shape.card_y, true);
+            let z: Vec<Codes> = shape
+                .card_z
+                .iter()
+                .map(|&c| random_codes(&mut rng, n, c, false))
+                .collect();
+            let z_refs: Vec<&Codes> = z.iter().collect();
+            let mask: Bitmap = (0..n).map(|_| rng.gen_range(0..4) != 0).collect();
+            let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.05..4.0)).collect();
+            let ctx = InfoContext {
+                mask: masked.then_some(&mask),
+                weights: weighted.then_some(weights.as_slice()),
+            };
+            // 100 permutations: thirteen blocks, the last one short.
+            let options = CiTestOptions {
+                cmi_shortcut: 0.0,
+                seed: seed ^ 0x9e37,
+                ..CiTestOptions::default()
+            };
+            let what = format!(
+                "|Z|={} card=({},{}) weighted={weighted} masked={masked}",
+                shape.card_z.len(),
+                shape.card_x,
+                shape.card_y
+            );
+            pending +=
+                permute_matches_oracle_at_every_width(&ctx, &x, &y, &z_refs, &options, &what);
+        }
+    }
+    assert_eq!(pending, 3 * 4 * SHAPES.len(), "every case permutes");
+}
+
+#[test]
+fn pooled_permute_matches_oracle_on_singleton_strata() {
+    let mut rng = StdRng::seed_from_u64(78);
+    let n = 120;
+    let x = random_codes(&mut rng, n, 3, false);
+    let y = leaning_codes(&mut rng, &x, 3, false);
+    let z = Codes {
+        codes: (0..n as u32).collect(),
+        cardinality: n as u32,
+        validity: None,
+    };
+    let options = CiTestOptions {
+        cmi_shortcut: 0.0,
+        ..CiTestOptions::default()
+    };
+    let pending = permute_matches_oracle_at_every_width(
+        &InfoContext::default(),
+        &x,
+        &y,
+        &[&z],
+        &options,
+        "singleton strata",
+    );
+    assert_eq!(pending, 3);
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! Covered surface: [`rngs::StdRng`] (+[`SeedableRng::seed_from_u64`]),
 //! [`Rng::gen`] for `f64`/`bool`/integers, [`Rng::gen_range`] over
 //! half-open and inclusive integer/float ranges, and
-//! [`seq::SliceRandom::shuffle`]/[`seq::SliceRandom::choose`].
+//! [`seq::SliceRandom::shuffle`]/[`seq::SliceRandom::choose`]. Beyond
+//! upstream, [`rngs::StdRng::advance`] jumps a stream ahead by any number
+//! of draws in logarithmic time.
 //!
 //! The core generator is **xoshiro256++** seeded through SplitMix64 —
 //! not the ChaCha12 of the real `StdRng`, so streams differ from
@@ -209,9 +211,140 @@ pub mod rngs {
         s: [u64; 4],
     }
 
+    /// The low 256 coefficients of xoshiro256's characteristic polynomial
+    /// `P(x) = x^256 + …` over GF(2), bit `b` of word `w` holding the
+    /// coefficient of `x^(64w + b)`. The state update is linear over
+    /// GF(2)^256 with characteristic polynomial `P`, so by Cayley–Hamilton
+    /// `n` steps equal `x^n mod P` evaluated at the update. Re-derived from
+    /// a state-bit sequence by Berlekamp–Massey in this module's tests.
+    const CHAR_POLY: [u64; 4] = [
+        0x9d11_6f2b_b0f0_f001,
+        0x0280_002b_cefd_1a5e,
+        0x04b4_edcf_2625_9f85,
+        0x0003_c03c_3f3e_cb19,
+    ];
+
+    /// `a · x mod P`.
+    const fn mul_x(a: [u64; 4]) -> [u64; 4] {
+        let carry = a[3] >> 63;
+        let mut r = [
+            a[0] << 1,
+            (a[1] << 1) | (a[0] >> 63),
+            (a[2] << 1) | (a[1] >> 63),
+            (a[3] << 1) | (a[2] >> 63),
+        ];
+        if carry == 1 {
+            let mut k = 0;
+            while k < 4 {
+                r[k] ^= CHAR_POLY[k];
+                k += 1;
+            }
+        }
+        r
+    }
+
+    /// `x^(256 + i) mod P` for `i < 256`: the residues that fold a
+    /// product's high half back below degree 256.
+    const REDUCE: [[u64; 4]; 256] = {
+        let mut table = [[0u64; 4]; 256];
+        let mut r = CHAR_POLY;
+        let mut i = 0;
+        while i < 256 {
+            table[i] = r;
+            r = mul_x(r);
+            i += 1;
+        }
+        table
+    };
+
+    fn xor_into(r: &mut [u64; 4], a: &[u64; 4]) {
+        for (r, a) in r.iter_mut().zip(a) {
+            *r ^= a;
+        }
+    }
+
+    /// Spreads the 32 bits of `x` to the even bit positions of a word:
+    /// squaring over GF(2) has no cross terms.
+    fn spread(x: u32) -> u64 {
+        let mut x = x as u64;
+        x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
+        x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;
+        x = (x | (x << 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+        x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+        (x | (x << 1)) & 0x5555_5555_5555_5555
+    }
+
+    /// `a² mod P`.
+    fn square_mod(a: &[u64; 4]) -> [u64; 4] {
+        let mut wide = [0u64; 8];
+        for (k, &w) in a.iter().enumerate() {
+            wide[2 * k] = spread(w as u32);
+            wide[2 * k + 1] = spread((w >> 32) as u32);
+        }
+        let mut r = [wide[0], wide[1], wide[2], wide[3]];
+        for (j, &w) in wide[4..].iter().enumerate() {
+            let mut bits = w;
+            while bits != 0 {
+                xor_into(&mut r, &REDUCE[64 * j + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        r
+    }
+
+    /// `x^n mod P` by square-and-multiply over `n`'s bits, high to low.
+    fn x_pow_mod(n: u128) -> [u64; 4] {
+        let mut r = [1u64, 0, 0, 0];
+        for bit in (0..128 - n.leading_zeros()).rev() {
+            r = square_mod(&r);
+            if (n >> bit) & 1 == 1 {
+                r = mul_x(r);
+            }
+        }
+        r
+    }
+
     impl StdRng {
         fn rotl(x: u64, k: u32) -> u64 {
             x.rotate_left(k)
+        }
+
+        /// The state transition behind [`RngCore::next_u64`], without the
+        /// output scrambler.
+        #[inline]
+        fn step(&mut self) {
+            let t = self.s[1] << 17;
+            self.s[2] ^= self.s[0];
+            self.s[3] ^= self.s[1];
+            self.s[1] ^= self.s[2];
+            self.s[0] ^= self.s[3];
+            self.s[2] ^= t;
+            self.s[3] = Self::rotl(self.s[3], 45);
+        }
+
+        /// Jumps ahead by exactly `n` draws: afterwards the generator is in
+        /// the state `n` calls to [`RngCore::next_u64`] would have left it
+        /// in. Costs `O(log n)` polynomial squarings plus 256 state steps,
+        /// so one stream can be cut into exactly positioned pieces drawn
+        /// apart (the published xoshiro256 `jump()` advances `2^128`
+        /// draws).
+        pub fn advance(&mut self, n: u128) {
+            self.apply_jump(&x_pow_mod(n));
+        }
+
+        /// The reference jump loop: the state becomes `Σ cᵢ·Mⁱ·s` for the
+        /// jump polynomial's coefficients `cᵢ`, `M` the state update.
+        fn apply_jump(&mut self, poly: &[u64; 4]) {
+            let mut acc = [0u64; 4];
+            for word in poly {
+                for b in 0..64 {
+                    if (word >> b) & 1 == 1 {
+                        xor_into(&mut acc, &self.s);
+                    }
+                    self.step();
+                }
+            }
+            self.s = acc;
         }
     }
 
@@ -238,14 +371,118 @@ pub mod rngs {
 
         fn next_u64(&mut self) -> u64 {
             let result = Self::rotl(self.s[0].wrapping_add(self.s[3]), 23).wrapping_add(self.s[0]);
-            let t = self.s[1] << 17;
-            self.s[2] ^= self.s[0];
-            self.s[3] ^= self.s[1];
-            self.s[1] ^= self.s[2];
-            self.s[0] ^= self.s[3];
-            self.s[2] ^= t;
-            self.s[3] = Self::rotl(self.s[3], 45);
+            self.step();
             result
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// The connection polynomial `1 + c₁x + … + c_L x^L` of the
+        /// shortest linear recurrence generating `bits` (Berlekamp–Massey
+        /// over GF(2)), as `c₀..=c_L`.
+        fn berlekamp_massey(bits: &[u8]) -> Vec<u8> {
+            let n = bits.len();
+            let mut c = vec![0u8; n + 1];
+            let mut b = vec![0u8; n + 1];
+            c[0] = 1;
+            b[0] = 1;
+            let mut len = 0usize;
+            let mut shift = 1usize;
+            for i in 0..n {
+                let d = (1..=len).fold(bits[i], |d, j| d ^ (c[j] & bits[i - j]));
+                if d == 0 {
+                    shift += 1;
+                    continue;
+                }
+                let prev = c.clone();
+                for j in 0..=n - shift {
+                    c[j + shift] ^= b[j];
+                }
+                if 2 * len <= i {
+                    len = i + 1 - len;
+                    b = prev;
+                    shift = 1;
+                } else {
+                    shift += 1;
+                }
+            }
+            c.truncate(len + 1);
+            c
+        }
+
+        #[test]
+        fn char_poly_is_the_berlekamp_massey_minimal_polynomial() {
+            // Bit 0 of `s[0]` is a linear functional of the state; P is
+            // irreducible (the period is 2^256 − 1), so that sequence's
+            // minimal polynomial is P itself.
+            let mut rng = StdRng::seed_from_u64(0x5eed);
+            let bits: Vec<u8> = (0..1024)
+                .map(|_| {
+                    let bit = (rng.s[0] & 1) as u8;
+                    rng.step();
+                    bit
+                })
+                .collect();
+            let c = berlekamp_massey(&bits);
+            assert_eq!(c.len(), 257, "linear complexity 256");
+            // P(x) = x^256 · C(1/x): the coefficient of x^(256 − j) is c_j.
+            let mut p = [0u64; 4];
+            for (j, &cj) in c.iter().enumerate().skip(1) {
+                let k = 256 - j;
+                p[k / 64] |= (cj as u64) << (k % 64);
+            }
+            assert_eq!(p, CHAR_POLY);
+        }
+
+        /// xoshiro256's published `jump()` and `long_jump()` polynomials:
+        /// `x^(2^128)` and `x^(2^192)` mod P.
+        const JUMP: [u64; 4] = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        const LONG_JUMP: [u64; 4] = [
+            0x76e1_5d3e_fefd_cbbf,
+            0xc500_4e44_1c52_2fb3,
+            0x7771_0069_854e_e241,
+            0x3910_9bb0_2acb_e635,
+        ];
+
+        #[test]
+        fn advance_reproduces_the_published_jumps() {
+            // `x^(2^k)`: `x` squared `k` times.
+            let x_pow_pow2 = |k: u32| (0..k).fold(x_pow_mod(1), |r, _| square_mod(&r));
+            assert_eq!(x_pow_pow2(127), x_pow_mod(1 << 127));
+            assert_eq!(x_pow_pow2(128), JUMP);
+            assert_eq!(x_pow_pow2(192), LONG_JUMP);
+            // 2^128 draws overflow `u128`: two advances of 2^127.
+            let mut jumped = StdRng::seed_from_u64(99);
+            let mut advanced = jumped.clone();
+            jumped.apply_jump(&JUMP);
+            advanced.advance(1 << 127);
+            advanced.advance(1 << 127);
+            assert_eq!(advanced.s, jumped.s);
+        }
+
+        #[test]
+        fn advance_equals_that_many_draws() {
+            let mut lengths = vec![0u128, 1, 63, 64, 255, 256, 257, 1_000_000];
+            let mut pick = StdRng::seed_from_u64(17);
+            lengths.extend((0..12).map(|_| (pick.next_u64() % 50_000) as u128));
+            for (k, &n) in lengths.iter().enumerate() {
+                let mut walked = StdRng::seed_from_u64(1000 + k as u64);
+                let mut advanced = walked.clone();
+                for _ in 0..n {
+                    walked.next_u64();
+                }
+                advanced.advance(n);
+                assert_eq!(advanced.s, walked.s, "n = {n}");
+                assert_eq!(advanced.next_u64(), walked.next_u64(), "n = {n}");
+            }
         }
     }
 }

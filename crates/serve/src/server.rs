@@ -456,16 +456,17 @@ impl Server {
     /// corruption surface immediately) and `kg_path` an optional KG TSV.
     /// The table, the graph, and the KG extraction artifacts are
     /// materialized lazily, on the first request that needs them.
-    /// Replaces any dataset of the same name.
+    /// Replaces any dataset of the same name. Returns the validated
+    /// header's [`StoreInfo`](nexus_store::StoreInfo).
     pub fn add_dataset_from_store(
         &self,
         name: impl Into<String>,
         table_path: impl Into<PathBuf>,
         kg_path: Option<PathBuf>,
         extraction_columns: Vec<String>,
-    ) -> Result<(), ServeError> {
+    ) -> Result<nexus_store::StoreInfo, ServeError> {
         let table_path = table_path.into();
-        nexus_store::inspect_path(&table_path)
+        let info = nexus_store::inspect_path(&table_path)
             .map_err(|e| ServeError::Store(format!("{}: {e}", table_path.display())))?;
         self.inner.registry.register(
             name.into(),
@@ -477,7 +478,7 @@ impl Server {
                 extraction_columns,
             },
         );
-        Ok(())
+        Ok(info)
     }
 
     /// Names of the registered datasets (sorted; resident or not).
@@ -669,7 +670,7 @@ impl Server {
             kg_path,
             w.extraction_columns.clone(),
         ) {
-            Ok(()) => Frame::DatasetAck(DatasetAckWire {
+            Ok(_) => Frame::DatasetAck(DatasetAckWire {
                 name: w.name.clone(),
                 resident: false,
             }),

@@ -46,12 +46,14 @@ impl Packed {
     }
 
     fn register(&self, server: &Server, name: &str) -> Result<(), ServeError> {
-        server.add_dataset_from_store(
-            name,
-            &self.table_path,
-            Some(self.kg_path.clone()),
-            self.extraction_columns.clone(),
-        )
+        server
+            .add_dataset_from_store(
+                name,
+                &self.table_path,
+                Some(self.kg_path.clone()),
+                self.extraction_columns.clone(),
+            )
+            .map(drop)
     }
 }
 

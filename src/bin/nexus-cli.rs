@@ -734,7 +734,7 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
     if let Some(store_path) = &args.data.store {
         // Store-backed registration is lazy: the header is validated now,
         // the table materializes on the first request that needs it.
-        server
+        let info = server
             .add_dataset_from_store(
                 args.name.clone(),
                 store_path,
@@ -742,8 +742,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
                 args.data.extract.clone(),
             )
             .map_err(|e| format!("failed to register store dataset: {e}"))?;
-        let info = nexus::store::inspect_path(store_path)
-            .map_err(|e| format!("failed to inspect {store_path}: {e}"))?;
         eprintln!(
             "serve: dataset {:?} registered from {store_path} \
              ({} rows x {} cols, fingerprint {:#018x}); materialization is lazy",
