@@ -29,18 +29,21 @@
 //!
 //! The cross-column `(X₁, X₂)` counts behind MCIMR's redundancy term are
 //! the same kind of build. Every score derived from cells — candidate
-//! stats, pairwise MI, the selection-bias test — folds them through one
-//! `Marginal` accumulator that drains in ascending key order, the order
-//! an ordered map would give. Unweighted cells are exact integers, so
-//! their sums are exact in any order and only the entropy terms' order
-//! matters.
+//! stats, pairwise MI, the selection-bias test — folds them through
+//! `nexus_info`'s one cell accumulator, [`Marginal`], which drains in
+//! ascending key order, the order an ordered map would give. Unweighted
+//! cells are exact integers, so their sums are exact in any order and
+//! only the entropy terms' order matters.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+#[cfg(test)]
+use nexus_info::entropy_from_counts;
+use nexus_info::fold::Marginal;
 use nexus_info::kernel;
-use nexus_info::{entropy_from_counts, entropy_mm, CalibrationRows, InfoContext, JointCounts};
+use nexus_info::{entropy_mm, CalibrationRows, InfoContext, JointCounts};
 use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{BinStrategy, Codes, Fnv64};
 
@@ -1046,68 +1049,6 @@ fn bias_from_cells(cont: &Contingency, map: &[u32]) -> (f64, f64, f64) {
     let mi_or = (h(m_o) + h_r - h(m_or)).max(0.0);
     let mi_tr = (h(m_t) + h_r - h(m_tr)).max(0.0);
     (mi_or, mi_tr, missing / total)
-}
-
-/// Marginal key spaces up to this many times the contingency's cell
-/// count (or [`MARGINAL_DENSE_MIN`]) accumulate densely; sparser ones
-/// collect `(key, weight)` adds and sort them.
-const MARGINAL_DENSE_FACTOR: u128 = 8;
-
-/// Key spaces this small are always dense.
-const MARGINAL_DENSE_MIN: u128 = 1024;
-
-/// One marginal's accumulator: every fold of contingency cells in the
-/// engine ([`stats_from_cells`], [`bias_from_cells`], [`mi_from_cells`])
-/// goes through it. Every add is a positive weight, so a key is occupied
-/// exactly when its sum is positive.
-enum Marginal {
-    /// Flat sums indexed by key; drained by walking the key space.
-    Dense(Vec<f64>),
-    /// The adds in arrival order; drained by a *stable* sort on the key,
-    /// which keeps each key's adds in arrival order.
-    Sorted(Vec<(u128, f64)>),
-}
-
-impl Marginal {
-    fn new(space: u128, cells: usize) -> Marginal {
-        if space <= (cells as u128 * MARGINAL_DENSE_FACTOR).max(MARGINAL_DENSE_MIN) {
-            Marginal::Dense(vec![0.0; space as usize])
-        } else {
-            Marginal::Sorted(Vec::with_capacity(cells))
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, key: u128, w: f64) {
-        match self {
-            Marginal::Dense(v) => v[key as usize] += w,
-            Marginal::Sorted(v) => v.push((key, w)),
-        }
-    }
-
-    /// `(H, occupied cells)` over `total`, cells in ascending key order.
-    fn entropy_and_cells(self, total: f64) -> (f64, usize) {
-        match self {
-            Marginal::Dense(v) => (
-                entropy_from_counts(v.iter().copied(), total),
-                v.iter().filter(|&&c| c > 0.0).count(),
-            ),
-            Marginal::Sorted(mut adds) => {
-                adds.sort_by_key(|&(k, _)| k);
-                let mut sums: Vec<f64> = Vec::new();
-                let mut last = None;
-                for (k, w) in adds {
-                    if last == Some(k) {
-                        *sums.last_mut().expect("key seen") += w;
-                    } else {
-                        sums.push(w);
-                        last = Some(k);
-                    }
-                }
-                (entropy_from_counts(sums.iter().copied(), total), sums.len())
-            }
-        }
-    }
 }
 
 /// The key space of a candidate's codes: one past its largest observed

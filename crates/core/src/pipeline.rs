@@ -356,30 +356,20 @@ impl Nexus {
     }
 
     /// Runs the query-dependent pipeline stages over precomputed column
-    /// extractions (see [`crate::candidate::extract_column`]).
+    /// extractions (see [`crate::candidate::extract_column`]), with
+    /// cooperative cancellation and progress streaming (see
+    /// [`RunControl`]).
     ///
     /// This is the resident-server entry point: linking and KG attribute
     /// mining — the dominant cost of candidate building — are amortized
     /// across requests by reusing [`ColumnExtraction`] artifacts, while
     /// pruning, bias weighting, and MCIMR still run per query. The result
     /// is bit-identical to [`Nexus::run`] on the same inputs.
-    pub fn run_with_extractions(
-        &self,
-        table: &Table,
-        extractions: &[&ColumnExtraction],
-        query: &AggregateQuery,
-    ) -> Result<(Explanation, RunArtifacts)> {
-        self.run_with_extractions_controlled(table, extractions, query, RunControl::none())
-    }
-
-    /// [`Nexus::run_with_extractions`] with cooperative cancellation and
-    /// progress streaming (see [`RunControl`]).
     ///
     /// The abort flag is polled at every stage boundary and once per
-    /// MCIMR iteration; an aborted run returns
-    /// [`CoreError::Aborted`] and
+    /// MCIMR iteration; an aborted run returns [`CoreError::Aborted`] and
     /// produces no explanation. A run with `RunControl::none()` is
-    /// bit-identical to the uncontrolled entry point.
+    /// bit-identical to an uncontrolled run.
     pub fn run_with_extractions_controlled(
         &self,
         table: &Table,

@@ -7,20 +7,15 @@
 //! and folds three marginals through ordered maps; [`CalibrationRows`]
 //! copies the rows a sample counts once and re-counts only those.
 //!
-//! # Why the result is bit-identical to the full-table build
-//!
-//! The joint `(O, T, E)` keys `o + |O|·(t + |T|·e)` (first variable
-//! fastest), so its cells drain in ascending `(e, t, o)` order and its
-//! `(O, E)`, `(T, E)` and `E` marginals in ascending `(e, o)`, `(e, t)` and
-//! `e` order. Walking the `(e, t, o)` table in that order pushes every
-//! entropy term's cells in the same sequence. The counts are unweighted,
-//! so every cell and marginal sum is an exact integer whatever order it
-//! was added in; only the entropy folds' order matters, and it is kept.
+//! The result is bit-identical to the full-table build: the joint
+//! `(O, T, E)` keys `o + |O|·(t + |T|·e)` (first variable fastest), so
+//! each `e` block of the `(e, t, o)` table is one stratum of the shared
+//! walks in [`crate::fold`], folded in the joint's key order. The counts
+//! are unweighted exact integers, so only the folds' order matters.
 
 use nexus_table::{Bitmap, Codes};
 
-use crate::counter::{entropy_mm, EntropyFold};
-use crate::independence::dense_table;
+use crate::fold::{self, CmiFolds};
 use crate::kernel;
 
 /// Marks a domain row that no sample counts (`O` or `T` is null), and
@@ -51,26 +46,8 @@ pub struct CalibrationRows {
     cols: Vec<f64>,
     /// Sparse tables: `(e, t, o)` per counted row.
     keys: Vec<(u32, u32, u32)>,
-    /// Sparse tables: one `e` block's `(o, count)` cells.
-    cells: Vec<(u32, f64)>,
-}
-
-/// The four `Σ c·log2 c` folds of `I(O;T|E)`, with their occupied cells.
-#[derive(Default)]
-struct Folds {
-    ote: (EntropyFold, usize),
-    oe: (EntropyFold, usize),
-    te: (EntropyFold, usize),
-    e: (EntropyFold, usize),
-}
-
-impl Folds {
-    fn push(fold: &mut (EntropyFold, usize), c: f64) {
-        if c > 0.0 {
-            fold.0.push(c);
-            fold.1 += 1;
-        }
-    }
+    /// Sparse tables: the sorted walk's `(t, o, count)` cells.
+    cells: Vec<(u32, u32, f64)>,
 }
 
 impl CalibrationRows {
@@ -130,14 +107,11 @@ impl CalibrationRows {
     /// Records one dense kernel build over the counted rows, with the
     /// accumulator writes a run-coalesced row scan makes.
     pub fn cmi_mm(&mut self, card_e: u32, e_of: impl Fn(usize, u32) -> u32) -> f64 {
-        let card_e = card_e.max(1) as usize;
         let m = self.rows();
-        let cells = card_e
-            .checked_mul(self.card_t)
-            .and_then(|c| c.checked_mul(self.card_o));
-        let mut folds = Folds::default();
-        let writes = if dense_table(cells, m) {
-            self.count_dense(cells.expect("dense tables fit usize"), &e_of, &mut folds)
+        let cells = card_e.max(1) as u128 * self.card_t as u128 * self.card_o as u128;
+        let mut folds = CmiFolds::default();
+        let writes = if fold::dense(cells, m) {
+            self.count_dense(cells as usize, &e_of, &mut folds)
         } else {
             self.count_sorted(&e_of, &mut folds)
         };
@@ -146,22 +120,21 @@ impl CalibrationRows {
         if self.words_skipped > 0 {
             counters.record_packed_words_skipped(self.words_skipped);
         }
-        let n = m as f64;
-        let h = |(fold, cells): (EntropyFold, usize)| entropy_mm(fold.entropy(n), cells, n);
-        (h(folds.oe) + h(folds.te) - h(folds.ote) - h(folds.e)).max(0.0)
+        folds.cmi_mm(m as f64, true)
     }
 
     /// Counts the counted rows into the dense `(e, t, o)` table,
-    /// run-coalescing equal consecutive keys, and folds it. Returns the
-    /// accumulator writes.
+    /// run-coalescing equal consecutive keys, and folds it one `e` block
+    /// at a time. Returns the accumulator writes.
     fn count_dense(
         &mut self,
         cells: usize,
         e_of: &impl Fn(usize, u32) -> u32,
-        f: &mut Folds,
+        f: &mut CmiFolds,
     ) -> u64 {
         let (nt, no) = (self.card_t, self.card_o);
         self.table.resize(cells, 0.0);
+        let table = &mut self.table[..cells];
         let mut writes = 0u64;
         let mut last = usize::MAX;
         let mut run = 0.0;
@@ -174,7 +147,7 @@ impl CalibrationRows {
                 run += 1.0;
             } else {
                 if last != usize::MAX {
-                    self.table[last] += run;
+                    table[last] += run;
                     writes += 1;
                 }
                 last = key;
@@ -182,38 +155,19 @@ impl CalibrationRows {
             }
         }
         if last != usize::MAX {
-            self.table[last] += run;
+            table[last] += run;
             writes += 1;
         }
-        for block in self.table.chunks_exact_mut(nt * no) {
-            self.cols.clear();
-            self.cols.resize(no, 0.0);
-            let mut e_cell = 0.0;
-            for row in block.chunks_exact_mut(no) {
-                let mut te_cell = 0.0;
-                for (cell, col) in row.iter_mut().zip(self.cols.iter_mut()) {
-                    let c = std::mem::replace(cell, 0.0);
-                    if c > 0.0 {
-                        Folds::push(&mut f.ote, c);
-                        te_cell += c;
-                        *col += c;
-                    }
-                }
-                Folds::push(&mut f.te, te_cell);
-                e_cell += te_cell;
-            }
-            for &c in &self.cols {
-                Folds::push(&mut f.oe, c);
-            }
-            Folds::push(&mut f.e, e_cell);
+        for block in table.chunks_exact_mut(nt * no) {
+            fold::walk_dense(block, no, &mut self.cols, f);
         }
         writes
     }
 
-    /// Sorts the counted rows' `(e, t, o)` keys and folds their cells;
-    /// for tables too sparse to walk densely. Returns the rows counted as
-    /// the accumulator writes.
-    fn count_sorted(&mut self, e_of: &impl Fn(usize, u32) -> u32, f: &mut Folds) -> u64 {
+    /// Sorts the counted rows' `(e, t, o)` keys and folds each `e` block's
+    /// cells; for tables too sparse to walk densely. Returns the rows
+    /// counted as the accumulator writes.
+    fn count_sorted(&mut self, e_of: &impl Fn(usize, u32) -> u32, f: &mut CmiFolds) -> u64 {
         self.keys.clear();
         for (j, (&o, &t)) in self.o.iter().zip(&self.t).enumerate() {
             if o != NULL {
@@ -221,42 +175,9 @@ impl CalibrationRows {
             }
         }
         self.keys.sort_unstable();
-        let mut k = 0;
-        while k < self.keys.len() {
-            // One `e` block: its `(t, o)` cells in ascending order.
-            let e = self.keys[k].0;
-            let mut e_cell = 0.0;
-            self.cells.clear();
-            while k < self.keys.len() && self.keys[k].0 == e {
-                let t = self.keys[k].1;
-                let mut te_cell = 0.0;
-                while k < self.keys.len() && self.keys[k].0 == e && self.keys[k].1 == t {
-                    let key = self.keys[k];
-                    let mut c = 0.0;
-                    while k < self.keys.len() && self.keys[k] == key {
-                        c += 1.0;
-                        k += 1;
-                    }
-                    Folds::push(&mut f.ote, c);
-                    te_cell += c;
-                    self.cells.push((key.2, c));
-                }
-                Folds::push(&mut f.te, te_cell);
-                e_cell += te_cell;
-            }
-            // `(e, o)` cells: ascending `o`, each summed over its `t`s.
-            self.cells.sort_unstable_by_key(|&(o, _)| o);
-            let mut i = 0;
-            while i < self.cells.len() {
-                let o = self.cells[i].0;
-                let mut c = 0.0;
-                while i < self.cells.len() && self.cells[i].0 == o {
-                    c += self.cells[i].1;
-                    i += 1;
-                }
-                Folds::push(&mut f.oe, c);
-            }
-            Folds::push(&mut f.e, e_cell);
+        for block in self.keys.chunk_by(|a, b| a.0 == b.0) {
+            let adds = block.iter().map(|&(_, t, o)| (t, o, 1.0));
+            fold::walk_sorted(adds, &mut self.cells, f);
         }
         self.keys.len() as u64
     }
@@ -269,7 +190,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use super::*;
-    use crate::JointCounts;
+    use crate::{entropy_mm, JointCounts};
 
     fn random_codes(rng: &mut StdRng, n: usize, card: u32, nulls: bool) -> Codes {
         Codes {

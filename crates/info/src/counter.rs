@@ -2,9 +2,22 @@
 //!
 //! The estimators in this crate reduce every quantity to weighted counts of
 //! composite keys built from one or more [`Codes`] variables. Keys are
-//! mixed-radix encoded (first variable is the fastest digit); the
-//! accumulator is a dense vector when the key space is small and a hash map
-//! otherwise.
+//! mixed-radix encoded (first variable is the fastest digit). The
+//! accumulator is a dense vector when the key space is small, or within
+//! 32× the rows about to be scanned (under a hard cap), and a hash map
+//! otherwise (`Accumulator::for_scan`, the one counting policy for every
+//! route). Either way its cells iterate in ascending key order.
+//!
+//! # Folding the counts
+//!
+//! Counting and folding are separate. Every entropy over the counted
+//! cells drains through [`crate::fold`]: the joint's own entropy pushes
+//! its cells straight into an [`EntropyFold`], and a marginal over a
+//! subset of the variables adds the joint's cells, in key order, into a
+//! [`Marginal`], which drains in ascending marginal-key order. Whether a
+//! marginal sums into a flat table or sorts its adds is decided by the
+//! fold module's single policy, [`crate::fold::dense`], and never changes
+//! the bits.
 //!
 //! # Kernel v2 scan loop
 //!
@@ -27,6 +40,7 @@ use std::collections::HashMap;
 
 use nexus_table::{complete_case_mask, Bitmap, Codes};
 
+use crate::fold::{EntropyFold, Marginal};
 use crate::kernel;
 
 /// Key space above which we switch from dense vectors to hash maps.
@@ -42,14 +56,6 @@ pub enum Accumulator {
 }
 
 impl Accumulator {
-    fn with_capacity(space: u128) -> Accumulator {
-        if space <= DENSE_LIMIT {
-            Accumulator::Dense(vec![0.0; space as usize])
-        } else {
-            Accumulator::Sparse(HashMap::new())
-        }
-    }
-
     /// Row-aware dense policy for the kernel path. Dense is always taken
     /// under the unconditional budget, and still pays for larger key
     /// spaces when the space is within a small multiple of the rows about
@@ -103,7 +109,10 @@ impl Accumulator {
 
     /// Number of distinct keys with nonzero count.
     pub fn n_cells(&self) -> usize {
-        self.iter().count()
+        match self {
+            Accumulator::Dense(v) => v.iter().filter(|&&c| c > 0.0).count(),
+            Accumulator::Sparse(m) => m.len(),
+        }
     }
 }
 
@@ -418,10 +427,8 @@ impl JointCounts {
 
         let mut counts = if force_sparse {
             Accumulator::Sparse(HashMap::new())
-        } else if vectorized {
-            Accumulator::for_scan(space, rows_to_scan as u128)
         } else {
-            Accumulator::with_capacity(space)
+            Accumulator::for_scan(space, rows_to_scan as u128)
         };
         let mut total = 0.0;
         let mut rows = 0usize;
@@ -502,19 +509,13 @@ impl JointCounts {
 
     /// Shannon entropy (bits) of the counted joint distribution.
     pub fn entropy(&self) -> f64 {
-        entropy_from_counts(self.counts.iter().map(|(_, c)| c), self.total)
+        self.fold().entropy(self.total)
     }
 
     /// Plug-in entropy together with the number of occupied cells
     /// (for Miller–Madow bias correction), from one walk over the cells.
     pub fn entropy_and_cells(&self) -> (f64, usize) {
-        let mut fold = EntropyFold::default();
-        let mut cells = 0usize;
-        for (_, c) in self.counts.iter() {
-            fold.push(c);
-            cells += 1;
-        }
-        (fold.entropy(self.total), cells)
+        self.fold().entropy_and_cells(self.total)
     }
 
     /// Entropy (bits) of the marginal over the variable subset `keep`
@@ -524,20 +525,29 @@ impl JointCounts {
     }
 
     /// Marginal plug-in entropy together with its occupied-cell count.
-    ///
-    /// A `BTreeMap` keeps the marginal cells in key order so the entropy
-    /// sum is reproducible bit-for-bit (see [`Accumulator::iter`]).
     pub fn marginal_entropy_and_cells(&self, keep: &[usize]) -> (f64, usize) {
-        let mut marg: std::collections::BTreeMap<u128, f64> = std::collections::BTreeMap::new();
+        self.marginal_fold(keep).entropy_and_cells(self.total)
+    }
+
+    /// The joint's cells, in ascending key order, folded.
+    pub(crate) fn fold(&self) -> EntropyFold {
+        let mut fold = EntropyFold::default();
+        self.counts.iter().for_each(|(_, c)| fold.push(c));
+        fold
+    }
+
+    /// The marginal over `keep`, folded: the joint's cells, in ascending
+    /// key order, add into a [`Marginal`] over the kept variables' key
+    /// space, which drains in ascending marginal-key order. Each marginal
+    /// cell sums its joint cells in key order, so the fold is
+    /// reproducible bit for bit.
+    pub(crate) fn marginal_fold(&self, keep: &[usize]) -> EntropyFold {
+        let space = keep.iter().map(|&k| self.radices[k]).product();
+        let mut marg = Marginal::new(space, self.counts.n_cells());
         for (key, c) in self.counts.iter() {
-            marg.entry(self.project(key, keep))
-                .and_modify(|v| *v += c)
-                .or_insert(c);
+            marg.add(self.project(key, keep), c);
         }
-        (
-            entropy_from_counts(marg.values().copied(), self.total),
-            marg.len(),
-        )
+        marg.into_fold()
     }
 
     /// Projects a composite key onto the variable subset `keep`.
@@ -577,33 +587,6 @@ pub fn entropy_from_counts(counts: impl Iterator<Item = f64>, total: f64) -> f64
     let mut fold = EntropyFold::default();
     counts.for_each(|c| fold.push(c));
     fold.entropy(total)
-}
-
-/// The running `Σ c·log2(c)` behind [`entropy_from_counts`], for callers
-/// that produce counts in a loop rather than as an iterator. Pushing the
-/// same counts in the same order gives the same bits as
-/// `entropy_from_counts`.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct EntropyFold {
-    acc: f64,
-}
-
-impl EntropyFold {
-    /// Adds one cell count; non-positive counts are skipped.
-    #[inline]
-    pub(crate) fn push(&mut self, c: f64) {
-        if c > 0.0 {
-            self.acc += c * c.log2();
-        }
-    }
-
-    /// Entropy in bits of the pushed counts over `total`.
-    pub(crate) fn entropy(self, total: f64) -> f64 {
-        if total <= 0.0 {
-            return 0.0;
-        }
-        (total.log2() - self.acc / total).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -729,7 +712,7 @@ mod tests {
             .iter()
             .map(|v| (v.cardinality as u128).max(1))
             .collect();
-        let mut counts = Accumulator::with_capacity(radices.iter().product());
+        let mut counts = Accumulator::for_scan(radices.iter().product(), vars[0].len() as u128);
         let (total, rows) = scan_rows(vars, mask, weights, &radices, &mut counts);
         JointCounts {
             counts,

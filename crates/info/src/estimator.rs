@@ -7,7 +7,8 @@
 
 use nexus_table::{Bitmap, Codes};
 
-use crate::counter::{entropy_mm, JointCounts};
+use crate::counter::JointCounts;
+use crate::fold::{CmiFolds, EntropyFold};
 
 /// Estimation context: a row subset and per-row weights.
 ///
@@ -67,11 +68,7 @@ impl<'a> InfoContext<'a> {
 
     /// Mutual information `I(X;Y)` in bits, over rows valid in both.
     pub fn mutual_information(&self, x: &Codes, y: &Codes) -> f64 {
-        let joint = JointCounts::count(&[x, y], self.mask, self.weights);
-        let h_xy = joint.entropy();
-        let h_x = joint.marginal_entropy(&[0]);
-        let h_y = joint.marginal_entropy(&[1]);
-        (h_x + h_y - h_xy).max(0.0)
+        self.cmi(x, y, &[])
     }
 
     /// Conditional mutual information `I(X;Y | Z₁,…,Zₙ)` in bits.
@@ -80,25 +77,8 @@ impl<'a> InfoContext<'a> {
     /// common complete-case support. With empty `z` this reduces to
     /// `I(X;Y)`.
     pub fn cmi(&self, x: &Codes, y: &Codes, z: &[&Codes]) -> f64 {
-        if z.is_empty() {
-            return self.mutual_information(x, y);
-        }
-        let mut vars: Vec<&Codes> = Vec::with_capacity(z.len() + 2);
-        vars.push(x);
-        vars.push(y);
-        vars.extend_from_slice(z);
-        let joint = JointCounts::count(&vars, self.mask, self.weights);
-        let z_idx: Vec<usize> = (2..vars.len()).collect();
-        let mut xz_idx = vec![0usize];
-        xz_idx.extend_from_slice(&z_idx);
-        let mut yz_idx = vec![1usize];
-        yz_idx.extend_from_slice(&z_idx);
-
-        let h_xyz = joint.entropy();
-        let h_xz = joint.marginal_entropy(&xz_idx);
-        let h_yz = joint.marginal_entropy(&yz_idx);
-        let h_z = joint.marginal_entropy(&z_idx);
-        (h_xz + h_yz - h_xyz - h_z).max(0.0)
+        let (folds, total) = self.cmi_folds(x, y, z);
+        folds.cmi(total, !z.is_empty())
     }
 
     /// Number of complete-case rows shared by `vars` under the mask.
@@ -110,40 +90,38 @@ impl<'a> InfoContext<'a> {
     /// [`crate::counter::entropy_mm`]). Use when comparing MI values across
     /// different complete-case supports.
     pub fn mutual_information_mm(&self, x: &Codes, y: &Codes) -> f64 {
-        let joint = JointCounts::count(&[x, y], self.mask, self.weights);
-        let n = joint.total;
-        let (h_xy, k_xy) = joint.entropy_and_cells();
-        let (h_x, k_x) = joint.marginal_entropy_and_cells(&[0]);
-        let (h_y, k_y) = joint.marginal_entropy_and_cells(&[1]);
-        (entropy_mm(h_x, k_x, n) + entropy_mm(h_y, k_y, n) - entropy_mm(h_xy, k_xy, n)).max(0.0)
+        self.cmi_mm(x, y, &[])
     }
 
     /// Miller–Madow bias-corrected `I(X;Y|Z)`. The correction makes CMIs
     /// comparable across candidates with different complete-case supports.
     pub fn cmi_mm(&self, x: &Codes, y: &Codes, z: &[&Codes]) -> f64 {
-        if z.is_empty() {
-            return self.mutual_information_mm(x, y);
-        }
+        let (folds, total) = self.cmi_folds(x, y, z);
+        folds.cmi_mm(total, !z.is_empty())
+    }
+
+    /// The folds of `I(X;Y|Z)`'s entropy terms, and the sample total, from
+    /// one joint count over `(X, Y, Z…)`: the joint itself and its
+    /// `(X, Z)`, `(Y, Z)` and (with a nonempty `z`) `Z` marginals.
+    fn cmi_folds(&self, x: &Codes, y: &Codes, z: &[&Codes]) -> (CmiFolds, f64) {
         let mut vars: Vec<&Codes> = Vec::with_capacity(z.len() + 2);
         vars.push(x);
         vars.push(y);
         vars.extend_from_slice(z);
         let joint = JointCounts::count(&vars, self.mask, self.weights);
-        let n = joint.total;
-        let z_idx: Vec<usize> = (2..vars.len()).collect();
-        let mut xz_idx = vec![0usize];
-        xz_idx.extend_from_slice(&z_idx);
-        let mut yz_idx = vec![1usize];
-        yz_idx.extend_from_slice(&z_idx);
-
-        let (h_xyz, k_xyz) = joint.entropy_and_cells();
-        let (h_xz, k_xz) = joint.marginal_entropy_and_cells(&xz_idx);
-        let (h_yz, k_yz) = joint.marginal_entropy_and_cells(&yz_idx);
-        let (h_z, k_z) = joint.marginal_entropy_and_cells(&z_idx);
-        (entropy_mm(h_xz, k_xz, n) + entropy_mm(h_yz, k_yz, n)
-            - entropy_mm(h_xyz, k_xyz, n)
-            - entropy_mm(h_z, k_z, n))
-        .max(0.0)
+        let with_z =
+            |first: usize| -> Vec<usize> { std::iter::once(first).chain(2..vars.len()).collect() };
+        let folds = CmiFolds {
+            xyz: joint.fold(),
+            xz: joint.marginal_fold(&with_z(0)),
+            yz: joint.marginal_fold(&with_z(1)),
+            z: if z.is_empty() {
+                EntropyFold::default()
+            } else {
+                joint.marginal_fold(&(2..vars.len()).collect::<Vec<_>>())
+            },
+        };
+        (folds, joint.total)
     }
 }
 

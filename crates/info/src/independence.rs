@@ -14,10 +14,10 @@ use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 
 use nexus_runtime::ThreadPool;
-use nexus_table::{Bitmap, Codes};
+use nexus_table::Codes;
 
-use crate::counter::EntropyFold;
 use crate::estimator::InfoContext;
+use crate::fold::{self, CmiFolds};
 use crate::kernel;
 
 /// Configuration for the permutation test.
@@ -191,32 +191,6 @@ fn complete_case(ctx: &InfoContext<'_>, x: &Codes, y: &Codes, z: &[&Codes], i: u
         && z.iter().all(|v| v.is_valid(i))
 }
 
-/// Strata whose `(y, x)` table is at most this many times the stratum's
-/// row count are counted into a dense table; sparser strata sort their
-/// keys instead, so a permutation never costs more than its rows times a
-/// log factor.
-const DENSE_TABLE_ROWS_FACTOR: usize = 4;
-
-/// Tables this small are always dense.
-const DENSE_TABLE_MIN: usize = 64;
-
-/// Cap on the dense `(y, x)` table (2^20 f64 cells = 8 MiB).
-const DENSE_TABLE_CAP: usize = 1 << 20;
-
-/// The dense-table policy of the permutation nulls: a table of `cells`
-/// (`None` when the count overflows) is counted densely when it is under
-/// the cap and at most [`DENSE_TABLE_ROWS_FACTOR`] times the `rows`
-/// counted into it (or tiny), and through a sorted fold otherwise.
-pub(crate) fn dense_table(cells: Option<usize>, rows: usize) -> bool {
-    cells.is_some_and(|cells| {
-        cells <= DENSE_TABLE_CAP
-            && cells
-                <= rows
-                    .saturating_mul(DENSE_TABLE_ROWS_FACTOR)
-                    .max(DENSE_TABLE_MIN)
-    })
-}
-
 /// Permutations per block of a parallel null. The block grid depends only
 /// on `n_permutations`, never on the pool's width.
 const PERM_BLOCK: usize = 8;
@@ -255,19 +229,13 @@ struct NullBlock {
 /// stratum. Each permutation shuffles `X` within every stratum and
 /// re-counts only these rows, never the full-length columns.
 ///
-/// # Why the result is bit-identical to re-counting the permuted rows
-///
-/// A joint count over `(X, Y, Z…)` keys `x + |X|·(y + |Y|·z)` (the first
-/// variable is the fastest digit), so its ascending key order is exactly
-/// stratum-major `(z, y, x)` order, and every plug-in entropy folds its
-/// cells in that order. Walking each stratum's `(y, x)` table in order
-/// therefore visits the cells of `H(X,Y,Z)` in the same sequence; row sums
-/// of the table are the `(z, y)` cells of `H(Y,Z)`, column sums (added in
-/// ascending `y`) the `(z, x)` cells of `H(X,Z)`, and the running sum of
-/// the stratum's cells its `H(Z)` cell — each accumulated in the order the
-/// marginal walk would add them. Unweighted counts are exact integers;
-/// weighted cells receive their rows' weights in ascending row order, as
-/// the row scan adds them.
+/// The result is bit-identical to re-counting the permuted rows: a joint
+/// count over `(X, Y, Z…)` keys `x + |X|·(y + |Y|·z)`, so its ascending
+/// key order is stratum-major `(z, y, x)` order, and the shared stratum
+/// walks of [`crate::fold`] fold each stratum's `(y, x)` cells in exactly
+/// that order. Unweighted counts are exact integers; weighted cells
+/// receive their rows' weights in ascending row order, as the row scan
+/// adds them.
 struct StratifiedNull {
     /// `bounds[s]..bounds[s + 1]` indexes stratum `s` in the row arrays.
     bounds: Vec<usize>,
@@ -278,8 +246,8 @@ struct StratifiedNull {
     /// Weight per row when the context is weighted.
     ws: Option<Vec<f64>>,
     card_x: usize,
-    /// `|X|·|Y|`, or `None` when it overflows `usize`.
-    table_cells: Option<usize>,
+    /// `|X|·|Y|`, the key space of a stratum's table.
+    table_cells: u128,
     /// Total weight over counted rows, summed in ascending row order.
     total: f64,
     /// Whether `Z` is empty (then `H(Z)` drops out, as in plain MI).
@@ -295,19 +263,10 @@ struct NullScratch {
     table: Vec<f64>,
     /// Per-`x` column sums of the dense table.
     cols: Vec<f64>,
-    /// Sparse strata: `(y·|X| + x, row position)` keys.
-    keys: Vec<(u64, usize)>,
-    /// Sparse strata: occupied cells `(x, y, count)`.
+    /// Sparse strata: `(y, x, row position)` keys.
+    keys: Vec<(u32, u32, usize)>,
+    /// Sparse strata: occupied cells `(y, x, count)`.
     cells: Vec<(u32, u32, f64)>,
-}
-
-/// The four `Σ c·log2 c` folds of a CMI.
-#[derive(Default)]
-struct CmiFolds {
-    xyz: EntropyFold,
-    xz: EntropyFold,
-    yz: EntropyFold,
-    z: EntropyFold,
 }
 
 impl StratifiedNull {
@@ -381,7 +340,7 @@ impl StratifiedNull {
             ys,
             ws,
             card_x,
-            table_cells: card_x.checked_mul(y.cardinality.max(1) as usize),
+            table_cells: card_x as u128 * y.cardinality.max(1) as u128,
             total,
             unconditional: z.is_empty(),
         }
@@ -489,121 +448,47 @@ impl StratifiedNull {
 
     /// One permutation: shuffles `X` within each stratum (ascending
     /// stratum order, one `shuffle` call per stratum, so the RNG stream
-    /// is the one the row-rewrite loop consumed) and returns the CMI of
-    /// the permuted rows.
+    /// is the one the row-rewrite loop consumed), counts each stratum's
+    /// `(y, x)` cells, densely or sorted by [`fold::dense`], and folds them
+    /// with the shared walks. Returns the CMI of the permuted rows.
     fn permuted_cmi<R: RngCore>(&self, rng: &mut R, s: &mut NullScratch) -> f64 {
         let mut folds = CmiFolds::default();
+        let nx = self.card_x;
         for w in self.bounds.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             s.perm.clear();
             s.perm.extend_from_slice(&self.xs[lo..hi]);
             s.perm.shuffle(rng);
-            match self.table_cells {
-                Some(cells) if dense_table(self.table_cells, hi - lo) => {
-                    self.fold_dense(lo, cells, s, &mut folds)
+            if fold::dense(self.table_cells, hi - lo) {
+                s.table.resize(self.table_cells as usize, 0.0);
+                for (j, &xv) in s.perm.iter().enumerate() {
+                    let wt = self.weight(lo, j);
+                    if wt > 0.0 {
+                        s.table[self.ys[lo + j] as usize * nx + xv as usize] += wt;
+                    }
                 }
-                _ => self.fold_sorted(lo, s, &mut folds),
+                fold::walk_dense(&mut s.table, nx, &mut s.cols, &mut folds);
+            } else {
+                s.keys.clear();
+                for (j, &xv) in s.perm.iter().enumerate() {
+                    if self.weight(lo, j) > 0.0 {
+                        s.keys.push((self.ys[lo + j], xv, j));
+                    }
+                }
+                // Equal `(y, x)` keys keep ascending row order, so each
+                // cell adds its weights as the row scan would.
+                s.keys.sort_unstable();
+                let adds = s.keys.iter().map(|&(y, x, j)| (y, x, self.weight(lo, j)));
+                fold::walk_sorted(adds, &mut s.cells, &mut folds);
             }
         }
-        let h_xyz = folds.xyz.entropy(self.total);
-        let h_xz = folds.xz.entropy(self.total);
-        let h_yz = folds.yz.entropy(self.total);
-        if self.unconditional {
-            (h_xz + h_yz - h_xyz).max(0.0)
-        } else {
-            (h_xz + h_yz - h_xyz - folds.z.entropy(self.total)).max(0.0)
-        }
+        folds.cmi(self.total, !self.unconditional)
     }
 
     /// Weight of stratum row `lo + j` (1 unweighted).
     #[inline]
     fn weight(&self, lo: usize, j: usize) -> f64 {
         self.ws.as_ref().map_or(1.0, |w| w[lo + j])
-    }
-
-    /// Counts one stratum into the dense `(y, x)` table and folds it.
-    fn fold_dense(&self, lo: usize, cells: usize, s: &mut NullScratch, f: &mut CmiFolds) {
-        let nx = self.card_x;
-        s.table.resize(cells, 0.0);
-        for (j, &xv) in s.perm.iter().enumerate() {
-            let wt = self.weight(lo, j);
-            if wt > 0.0 {
-                s.table[self.ys[lo + j] as usize * nx + xv as usize] += wt;
-            }
-        }
-        s.cols.clear();
-        s.cols.resize(nx, 0.0);
-        let mut z_cell = 0.0;
-        for row in s.table.chunks_exact_mut(nx) {
-            let mut yz_cell = 0.0;
-            for (cell, col) in row.iter_mut().zip(s.cols.iter_mut()) {
-                let c = std::mem::replace(cell, 0.0);
-                if c > 0.0 {
-                    f.xyz.push(c);
-                    yz_cell += c;
-                    z_cell += c;
-                    *col += c;
-                }
-            }
-            f.yz.push(yz_cell);
-        }
-        for &c in &s.cols {
-            f.xz.push(c);
-        }
-        f.z.push(z_cell);
-    }
-
-    /// Sorts one sparse stratum's `(y, x)` keys and folds its cells.
-    fn fold_sorted(&self, lo: usize, s: &mut NullScratch, f: &mut CmiFolds) {
-        let nx = self.card_x as u64;
-        s.keys.clear();
-        for (j, &xv) in s.perm.iter().enumerate() {
-            if self.weight(lo, j) > 0.0 {
-                s.keys.push((self.ys[lo + j] as u64 * nx + xv as u64, j));
-            }
-        }
-        // (key, position) order: equal keys keep ascending row order, so
-        // each cell adds its weights as the row scan would.
-        s.keys.sort_unstable();
-        s.cells.clear();
-        let mut z_cell = 0.0;
-        let mut yz_cell = 0.0;
-        let mut k = 0;
-        while k < s.keys.len() {
-            let key = s.keys[k].0;
-            let mut c = 0.0;
-            while k < s.keys.len() && s.keys[k].0 == key {
-                c += self.weight(lo, s.keys[k].1);
-                k += 1;
-            }
-            let (yv, xv) = ((key / nx) as u32, (key % nx) as u32);
-            if let Some(&(_, prev_y, _)) = s.cells.last() {
-                if prev_y != yv {
-                    f.yz.push(yz_cell);
-                    yz_cell = 0.0;
-                }
-            }
-            f.xyz.push(c);
-            yz_cell += c;
-            z_cell += c;
-            s.cells.push((xv, yv, c));
-        }
-        if !s.cells.is_empty() {
-            f.yz.push(yz_cell);
-        }
-        // (z, x) cells: ascending x, each summed over ascending y.
-        s.cells.sort_unstable_by_key(|&(xv, yv, _)| (xv, yv));
-        let mut i = 0;
-        while i < s.cells.len() {
-            let xv = s.cells[i].0;
-            let mut c = 0.0;
-            while i < s.cells.len() && s.cells[i].0 == xv {
-                c += s.cells[i].2;
-                i += 1;
-            }
-            f.xz.push(c);
-        }
-        f.z.push(z_cell);
     }
 }
 
@@ -612,13 +497,10 @@ pub fn ci_test_default(x: &Codes, y: &Codes, z: &[&Codes]) -> CiTestResult {
     ci_test(&InfoContext::default(), x, y, z, &CiTestOptions::default())
 }
 
-/// Builds a mask over all rows (helper for callers that want explicit masks).
-pub fn full_mask(n: usize) -> Bitmap {
-    Bitmap::with_value(n, true)
-}
-
 #[cfg(test)]
 mod tests {
+    use nexus_table::Bitmap;
+
     use super::*;
 
     fn codes(values: &[u32], card: u32) -> Codes {

@@ -31,6 +31,7 @@ pub mod calibration;
 pub mod counter;
 pub mod estimator;
 pub mod fd;
+pub mod fold;
 pub mod independence;
 pub mod kernel;
 

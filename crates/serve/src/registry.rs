@@ -21,14 +21,13 @@
 //! particular `extraction_builds` staying flat across a request is the
 //! proof that the KG mining was skipped, not merely fast.
 //!
-//! When the server's sub-query [`MemoStore`] is threaded into
-//! [`DatasetRegistry::ensure_resident`], each column's extraction is
-//! additionally memoized under [`MemoKind::Extraction`] keyed by (table
-//! fingerprint × KG fingerprint, options fingerprint, column). A
-//! re-materialization after an LRU eviction then hits the memo instead of
-//! re-mining the KG — `extraction_builds` stays flat on a memo hit, so
-//! its "mining was skipped" semantics survive memoization; only genuine
-//! [`extract_column`] runs move it.
+//! The registry holds the server's sub-query [`MemoStore`], and each
+//! column's extraction is memoized in it under [`MemoKind::Extraction`],
+//! keyed by (table fingerprint × KG fingerprint, options fingerprint,
+//! column). A re-materialization after an LRU eviction then hits the memo
+//! instead of re-mining the KG — `extraction_builds` stays flat on a memo
+//! hit, so its "mining was skipped" semantics survive memoization; only
+//! genuine [`extract_column`] runs move it.
 //!
 //! Evicting a [`DatasetSource::Memory`] dataset drops its extraction
 //! artifacts but not the backing table (the spec keeps it so the dataset
@@ -134,6 +133,8 @@ pub(crate) struct DatasetRegistry {
     /// Budget over the NXCOL-encoded bytes of resident tables; 0 =
     /// unbounded.
     max_resident_bytes: u64,
+    /// The server's sub-query memo, which holds the column extractions.
+    memo: Arc<MemoStore>,
     /// Logical LRU clock — counter-driven, never wall-clock.
     clock: AtomicU64,
     loads: AtomicU64,
@@ -142,10 +143,11 @@ pub(crate) struct DatasetRegistry {
 }
 
 impl DatasetRegistry {
-    pub(crate) fn new(max_resident_bytes: u64) -> DatasetRegistry {
+    pub(crate) fn new(max_resident_bytes: u64, memo: Arc<MemoStore>) -> DatasetRegistry {
         DatasetRegistry {
             entries: Mutex::new(HashMap::new()),
             max_resident_bytes,
+            memo,
             clock: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -179,13 +181,12 @@ impl DatasetRegistry {
 
     /// Returns the materialized artifacts for `name`, loading them if the
     /// dataset is registered but not resident. A warm call moves no
-    /// counter except the LRU clock. When `memo` is given, per-column
-    /// extractions are memoized through it (see the module docs).
+    /// counter except the LRU clock. Per-column extractions are memoized
+    /// (see the module docs).
     pub(crate) fn ensure_resident(
         &self,
         name: &str,
         options: &NexusOptions,
-        memo: Option<&MemoStore>,
     ) -> Result<Arc<DatasetState>, RegistryError> {
         let spec = {
             let mut entries = self.entries.lock().expect("registry poisoned");
@@ -202,7 +203,7 @@ impl DatasetRegistry {
         // Materialize outside the lock: loads and extraction mining are
         // the slow path, and other datasets' requests must not queue
         // behind them.
-        let state = Arc::new(self.materialize(&spec, options, memo)?);
+        let state = Arc::new(self.materialize(&spec, options)?);
         self.loads.fetch_add(1, Ordering::SeqCst);
 
         let stamp = self.tick();
@@ -224,7 +225,6 @@ impl DatasetRegistry {
         &self,
         spec: &DatasetSpec,
         options: &NexusOptions,
-        memo: Option<&MemoStore>,
     ) -> Result<DatasetState, RegistryError> {
         let (table, kg) = match &spec.source {
             DatasetSource::Memory { table, kg } => (Arc::clone(table), Arc::clone(kg)),
@@ -249,34 +249,22 @@ impl DatasetRegistry {
         // extraction options — exactly what this key hashes. The per-spec
         // dataset fingerprint below also covers the column *list*, which
         // the per-column artifact must not depend on.
-        let memo_scope = memo.map(|store| {
+        let dataset_fp = {
             let mut h = nexus_table::Fnv64::new();
             h.write_u64(table_fp);
             h.write_u64(kg_fp);
-            (store, h.finish())
-        });
+            h.finish()
+        };
         let mut extractions = Vec::with_capacity(spec.extraction_columns.len());
         for column in &spec.extraction_columns {
-            extractions.push(match &memo_scope {
-                Some((store, dataset_fp)) => {
-                    let key = MemoKey::new(
-                        MemoKind::Extraction,
-                        *dataset_fp,
-                        options.fingerprint(),
-                        0,
-                        column.as_str(),
-                    );
-                    self.memoized_extraction(store, &key, &table, &kg, column, options)?
-                }
-                None => {
-                    let ext = Arc::new(
-                        extract_column(&table, &kg, column, options)
-                            .map_err(RegistryError::Core)?,
-                    );
-                    self.extraction_builds.fetch_add(1, Ordering::SeqCst);
-                    ext
-                }
-            });
+            let key = MemoKey::new(
+                MemoKind::Extraction,
+                dataset_fp,
+                options.fingerprint(),
+                0,
+                column.as_str(),
+            );
+            extractions.push(self.memoized_extraction(&key, &table, &kg, column, options)?);
         }
         let fingerprint = {
             let mut h = nexus_table::Fnv64::new();
@@ -305,14 +293,13 @@ impl DatasetRegistry {
     /// and observes the error itself rather than hanging.
     fn memoized_extraction(
         &self,
-        store: &MemoStore,
         key: &MemoKey,
         table: &Table,
         kg: &KnowledgeGraph,
         column: &str,
         options: &NexusOptions,
     ) -> Result<Arc<ColumnExtraction>, RegistryError> {
-        let mut claim = store.claim(key);
+        let mut claim = self.memo.claim(key);
         loop {
             match claim {
                 Claim::Hit(value) => {
@@ -329,7 +316,7 @@ impl DatasetRegistry {
                     ticket.publish(ext.clone(), bytes);
                     return Ok(ext);
                 }
-                Claim::Wait => match store.wait(key) {
+                Claim::Wait => match self.memo.wait(key) {
                     WaitOutcome::Ready(value) => {
                         return Ok(value
                             .downcast::<ColumnExtraction>()
@@ -525,6 +512,10 @@ mod tests {
     use super::*;
     use nexus_table::Column;
 
+    fn fresh_memo() -> Arc<MemoStore> {
+        Arc::new(MemoStore::new(0))
+    }
+
     fn memory_spec(rows: i64) -> DatasetSpec {
         let table =
             Table::new(vec![("x", Column::from_i64((0..rows).collect::<Vec<_>>()))]).unwrap();
@@ -539,7 +530,7 @@ mod tests {
 
     #[test]
     fn registration_is_lazy_and_loads_once() {
-        let reg = DatasetRegistry::new(0);
+        let reg = DatasetRegistry::new(0, fresh_memo());
         reg.register("a".into(), memory_spec(10));
         assert_eq!(
             (reg.registered(), reg.resident_count(), reg.loads()),
@@ -548,9 +539,9 @@ mod tests {
         assert_eq!(reg.combined_fingerprint(), 0);
 
         let opts = NexusOptions::default();
-        let first = reg.ensure_resident("a", &opts, None).unwrap();
+        let first = reg.ensure_resident("a", &opts).unwrap();
         assert_eq!((reg.resident_count(), reg.loads()), (1, 1));
-        let warm = reg.ensure_resident("a", &opts, None).unwrap();
+        let warm = reg.ensure_resident("a", &opts).unwrap();
         assert!(
             Arc::ptr_eq(&first, &warm),
             "warm load returns the same artifacts"
@@ -562,16 +553,16 @@ mod tests {
     #[test]
     fn byte_budget_evicts_least_recently_used() {
         let opts = NexusOptions::default();
-        let probe = DatasetRegistry::new(0);
+        let probe = DatasetRegistry::new(0, fresh_memo());
         probe.register("p".into(), memory_spec(64));
-        let one = probe.ensure_resident("p", &opts, None).unwrap().store_bytes;
+        let one = probe.ensure_resident("p", &opts).unwrap().store_bytes;
 
         // Budget fits one dataset but not two.
-        let reg = DatasetRegistry::new(one + one / 2);
+        let reg = DatasetRegistry::new(one + one / 2, fresh_memo());
         reg.register("a".into(), memory_spec(64));
         reg.register("b".into(), memory_spec(64));
-        reg.ensure_resident("a", &opts, None).unwrap();
-        reg.ensure_resident("b", &opts, None).unwrap();
+        reg.ensure_resident("a", &opts).unwrap();
+        reg.ensure_resident("b", &opts).unwrap();
         assert_eq!(
             (reg.resident_count(), reg.evictions()),
             (1, 1),
@@ -582,7 +573,7 @@ mod tests {
         assert!(reg.kg_entities("b").is_some());
 
         // Re-requesting the victim re-materializes (and evicts b).
-        reg.ensure_resident("a", &opts, None).unwrap();
+        reg.ensure_resident("a", &opts).unwrap();
         assert_eq!((reg.loads(), reg.evictions()), (3, 2));
         let listed = reg.list();
         assert_eq!(listed.len(), 2);
@@ -610,17 +601,16 @@ mod tests {
             },
             extraction_columns: vec!["x".into()],
         };
-        let memo = MemoStore::new(0);
         let opts = NexusOptions::default();
-        let reg = DatasetRegistry::new(0);
+        let reg = DatasetRegistry::new(0, fresh_memo());
         reg.register("d".into(), spec());
 
-        let cold = reg.ensure_resident("d", &opts, Some(&memo)).unwrap();
+        let cold = reg.ensure_resident("d", &opts).unwrap();
         assert_eq!(reg.extraction_builds(), 1);
         let mined = Arc::clone(&cold.extractions[0]);
 
         assert!(reg.evict("d").unwrap());
-        let warm = reg.ensure_resident("d", &opts, Some(&memo)).unwrap();
+        let warm = reg.ensure_resident("d", &opts).unwrap();
         assert_eq!(reg.loads(), 2, "eviction forces a re-materialization");
         assert_eq!(
             reg.extraction_builds(),
@@ -632,17 +622,18 @@ mod tests {
             "the memoized artifact is shared, not recomputed"
         );
 
-        // Without the memo the same eviction forces a genuine rebuild.
-        assert!(reg.evict("d").unwrap());
-        reg.ensure_resident("d", &opts, None).unwrap();
-        assert_eq!(reg.extraction_builds(), 2);
+        // A registry over a fresh memo mines the column again.
+        let fresh = DatasetRegistry::new(0, fresh_memo());
+        fresh.register("d".into(), spec());
+        fresh.ensure_resident("d", &opts).unwrap();
+        assert_eq!(fresh.extraction_builds(), 1);
     }
 
     #[test]
     fn unknown_names_are_typed() {
-        let reg = DatasetRegistry::new(0);
+        let reg = DatasetRegistry::new(0, fresh_memo());
         assert!(matches!(
-            reg.ensure_resident("ghost", &NexusOptions::default(), None),
+            reg.ensure_resident("ghost", &NexusOptions::default()),
             Err(RegistryError::Unknown(_))
         ));
         assert!(matches!(reg.evict("ghost"), Err(RegistryError::Unknown(_))));
@@ -650,7 +641,7 @@ mod tests {
 
     #[test]
     fn store_load_failures_are_typed() {
-        let reg = DatasetRegistry::new(0);
+        let reg = DatasetRegistry::new(0, fresh_memo());
         reg.register(
             "bad".into(),
             DatasetSpec {
@@ -662,7 +653,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            reg.ensure_resident("bad", &NexusOptions::default(), None),
+            reg.ensure_resident("bad", &NexusOptions::default()),
             Err(RegistryError::Load(_))
         ));
         assert_eq!(reg.loads(), 0, "a failed load is not a load");

@@ -10,8 +10,8 @@
 //! requests for the lifetime of the process:
 //!
 //! * requests run the query-dependent pipeline stages via
-//!   [`Nexus::run_with_extractions`], whose candidate scoring executes on
-//!   the `nexus-runtime` scoped pool;
+//!   [`Nexus::run_with_extractions_controlled`], whose candidate scoring
+//!   executes on the `nexus-runtime` scoped pool;
 //! * a bounded [`LruCache`] keyed by (canonical query signature, dataset
 //!   fingerprint, options fingerprint) stores the encoded deterministic
 //!   explanation bytes — a hit echoes the stored bytes verbatim, so hot
@@ -401,9 +401,10 @@ impl Server {
         let options_fp = options.nexus.fingerprint();
         let metrics = MetricsRegistry::new();
         let m = ServeMetrics::new(&metrics);
+        let memo = Arc::new(MemoStore::new(options.max_memo_bytes));
         Server {
             inner: Arc::new(Inner {
-                registry: DatasetRegistry::new(options.max_resident_bytes),
+                registry: DatasetRegistry::new(options.max_resident_bytes, Arc::clone(&memo)),
                 nexus: Nexus::new(options.nexus),
                 options_fp,
                 cache: Mutex::new(LruCache::new(options.cache_capacity)),
@@ -415,7 +416,7 @@ impl Server {
                 metrics,
                 m,
                 traces: TraceRing::new(options.trace_capacity),
-                memo: Arc::new(MemoStore::new(options.max_memo_bytes)),
+                memo,
                 shutdown: AtomicBool::new(false),
                 kernel_baseline: nexus_info::kernel::counters().snapshot(),
             }),
@@ -446,7 +447,7 @@ impl Server {
         );
         self.inner
             .registry
-            .ensure_resident(&name, &self.inner.nexus.options, Some(&self.inner.memo))
+            .ensure_resident(&name, &self.inner.nexus.options)
             .map(|_| ())
             .map_err(registry_to_serve)
     }
@@ -786,11 +787,11 @@ impl Server {
         // Materializes the dataset if it is registered but not resident
         // (first touch after a lazy load or an eviction); a warm dataset
         // is an `Arc` clone.
-        let dataset = match self.inner.registry.ensure_resident(
-            &req.dataset,
-            &self.inner.nexus.options,
-            Some(&self.inner.memo),
-        ) {
+        let dataset = match self
+            .inner
+            .registry
+            .ensure_resident(&req.dataset, &self.inner.nexus.options)
+        {
             Ok(d) => d,
             Err(RegistryError::Unknown(_)) => {
                 return error(

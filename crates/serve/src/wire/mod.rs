@@ -45,8 +45,6 @@
 //! a server can keep the stream alive and answer with
 //! [`Frame::Unsupported`].
 
-use std::sync::OnceLock;
-
 mod envelope;
 pub mod v2;
 
@@ -126,34 +124,9 @@ pub type Result<T> = std::result::Result<T, WireError>;
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 (IEEE) of `bytes` — the checksum trailing every frame.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// CRC-32 (IEEE) of `bytes` — the checksum trailing every frame; NXCOL's
+/// slicing-by-8 implementation.
+pub use nexus_store::crc32;
 
 // ---------------------------------------------------------------------------
 // Primitive encode/decode

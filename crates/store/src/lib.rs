@@ -29,8 +29,7 @@
 //! * **Byte determinism** — [`encode_table`] is a pure function of the
 //!   *logical* table content: null payload slots are canonicalized and
 //!   the plain-vs-RLE choice is "RLE iff strictly smaller". Equal tables
-//!   produce equal files, so [`file_fingerprint`] can key caches off the
-//!   raw bytes.
+//!   produce equal files.
 //! * **Strict validation** — [`decode_table`] refuses bad magic,
 //!   unsupported versions (v1 files included: re-pack them with
 //!   `nexus-cli pack`), truncation, CRC mismatches, over-cap section
@@ -59,7 +58,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use nexus_runtime::{Parallelism, ThreadPool};
-use nexus_table::{Bitmap, Column, ColumnData, DictArray, Fnv64, Table, TableError};
+use nexus_table::{Bitmap, Column, ColumnData, DictArray, Table, TableError};
 
 /// The 8-byte file magic, shared by every version. The `\r\n` tail
 /// catches text-mode mangling.
@@ -176,10 +175,11 @@ pub type Result<T> = std::result::Result<T, StoreError>;
 // CRC32 (IEEE, reflected) — same polynomial as NEXUSRPC framing.
 // ----------------------------------------------------------------------
 
-/// CRC32 by slicing-by-8: eight table lookups per 8 input bytes instead of
-/// one dependent lookup per byte, with the same value as the bytewise
-/// loop.
-fn crc32(bytes: &[u8]) -> u32 {
+/// CRC32 (IEEE) by slicing-by-8: eight table lookups per 8 input bytes
+/// instead of one dependent lookup per byte, with the same value as the
+/// bytewise loop. NXCOL's section checksums and NEXUSRPC's frame trailer
+/// both use it.
+pub fn crc32(bytes: &[u8]) -> u32 {
     static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
     let t = TABLES.get_or_init(|| {
         let mut t = [[0u32; 256]; 8];
@@ -578,15 +578,6 @@ pub fn decode_table(bytes: &[u8]) -> Result<Table> {
 pub fn inspect(bytes: &[u8]) -> Result<StoreInfo> {
     let (info, _) = parse(bytes, &ThreadPool::new(Parallelism::Auto), false)?;
     Ok(info)
-}
-
-/// FNV-1a digest of the raw file bytes. Because encoding is
-/// byte-deterministic, this is a content key: equal tables have equal
-/// file fingerprints.
-pub fn file_fingerprint(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
 }
 
 /// Reads the header and slices the column sections serially (lengths and
@@ -1043,12 +1034,11 @@ mod tests {
     }
 
     #[test]
-    fn file_fingerprint_tracks_content() {
+    fn encoded_bytes_track_content() {
         let t = sample();
-        let a = file_fingerprint(&encode_table(&t));
-        let b = file_fingerprint(&encode_table(&t));
-        assert_eq!(a, b);
+        let a = encode_table(&t);
+        assert_eq!(a, encode_table(&t));
         let t2 = Table::new(vec![("x", Column::from_i64(vec![1]))]).unwrap();
-        assert_ne!(a, file_fingerprint(&encode_table(&t2)));
+        assert_ne!(a, encode_table(&t2));
     }
 }
