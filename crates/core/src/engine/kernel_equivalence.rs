@@ -471,8 +471,9 @@ proptest! {
 
 /// Changes one input of a candidate's memo keys: `what` picks an entry of
 /// the unweighted or the weighted candidate's map, one bit of an entity
-/// weight, or one row of the row-level candidate (what another binning of
-/// its base column gives; the caller changes the binning to match).
+/// weight, one row of the row-level candidate (what another binning of
+/// its base column gives; the caller changes the binning to match), or
+/// the unweighted candidate's name.
 fn perturb_candidate(set: &mut CandidateSet, what: u8, entity: usize, bit: u32) {
     match what {
         0 | 1 => {
@@ -497,12 +498,30 @@ fn perturb_candidate(set: &mut CandidateSet, what: u8, entity: usize, bit: u32) 
             let e = entity % weights.len();
             weights[e] = f64::from_bits(weights[e].to_bits() ^ (1 << (bit % 52)));
         }
-        _ => {
+        3 => {
             let CandidateRepr::RowLevel(codes) = &mut set.candidates[2].repr else {
                 unreachable!("the fixture's third candidate is row-level")
             };
             let row = entity % codes.len();
             codes.codes[row] = (codes.codes[row] + 1) % codes.cardinality;
+        }
+        _ => set.candidates[0].name = "City::twin".to_string(),
+    }
+}
+
+/// Makes the unweighted candidate confound the set: three in four rows
+/// whose entity carries it take both `O` and `T` from its value, so its
+/// calibrated CMI earns credit that depends on its permutation seed.
+fn confound(set: &mut CandidateSet) {
+    let CandidateRepr::EntityLevel { map, .. } = &set.candidates[0].repr else {
+        unreachable!("the fixture's first candidate is entity-level")
+    };
+    let city = &set.column_codes["City"];
+    for i in (0..set.o.len()).filter(|i| i % 4 != 0 && city.is_valid(*i)) {
+        let v = map[city.codes[i] as usize];
+        if v != MISSING_CODE {
+            set.o.codes[i] = v;
+            set.t.codes[i] = v;
         }
     }
 }
@@ -720,25 +739,35 @@ proptest! {
 
     /// An engine over a store warmed on a set, asked about a set whose
     /// candidate map entry, entity weight bit or row-level binning
-    /// differs, must miss those keys (publishing new entries) and
-    /// reproduce a memo-off engine's digest bit for bit.
+    /// differs, or whose first candidate is renamed (a twin of the warmed
+    /// one: same content, another calibration seed), must miss those keys
+    /// (publishing new entries) and reproduce a memo-off engine's digest
+    /// bit for bit.
     #[test]
     fn memo_keys_cover_every_candidate_input(
         seed in any::<u64>(),
         n in 64usize..600,
-        what in 0u8..4,
+        what in 0u8..5,
         entity in any::<usize>(),
         bit in any::<u32>(),
     ) {
-        let set = synthetic_set(n, seed);
+        // A twin only tells names apart where calibration credits it.
+        let fixture = || {
+            let mut set = synthetic_set(n, seed);
+            if what == 4 {
+                confound(&mut set);
+            }
+            set
+        };
+        let set = fixture();
         let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 0xDA7A);
         let warm = Engine::with_parallelism_memo(
             &set, Parallelism::Serial, &handle, &NexusOptions::default(),
         );
-        digest(&warm, &set);
+        let warm_digest = digest(&warm, &set);
         let warmed = candidate_kind_inserts(&handle.store);
 
-        let mut perturbed = synthetic_set(n, seed);
+        let mut perturbed = fixture();
         perturb_candidate(&mut perturbed, what, entity, bit);
         let mut options = NexusOptions::default();
         if what == 3 {
@@ -747,10 +776,15 @@ proptest! {
         let memo =
             Engine::with_parallelism_memo(&perturbed, Parallelism::Serial, &handle, &options);
         let got = digest(&memo, &perturbed);
+        let plain = Engine::with_parallelism(&perturbed, Parallelism::Serial);
+        let expected = digest(&plain, &perturbed);
+        if what == 4 {
+            // The twin's own seed gives it another calibrated CMI.
+            prop_assert_ne!(&warm_digest, &expected);
+        }
+        prop_assert_eq!(got, expected);
         let inserts = candidate_kind_inserts(&handle.store);
         // Stats and calibrated CMI of the perturbed candidate were rebuilt.
         prop_assert!(inserts[0] > warmed[0] && inserts[1] > warmed[1]);
-        let plain = Engine::with_parallelism(&perturbed, Parallelism::Serial);
-        prop_assert_eq!(got, digest(&plain, &perturbed));
     }
 }

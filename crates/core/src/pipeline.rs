@@ -64,12 +64,15 @@ pub struct PipelineStats {
     /// Per-extraction-column link statistics.
     pub link_stats: HashMap<String, nexus_kg::LinkStats>,
     /// The stage ledger, in run order. First the candidate build: `build`
-    /// (link + extract + assemble) from scratch, or `assemble` over
-    /// precomputed extractions. Then `prune-offline`, `prune-online`,
-    /// `bias` (detection and weighting) and `select` (MCIMR with the
-    /// responsibility test — the paper's reported query latency). Each
+    /// (link + extract + assemble) from scratch, `assemble` over
+    /// precomputed extractions, or none for [`Nexus::run_set`]'s prebuilt
+    /// set. Then `prune-offline`, `prune-online` (the engine's
+    /// contingency build and the online pass), `bias` (detection and
+    /// weighting) and `select` (MCIMR with the responsibility test). Each
     /// stage runs until the next one starts, so the durations sum to
-    /// [`PipelineStats::total`].
+    /// [`PipelineStats::total`]. The paper's query latency is
+    /// `prune-online` + `bias` + `select`: it counts offline pruning as
+    /// preprocessing, like the candidate build.
     pub stages: Vec<StageSpan>,
 
     // ---- parallel execution ---------------------------------------------
@@ -86,7 +89,8 @@ pub struct PipelineStats {
     /// Counting-kernel counter movement of the run after the candidate
     /// build (rows scanned, hash vs dense accumulator ops, build dispatch,
     /// and the permutation nulls' samples and shuffled values): the sum of
-    /// the post-build [`stages`](PipelineStats::stages)' deltas.
+    /// the [`stages`](PipelineStats::stages)' deltas from `prune-offline`
+    /// on.
     ///
     /// The underlying counters are process-global, so concurrent runs in
     /// one process (e.g. a parallel test binary) can bleed into each
@@ -384,6 +388,21 @@ impl Nexus {
         self.execute_set_controlled(set, pool, ledger, ctl)
     }
 
+    /// Runs the pipeline from `prune-offline` on over a prebuilt candidate
+    /// set, on a fresh pool for the options' parallelism, with the same
+    /// stage ledger, abort checks and progress events as [`Nexus::run`].
+    /// The ledger starts at `prune-offline`, so
+    /// [`PipelineStats::kernel`] covers every stage. A set that was
+    /// already pruned offline runs with `offline_pruning` off.
+    pub fn run_set(
+        &self,
+        set: CandidateSet,
+        ctl: RunControl<'_>,
+    ) -> Result<(Explanation, RunArtifacts)> {
+        let pool = ThreadPool::new(self.options.parallelism);
+        self.execute_set_controlled(set, pool, Ledger::default(), ctl)
+    }
+
     /// Builds the candidate set on a fresh pool for the run, then runs the
     /// pipeline over it on the same pool.
     fn execute(
@@ -406,7 +425,8 @@ impl Nexus {
     /// candidate set, with abort checks at every stage boundary and
     /// [`ProgressEvent::Stage`](crate::control::ProgressEvent::Stage)
     /// emissions as each stage begins. `pool` is the run's pool (the one
-    /// the set was built on); `ledger` holds the open build stage.
+    /// the set was built on); `ledger` holds the open build stage, if the
+    /// run built the set.
     fn execute_set_controlled(
         &self,
         mut set: CandidateSet,
@@ -520,7 +540,7 @@ impl Ledger {
     }
 
     /// Closes the last stage. Returns the spans and the post-build window
-    /// (every stage after the first).
+    /// (every stage from `prune-offline` on).
     fn close(mut self) -> (Vec<StageSpan>, KernelSnapshot) {
         // The end mark: its name never reaches a span.
         self.open("");
@@ -533,7 +553,12 @@ impl Ledger {
                 kernel: w[1].2.delta(&w[0].2),
             })
             .collect();
-        let (first, last) = (&self.marks[1], &self.marks[self.marks.len() - 1]);
+        let first = self
+            .marks
+            .iter()
+            .find(|m| m.0 == "prune-offline")
+            .expect("every run enters prune-offline");
+        let last = &self.marks[self.marks.len() - 1];
         (spans, last.2.delta(&first.2))
     }
 }
@@ -715,6 +740,7 @@ fn fit_entity_weights(map: &[u32], covs: &[Codes], x_marginal: Option<&[f64]>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate::build_candidates;
     use nexus_query::parse;
     use nexus_table::Column;
 
@@ -838,16 +864,18 @@ mod tests {
         })
     }
 
-    /// Runs both entry points with a progress sink; returns each run's
-    /// stats and the stage events it announced.
+    /// Runs the three entry points (from scratch, over extractions, over
+    /// a prebuilt set) with a progress sink; returns each run's stats and
+    /// the stage events it announced.
     fn ledger_runs() -> Vec<(PipelineStats, Vec<&'static str>)> {
         let (table, kg, cols) = setup();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let nexus = Nexus::default();
         let extraction =
             crate::candidate::extract_column(&table, &kg, &cols[0], &nexus.options).unwrap();
+        let set = build_candidates(&table, &kg, &cols, &q, &nexus.options).unwrap();
         let mut runs = Vec::new();
-        for from_scratch in [true, false] {
+        for entry in 0..3 {
             let seen = std::sync::Mutex::new(Vec::new());
             let sink = |e: crate::control::ProgressEvent| {
                 if let crate::control::ProgressEvent::Stage { stage } = e {
@@ -858,10 +886,10 @@ mod tests {
                 progress: Some(&sink),
                 ..RunControl::none()
             };
-            let (e, _) = if from_scratch {
-                nexus.execute(&table, &kg, &cols, &q, ctl)
-            } else {
-                nexus.run_with_extractions_controlled(&table, &[&extraction], &q, ctl)
+            let (e, _) = match entry {
+                0 => nexus.execute(&table, &kg, &cols, &q, ctl),
+                1 => nexus.run_with_extractions_controlled(&table, &[&extraction], &q, ctl),
+                _ => nexus.run_set(set.clone(), ctl),
             }
             .unwrap();
             runs.push((e.stats, seen.into_inner().unwrap()));
@@ -874,25 +902,101 @@ mod tests {
         let runs = ledger_runs();
         for (stats, _) in &runs {
             let names: Vec<&str> = stats.stages.iter().map(|s| s.name).collect();
+            // A run that built its set opens with the build stage.
+            let built = names.len() - 4;
             assert_eq!(
-                names[1..],
+                names[built..],
                 ["prune-offline", "prune-online", "bias", "select"]
             );
             let durations: Duration = stats.stages.iter().map(|s| s.duration).sum();
             assert_eq!(durations, stats.total());
             // The post-build deltas telescope to the run's kernel window
             // exactly, whatever other threads count meanwhile.
-            assert_eq!(kernel_sum(stats.stages[1..].iter()), stats.kernel);
+            assert_eq!(kernel_sum(stats.stages[built..].iter()), stats.kernel);
             assert_eq!(
                 stats.stage_time(&["prune-offline", "prune-online"]),
-                stats.stages[1].duration + stats.stages[2].duration
+                stats.stages[built].duration + stats.stages[built + 1].duration
             );
         }
         assert_eq!(runs[0].0.stages[0].name, "build");
         assert_eq!(runs[1].0.stages[0].name, "assemble");
+        // Over a prebuilt set, every stage is after candidate
+        // construction: the kernel window is the whole ledger.
+        assert_eq!(runs[2].0.stages[0].name, "prune-offline");
+        assert_eq!(kernel_sum(runs[2].0.stages.iter()), runs[2].0.kernel);
         assert!(
             runs[0].0.stages[4].kernel.dense_builds + runs[0].0.stages[4].kernel.sparse_builds > 0
         );
+    }
+
+    /// [`Nexus::run_set`] against the hand-assembled sequence it runs, bit
+    /// for bit: at serial and 2 threads, with offline pruning, online
+    /// pruning and IPW each on and off.
+    #[test]
+    fn run_set_matches_the_hand_assembled_pipeline() {
+        use crate::mcimr::mcimr;
+        use nexus_runtime::Parallelism;
+
+        let (table, kg, cols) = setup();
+        let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
+        let built = build_candidates(&table, &kg, &cols, &q, &NexusOptions::default()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for parallelism in [Parallelism::Serial, Parallelism::Fixed(2)] {
+            for switches in 0..8u8 {
+                let options = NexusOptions {
+                    parallelism,
+                    offline_pruning: switches & 1 != 0,
+                    online_pruning: switches & 2 != 0,
+                    handle_selection_bias: switches & 4 != 0,
+                    ..NexusOptions::default()
+                };
+                let what = format!("{parallelism:?}, {switches:03b}");
+
+                let mut set = built.clone();
+                if options.offline_pruning {
+                    prune_offline(&mut set, &options);
+                }
+                let engine = Engine::with_parallelism(&set, options.parallelism);
+                if options.online_pruning {
+                    prune_online(&mut set, &engine, &options);
+                }
+                let n_biased = if options.handle_selection_bias {
+                    apply_selection_bias_weights(&mut set, &engine, &options)
+                } else {
+                    0
+                };
+                let reference = mcimr(&set, &engine, &options);
+                let resp =
+                    responsibilities(&set, &engine, &reference.selected, reference.final_cmi);
+                let names: Vec<&str> = reference
+                    .selected
+                    .iter()
+                    .map(|&i| set.candidates[i].name.as_str())
+                    .collect();
+
+                let (e, artifacts) = Nexus::new(options.clone())
+                    .run_set(built.clone(), RunControl::none())
+                    .unwrap();
+                assert_eq!(
+                    e.initial_cmi.to_bits(),
+                    reference.initial_cmi.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    e.explained_cmi.to_bits(),
+                    reference.final_cmi.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(artifacts.mcimr.selected, reference.selected, "{what}");
+                assert_eq!(e.names(), names, "{what}");
+                let got: Vec<f64> = e.attributes.iter().map(|a| a.responsibility).collect();
+                assert_eq!(bits(&got), bits(&resp), "{what}");
+                assert_eq!(e.stats.n_biased, n_biased, "{what}");
+                assert_eq!(e.stats.n_after_online, set.candidates.len(), "{what}");
+                assert!(!names.is_empty(), "{what}: the fixture explains nothing");
+                assert_eq!(n_biased > 0, options.handle_selection_bias, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -914,6 +1018,7 @@ mod tests {
                 "select"
             ]
         );
+        assert_eq!(runs[2].1, runs[0].1);
     }
 
     #[test]

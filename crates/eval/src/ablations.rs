@@ -2,16 +2,15 @@
 //! criterion (Eq. 5), permutation calibration, Miller–Madow correction, and
 //! IPW selection-bias handling. Each variant swaps exactly one ingredient
 //! of the selection loop; quality is measured against the planted ground
-//! truth over the 14 benchmark queries.
+//! truth over the 14 benchmark queries. The loops run over the set and
+//! engine of a full pipeline run: one with IPW for every variant but
+//! `- IPW`, one without it for that one.
 
-use nexus_core::{
-    apply_selection_bias_weights, build_candidates, prune_offline, prune_online, CandidateSet,
-    Engine, NexusOptions,
-};
-use nexus_datagen::{DatasetKind, Scale, BENCH_QUERIES};
+use nexus_core::{CandidateSet, Engine, NexusOptions, RunArtifacts};
+use nexus_datagen::{Scale, BENCH_QUERIES};
 
 use crate::report::TextTable;
-use crate::runner::{excluded_for, DatasetCache};
+use crate::runner::{excluded_for, prepare, DatasetCache};
 
 /// A selection-loop variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,9 +101,70 @@ fn greedy_select(
     selected
 }
 
+/// One variant's quality sums over the benchmark queries.
+#[derive(Default)]
+struct Tally {
+    precision: f64,
+    explained: f64,
+    size: usize,
+    empties: usize,
+}
+
+impl Tally {
+    /// Scores `ablation`'s picks over one query's pipeline artifacts.
+    fn add(
+        &mut self,
+        run: &RunArtifacts,
+        options: &NexusOptions,
+        ablation: Ablation,
+        truth: &[&str],
+    ) {
+        let (set, engine) = (&run.set, &run.engine);
+        let picks = greedy_select(set, engine, options, ablation);
+        if picks.is_empty() {
+            self.empties += 1;
+            return;
+        }
+        let hits = picks
+            .iter()
+            .filter(|&&i| truth.contains(&set.candidates[i].name.as_str()))
+            .count();
+        self.precision += hits as f64 / picks.len() as f64;
+        let final_cmi = engine.cmi_given(set, &picks);
+        let baseline = engine.baseline_cmi();
+        if baseline > 0.0 {
+            self.explained += (1.0 - final_cmi / baseline).clamp(0.0, 1.0);
+        }
+        self.size += picks.len();
+    }
+}
+
 /// Runs the ablation grid over the 14 benchmark queries.
 pub fn ablations(cache: &mut DatasetCache, scale: Scale) -> String {
-    let base_options = NexusOptions::default();
+    let mut tallies: Vec<Tally> = Ablation::ALL.iter().map(|_| Tally::default()).collect();
+    for bench in BENCH_QUERIES {
+        let dataset = cache.get(bench.dataset, scale);
+        let query = bench.parsed();
+        let options = NexusOptions {
+            excluded_columns: excluded_for(dataset, &query),
+            ..NexusOptions::default()
+        };
+        let without = NexusOptions {
+            handle_selection_bias: false,
+            ..options.clone()
+        };
+        let with_ipw = prepare(dataset, &query, &options).pruned;
+        let without_ipw = prepare(dataset, &query, &without).pruned;
+        for (ablation, tally) in Ablation::ALL.into_iter().zip(&mut tallies) {
+            let run = if ablation == Ablation::NoIpw {
+                &without_ipw
+            } else {
+                &with_ipw
+            };
+            tally.add(run, &options, ablation, bench.ground_truth);
+        }
+    }
+    let n = BENCH_QUERIES.len().max(1) as f64;
     let mut t = TextTable::new(&[
         "Variant",
         "GT precision",
@@ -112,66 +172,13 @@ pub fn ablations(cache: &mut DatasetCache, scale: Scale) -> String {
         "Avg |E|",
         "Empty",
     ]);
-    for ablation in Ablation::ALL {
-        let mut precision_sum = 0.0;
-        let mut explained_sum = 0.0;
-        let mut size_sum = 0usize;
-        let mut empties = 0usize;
-        let mut n = 0usize;
-        for kind in DatasetKind::ALL {
-            cache.get(kind, scale);
-        }
-        for bench in BENCH_QUERIES {
-            let dataset = cache.get(bench.dataset, scale);
-            let query = bench.parsed();
-            let options = NexusOptions {
-                excluded_columns: excluded_for(dataset, &query),
-                handle_selection_bias: base_options.handle_selection_bias
-                    && ablation != Ablation::NoIpw,
-                ..base_options.clone()
-            };
-            let mut set = build_candidates(
-                &dataset.table,
-                &dataset.kg,
-                &dataset.extraction_columns,
-                &query,
-                &options,
-            )
-            .expect("candidates build");
-            prune_offline(&mut set, &options);
-            let engine = Engine::new(&set);
-            prune_online(&mut set, &engine, &options);
-            if options.handle_selection_bias {
-                apply_selection_bias_weights(&mut set, &engine, &options);
-            }
-            let picks = greedy_select(&set, &engine, &options, ablation);
-            n += 1;
-            if picks.is_empty() {
-                empties += 1;
-                continue;
-            }
-            let hits = picks
-                .iter()
-                .filter(|&&i| {
-                    bench
-                        .ground_truth
-                        .contains(&set.candidates[i].name.as_str())
-                })
-                .count();
-            precision_sum += hits as f64 / picks.len() as f64;
-            let final_cmi = engine.cmi_given(&set, &picks);
-            let baseline = engine.baseline_cmi();
-            if baseline > 0.0 {
-                explained_sum += (1.0 - final_cmi / baseline).clamp(0.0, 1.0);
-            }
-            size_sum += picks.len();
-        }
+    for (ablation, tally) in Ablation::ALL.iter().zip(&tallies) {
         t.row(vec![
             ablation.name().to_string(),
-            format!("{:.2}", precision_sum / n.max(1) as f64),
-            format!("{:.2}", explained_sum / n.max(1) as f64),
-            format!("{:.1}", size_sum as f64 / n.max(1) as f64),
-            empties.to_string(),
+            format!("{:.2}", tally.precision / n),
+            format!("{:.2}", tally.explained / n),
+            format!("{:.1}", tally.size as f64 / n),
+            tally.empties.to_string(),
         ]);
     }
     format!(
@@ -183,6 +190,7 @@ pub fn ablations(cache: &mut DatasetCache, scale: Scale) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexus_datagen::DatasetKind;
 
     #[test]
     fn variant_names_unique() {
@@ -201,19 +209,9 @@ mod tests {
             excluded_columns: excluded_for(dataset, &query),
             ..NexusOptions::default()
         };
-        let mut set = build_candidates(
-            &dataset.table,
-            &dataset.kg,
-            &dataset.extraction_columns,
-            &query,
-            &options,
-        )
-        .unwrap();
-        prune_offline(&mut set, &options);
-        let engine = Engine::new(&set);
-        prune_online(&mut set, &engine, &options);
+        let run = prepare(dataset, &query, &options).pruned;
         for ablation in Ablation::ALL {
-            let picks = greedy_select(&set, &engine, &options, ablation);
+            let picks = greedy_select(&run.set, &run.engine, &options, ablation);
             assert!(picks.len() <= options.max_explanation_size, "{ablation:?}");
         }
     }

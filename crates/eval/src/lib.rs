@@ -32,5 +32,5 @@ pub use runner::{
 pub use scoring::{judge, JudgeOptions, JudgedScore};
 pub use sweeps::{
     fig3, fig4, fig5, fig6, latency, missing_stats, multihop, pruning_stats,
-    random_query_usefulness, timed_query, PruningVariant,
+    random_query_usefulness,
 };

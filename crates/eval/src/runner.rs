@@ -7,9 +7,7 @@ use std::time::{Duration, Instant};
 use nexus_baselines::{
     BruteForce, CajadeBaseline, ExplainMethod, HypDbBaseline, LinearRegressionBaseline, TopK,
 };
-use nexus_core::{
-    mcimr, responsibilities, CandidateSet, Engine, Nexus, NexusOptions, RunArtifacts,
-};
+use nexus_core::{Nexus, NexusOptions, RunArtifacts};
 use nexus_datagen::{load, BenchQuery, Dataset, DatasetKind, Scale};
 use nexus_query::AggregateQuery;
 
@@ -86,7 +84,6 @@ pub struct QueryContext {
 /// Prepares the shared artifacts for one query on a dataset.
 pub fn prepare(dataset: &Dataset, query: &AggregateQuery, options: &NexusOptions) -> QueryContext {
     let nexus = Nexus::new(options.clone());
-    let t0 = Instant::now();
     let (explanation, artifacts) = nexus
         .explain_with_artifacts(
             &dataset.table,
@@ -95,14 +92,13 @@ pub fn prepare(dataset: &Dataset, query: &AggregateQuery, options: &NexusOptions
             query,
         )
         .expect("pipeline runs on benchmark queries");
-    let elapsed = t0.elapsed();
     let names = explanation.names().iter().map(|s| s.to_string()).collect();
     QueryContext {
         query: query.clone(),
         mesa_run: MethodRun {
             names,
             explainability: explanation.explained_cmi,
-            runtime: elapsed,
+            runtime: explanation.stats.total(),
         },
         mesa_explanation: explanation,
         pruned: artifacts,
@@ -122,7 +118,6 @@ pub fn run_method(
         MethodKind::MesaMinus => {
             let opts = options.clone().without_pruning();
             let nexus = Nexus::new(opts);
-            let t0 = Instant::now();
             let e = nexus
                 .explain(
                     &dataset.table,
@@ -134,7 +129,7 @@ pub fn run_method(
             MethodRun {
                 names: e.names().iter().map(|s| s.to_string()).collect(),
                 explainability: e.explained_cmi,
-                runtime: t0.elapsed(),
+                runtime: e.stats.total(),
             }
         }
         _ => {
@@ -187,23 +182,6 @@ fn scale_tag(scale: Scale) -> u8 {
         Scale::Small => 0,
         Scale::Default => 1,
         Scale::Paper => 2,
-    }
-}
-
-/// Runs MCIMR directly over given artifacts (used by sweeps that mutate the
-/// candidate set).
-pub fn mcimr_run(set: &CandidateSet, engine: &Engine, options: &NexusOptions) -> MethodRun {
-    let t0 = Instant::now();
-    let result = mcimr(set, engine, options);
-    let _resp = responsibilities(set, engine, &result.selected, result.final_cmi);
-    MethodRun {
-        names: result
-            .selected
-            .iter()
-            .map(|&i| set.candidates[i].name.clone())
-            .collect(),
-        explainability: result.final_cmi,
-        runtime: t0.elapsed(),
     }
 }
 

@@ -5,72 +5,86 @@
 //! selection-bias prevalence, Section 5.4 multi-hop extraction, and the
 //! appendix pruning statistics.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use nexus_core::{
-    apply_selection_bias_weights, build_candidates, mcimr, prune_offline, prune_online,
-    CandidateRepr, CandidateSet, Engine, Nexus, NexusOptions, MISSING_CODE,
+    build_candidates, prune_offline, CandidateRepr, CandidateSet, Engine, Explanation, Nexus,
+    NexusOptions, PipelineStats, RunControl, MISSING_CODE,
 };
-use nexus_datagen::{queries_for, random_queries, DatasetKind, Scale};
+use nexus_datagen::{queries_for, random_queries, Dataset, DatasetKind, Scale};
+use nexus_query::AggregateQuery;
+use nexus_table::Table;
 
 use crate::report::{render_series, TextTable};
 use crate::runner::{excluded_for, DatasetCache};
 
-/// Which pruning stages a timed run applies (the Figure 4 series).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruningVariant {
-    /// No pruning at all.
-    None,
-    /// Offline pruning only.
-    Offline,
-    /// The full MCIMR configuration (offline + online).
-    Full,
+/// Figure 4's series: `(name, offline_pruning, online_pruning)`.
+const FIG4_SERIES: [(&str, bool, bool); 3] = [
+    ("No Pruning", false, false),
+    ("Offline Pruning", true, false),
+    ("MCIMR", true, true),
+];
+
+/// The printed time columns: the query latency, then the stages beside it.
+const TIME_COLUMNS: [&str; 5] = ["MCIMR", "build", "prune-online", "bias", "select"];
+
+/// The time columns of one run, read from its stage ledger. The query
+/// latency is the paper's: every stage after offline pruning, which it
+/// counts as preprocessing like the candidate build.
+fn stage_times(stats: &PipelineStats) -> [Duration; 5] {
+    let query = stats.stage_time(&["prune-online", "bias", "select"]);
+    let stage = |name: &str| stats.stage_time(&[name]);
+    [
+        query,
+        stage("build"),
+        stage("prune-online"),
+        stage("bias"),
+        stage("select"),
+    ]
 }
 
-impl PruningVariant {
-    /// Display name used in the figure.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PruningVariant::None => "No Pruning",
-            PruningVariant::Offline => "Offline Pruning",
-            PruningVariant::Full => "MCIMR",
+/// Collects runs' [`stage_times`] into [`TIME_COLUMNS`] series (seconds).
+fn time_series<'a>(runs: impl Iterator<Item = &'a Explanation>) -> Vec<(&'static str, Vec<f64>)> {
+    let mut series: Vec<(&str, Vec<f64>)> = TIME_COLUMNS.map(|n| (n, Vec::new())).into();
+    for e in runs {
+        for ((_, ys), t) in series.iter_mut().zip(stage_times(&e.stats)) {
+            ys.push(t.as_secs_f64());
         }
     }
+    series
 }
 
-/// Runs the query-time portion of the pipeline (engine build + online
-/// pruning + bias handling + MCIMR) over a pre-built candidate set,
-/// returning the measured duration and the selected names. Offline pruning
-/// is applied before the clock starts — it is a preprocessing step in the
-/// paper's accounting.
-pub fn timed_query(
-    mut set: CandidateSet,
-    options: &NexusOptions,
-    variant: PruningVariant,
-) -> (Duration, Vec<String>, f64) {
-    if variant != PruningVariant::None {
-        prune_offline(&mut set, options);
+/// The whole pipeline over `table` (the dataset's own, or a row sample
+/// of it), from the candidate build on.
+fn explain(
+    dataset: &Dataset,
+    table: &Table,
+    query: &AggregateQuery,
+    options: NexusOptions,
+) -> Explanation {
+    Nexus::new(options)
+        .explain(table, &dataset.kg, &dataset.extraction_columns, query)
+        .expect("pipeline runs")
+}
+
+/// The pipeline from `prune-offline` on over a prebuilt set.
+fn run_set(set: CandidateSet, options: NexusOptions) -> Explanation {
+    Nexus::new(options)
+        .run_set(set, RunControl::none())
+        .expect("pipeline runs")
+        .0
+}
+
+/// The options of one query: its alternative outcome columns excluded.
+fn query_options(dataset: &Dataset, query: &AggregateQuery) -> NexusOptions {
+    NexusOptions {
+        excluded_columns: excluded_for(dataset, query),
+        ..NexusOptions::default()
     }
-    let t0 = Instant::now();
-    let engine = Engine::with_parallelism(&set, options.parallelism);
-    if variant == PruningVariant::Full {
-        prune_online(&mut set, &engine, options);
-    }
-    if options.handle_selection_bias {
-        apply_selection_bias_weights(&mut set, &engine, options);
-    }
-    let result = mcimr(&set, &engine, options);
-    let elapsed = t0.elapsed();
-    let names = result
-        .selected
-        .iter()
-        .map(|&i| set.candidates[i].name.clone())
-        .collect();
-    (elapsed, names, result.final_cmi)
 }
 
 /// Keeps a uniformly random subset of `n` candidates (seeded).
@@ -84,16 +98,26 @@ fn sample_candidates(set: &CandidateSet, n: usize, seed: u64) -> CandidateSet {
     out
 }
 
+/// The run behind one Figure 4 point: one series' pruning settings over
+/// one sampled subset.
+fn fig4_run(set: CandidateSet, opts: &NexusOptions, offline: bool, online: bool) -> Explanation {
+    run_set(
+        set,
+        NexusOptions {
+            offline_pruning: offline,
+            online_pruning: online,
+            ..opts.clone()
+        },
+    )
+}
+
 /// Figure 4: runtime vs number of candidate attributes.
 pub fn fig4(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
     let mut out = String::new();
     for kind in [DatasetKind::So, DatasetKind::Flights, DatasetKind::Forbes] {
         let dataset = cache.get(kind, scale);
-        let bench = queries_for(kind)[0];
-        let query = bench.parsed();
-        let mut opts = options.clone();
-        opts.excluded_columns = excluded_for(dataset, &query);
+        let query = queries_for(kind)[0].parsed();
+        let opts = query_options(dataset, &query);
         let full = build_candidates(
             &dataset.table,
             &dataset.kg,
@@ -108,22 +132,20 @@ pub fn fig4(cache: &mut DatasetCache, scale: Scale) -> String {
             .filter(|&x| x < total)
             .chain(std::iter::once(total))
             .collect();
-        let mut series: Vec<(&str, Vec<f64>)> = Vec::new();
-        for variant in [
-            PruningVariant::None,
-            PruningVariant::Offline,
-            PruningVariant::Full,
-        ] {
-            let ys: Vec<f64> = xs
-                .iter()
-                .map(|&n| {
-                    let sampled = sample_candidates(&full, n, 0xF164 + n as u64);
-                    let (t, _, _) = timed_query(sampled, &opts, variant);
-                    t.as_secs_f64()
-                })
-                .collect();
-            series.push((variant.name(), ys));
-        }
+        let series: Vec<(&str, Vec<f64>)> = FIG4_SERIES
+            .iter()
+            .map(|&(name, offline, online)| {
+                let ys = xs
+                    .iter()
+                    .map(|&n| {
+                        let sampled = sample_candidates(&full, n, 0xF164 + n as u64);
+                        let e = fig4_run(sampled, &opts, offline, online);
+                        stage_times(&e.stats)[0].as_secs_f64()
+                    })
+                    .collect();
+                (name, ys)
+            })
+            .collect();
         let xsf: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
         out.push_str(&render_series(
             &format!(
@@ -141,19 +163,15 @@ pub fn fig4(cache: &mut DatasetCache, scale: Scale) -> String {
 
 /// Figure 5: runtime vs number of rows.
 pub fn fig5(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
     let mut out = String::new();
     for kind in [DatasetKind::So, DatasetKind::Flights, DatasetKind::Forbes] {
         let dataset = cache.get(kind, scale);
-        let bench = queries_for(kind)[0];
-        let query = bench.parsed();
-        let mut opts = options.clone();
-        opts.excluded_columns = excluded_for(dataset, &query);
+        let query = queries_for(kind)[0].parsed();
+        let opts = query_options(dataset, &query);
         let n = dataset.table.n_rows();
-        let fracs = [0.2, 0.4, 0.6, 0.8, 1.0];
         let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for f in fracs {
+        let mut runs = Vec::new();
+        for f in [0.2, 0.4, 0.6, 0.8, 1.0] {
             let keep = ((n as f64) * f) as usize;
             let mut rows: Vec<usize> = (0..n).collect();
             let mut rng = StdRng::seed_from_u64(0xF155);
@@ -161,23 +179,14 @@ pub fn fig5(cache: &mut DatasetCache, scale: Scale) -> String {
             rows.truncate(keep);
             rows.sort_unstable();
             let sub = dataset.table.gather(&rows);
-            let set = build_candidates(
-                &sub,
-                &dataset.kg,
-                &dataset.extraction_columns,
-                &query,
-                &opts,
-            )
-            .expect("candidates build");
-            let (t, _, _) = timed_query(set, &opts, PruningVariant::Full);
+            runs.push(explain(dataset, &sub, &query, opts.clone()));
             xs.push(keep as f64);
-            ys.push(t.as_secs_f64());
         }
         out.push_str(&render_series(
             &format!("Figure 5 ({}): runtime [s] vs number of rows", dataset.name),
             "rows",
             &xs,
-            &[("MCIMR", ys)],
+            &time_series(runs.iter()),
         ));
         out.push('\n');
     }
@@ -186,32 +195,25 @@ pub fn fig5(cache: &mut DatasetCache, scale: Scale) -> String {
 
 /// Figure 6: runtime vs the bound `k` on the explanation size.
 pub fn fig6(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
     let mut out = String::new();
     for kind in [DatasetKind::So, DatasetKind::Flights, DatasetKind::Forbes] {
         let dataset = cache.get(kind, scale);
-        let bench = queries_for(kind)[0];
-        let query = bench.parsed();
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        let mut sizes = Vec::new();
-        for k in 1..=8usize {
-            let mut opts = options.clone();
-            opts.excluded_columns = excluded_for(dataset, &query);
-            opts.max_explanation_size = k;
-            let set = build_candidates(
-                &dataset.table,
-                &dataset.kg,
-                &dataset.extraction_columns,
-                &query,
-                &opts,
-            )
-            .expect("candidates build");
-            let (t, names, _) = timed_query(set, &opts, PruningVariant::Full);
-            xs.push(k as f64);
-            ys.push(t.as_secs_f64());
-            sizes.push(names.len() as f64);
-        }
+        let query = queries_for(kind)[0].parsed();
+        let ks = 1..=8usize;
+        let runs: Vec<Explanation> = ks
+            .clone()
+            .map(|k| {
+                let opts = NexusOptions {
+                    max_explanation_size: k,
+                    ..query_options(dataset, &query)
+                };
+                explain(dataset, &dataset.table, &query, opts)
+            })
+            .collect();
+        let mut series = time_series(runs.iter());
+        let sizes = runs.iter().map(|e| e.attributes.len() as f64).collect();
+        series.insert(1, ("|explanation|", sizes));
+        let xs: Vec<f64> = ks.map(|k| k as f64).collect();
         out.push_str(&render_series(
             &format!(
                 "Figure 6 ({}): runtime [s] vs explanation-size bound k",
@@ -219,7 +221,7 @@ pub fn fig6(cache: &mut DatasetCache, scale: Scale) -> String {
             ),
             "k",
             &xs,
-            &[("MCIMR", ys), ("|explanation|", sizes)],
+            &series,
         ));
         out.push('\n');
     }
@@ -307,7 +309,6 @@ fn inject_into_set(
 /// and Covid-19. Explanations are *selected* on the injured data and
 /// *evaluated* on the clean data.
 pub fn fig3(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
     let fractions = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7];
     let mut out = String::new();
     for kind in [DatasetKind::So, DatasetKind::Covid] {
@@ -323,8 +324,7 @@ pub fn fig3(cache: &mut DatasetCache, scale: Scale) -> String {
             let mut sums = [0.0f64; 4];
             for bench in &benches {
                 let query = bench.parsed();
-                let mut opts = options.clone();
-                opts.excluded_columns = excluded_for(dataset, &query);
+                let opts = query_options(dataset, &query);
                 let clean = {
                     let mut set = build_candidates(
                         &dataset.table,
@@ -357,19 +357,20 @@ pub fn fig3(cache: &mut DatasetCache, scale: Scale) -> String {
                         10,
                         0xF13 + slot as u64,
                     );
-                    let engine = Engine::new(&injured);
-                    let mut run_opts = opts.clone();
-                    run_opts.handle_selection_bias = handling == Handling::Ipw;
-                    prune_online(&mut injured, &engine, &run_opts);
-                    if run_opts.handle_selection_bias {
-                        apply_selection_bias_weights(&mut injured, &engine, &run_opts);
-                    }
-                    let result = mcimr(&injured, &engine, &run_opts);
+                    // The clean set was pruned offline before the injury.
+                    let e = run_set(
+                        injured,
+                        NexusOptions {
+                            offline_pruning: false,
+                            handle_selection_bias: handling == Handling::Ipw,
+                            ..opts.clone()
+                        },
+                    );
                     // Evaluate the chosen names on the clean data.
-                    let clean_indices: Vec<usize> = result
-                        .selected
+                    let clean_indices: Vec<usize> = e
+                        .attributes
                         .iter()
-                        .filter_map(|&i| clean.index_of(&injured.candidates[i].name))
+                        .filter_map(|a| clean.index_of(&a.name))
                         .collect();
                     sums[slot] += clean_engine.cmi_given(&clean, &clean_indices);
                 }
@@ -398,7 +399,6 @@ pub fn fig3(cache: &mut DatasetCache, scale: Scale) -> String {
 /// Section 5.1: fraction of random queries for which the KG approach is
 /// useful.
 pub fn random_query_usefulness(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
     let mut t = TextTable::new(&["Dataset", "Queries", "Useful", "Rate"]);
     let mut total = 0usize;
     let mut useful_total = 0usize;
@@ -407,9 +407,7 @@ pub fn random_query_usefulness(cache: &mut DatasetCache, scale: Scale) -> String
         let queries = random_queries(dataset, 10, 0x5EC51 + kind as u64);
         let mut useful = 0usize;
         for query in &queries {
-            let mut opts = options.clone();
-            opts.excluded_columns = excluded_for(dataset, query);
-            let nexus = Nexus::new(opts);
+            let nexus = Nexus::new(query_options(dataset, query));
             let Ok(e) = nexus.explain(
                 &dataset.table,
                 &dataset.kg,
@@ -445,7 +443,6 @@ pub fn random_query_usefulness(cache: &mut DatasetCache, scale: Scale) -> String
 
 /// Section 5.2: missingness and selection-bias prevalence per dataset.
 pub fn missing_stats(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
     let mut t = TextTable::new(&[
         "Dataset",
         "% missing (extracted)",
@@ -453,10 +450,8 @@ pub fn missing_stats(cache: &mut DatasetCache, scale: Scale) -> String {
     ]);
     for kind in DatasetKind::ALL {
         let dataset = cache.get(kind, scale);
-        let bench = queries_for(kind)[0];
-        let query = bench.parsed();
-        let mut opts = options.clone();
-        opts.excluded_columns = excluded_for(dataset, &query);
+        let query = queries_for(kind)[0].parsed();
+        let opts = query_options(dataset, &query);
         let set = build_candidates(
             &dataset.table,
             &dataset.kg,
@@ -498,32 +493,22 @@ pub fn missing_stats(cache: &mut DatasetCache, scale: Scale) -> String {
 
 /// Section 5.4: multi-hop extraction.
 pub fn multihop(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
     let mut t = TextTable::new(&["Dataset", "Hops", "Candidates", "Explanation", "Time"]);
     for kind in [DatasetKind::So, DatasetKind::Forbes] {
         let dataset = cache.get(kind, scale);
-        let bench = queries_for(kind)[0];
-        let query = bench.parsed();
+        let query = queries_for(kind)[0].parsed();
         for hops in 1..=3usize {
-            let mut opts = options.clone();
-            opts.excluded_columns = excluded_for(dataset, &query);
-            opts.hops = hops;
-            let t0 = Instant::now();
-            let nexus = Nexus::new(opts);
-            let e = nexus
-                .explain(
-                    &dataset.table,
-                    &dataset.kg,
-                    &dataset.extraction_columns,
-                    &query,
-                )
-                .expect("pipeline runs");
+            let opts = NexusOptions {
+                hops,
+                ..query_options(dataset, &query)
+            };
+            let e = explain(dataset, &dataset.table, &query, opts);
             t.row(vec![
                 dataset.name.to_string(),
                 hops.to_string(),
                 e.stats.n_candidates_initial.to_string(),
                 e.names().join(", "),
-                format!("{:.2?}", t0.elapsed()),
+                format!("{:.2?}", e.stats.total()),
             ]);
         }
     }
@@ -532,7 +517,6 @@ pub fn multihop(cache: &mut DatasetCache, scale: Scale) -> String {
 
 /// Appendix: pruning statistics per dataset.
 pub fn pruning_stats(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
     let mut t = TextTable::new(&[
         "Dataset",
         "Initial",
@@ -543,19 +527,13 @@ pub fn pruning_stats(cache: &mut DatasetCache, scale: Scale) -> String {
     ]);
     for kind in DatasetKind::ALL {
         let dataset = cache.get(kind, scale);
-        let bench = queries_for(kind)[0];
-        let query = bench.parsed();
-        let mut opts = options.clone();
-        opts.excluded_columns = excluded_for(dataset, &query);
-        let nexus = Nexus::new(opts);
-        let e = nexus
-            .explain(
-                &dataset.table,
-                &dataset.kg,
-                &dataset.extraction_columns,
-                &query,
-            )
-            .expect("pipeline runs");
+        let query = queries_for(kind)[0].parsed();
+        let e = explain(
+            dataset,
+            &dataset.table,
+            &query,
+            query_options(dataset, &query),
+        );
         let s = &e.stats;
         let off = s.n_candidates_initial - s.n_after_offline;
         let on = s.n_after_offline - s.n_after_online;
@@ -580,33 +558,31 @@ pub fn pruning_stats(cache: &mut DatasetCache, scale: Scale) -> String {
     )
 }
 
-/// One benchmark query per dataset, timed end-to-end — the headline
-/// "interactive latency" claim (≤ 10 s on 5.8M rows).
+/// One benchmark query per dataset, timed by stage — the headline
+/// "interactive latency" claim (≤ 10 s on 5.8M rows). `Query-time` is
+/// the paper's query latency; the stage columns sit beside it.
 pub fn latency(cache: &mut DatasetCache, scale: Scale) -> String {
-    let options = NexusOptions::default();
-    let mut t = TextTable::new(&["Query", "Rows", "Candidates", "Query-time", "Explanation"]);
+    let mut header = vec!["Query", "Rows", "Candidates", "Query-time"];
+    header.extend(&TIME_COLUMNS[1..]);
+    header.push("Explanation");
+    let mut t = TextTable::new(&header);
     for bench in nexus_datagen::BENCH_QUERIES {
         let dataset = cache.get(bench.dataset, scale);
         let query = bench.parsed();
-        let mut opts = options.clone();
-        opts.excluded_columns = excluded_for(dataset, &query);
-        let set = build_candidates(
+        let e = explain(
+            dataset,
             &dataset.table,
-            &dataset.kg,
-            &dataset.extraction_columns,
             &query,
-            &opts,
-        )
-        .expect("candidates build");
-        let n_candidates = set.candidates.len();
-        let (elapsed, names, _) = timed_query(set, &opts, PruningVariant::Full);
-        t.row(vec![
+            query_options(dataset, &query),
+        );
+        let mut row = vec![
             bench.id.to_string(),
             dataset.table.n_rows().to_string(),
-            n_candidates.to_string(),
-            format!("{elapsed:.2?}"),
-            names.join(", "),
-        ]);
+            e.stats.n_candidates_initial.to_string(),
+        ];
+        row.extend(stage_times(&e.stats).map(|d| format!("{d:.2?}")));
+        row.push(e.names().join(", "));
+        t.row(row);
     }
     format!("# Query latency (paper: < 10 s per query)\n{}", t.render())
 }
@@ -615,16 +591,15 @@ pub fn latency(cache: &mut DatasetCache, scale: Scale) -> String {
 mod tests {
     use super::*;
 
+    /// Figure 4's three settings run through `Nexus::run_set`, prune as
+    /// set, and print the query latency as the sum of its ledger stages.
     #[test]
-    fn timed_query_variants_run() {
+    fn fig4_settings_run_through_run_set() {
         let mut cache = DatasetCache::new();
         let dataset = cache.get(DatasetKind::Covid, Scale::Small);
         let query = queries_for(DatasetKind::Covid)[0].parsed();
-        let opts = NexusOptions {
-            excluded_columns: excluded_for(dataset, &query),
-            ..NexusOptions::default()
-        };
-        let set = build_candidates(
+        let opts = query_options(dataset, &query);
+        let full = build_candidates(
             &dataset.table,
             &dataset.kg,
             &dataset.extraction_columns,
@@ -632,14 +607,36 @@ mod tests {
             &opts,
         )
         .unwrap();
-        for variant in [
-            PruningVariant::None,
-            PruningVariant::Offline,
-            PruningVariant::Full,
-        ] {
-            let (t, _, cmi) = timed_query(set.clone(), &opts, variant);
-            assert!(t.as_secs_f64() >= 0.0);
-            assert!(cmi.is_finite());
+        let set = sample_candidates(&full, 60, 0xF164);
+        for (name, offline, online) in FIG4_SERIES {
+            let e = fig4_run(set.clone(), &opts, offline, online);
+            let s = &e.stats;
+            assert!(e.explained_cmi.is_finite(), "{name}");
+            assert_eq!(s.n_candidates_initial, 60, "{name}");
+            if !offline {
+                assert_eq!(s.n_after_offline, s.n_candidates_initial, "{name}");
+            }
+            if !online {
+                assert_eq!(s.n_after_online, s.n_after_offline, "{name}");
+            }
+            let stage = |n: &str| -> Duration {
+                s.stages
+                    .iter()
+                    .filter(|span| span.name == n)
+                    .map(|span| span.duration)
+                    .sum()
+            };
+            let names: Vec<&str> = s.stages.iter().map(|span| span.name).collect();
+            assert_eq!(names, ["prune-offline", "prune-online", "bias", "select"]);
+            let times = stage_times(s);
+            assert!(times[0].as_secs_f64() >= 0.0, "{name}");
+            assert_eq!(
+                times[0],
+                stage("prune-online") + stage("bias") + stage("select")
+            );
+            for (column, t) in TIME_COLUMNS[1..].iter().zip(&times[1..]) {
+                assert_eq!(*t, stage(column), "{name}: {column}");
+            }
         }
     }
 

@@ -5,8 +5,10 @@
 //! mixed-radix encoded (first variable is the fastest digit). The
 //! accumulator is a dense vector when the key space is small, or within
 //! 32× the rows about to be scanned (under a hard cap), and a hash map
-//! otherwise (`Accumulator::for_scan`, the one counting policy for every
-//! route). Either way its cells iterate in ascending key order.
+//! otherwise (`OpenCounts::for_scan`, the one counting policy for every
+//! route). A hash map is drained once, when the build ends, into a
+//! key-sorted vector, so either way an [`Accumulator`]'s cells iterate in
+//! ascending key order without sorting again.
 //!
 //! # Folding the counts
 //!
@@ -46,46 +48,67 @@ use crate::kernel;
 /// Key space above which we switch from dense vectors to hash maps.
 const DENSE_LIMIT: u128 = 1 << 21;
 
-/// A weighted count accumulator over composite keys.
+/// The weighted counts of a finished build, over composite keys.
 #[derive(Debug)]
 pub enum Accumulator {
     /// Dense counts indexed by key.
     Dense(Vec<f64>),
-    /// Sparse counts for large key spaces.
-    Sparse(HashMap<u128, f64>),
+    /// Sparse counts for large key spaces: the occupied cells, sorted by
+    /// key.
+    Sparse(Vec<(u128, f64)>),
 }
 
-impl Accumulator {
+/// The counts of a build in progress: dense, or hashed until the build
+/// ends.
+#[derive(Debug)]
+enum OpenCounts {
+    Dense(Vec<f64>),
+    Hashed(HashMap<u128, f64>),
+}
+
+impl OpenCounts {
     /// Row-aware dense policy for the kernel path. Dense is always taken
     /// under the unconditional budget, and still pays for larger key
     /// spaces when the space is within a small multiple of the rows about
     /// to be scanned — the zeroed table amortizes against the per-row
     /// hashing it replaces. The hard cap bounds the transient allocation
     /// (2^25 f64 cells = 256 MiB).
-    fn for_scan(space: u128, rows_to_scan: u128) -> Accumulator {
+    fn for_scan(space: u128, rows_to_scan: u128) -> OpenCounts {
         const DENSE_ROWS_FACTOR: u128 = 32;
         const DENSE_HARD_CAP: u128 = 1 << 25;
         let dense = space <= DENSE_LIMIT
             || (space <= DENSE_HARD_CAP && space <= rows_to_scan.saturating_mul(DENSE_ROWS_FACTOR));
         if dense {
-            Accumulator::Dense(vec![0.0; space as usize])
+            OpenCounts::Dense(vec![0.0; space as usize])
         } else {
-            Accumulator::Sparse(HashMap::new())
+            OpenCounts::Hashed(HashMap::new())
         }
-    }
-
-    fn is_dense(&self) -> bool {
-        matches!(self, Accumulator::Dense(_))
     }
 
     #[inline]
     fn add(&mut self, key: u128, w: f64) {
         match self {
-            Accumulator::Dense(v) => v[key as usize] += w,
-            Accumulator::Sparse(m) => *m.entry(key).or_insert(0.0) += w,
+            OpenCounts::Dense(v) => v[key as usize] += w,
+            OpenCounts::Hashed(m) => *m.entry(key).or_insert(0.0) += w,
         }
     }
 
+    /// Ends the build: hashed cells drain into a key-sorted vector. Each
+    /// key's adds were already summed in row order, so sorting the
+    /// finished cells moves no bit.
+    fn finish(self) -> Accumulator {
+        match self {
+            OpenCounts::Dense(v) => Accumulator::Dense(v),
+            OpenCounts::Hashed(m) => {
+                let mut cells: Vec<(u128, f64)> = m.into_iter().collect();
+                cells.sort_unstable_by_key(|&(k, _)| k);
+                Accumulator::Sparse(cells)
+            }
+        }
+    }
+}
+
+impl Accumulator {
     /// Iterates over `(key, count)` pairs with nonzero count, **in key
     /// order**. Deterministic order matters: these counts feed f64
     /// entropy sums, whose low bits depend on summation order — and
@@ -99,11 +122,7 @@ impl Accumulator {
                     .filter(|(_, &c)| c > 0.0)
                     .map(|(k, &c)| (k as u128, c)),
             ),
-            Accumulator::Sparse(m) => {
-                let mut cells: Vec<(u128, f64)> = m.iter().map(|(&k, &c)| (k, c)).collect();
-                cells.sort_unstable_by_key(|&(k, _)| k);
-                Box::new(cells.into_iter())
-            }
+            Accumulator::Sparse(cells) => Box::new(cells.iter().copied()),
         }
     }
 
@@ -111,7 +130,7 @@ impl Accumulator {
     pub fn n_cells(&self) -> usize {
         match self {
             Accumulator::Dense(v) => v.iter().filter(|&&c| c > 0.0).count(),
-            Accumulator::Sparse(m) => m.len(),
+            Accumulator::Sparse(cells) => cells.len(),
         }
     }
 }
@@ -133,7 +152,7 @@ fn scan_vectorized<K, F>(
     n: usize,
     key_of: F,
     weights: Option<&[f64]>,
-    counts: &mut Accumulator,
+    counts: &mut OpenCounts,
     total: &mut f64,
     rows: &mut usize,
     tally: &mut ScanTally,
@@ -162,7 +181,7 @@ fn scan_vectorized<K, F>(
 fn scan_packed_unweighted<K, F>(
     words: &[u64],
     key_of: &F,
-    counts: &mut Accumulator,
+    counts: &mut OpenCounts,
     rows: &mut usize,
     tally: &mut ScanTally,
 ) where
@@ -208,7 +227,7 @@ fn scan_packed_weighted<K, F>(
     words: &[u64],
     key_of: &F,
     weights: &[f64],
-    counts: &mut Accumulator,
+    counts: &mut OpenCounts,
     total: &mut f64,
     rows: &mut usize,
     tally: &mut ScanTally,
@@ -242,7 +261,7 @@ fn scan_packed_weighted<K, F>(
 fn scan_range_unweighted<K, F>(
     n: usize,
     key_of: &F,
-    counts: &mut Accumulator,
+    counts: &mut OpenCounts,
     rows: &mut usize,
     tally: &mut ScanTally,
 ) where
@@ -276,7 +295,7 @@ fn scan_range_weighted<K, F>(
     n: usize,
     key_of: &F,
     weights: &[f64],
-    counts: &mut Accumulator,
+    counts: &mut OpenCounts,
     total: &mut f64,
     rows: &mut usize,
     tally: &mut ScanTally,
@@ -306,7 +325,7 @@ fn scan_rows(
     mask: Option<&Bitmap>,
     weights: Option<&[f64]>,
     radices: &[u128],
-    counts: &mut Accumulator,
+    counts: &mut OpenCounts,
 ) -> (f64, usize) {
     let validities: Vec<&Bitmap> = vars.iter().filter_map(|v| v.validity.as_ref()).collect();
     let mut total = 0.0;
@@ -426,9 +445,9 @@ impl JointCounts {
         };
 
         let mut counts = if force_sparse {
-            Accumulator::Sparse(HashMap::new())
+            OpenCounts::Hashed(HashMap::new())
         } else {
-            Accumulator::for_scan(space, rows_to_scan as u128)
+            OpenCounts::for_scan(space, rows_to_scan as u128)
         };
         let mut total = 0.0;
         let mut rows = 0usize;
@@ -487,7 +506,7 @@ impl JointCounts {
         // accumulator writes — equal to counted rows on the row-scan and
         // weighted paths, and the (smaller) number of coalesced runs on
         // unweighted vectorized scans.
-        let dense = counts.is_dense();
+        let dense = matches!(counts, OpenCounts::Dense(_));
         let counters = kernel::counters();
         counters.record_build(
             rows_scanned,
@@ -500,7 +519,7 @@ impl JointCounts {
         }
 
         JointCounts {
-            counts,
+            counts: counts.finish(),
             radices,
             total,
             rows,
@@ -668,7 +687,7 @@ mod tests {
         assert!((j.entropy() - (3.0f64).log2()).abs() < 1e-12);
     }
 
-    /// The row-aware cut of [`Accumulator::for_scan`]: a 2016 × 2000 =
+    /// The row-aware cut of [`OpenCounts::for_scan`]: a 2016 × 2000 =
     /// 4,032,000-cell key space is past `DENSE_LIMIT`, so it goes dense
     /// only from 4,032,000 / 32 = 126,000 counted rows up. This is the
     /// shape of FL-Q4's hashed MCIMR backstop joints at 20,000 rows.
@@ -683,7 +702,7 @@ mod tests {
             let before = crate::kernel::counters().snapshot();
             let j = JointCounts::count(&[&a, &b], None, None);
             let d = crate::kernel::counters().snapshot().delta(&before);
-            assert_eq!(j.counts.is_dense(), dense, "{n} rows");
+            assert_eq!(matches!(j.counts, Accumulator::Dense(_)), dense, "{n} rows");
             assert_eq!(j.total, n as f64);
             // The counters are process-global, so these are lower bounds.
             let n = u64::from(n);
@@ -712,10 +731,10 @@ mod tests {
             .iter()
             .map(|v| (v.cardinality as u128).max(1))
             .collect();
-        let mut counts = Accumulator::for_scan(radices.iter().product(), vars[0].len() as u128);
+        let mut counts = OpenCounts::for_scan(radices.iter().product(), vars[0].len() as u128);
         let (total, rows) = scan_rows(vars, mask, weights, &radices, &mut counts);
         JointCounts {
-            counts,
+            counts: counts.finish(),
             radices,
             total,
             rows,
@@ -801,7 +820,7 @@ mod tests {
             let reference = count_rows(&refs, mask, weights);
             let vectorized = JointCounts::count(&refs, mask, weights);
             let sparse = JointCounts::count_forced_sparse(&refs, mask, weights);
-            prop_assert!(!sparse.counts.is_dense());
+            prop_assert!(matches!(sparse.counts, Accumulator::Sparse(_)));
             for j in [&vectorized, &sparse] {
                 prop_assert_eq!(j.rows, reference.rows);
                 prop_assert_eq!(j.total.to_bits(), reference.total.to_bits());
@@ -832,7 +851,7 @@ mod tests {
         let x = codes(&[0, 1, 0, 1], 2);
         let before = crate::kernel::counters().snapshot();
         let j = JointCounts::count(&[&x], None, None);
-        assert!(j.counts.is_dense());
+        assert!(matches!(j.counts, Accumulator::Dense(_)));
         let d = crate::kernel::counters().snapshot().delta(&before);
         assert!(d.rows_scanned >= 4);
         assert!(d.dense_ops >= 4);

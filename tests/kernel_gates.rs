@@ -1,4 +1,4 @@
-//! Counting-kernel and memo gates on three fixed-seed workloads.
+//! Counting-kernel and memo gates on four fixed-seed workloads.
 //!
 //! Each workload runs the whole explain pipeline three times at 2
 //! threads: a plain pass, then a memo-cold and a memo-warm pass that share
@@ -11,11 +11,12 @@
 //! process-global; this binary has one test, so no concurrent run can
 //! pollute a pass's delta.
 //!
-//! `hash_ops == 0` is a property of these three workloads, not of the
+//! `hash_ops == 0` is a property of three of these workloads, not of the
 //! kernel: every joint they count fits the dense policy. A key space past
-//! `DENSE_LIMIT`, or past 32 cells per counted row, goes hashed by design
-//! (FL-Q4 at 20k rows hashes three MCIMR backstop joints; see DESIGN.md
-//! §6d and `nexus-info`'s counter tests).
+//! `DENSE_LIMIT`, or past 32 cells per counted row, goes hashed by design:
+//! FL-Q4 at 20k rows over 20 cities (the benchmark's fl-wide shape)
+//! hashes three MCIMR backstop joints (see DESIGN.md §6d and
+//! `nexus-info`'s counter tests), and its exact `hash_ops` is gated.
 //!
 //! Bit-identity of the kernel against naive counts is tested per call,
 //! next to the code (`nexus-info`'s counter tests and `nexus-core`'s
@@ -86,7 +87,9 @@ fn signature_digest(e: &Explanation) -> u64 {
 }
 
 /// Runs the three passes of one workload and asserts every gate.
-fn assert_gates(id: &str, dataset: &Dataset, sql: &str, golden: u64) {
+/// `hash_ops` is the plain pass's exact count of hashed accumulator
+/// writes.
+fn assert_gates(id: &str, dataset: &Dataset, sql: &str, golden: u64, hash_ops: u64) {
     let plain = explain(dataset, sql, None);
     assert_eq!(
         signature_digest(&plain),
@@ -97,8 +100,11 @@ fn assert_gates(id: &str, dataset: &Dataset, sql: &str, golden: u64) {
     let k = &plain.stats.kernel;
     let rows = dataset.table.n_rows() as u64;
 
-    // Every build of these workloads is dense: no per-row hashing.
-    assert_eq!(k.hash_ops, 0, "{id}: hash ops on the kernel path: {k:?}");
+    // Hashing happens exactly where the dense policy says it must.
+    assert_eq!(
+        k.hash_ops, hash_ops,
+        "{id}: hash ops on the kernel path: {k:?}"
+    );
     // No build scans more than the table once.
     assert!(
         k.rows_scanned <= (k.dense_builds + k.sparse_builds) * rows,
@@ -162,7 +168,7 @@ fn kernel_and_memo_gates_hold_on_fixed_workloads() {
         n_cities: 40,
         ..FlightsConfig::default()
     });
-    assert_gates("FL-Q1", &flights, fl_q1.sql, 0xf19a_f043_0239_7bf6);
+    assert_gates("FL-Q1", &flights, fl_q1.sql, 0xf19a_f043_0239_7bf6, 0);
 
     // 70k rows: above the candidate build's 2^16-row chunk size.
     for (id, golden) in [
@@ -170,6 +176,23 @@ fn kernel_and_memo_gates_hold_on_fixed_workloads() {
         ("SYN-M1", 0x9b41_3423_cec0_e7f5),
     ] {
         let (dataset, sql) = synth_workload(id, 70_000);
-        assert_gates(id, &dataset, sql, golden);
+        assert_gates(id, &dataset, sql, golden, 0);
     }
+
+    let fl_q4 = BENCH_QUERIES
+        .iter()
+        .find(|q| q.id == "FL-Q4")
+        .expect("FL-Q4 is a paper query");
+    let fl_wide = flights::generate(&FlightsConfig {
+        n_rows: 20_000,
+        n_cities: 20,
+        ..FlightsConfig::default()
+    });
+    assert_gates(
+        "fl-wide",
+        &fl_wide,
+        fl_q4.sql,
+        0x9f76_ea62_d9b6_dfda,
+        59_995,
+    );
 }
