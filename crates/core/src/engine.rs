@@ -37,13 +37,17 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
 #[cfg(test)]
 use nexus_info::entropy_from_counts;
 use nexus_info::fold::Marginal;
 use nexus_info::kernel;
-use nexus_info::{entropy_mm, CalibrationRows, InfoContext, JointCounts};
+use nexus_info::{
+    ci_permute, ci_screen, entropy_mm, CalibrationRows, CiScreen, CiTestOptions, CiTestResult,
+    InfoContext, JointCounts,
+};
 use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{BinStrategy, Codes, Fnv64};
 
@@ -199,11 +203,11 @@ impl Contingency {
 /// The estimation engine for one candidate set.
 ///
 /// Every per-candidate value the engine derives — [`CandStats`], the
-/// calibrated CMI, the pairwise MI and a flagged candidate's IPW weights —
-/// is memoized in a [`MemoStore`](crate::MemoStore) through one
-/// [`MemoHandle`]: the server's store for a served run, so a later request
-/// over the same set reuses them, or a private store the engine owns
-/// otherwise. Keys carry the candidate's *content* (its values and
+/// calibrated CMI, the pairwise MI, a flagged candidate's IPW weights, the
+/// CMI given a candidate list and the responsibility test — is memoized
+/// in a [`MemoStore`](crate::MemoStore) through one [`MemoHandle`]: the
+/// server's store for a served run, so a later request over the same set
+/// reuses them, or a private store the engine owns otherwise. Keys carry the candidate's *content* (its values and
 /// weights), never just its name, so they stay valid when pruning
 /// compacts the candidate vector or IPW attaches weights. Every value is a
 /// pure function of its key, and the store builds each key once, so the
@@ -243,6 +247,51 @@ type PairSlot = Arc<OnceLock<Arc<PairCells>>>;
 /// Bytes a memo entry costs beyond its value: the key and the store's
 /// bookkeeping.
 const ENTRY_OVERHEAD: u64 = 96;
+
+/// Candidates' row codes, each materialized on first use and then held:
+/// only a conditioning set or a responsibility test that misses the memo
+/// counts rows, and it needs their full-length codes.
+pub(crate) struct SelectionRows<'s> {
+    set: &'s CandidateSet,
+    rows: Vec<(usize, Codes)>,
+}
+
+impl<'s> SelectionRows<'s> {
+    /// Holds nothing yet.
+    pub(crate) fn new(set: &'s CandidateSet) -> SelectionRows<'s> {
+        SelectionRows {
+            set,
+            rows: Vec::new(),
+        }
+    }
+
+    /// The row codes of `indices`, in order.
+    fn get(&mut self, indices: &[usize]) -> Vec<&Codes> {
+        for &i in indices {
+            if !self.rows.iter().any(|&(j, _)| j == i) {
+                let codes = self.set.row_codes(&self.set.candidates[i]);
+                self.rows.push((i, codes));
+            }
+        }
+        let held = |i: usize| self.rows.iter().find(|&&(j, _)| j == i);
+        indices.iter().map(|&i| &held(i).expect("held").1).collect()
+    }
+
+    /// Drops the codes of a candidate no later lookup will ask for.
+    pub(crate) fn forget(&mut self, idx: usize) {
+        self.rows.retain(|&(j, _)| j != idx);
+    }
+}
+
+/// One memoized responsibility test (Lemma 4.2): the screen's verdict and,
+/// once a caller needs it, the permutation null's result. The null is drawn
+/// at most once per entry, by the first caller that asks.
+pub(crate) struct CiTest {
+    /// The verdict of [`ci_screen`].
+    pub(crate) screen: CiScreen,
+    /// The result of [`ci_permute`] for a pending screen.
+    drawn: OnceLock<CiTestResult>,
+}
 
 impl Engine {
     /// Builds the engine serially: one row pass per extraction column plus
@@ -761,7 +810,8 @@ impl Engine {
         if indices.is_empty() {
             return self.baseline_cmi;
         }
-        let observed = self.cmi_given(set, indices);
+        let mut held = SelectionRows::new(set);
+        let observed = self.cmi_given_over(set, indices, &mut held);
         let mut seed = Fnv64::new();
         for &i in indices {
             seed.write(set.candidates[i].name.as_bytes());
@@ -770,10 +820,7 @@ impl Engine {
 
         // Materialize row codes and shuffle domains once; permute at
         // entity level where applicable, else per-row.
-        let originals: Vec<Codes> = indices
-            .iter()
-            .map(|&i| set.row_codes(&set.candidates[i]))
-            .collect();
+        let originals = held.get(indices);
         let domains: Vec<(Vec<usize>, Vec<u32>)> = indices
             .iter()
             .zip(&originals)
@@ -783,7 +830,7 @@ impl Engine {
         let mut shuffled = 0u64;
         for _ in 0..N_PERMS {
             let mut permuted: Vec<Codes> = Vec::with_capacity(indices.len());
-            for ((&idx, rows), domain) in indices.iter().zip(&originals).zip(&domains) {
+            for ((&idx, &rows), domain) in indices.iter().zip(&originals).zip(&domains) {
                 permuted.push(self.permute_codes(set, idx, rows, domain, &mut rng, &mut shuffled));
             }
             let refs: Vec<&Codes> = permuted.iter().collect();
@@ -883,17 +930,103 @@ impl Engine {
         }
     }
 
-    /// Raw (Miller–Madow) `I(O;T|C, E₁..Eₖ)` for a conditioning set.
+    /// Raw (Miller–Madow) `I(O;T|C, E₁..Eₖ)` for a conditioning set,
+    /// memoized per ordered list: the order sets the conditioning key's
+    /// digits, hence the f64 fold order.
     pub fn cmi_given(&self, set: &CandidateSet, indices: &[usize]) -> f64 {
+        self.cmi_given_over(set, indices, &mut SelectionRows::new(set))
+    }
+
+    /// [`Engine::cmi_given`], counting over `rows` on a miss.
+    pub(crate) fn cmi_given_over(
+        &self,
+        set: &CandidateSet,
+        indices: &[usize],
+        rows: &mut SelectionRows<'_>,
+    ) -> f64 {
         if indices.is_empty() {
             return self.baseline_cmi;
         }
-        let rows: Vec<Codes> = indices
-            .iter()
-            .map(|&i| set.row_codes(&set.candidates[i]))
-            .collect();
-        let refs: Vec<&Codes> = rows.iter().collect();
-        InfoContext::masked(&set.mask).cmi_mm(&set.o, &set.t, &refs)
+        let mut h = Fnv64::new();
+        let name = self.list_key(set, indices, &mut h);
+        *self.memoized(MemoKind::CmiGiven, name, h.finish(), 8, || {
+            InfoContext::masked(&set.mask).cmi_mm(&set.o, &set.t, &rows.get(indices))
+        })
+    }
+
+    /// The responsibility test of candidate `tested` given the ordered
+    /// `given` candidates, `O ⫫ E_tested | E_given` over the unweighted
+    /// context rows: memoized under both lists' content and every
+    /// `CiTestOptions` field. A miss runs only the screen; draw a pending
+    /// test's null with [`Engine::ci_null`].
+    pub(crate) fn ci_test(
+        &self,
+        set: &CandidateSet,
+        given: &[usize],
+        tested: usize,
+        options: &CiTestOptions,
+        rows: &mut SelectionRows<'_>,
+    ) -> Arc<CiTest> {
+        let list: Vec<usize> = given.iter().copied().chain([tested]).collect();
+        let mut h = Fnv64::new();
+        let name = self.list_key(set, &list, &mut h);
+        let CiTestOptions {
+            n_permutations,
+            alpha,
+            seed,
+            cmi_shortcut,
+        } = *options;
+        h.write_u64(n_permutations as u64);
+        h.write_u64(alpha.to_bits());
+        h.write_u64(seed);
+        h.write_u64(cmi_shortcut.to_bits());
+        let size = std::mem::size_of::<CiTest>() as u64;
+        self.memoized(MemoKind::CiTest, name, h.finish(), size, || {
+            let codes = rows.get(&list);
+            let (e, z) = codes.split_last().expect("the tested candidate");
+            CiTest {
+                screen: ci_screen(&InfoContext::masked(&set.mask), &set.o, e, z, options),
+                drawn: OnceLock::new(),
+            }
+        })
+    }
+
+    /// The result of `test`, [`Engine::ci_test`]'s entry for the same
+    /// inputs: a decided screen's result, or the permutation null drawn on
+    /// the engine's pool the first time any caller asks for it.
+    pub(crate) fn ci_null(
+        &self,
+        test: &CiTest,
+        set: &CandidateSet,
+        given: &[usize],
+        tested: usize,
+        options: &CiTestOptions,
+        rows: &mut SelectionRows<'_>,
+    ) -> CiTestResult {
+        let observed = match test.screen {
+            CiScreen::Decided(result) => return result,
+            CiScreen::Pending { observed_cmi } => observed_cmi,
+        };
+        *test.drawn.get_or_init(|| {
+            let list: Vec<usize> = given.iter().copied().chain([tested]).collect();
+            let codes = rows.get(&list);
+            let (e, z) = codes.split_last().expect("the tested candidate");
+            let ctx = InfoContext::masked(&set.mask);
+            ci_permute(&ctx, &set.o, e, z, options, observed, &self.pool)
+        })
+    }
+
+    /// The key material of an ordered candidate list: every name
+    /// length-prefixed, in order, as the returned `name`, and every
+    /// candidate's content, in order, written into `h`.
+    fn list_key(&self, set: &CandidateSet, indices: &[usize], h: &mut Fnv64) -> String {
+        let mut name = String::new();
+        for &i in indices {
+            let cand = &set.candidates[i];
+            write!(name, "{}:{}", cand.name.len(), cand.name).expect("writing to a String");
+            self.write_content(h, cand);
+        }
+        name
     }
 
     /// Selection-bias diagnostics for an entity-level candidate:

@@ -4,8 +4,9 @@
 //! tables — per-candidate [`CandStats`], calibrated CMIs, pairwise MIs —
 //! must be identical serially and at 2 and 8 threads. Differential tests
 //! check that the memo keys cover every input they stand for: the set
-//! (mask, O, T), each candidate's content and weights, the selection
-//! models' covariates, and every `NexusOptions` field.
+//! (mask, O, T), each candidate's content and weights, the order of a
+//! conditioning list, the selection models' covariates, and every
+//! `NexusOptions` field.
 //!
 //! [`CandStats`]: super::CandStats
 
@@ -19,7 +20,9 @@ use proptest::prelude::*;
 use nexus_kg::{KnowledgeGraph, OneToManyAgg, PropertyValue};
 use nexus_table::{Column, Table};
 
-use super::{Contingency, Engine};
+use nexus_info::{CiScreen, CiTestOptions};
+
+use super::{Contingency, Engine, SelectionRows};
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, CandidateSource, MISSING_CODE};
 use crate::memo::{set_fingerprint, MemoHandle, MemoKind, MemoStore};
 use crate::{ExplainRequest, Nexus, NexusOptions, RunControl};
@@ -213,6 +216,52 @@ fn digest(engine: &Engine, set: &CandidateSet) -> Vec<u64> {
     for a in 0..set.candidates.len() {
         for b in (a + 1)..set.candidates.len() {
             digest.push(bits(engine.mi_pair(set, a, b)));
+        }
+    }
+    digest
+}
+
+/// One responsibility test through the memo, f64s as raw bits: the
+/// screen's verdict and the result, the null drawn when it is pending.
+fn ci_test_bits(
+    engine: &Engine,
+    set: &CandidateSet,
+    given: &[usize],
+    tested: usize,
+    ci: &CiTestOptions,
+) -> String {
+    let mut rows = SelectionRows::new(set);
+    let test = engine.ci_test(set, given, tested, ci, &mut rows);
+    let r = engine.ci_null(&test, set, given, tested, ci, &mut rows);
+    let screen = match test.screen {
+        CiScreen::Decided(_) => "decided".to_string(),
+        CiScreen::Pending { observed_cmi } => format!("pending {:x}", bits(observed_cmi)),
+    };
+    format!(
+        "{given:?} {tested}: {screen}; {:x} {:x} {}",
+        bits(r.observed_cmi),
+        bits(r.p_value),
+        r.independent
+    )
+}
+
+/// What the memo's selection kinds hold for the synthetic set, f64s as
+/// raw bits: the CMI given ordered candidate lists (the two content twins
+/// `City::prop` and `City::wprop`, and the row-level candidate, in several
+/// orders), and responsibility tests under `ci`, and again with every
+/// shortcut off so each draws its null.
+fn selection_digest(engine: &Engine, set: &CandidateSet, ci: &CiTestOptions) -> Vec<String> {
+    let mut digest: Vec<String> = [&[0, 2][..], &[2, 0], &[1, 2], &[0, 1, 2], &[2, 1, 0]]
+        .iter()
+        .map(|list| format!("{list:?}: {:x}", bits(engine.cmi_given(set, list))))
+        .collect();
+    let permute = CiTestOptions {
+        cmi_shortcut: 0.0,
+        ..*ci
+    };
+    for ci in [ci, &permute] {
+        for (given, tested) in [(&[][..], 0), (&[2], 0), (&[0], 2), (&[0, 1], 2)] {
+            digest.push(ci_test_bits(engine, set, given, tested, ci));
         }
     }
     digest
@@ -425,6 +474,7 @@ proptest! {
         let options = NexusOptions::default();
         let warm = Engine::with_parallelism_memo(&set, Parallelism::Serial, &handle, &options);
         digest(&warm, &set);
+        selection_digest(&warm, &set, &options.ci);
         let warmed = handle.store.resident_entries();
 
         let mut perturbed = synthetic_set(n, seed);
@@ -437,6 +487,19 @@ proptest! {
         prop_assert_eq!(missed, fp_changed);
         let plain = Engine::with_parallelism(&perturbed, Parallelism::Serial);
         prop_assert_eq!(digest(&memo, &perturbed), digest(&plain, &perturbed));
+        let before = handle.store.counts();
+        prop_assert_eq!(
+            selection_digest(&memo, &perturbed, &options.ci),
+            selection_digest(&plain, &perturbed, &options.ci)
+        );
+        let after = handle.store.counts();
+        for kind in SELECTION_KINDS {
+            let k = kind as usize;
+            // A changed set misses every selection entry; an equal one
+            // hits them all.
+            prop_assert_eq!(after.misses[k] > before.misses[k], fp_changed, "{:?}", kind);
+            prop_assert_eq!(after.hits[k] > before.hits[k], !fp_changed, "{:?}", kind);
+        }
     }
 
     /// Random codes, maps, masks, and sizes: the engine reproduces the
@@ -574,7 +637,8 @@ fn world(moved: Option<usize>) -> (Table, KnowledgeGraph) {
 
 const WORLD_SQL: &str = "SELECT Country, avg(Salary) FROM t GROUP BY Country";
 
-/// Every output of a pipeline run, f64s as raw bits: the explanation, and
+/// Every output of a pipeline run, f64s as raw bits: the explanation,
+/// every selection round's responsibility test and conditioned CMI, and
 /// each surviving candidate's IPW weights, stats and calibrated CMI.
 fn run_digest(
     table: &Table,
@@ -612,6 +676,21 @@ fn run_digest(
         ));
     }
     let (set, engine) = (&artifacts.set, &artifacts.engine);
+    // Every selection round again through the memo: its responsibility
+    // test under the run's CI options and with every shortcut off (so the
+    // null is drawn), and the CMI given the selection so far.
+    let selected = &artifacts.mcimr.selected;
+    let permute = CiTestOptions {
+        cmi_shortcut: 0.0,
+        ..options.ci
+    };
+    for (round, &best) in selected.iter().enumerate() {
+        for ci in [&options.ci, &permute] {
+            digest.push(ci_test_bits(engine, set, &selected[..round], best, ci));
+        }
+        let cmi = engine.cmi_given(set, &selected[..=round]);
+        digest.push(format!("{:?} {:x}", &selected[..=round], bits(cmi)));
+    }
     for (idx, c) in set.candidates.iter().enumerate() {
         let weights = c.entity_weights.iter().flatten().map(|&w| bits(w));
         let stats = engine.stats(set, idx);
@@ -662,10 +741,99 @@ fn perturb_option(options: &mut NexusOptions, field: u8) {
     }
 }
 
+/// The kinds that hold MCIMR's selection rounds.
+const SELECTION_KINDS: [MemoKind; 2] = [MemoKind::CmiGiven, MemoKind::CiTest];
+
 /// Inserts of the four per-candidate kinds so far.
 fn candidate_kind_inserts(store: &MemoStore) -> [u64; 4] {
     let c = store.counts();
     CANDIDATE_KINDS.map(|k| c.inserts[k as usize])
+}
+
+/// Inserts of the two selection kinds so far.
+fn selection_kind_inserts(store: &MemoStore) -> [u64; 2] {
+    let c = store.counts();
+    SELECTION_KINDS.map(|k| c.inserts[k as usize])
+}
+
+/// A conditioning list is keyed in order: a reordered list, a selected
+/// candidate moved to the tested slot, or a changed tested candidate is
+/// another key, and misses, even when the reordered candidates are
+/// content twins (`City::prop` and `City::wprop` share column and map, so
+/// only the order of their names tells the two lists apart). Each matches
+/// the memo-off engine bit for bit.
+#[test]
+fn memo_keys_keep_the_list_order() {
+    let set = synthetic_set(500, 0x0D3E);
+    let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 0xDA7A);
+    let options = NexusOptions::default();
+    let memo = Engine::with_parallelism_memo(&set, Parallelism::Serial, &handle, &options);
+    let plain = Engine::with_parallelism(&set, Parallelism::Serial);
+    let ci = CiTestOptions {
+        cmi_shortcut: 0.0,
+        ..CiTestOptions::default()
+    };
+    memo.cmi_given(&set, &[0, 1, 2]);
+    ci_test_bits(&memo, &set, &[0, 1], 2, &ci);
+    ci_test_bits(&memo, &set, &[0], 2, &ci);
+    for list in [&[1, 0, 2][..], &[2, 1, 0], &[0, 2, 1]] {
+        let before = selection_kind_inserts(&handle.store);
+        let got = memo.cmi_given(&set, list);
+        assert_eq!(bits(got), bits(plain.cmi_given(&set, list)), "{list:?}");
+        let after = selection_kind_inserts(&handle.store);
+        assert_eq!(after[0], before[0] + 1, "CMI given {list:?} hit");
+    }
+    for (given, tested) in [(&[1, 0][..], 2), (&[0, 2], 1), (&[2], 0), (&[0], 1)] {
+        let before = selection_kind_inserts(&handle.store);
+        let got = ci_test_bits(&memo, &set, given, tested, &ci);
+        assert_eq!(got, ci_test_bits(&plain, &set, given, tested, &ci));
+        let after = selection_kind_inserts(&handle.store);
+        assert_eq!(after[1], before[1] + 1, "test {given:?} {tested} hit");
+    }
+    // The warmed lists themselves hit.
+    let before = selection_kind_inserts(&handle.store);
+    memo.cmi_given(&set, &[0, 1, 2]);
+    ci_test_bits(&memo, &set, &[0, 1], 2, &ci);
+    assert_eq!(selection_kind_inserts(&handle.store), before);
+}
+
+/// Every `CiTestOptions` field is part of a responsibility test's key: a
+/// test warmed under one value of the options misses under each changed
+/// field and matches the memo-off engine bit for bit.
+#[test]
+fn memo_keys_cover_every_ci_option() {
+    let set = synthetic_set(500, 0xC1);
+    let handle = MemoHandle::new(Arc::new(MemoStore::new(0)), 0xDA7A);
+    let memo =
+        Engine::with_parallelism_memo(&set, Parallelism::Serial, &handle, &NexusOptions::default());
+    let plain = Engine::with_parallelism(&set, Parallelism::Serial);
+    let base = CiTestOptions {
+        cmi_shortcut: 0.0,
+        ..CiTestOptions::default()
+    };
+    let perturbed = [
+        CiTestOptions {
+            n_permutations: 17,
+            ..base
+        },
+        CiTestOptions { alpha: 0.5, ..base },
+        CiTestOptions {
+            seed: base.seed ^ 1,
+            ..base
+        },
+        CiTestOptions {
+            cmi_shortcut: 1e-9,
+            ..base
+        },
+    ];
+    ci_test_bits(&memo, &set, &[0], 2, &base);
+    for ci in perturbed {
+        let before = selection_kind_inserts(&handle.store);
+        let got = ci_test_bits(&memo, &set, &[0], 2, &ci);
+        assert_eq!(got, ci_test_bits(&plain, &set, &[0], 2, &ci), "{ci:?}");
+        let after = selection_kind_inserts(&handle.store);
+        assert_eq!(after[1], before[1] + 1, "{ci:?} hit the warmed test");
+    }
 }
 
 const CANDIDATE_KINDS: [MemoKind; 4] = [
@@ -683,8 +851,8 @@ fn base_options() -> NexusOptions {
 }
 
 /// A new explanation bound is the served mix's novel request: same set,
-/// same options otherwise. It must hit every per-candidate kind and miss
-/// none, and still match the memo-off run.
+/// same options otherwise. It must hit every per-candidate kind and both
+/// selection kinds and miss none, and still match the memo-off run.
 #[test]
 fn changing_only_the_explanation_size_hits_every_candidate_kind() {
     let (table, kg) = world(None);
@@ -703,7 +871,7 @@ fn changing_only_the_explanation_size_hits_every_candidate_kind() {
     let digest = run_digest(&table, &kg, &resized, Some(&handle));
     let after = handle.store.counts();
     assert_eq!(digest, run_digest(&table, &kg, &resized, None));
-    for kind in CANDIDATE_KINDS {
+    for kind in CANDIDATE_KINDS.into_iter().chain(SELECTION_KINDS) {
         let k = kind as usize;
         assert!(after.hits[k] > before.hits[k], "{kind:?} never hit");
         assert_eq!(after.misses[k], before.misses[k], "{kind:?} missed");
@@ -765,7 +933,10 @@ proptest! {
             &set, Parallelism::Serial, &handle, &NexusOptions::default(),
         );
         let warm_digest = digest(&warm, &set);
+        let ci = CiTestOptions::default();
+        let warm_selection = selection_digest(&warm, &set, &ci);
         let warmed = candidate_kind_inserts(&handle.store);
+        let warmed_selection = selection_kind_inserts(&handle.store);
 
         let mut perturbed = fixture();
         perturb_candidate(&mut perturbed, what, entity, bit);
@@ -786,5 +957,19 @@ proptest! {
         let inserts = candidate_kind_inserts(&handle.store);
         // Stats and calibrated CMI of the perturbed candidate were rebuilt.
         prop_assert!(inserts[0] > warmed[0] && inserts[1] > warmed[1]);
+
+        // The selection kinds count unweighted rows: a changed weight
+        // leaves their values, and keys, as they were; any other change
+        // (content or name of a listed candidate) misses both.
+        let got = selection_digest(&memo, &perturbed, &ci);
+        let expected = selection_digest(&plain, &perturbed, &ci);
+        if what == 2 {
+            prop_assert_eq!(&warm_selection, &expected);
+        }
+        prop_assert_eq!(got, expected);
+        let inserts = selection_kind_inserts(&handle.store);
+        for k in 0..SELECTION_KINDS.len() {
+            prop_assert_eq!(inserts[k] > warmed_selection[k], what != 2);
+        }
     }
 }

@@ -2,12 +2,11 @@
 //! Min-Conditional-mutual-Information + Min-Redundancy, with the
 //! responsibility test (Lemma 4.2) as the stopping criterion.
 
-use nexus_info::{ci_screen, CiScreen, InfoContext};
-use nexus_table::Codes;
+use nexus_info::CiScreen;
 
 use crate::candidate::CandidateSet;
 use crate::control::{ProgressEvent, RunControl};
-use crate::engine::Engine;
+use crate::engine::{Engine, SelectionRows};
 use crate::error::Result;
 use crate::options::NexusOptions;
 
@@ -96,8 +95,9 @@ pub fn mcimr_controlled(
     let mut stopped_by_responsibility = false;
     let mut last_cmi = initial_cmi;
 
-    // Row-level codes of selected attributes, for the responsibility test.
-    let mut selected_rows: Vec<Codes> = Vec::new();
+    // Row-level codes of the selected attributes and the winner under
+    // test, materialized only when a round misses the memo.
+    let mut rows = SelectionRows::new(set);
     // Candidates set aside as non-responsible (never reconsidered).
     let mut rejected = vec![false; set.candidates.len()];
     let mut rejections = 0usize;
@@ -130,30 +130,26 @@ pub fn mcimr_controlled(
         // backstop keeps and the screen left undecided draws the
         // permutation null. Both rejections act alike and the test reseeds
         // on every call, so this order selects exactly what testing first
-        // would.
-        let rows = set.row_codes(&set.candidates[best]);
-        let ctx = InfoContext::masked(&set.mask);
-        let z: Vec<&Codes> = selected_rows.iter().collect();
-        let kept = match ci_screen(&ctx, &set.o, &rows, &z, &options.ci) {
-            CiScreen::Decided(test) if test.independent => None,
-            screen => {
-                // `Engine::cmi_given` of `selected ∪ {best}`, on the row
-                // codes already held.
-                let mut given = z.clone();
-                given.push(&rows);
-                let cmi_after = ctx.cmi_mm(&set.o, &set.t, &given);
+        // would. The screen, the backstop's CMI and the null are memoized,
+        // so a round the store has seen counts and draws nothing.
+        let test = engine.ci_test(set, &selected, best, &options.ci, &mut rows);
+        let kept = match test.screen {
+            CiScreen::Decided(result) if result.independent => None,
+            _ => {
+                let given: Vec<usize> = selected.iter().copied().chain([best]).collect();
+                let cmi_after = engine.cmi_given_over(set, &given, &mut rows);
                 let negligible = initial_cmi > 0.0
                     && !selected.is_empty()
                     && (last_cmi - cmi_after) / initial_cmi < options.min_improvement;
                 let responsible = !negligible
-                    && match screen {
-                        CiScreen::Pending(test) => !test.permute(engine.pool()).independent,
-                        CiScreen::Decided(_) => true,
-                    };
+                    && !engine
+                        .ci_null(&test, set, &selected, best, &options.ci, &mut rows)
+                        .independent;
                 responsible.then_some(cmi_after)
             }
         };
         let Some(cmi_after) = kept else {
+            rows.forget(best);
             rejected[best] = true;
             rejections += 1;
             if rejections >= MAX_REJECTIONS {
@@ -163,7 +159,6 @@ pub fn mcimr_controlled(
             continue;
         };
         selected.push(best);
-        selected_rows.push(rows);
         trace.push(IterationTrace {
             chosen: best,
             name: set.candidates[best].name.clone(),
@@ -250,9 +245,10 @@ fn next_best(
 mod tests {
     use super::*;
     use crate::candidate::build_candidates;
+    use nexus_info::InfoContext;
     use nexus_kg::KnowledgeGraph;
     use nexus_query::parse;
-    use nexus_table::{Column, Table};
+    use nexus_table::{Codes, Column, Table};
 
     /// Salary = f(hdi latent, gini latent) per country plus small noise; the
     /// KG carries hdi, a redundant hdi_copy, gini, and a distractor.
@@ -402,10 +398,24 @@ mod tests {
         assert_eq!(err, CoreError::Aborted);
     }
 
+    /// `I(O;T|C, E_indices)` counted afresh, past the memo.
+    fn cmi_given_uncached(set: &CandidateSet, engine: &Engine, indices: &[usize]) -> f64 {
+        if indices.is_empty() {
+            return engine.baseline_cmi();
+        }
+        let rows: Vec<Codes> = indices
+            .iter()
+            .map(|&i| set.row_codes(&set.candidates[i]))
+            .collect();
+        let refs: Vec<&Codes> = rows.iter().collect();
+        InfoContext::masked(&set.mask).cmi_mm(&set.o, &set.t, &refs)
+    }
+
     /// The selection loop as it ran before the improvement backstop moved
-    /// ahead of the permutation null: every candidate draws its full
-    /// responsibility test first; a kept candidate is committed, then
-    /// undone if the backstop fires; `final_cmi` is recounted at the end.
+    /// ahead of the permutation null, and before the memo held its tests
+    /// and conditioned CMIs: every candidate draws its full responsibility
+    /// test first; a kept candidate is committed, then undone if the
+    /// backstop fires; `final_cmi` is recounted at the end.
     fn mcimr_permute_first(
         set: &CandidateSet,
         engine: &Engine,
@@ -446,7 +456,7 @@ mod tests {
             }
             selected.push(best);
             selected_rows.push(rows);
-            let cmi_after = engine.cmi_given(set, &selected);
+            let cmi_after = cmi_given_uncached(set, engine, &selected);
             trace.push(IterationTrace {
                 chosen: best,
                 name: set.candidates[best].name.clone(),
@@ -479,7 +489,7 @@ mod tests {
                 initial_cmi,
             });
         }
-        let final_cmi = engine.cmi_given(set, &selected);
+        let final_cmi = cmi_given_uncached(set, engine, &selected);
         McimrResult {
             selected,
             initial_cmi,

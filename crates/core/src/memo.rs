@@ -37,6 +37,8 @@
 //! | `Stats`, `Calibrated` | set | candidate content + IPW weights | candidate |
 //! | `MiPair` | set | both candidates' content | both names, in call order |
 //! | `IpwWeights` | set | candidate content + covariate maps | candidate |
+//! | `CmiGiven` | set | every listed candidate's content, in order | every name, length-prefixed, in order |
+//! | `CiTest` | set | the selected candidates' and the tested one's content, in order, + every `CiTestOptions` field | the same names as `CmiGiven`, the tested one last |
 //!
 //! A candidate's *content* is `(column, map)` for an entity-level
 //! candidate. A row-level candidate's codes are its named base column
@@ -45,12 +47,18 @@
 //! its permutation null is seeded from the name. `MiPair` keeps the call
 //! order because the MI fold's f64 sums depend on the orientation. The
 //! IPW weights' `set_fp` stands for the column's in-context row mass they
-//! are normalized by.
+//! are normalized by. `CmiGiven` (the raw Miller–Madow `I(O;T|C,E₁..Eₖ)`)
+//! and `CiTest` (the responsibility test of one candidate given the
+//! selected ones) count unweighted rows, so their content leaves the IPW
+//! weights out; they keep the list order, which sets the stratum order
+//! of every fold and of the permutation null. A `CiTest` entry holds the
+//! screen's verdict and, once a caller draws it, the permutation result.
 //!
 //! Only `Extraction` uses [`NexusOptions::fingerprint`]: extraction runs
 //! before any query and depends on options only. The other kinds key on
-//! the values an option produces (a mask, a map, chosen covariates), never
-//! on the options themselves. The options fingerprint also hashes fields
+//! the values an option produces (a mask, a map, chosen covariates), and
+//! `CiTest` on the four `ci` fields it reads, never on the whole options.
+//! The options fingerprint also hashes fields
 //! that change no memoized value, `max_explanation_size` among them, so
 //! keying on it would make every request with a new `top_k` miss.
 //!
@@ -94,7 +102,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use nexus_table::{Bitmap, Codes, Fnv64};
 
 /// Number of [`MemoKind`] values (the dimension of [`MemoCounts`]' arrays).
-const KINDS: usize = 7;
+const KINDS: usize = 9;
 
 /// What kind of sub-query value a memo entry caches. Doubles as the index
 /// into the per-kind arrays of [`MemoCounts`].
@@ -115,6 +123,11 @@ pub enum MemoKind {
     MiPair = 5,
     /// One flagged candidate's entity-level IPW weight vector.
     IpwWeights = 6,
+    /// The raw Miller–Madow `I(O;T|C,E₁..Eₖ)` of an ordered candidate list.
+    CmiGiven = 7,
+    /// The responsibility test of a candidate given the ordered selected
+    /// candidates: the screen's verdict and the drawn null.
+    CiTest = 8,
 }
 
 impl MemoKind {
@@ -127,6 +140,8 @@ impl MemoKind {
         MemoKind::Calibrated,
         MemoKind::MiPair,
         MemoKind::IpwWeights,
+        MemoKind::CmiGiven,
+        MemoKind::CiTest,
     ];
 
     /// A stable lowercase label (used in dotted metric names).
@@ -139,6 +154,8 @@ impl MemoKind {
             MemoKind::Calibrated => "calibrated",
             MemoKind::MiPair => "mi_pair",
             MemoKind::IpwWeights => "ipw_weights",
+            MemoKind::CmiGiven => "cmi_given",
+            MemoKind::CiTest => "ci_test",
         }
     }
 }

@@ -2,7 +2,7 @@
 //! contribution of each attribute in an explanation.
 
 use crate::candidate::CandidateSet;
-use crate::engine::Engine;
+use crate::engine::{Engine, SelectionRows};
 
 /// Responsibility of each attribute in `selected`.
 ///
@@ -14,6 +14,11 @@ use crate::engine::Engine;
 /// `full` is `I(O;T|E,C)` for the whole of `selected`, exactly as
 /// [`Engine::cmi_given`] computes it. Selection already holds that value
 /// (MCIMR returns it as `final_cmi`), so it is passed in, not recounted.
+/// Each leave-one-out CMI is the engine's memoized [`Engine::cmi_given`]:
+/// MCIMR's backstop already counted the set without the last attribute (in
+/// the round that selected the one before it), and a set the store has
+/// seen counts nothing. The sets that miss share one materialization of
+/// each attribute's row codes.
 pub fn responsibilities(
     set: &CandidateSet,
     engine: &Engine,
@@ -23,6 +28,7 @@ pub fn responsibilities(
     if selected.is_empty() {
         return Vec::new();
     }
+    let mut rows = SelectionRows::new(set);
     let contributions: Vec<f64> = (0..selected.len())
         .map(|i| {
             let without: Vec<usize> = selected
@@ -31,7 +37,7 @@ pub fn responsibilities(
                 .filter(|(j, _)| *j != i)
                 .map(|(_, &s)| s)
                 .collect();
-            engine.cmi_given(set, &without) - full
+            engine.cmi_given_over(set, &without, &mut rows) - full
         })
         .collect();
     let denom: f64 = contributions.iter().sum();

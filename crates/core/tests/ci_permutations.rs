@@ -80,7 +80,7 @@ fn permute_first(set: &CandidateSet, engine: &Engine, options: &NexusOptions) ->
         let z: Vec<&Codes> = selected_rows.iter().collect();
         let pending = matches!(
             ci_screen(&ctx, &set.o, &rows, &z, &options.ci),
-            CiScreen::Pending(_)
+            CiScreen::Pending { .. }
         );
         let mut kept = !ci_test(&ctx, &set.o, &rows, &z, &options.ci).independent;
         if kept {

@@ -7,8 +7,11 @@
 //! 32× the rows about to be scanned (under a hard cap), and a hash map
 //! otherwise (`OpenCounts::for_scan`, the one counting policy for every
 //! route). A hash map is drained once, when the build ends, into a
-//! key-sorted vector, so either way an [`Accumulator`]'s cells iterate in
-//! ascending key order without sorting again.
+//! key-sorted vector, and so is a dense table far larger than its rows
+//! (one the fold policy, [`crate::fold::dense`], would not keep dense), so
+//! either way an [`Accumulator`]'s cells iterate in ascending key order
+//! without sorting again, and a sparse joint's walks visit its cells, not
+//! its key space.
 //!
 //! # Folding the counts
 //!
@@ -42,7 +45,7 @@ use std::collections::HashMap;
 
 use nexus_table::{complete_case_mask, Bitmap, Codes};
 
-use crate::fold::{EntropyFold, Marginal};
+use crate::fold::{self, EntropyFold, Marginal};
 use crate::kernel;
 
 /// Key space above which we switch from dense vectors to hash maps.
@@ -53,8 +56,8 @@ const DENSE_LIMIT: u128 = 1 << 21;
 pub enum Accumulator {
     /// Dense counts indexed by key.
     Dense(Vec<f64>),
-    /// Sparse counts for large key spaces: the occupied cells, sorted by
-    /// key.
+    /// Sparse counts for key spaces large for their rows: the occupied
+    /// cells, sorted by key.
     Sparse(Vec<(u128, f64)>),
 }
 
@@ -93,11 +96,20 @@ impl OpenCounts {
         }
     }
 
-    /// Ends the build: hashed cells drain into a key-sorted vector. Each
-    /// key's adds were already summed in row order, so sorting the
-    /// finished cells moves no bit.
-    fn finish(self) -> Accumulator {
+    /// Ends a build that counted `rows` rows: hashed cells drain into a
+    /// key-sorted vector, and so does a dense table that the fold policy
+    /// would not keep dense for that many rows (its occupied cells, in key
+    /// order). Each key's adds were already summed in row order, so
+    /// neither moves a bit.
+    fn finish(self, rows: usize) -> Accumulator {
         match self {
+            OpenCounts::Dense(v) if !fold::dense(v.len() as u128, rows) => Accumulator::Sparse(
+                v.into_iter()
+                    .enumerate()
+                    .filter(|&(_, c)| c > 0.0)
+                    .map(|(k, c)| (k as u128, c))
+                    .collect(),
+            ),
             OpenCounts::Dense(v) => Accumulator::Dense(v),
             OpenCounts::Hashed(m) => {
                 let mut cells: Vec<(u128, f64)> = m.into_iter().collect();
@@ -519,7 +531,7 @@ impl JointCounts {
         }
 
         JointCounts {
-            counts: counts.finish(),
+            counts: counts.finish(rows),
             radices,
             total,
             rows,
@@ -688,21 +700,26 @@ mod tests {
     }
 
     /// The row-aware cut of [`OpenCounts::for_scan`]: a 2016 × 2000 =
-    /// 4,032,000-cell key space is past `DENSE_LIMIT`, so it goes dense
-    /// only from 4,032,000 / 32 = 126,000 counted rows up. This is the
-    /// shape of FL-Q4's hashed MCIMR backstop joints at 20,000 rows.
+    /// 4,032,000-cell key space is past `DENSE_LIMIT`, so it is scanned
+    /// dense only from 4,032,000 / 32 = 126,000 counted rows up. This is
+    /// the shape of FL-Q4's hashed MCIMR backstop joints at 20,000 rows.
+    /// Either way the finished counts are sparse: the space is past the
+    /// fold policy's dense cap at any row count.
     #[test]
     fn row_aware_dense_cut_moves_the_counters() {
         let space = 2016 * 2000;
         assert!(space > DENSE_LIMIT);
         for (n, dense) in [(20_000u32, false), (125_999, false), (126_000, true)] {
+            let scan = OpenCounts::for_scan(space, n as u128);
+            assert_eq!(matches!(scan, OpenCounts::Dense(_)), dense, "{n} rows");
+            drop(scan);
             // Consecutive rows never share a key, so no run coalesces.
             let a = codes(&(0..n).map(|i| i % 2016).collect::<Vec<_>>(), 2016);
             let b = codes(&(0..n).map(|i| i % 2000).collect::<Vec<_>>(), 2000);
             let before = crate::kernel::counters().snapshot();
             let j = JointCounts::count(&[&a, &b], None, None);
             let d = crate::kernel::counters().snapshot().delta(&before);
-            assert_eq!(matches!(j.counts, Accumulator::Dense(_)), dense, "{n} rows");
+            assert!(matches!(j.counts, Accumulator::Sparse(_)), "{n} rows");
             assert_eq!(j.total, n as f64);
             // The counters are process-global, so these are lower bounds.
             let n = u64::from(n);
@@ -710,6 +727,65 @@ mod tests {
                 assert!(d.dense_builds >= 1 && d.dense_ops >= n, "{n} rows: {d:?}");
             } else {
                 assert!(d.sparse_builds >= 1 && d.hash_ops >= n, "{n} rows: {d:?}");
+            }
+        }
+    }
+
+    /// A dense scan table far larger than its rows finishes as its
+    /// key-sorted occupied cells; every fold over it, the joint's and each
+    /// marginal's, keeps the dense table's bits, weighted or not.
+    #[test]
+    fn compacted_dense_build_folds_the_dense_bits() {
+        let mut rng = Rng(0x5EED_CE11);
+        let n = 3_000;
+        let cards = [40u32, 300, 7];
+        let vars: Vec<Codes> = cards
+            .iter()
+            .map(|&card| {
+                let mut c = codes(
+                    &(0..n)
+                        .map(|_| rng.below(card as u64) as u32)
+                        .collect::<Vec<_>>(),
+                    card,
+                );
+                c.validity = Some(random_bitmap(&mut rng, n));
+                c
+            })
+            .collect();
+        let refs: Vec<&Codes> = vars.iter().collect();
+        let weights: Vec<f64> = (0..n)
+            .map(|_| rng.below(5) as f64 * 0.3 + rng.below(1000) as f64 / 991.0)
+            .collect();
+        let radices: Vec<u128> = cards.iter().map(|&c| c as u128).collect();
+        let space: u128 = radices.iter().product();
+        for w in [None, Some(weights.as_slice())] {
+            let compacted = JointCounts::count(&refs, None, w);
+            assert!(space <= DENSE_LIMIT && !fold::dense(space, compacted.rows));
+            assert!(matches!(compacted.counts, Accumulator::Sparse(_)));
+            // The same rows into a dense table left as it is.
+            let mut table = OpenCounts::Dense(vec![0.0; space as usize]);
+            let (total, rows) = scan_rows(&refs, None, w, &radices, &mut table);
+            let OpenCounts::Dense(table) = table else {
+                unreachable!("built dense")
+            };
+            let dense = JointCounts {
+                counts: Accumulator::Dense(table),
+                radices: radices.clone(),
+                total,
+                rows,
+            };
+            assert_eq!(cells(&compacted), cells(&dense));
+            assert_eq!(compacted.counts.n_cells(), dense.counts.n_cells());
+            assert_eq!(compacted.total.to_bits(), dense.total.to_bits());
+            let (h, k) = compacted.entropy_and_cells();
+            assert_eq!((h.to_bits(), k), {
+                let (h, k) = dense.entropy_and_cells();
+                (h.to_bits(), k)
+            });
+            for keep in [&[0][..], &[1], &[2], &[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]] {
+                let (hc, kc) = compacted.marginal_entropy_and_cells(keep);
+                let (hd, kd) = dense.marginal_entropy_and_cells(keep);
+                assert_eq!((hc.to_bits(), kc), (hd.to_bits(), kd), "{keep:?}");
             }
         }
     }
@@ -734,7 +810,7 @@ mod tests {
         let mut counts = OpenCounts::for_scan(radices.iter().product(), vars[0].len() as u128);
         let (total, rows) = scan_rows(vars, mask, weights, &radices, &mut counts);
         JointCounts {
-            counts: counts.finish(),
+            counts: counts.finish(rows),
             radices,
             total,
             rows,

@@ -60,8 +60,8 @@ pub struct CiTestResult {
 }
 
 /// Tests `X ⫫ Y | Z` on the complete-case rows under `ctx`: the cheap
-/// [`ci_screen`], then, when no shortcut decides it,
-/// [`PendingCiTest::permute`] on the calling thread.
+/// [`ci_screen`], then, when no shortcut decides it, [`ci_permute`] on the
+/// calling thread.
 pub fn ci_test(
     ctx: &InfoContext<'_>,
     x: &Codes,
@@ -71,42 +71,37 @@ pub fn ci_test(
 ) -> CiTestResult {
     match ci_screen(ctx, x, y, z, options) {
         CiScreen::Decided(result) => result,
-        CiScreen::Pending(pending) => pending.permute(&ThreadPool::default()),
+        CiScreen::Pending { observed_cmi } => {
+            ci_permute(ctx, x, y, z, options, observed_cmi, &ThreadPool::default())
+        }
     }
 }
 
-/// The verdict of a CI test's cheap phase.
-#[derive(Debug)]
-pub enum CiScreen<'a> {
+/// The verdict of a CI test's cheap phase. It borrows nothing, so a
+/// caller may keep it (MCIMR memoizes it) and draw the null later.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CiScreen {
     /// A shortcut decided the test; no permutation is needed.
     Decided(CiTestResult),
-    /// Only the permutation null can decide the test.
-    Pending(PendingCiTest<'a>),
-}
-
-/// A CI test the screen left undecided, ready to draw its permutation
-/// null.
-#[derive(Debug)]
-pub struct PendingCiTest<'a> {
-    ctx: InfoContext<'a>,
-    x: &'a Codes,
-    y: &'a Codes,
-    z: &'a [&'a Codes],
-    options: CiTestOptions,
-    observed: f64,
+    /// Only the permutation null can decide the test: pass the observed
+    /// CMI to [`ci_permute`] with the same inputs.
+    Pending {
+        /// The observed CMI `I(X;Y|Z)`.
+        observed_cmi: f64,
+    },
 }
 
 /// The cheap phase of [`ci_test`]: the observed CMI plus every shortcut
 /// that needs no permutation (the `cmi_shortcut` thresholds, unconditional
 /// and large-sample, and too few complete cases). Complete-case rows are
-/// only counted here; [`PendingCiTest::permute`] collects them.
-pub fn ci_screen<'a>(
-    ctx: &InfoContext<'a>,
-    x: &'a Codes,
-    y: &'a Codes,
-    z: &'a [&'a Codes],
+/// only counted here; [`ci_permute`] collects them.
+pub fn ci_screen(
+    ctx: &InfoContext<'_>,
+    x: &Codes,
+    y: &Codes,
+    z: &[&Codes],
     options: &CiTestOptions,
-) -> CiScreen<'a> {
+) -> CiScreen {
     let observed = ctx.cmi(x, y, z);
     let decided = |independent: bool| {
         CiScreen::Decided(CiTestResult {
@@ -139,46 +134,39 @@ pub fn ci_screen<'a>(
     if options.cmi_shortcut > 0.0 && observed > options.cmi_shortcut * 50.0 && usable > 10_000 {
         return decided(false);
     }
-    CiScreen::Pending(PendingCiTest {
-        ctx: *ctx,
-        x,
-        y,
-        z,
-        options: *options,
-        observed,
-    })
+    CiScreen::Pending {
+        observed_cmi: observed,
+    }
 }
 
-impl PendingCiTest<'_> {
-    /// The expensive phase of [`ci_test`]: builds the stratified null from
-    /// the complete-case rows and draws `n_permutations` samples from an
-    /// RNG seeded with `options.seed`. The permutations run in fixed
-    /// blocks on `pool`, each block jumping a clone of the RNG ahead to its
-    /// own stream position ([`StdRng::advance`]); the p-value is
-    /// bit-identical to drawing every sample serially from that one
-    /// stream, at any pool width.
-    pub fn permute(self, pool: &ThreadPool) -> CiTestResult {
-        let PendingCiTest {
-            ctx,
-            x,
-            y,
-            z,
-            options,
-            observed,
-        } = self;
-        let usable: Vec<usize> = (0..x.len())
-            .filter(|&i| complete_case(&ctx, x, y, z, i))
-            .collect();
-        let null = StratifiedNull::new(&ctx, x, y, z, &usable);
-        drop(usable);
-        let exceed = null.exceedances(&options, observed, pool, |_, _| {});
-        kernel::counters().record_permutations(options.n_permutations as u64, null.rows() as u64);
-        let p_value = (exceed + 1) as f64 / (options.n_permutations + 1) as f64;
-        CiTestResult {
-            observed_cmi: observed,
-            p_value,
-            independent: p_value >= options.alpha,
-        }
+/// The expensive phase of [`ci_test`], for a test [`ci_screen`] left
+/// pending with `observed` on the same inputs: builds the stratified null
+/// from the complete-case rows and draws `n_permutations` samples from an
+/// RNG seeded with `options.seed`. The permutations run in fixed blocks
+/// on `pool`, each block jumping a clone of the RNG ahead to its own
+/// stream position ([`StdRng::advance`]); the p-value is bit-identical to
+/// drawing every sample serially from that one stream, at any pool width.
+pub fn ci_permute(
+    ctx: &InfoContext<'_>,
+    x: &Codes,
+    y: &Codes,
+    z: &[&Codes],
+    options: &CiTestOptions,
+    observed: f64,
+    pool: &ThreadPool,
+) -> CiTestResult {
+    let usable: Vec<usize> = (0..x.len())
+        .filter(|&i| complete_case(ctx, x, y, z, i))
+        .collect();
+    let null = StratifiedNull::new(ctx, x, y, z, &usable);
+    drop(usable);
+    let exceed = null.exceedances(options, observed, pool, |_, _| {});
+    kernel::counters().record_permutations(options.n_permutations as u64, null.rows() as u64);
+    let p_value = (exceed + 1) as f64 / (options.n_permutations + 1) as f64;
+    CiTestResult {
+        observed_cmi: observed,
+        p_value,
+        independent: p_value >= options.alpha,
     }
 }
 
@@ -732,10 +720,10 @@ mod tests {
     }
 
     /// The screen's verdict, which must be `Decided`.
-    fn decided(screen: CiScreen<'_>) -> CiTestResult {
+    fn decided(screen: CiScreen) -> CiTestResult {
         match screen {
             CiScreen::Decided(r) => r,
-            CiScreen::Pending(_) => panic!("left undecided"),
+            CiScreen::Pending { .. } => panic!("left undecided"),
         }
     }
 
@@ -816,10 +804,11 @@ mod tests {
                 InfoContext::masked(&mask),
                 InfoContext::weighted(&weights),
             ] {
-                let CiScreen::Pending(pending) = ci_screen(&ctx, &x, &y, &zs, &opts) else {
+                let CiScreen::Pending { observed_cmi } = ci_screen(&ctx, &x, &y, &zs, &opts) else {
                     panic!("decided by a shortcut (n = {n})");
                 };
-                let got = pending.permute(&ThreadPool::default());
+                let pool = ThreadPool::default();
+                let got = ci_permute(&ctx, &x, &y, &zs, &opts, observed_cmi, &pool);
                 assert_eq!(got.observed_cmi.to_bits(), ctx.cmi(&x, &y, &zs).to_bits());
                 let want = ci_test(&ctx, &x, &y, &zs, &opts);
                 assert_eq!(got.observed_cmi.to_bits(), want.observed_cmi.to_bits());

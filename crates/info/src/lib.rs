@@ -40,6 +40,6 @@ pub use counter::{entropy_from_counts, entropy_mm, Accumulator, JointCounts};
 pub use estimator::{cmi, entropy, mutual_information, InfoContext};
 pub use fd::{approx_fd, logically_dependent, DEFAULT_FD_EPSILON};
 pub use independence::{
-    ci_screen, ci_test, ci_test_default, CiScreen, CiTestOptions, CiTestResult, PendingCiTest,
+    ci_permute, ci_screen, ci_test, ci_test_default, CiScreen, CiTestOptions, CiTestResult,
 };
 pub use kernel::{KernelCounters, KernelSnapshot};

@@ -13,7 +13,9 @@
 
 use std::collections::BTreeMap;
 
-use nexus_info::{ci_screen, ci_test, CiScreen, CiTestOptions, CiTestResult, InfoContext};
+use nexus_info::{
+    ci_permute, ci_screen, ci_test, CiScreen, CiTestOptions, CiTestResult, InfoContext,
+};
 use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{Bitmap, Codes};
 use rand::rngs::StdRng;
@@ -217,9 +219,9 @@ fn permute_matches_oracle_at_every_width(
         let pool = ThreadPool::new(Parallelism::Fixed(threads));
         let got = match ci_screen(ctx, x, y, z, options) {
             CiScreen::Decided(result) => result,
-            CiScreen::Pending(test) => {
+            CiScreen::Pending { observed_cmi } => {
                 pending += 1;
-                test.permute(&pool)
+                ci_permute(ctx, x, y, z, options, observed_cmi, &pool)
             }
         };
         assert_identical(&got, &want, &format!("{what} threads={threads}"));

@@ -1,11 +1,15 @@
 //! One memo across requests: a served miss on a candidate set the server
 //! has already explained reuses every per-candidate value — stats,
-//! calibrated CMI, MI pairs and IPW weights — from the server's
-//! `MemoStore`, and its bytes still equal a memo-less one-shot explain.
+//! calibrated CMI, MI pairs and IPW weights — and every selection round —
+//! the CMI given the selected candidates and the responsibility test —
+//! from the server's `MemoStore`, and its bytes still equal a memo-less
+//! one-shot explain.
 //!
 //! The warm query is FL-Q3-shaped (one state's flights, grouped by
 //! origin city) over a small Flights table whose selection-bias detector
-//! flags at least one candidate, so the IPW weights are exercised too.
+//! flags at least one candidate, so the IPW weights are exercised too,
+//! and with enough cities that a responsibility test draws its
+//! permutation null.
 //!
 //! The counting kernel's counters are process-global, so every test that
 //! reads kernel work around a request serializes on [`KERNEL_LOCK`]: no
@@ -36,7 +40,7 @@ fn options() -> NexusOptions {
 fn dataset() -> Dataset {
     flights::generate(&FlightsConfig {
         n_rows: 20_000,
-        n_cities: 60,
+        n_cities: 160,
         ..FlightsConfig::default()
     })
 }
@@ -117,11 +121,13 @@ fn memo(server: &Server, what: &str, kind: MemoKind) -> u64 {
         .unwrap_or_else(|| panic!("{name} exported"))
 }
 
-const NEW_KINDS: [MemoKind; 4] = [
+const NEW_KINDS: [MemoKind; 6] = [
     MemoKind::Stats,
     MemoKind::Calibrated,
     MemoKind::MiPair,
     MemoKind::IpwWeights,
+    MemoKind::CmiGiven,
+    MemoKind::CiTest,
 ];
 
 #[test]
@@ -136,6 +142,10 @@ fn a_served_miss_on_a_known_set_refits_and_redraws_nothing() {
     assert_eq!(cold.bytes, one_shot(&data, options()));
     assert!(cold.kernel.ipw_fits > 0, "no candidate was IPW-flagged");
     assert!(cold.kernel.calib_samples > 0);
+    assert!(
+        cold.kernel.permutations > cold.kernel.calib_samples,
+        "no responsibility test drew its null"
+    );
     let selected = nexus::serve::wire::ExplanationWire::decode(&cold.bytes)
         .expect("reply decodes")
         .attributes
@@ -171,6 +181,11 @@ fn a_served_miss_on_a_known_set_refits_and_redraws_nothing() {
             served.kernel.ipw_fits, 0,
             "top_k {top_k} refitted IPW models"
         );
+        assert_eq!(
+            (served.kernel.permutations, served.kernel.perm_rows),
+            (0, 0),
+            "top_k {top_k} redrew a responsibility test's null"
+        );
     }
     for (&kind, &before) in NEW_KINDS.iter().zip(&misses) {
         assert_eq!(
@@ -180,16 +195,16 @@ fn a_served_miss_on_a_known_set_refits_and_redraws_nothing() {
         );
         assert!(memo(&server, "hits", kind) > 0, "{kind:?} never hit");
     }
-    // No MI pair was computed, so what `select` still counts is the
-    // responsibility test's own passes: the same for both warm requests,
-    // and fewer than the cold run's.
-    assert_eq!(warm.select_builds, warm_again.select_builds);
-    assert!(
-        warm.select_builds < cold.select_builds,
-        "select builds {} -> {}",
-        cold.select_builds,
-        warm.select_builds
-    );
+    // Every round's screen, backstop CMI and null, and every
+    // leave-one-out CMI, is a lookup: `select` counts nothing.
+    assert!(cold.select_builds > 0);
+    for served in [&warm, &warm_again] {
+        assert_eq!(
+            served.select_builds, 0,
+            "select builds {} -> {}",
+            cold.select_builds, served.select_builds
+        );
+    }
 
     // Online pruning toggled: a different candidate set, so different
     // covariates for the selection models. The memo must not hand this
